@@ -15,7 +15,24 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
+import os as _os
+
+
+def _apply_thread_cap() -> None:
+    """Let VOLSURF_THREADS cap BLAS/OpenMP threads unless a cap is already set.
+
+    This runs before any submodule imports numpy, because the BLAS libraries
+    read these variables once, when they load.
+    """
+    cap = _os.environ.get("VOLSURF_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
+from . import (  # noqa: E402,F401  (after the thread cap)
     backtest,
     black_scholes,
     constrained_sampling,

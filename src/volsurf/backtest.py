@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .black_scholes import InversionDomainError, implied_vol, put_price
+# implied_vol stays a public name of this module for callers that import it from here
+from .black_scholes import implied_vol, implied_vol_array, put_price  # noqa: F401
 from .local_vol import LocalVolGrid
 from .market_data import CurveSet, MarketFrame, QuoteRecord
 from .ssvi import SsviParams, check_no_arbitrage, svi_total_variance
@@ -254,11 +255,8 @@ def price_cn(
 
 def cn_option_prices(solution: CnSolution, curves: CurveSet, options):
     """Currency prices of (maturity, strike) options from a CN solution."""
-    out = np.empty(len(options))
-    for i, (t, strike) in enumerate(options):
-        k = float(curves.reduced_strike(strike, t))
-        out[i] = solution.price_at(float(t), k)
-    return out
+    t, strike = np.array(options, dtype=float).reshape(-1, 2).T.copy()
+    return solution.price_at(t, curves.reduced_strike(strike, t))
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +274,31 @@ def report(model_prices, frame: MarketFrame, method: str, runtime: float = 0.0) 
     if model_prices.size != len(frame.points):
         raise ValueError("one model price per frame point required")
     curves = frame.curves
-    rows = []
-    price_errs = []
-    iv_errs = []
-    failures = 0
-    for price, point in zip(model_prices, frame.points):
-        t, strike = point.maturity, point.strike
-        market_price = point.reduced_mid / float(curves.growth(t))
-        model_iv = None
-        try:
-            model_iv = implied_vol(
-                float(price), float(curves.forward(t)), strike, t, float(curves.discount(t))
-            )
-            iv_errs.append(model_iv - point.mid_iv)
-        except InversionDomainError:
-            failures += 1
-        price_errs.append(price - market_price)
-        rows.append(
-            {
-                "maturity": t,
-                "strike": strike,
-                "model_price": float(price),
-                "market_price": float(market_price),
-                "model_iv": model_iv,
-                "market_iv": point.mid_iv,
-            }
+    cols = frame.arrays()
+    t = cols.maturity
+    market_prices = cols.reduced_mid / curves.growth(t)
+    model_ivs = implied_vol_array(
+        model_prices, curves.forward(t), cols.strike, t, curves.discount(t)
+    )
+    inverted = ~np.isnan(model_ivs)
+    iv_errs = (model_ivs - cols.mid_iv)[inverted]
+    failures = int(model_prices.size - np.count_nonzero(inverted))
+    rows = [
+        {
+            "maturity": point.maturity,
+            "strike": point.strike,
+            "model_price": price,
+            "market_price": market_price,
+            "model_iv": model_iv if ok else None,
+            "market_iv": point.mid_iv,
+        }
+        for point, price, market_price, model_iv, ok in zip(
+            frame.points, model_prices.tolist(), market_prices.tolist(), model_ivs.tolist(),
+            inverted.tolist(),
         )
-    price_rmse = float(np.sqrt(np.mean(np.square(price_errs))))
-    iv_rmse = float(np.sqrt(np.mean(np.square(iv_errs)))) if iv_errs else float("nan")
+    ]
+    price_rmse = float(np.sqrt(np.mean(np.square(model_prices - market_prices))))
+    iv_rmse = float(np.sqrt(np.mean(np.square(iv_errs)))) if iv_errs.size else float("nan")
     return BacktestReport(
         method=method,
         rows=rows,
@@ -324,7 +319,8 @@ def run_backtest(
     cn_grid: tuple = (100, 100),
 ) -> BacktestReport:
     """Reprice every frame quote under the local-vol grid and report errors."""
-    options = [(p.maturity, p.strike) for p in frame.points]
+    cols = frame.arrays()
+    options = list(zip(cols.maturity.tolist(), cols.strike.tolist()))
     start = time.perf_counter()
     if method == "mc":
         prices, _ = price_mc(
@@ -393,35 +389,37 @@ def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> list[QuoteRecor
         lv = LocalVolGrid(t_axis, k_axis, vals, np.ones_like(vals, dtype=bool))
         cn = price_cn(lv, curves, t_max=float(maturities.max()), n_t=200, n_k=400)
 
-    quotes = []
-    for t in maturities:
-        forward = float(curves.forward(t))
-        discount = float(curves.discount(t))
-        for strike in strikes:
-            if spec.kind == "flat":
-                iv = spec.sigma
-                mid = put_price(forward, strike, t, iv, discount)
-            elif spec.kind == "ssvi":
-                kappa = math.log(float(curves.reduced_strike(strike, t)) / curves.spot)
-                total = float(svi_total_variance(params.slice_at(t), kappa))
-                iv = math.sqrt(total / t)
-                mid = put_price(forward, strike, t, iv, discount)
-            else:
-                k = float(curves.reduced_strike(strike, t))
-                mid = float(cn.price_at(float(t), k))
-                lower = discount * max(strike - forward, 0.0)
-                if not lower < mid < discount * strike:
-                    log.warning("CEV price at (%.3f, %.1f) not invertible; skipped", t, strike)
-                    continue
-                iv = implied_vol(mid, forward, strike, t, discount)
-            quotes.append(
-                QuoteRecord(
-                    maturity=float(t), strike=float(strike),
-                    bid=mid * (1.0 - spec.spread), ask=mid * (1.0 + spec.spread),
-                    listed_iv=float(iv),
-                )
-            )
-    return quotes
+    t, strike = (a.ravel() for a in np.meshgrid(maturities, strikes, indexing="ij"))
+    forward = curves.forward(t)
+    discount = curves.discount(t)
+    if spec.kind == "flat":
+        iv = np.full(t.size, spec.sigma)
+        mid = put_price(forward, strike, t, iv, discount)
+    elif spec.kind == "ssvi":
+        # math.log, not np.log: the two differ in the last bit on some strikes
+        kappa = np.array(
+            [math.log(k / curves.spot) for k in curves.reduced_strike(strike, t).tolist()]
+        ).reshape(maturities.size, strikes.size)
+        total = np.concatenate(
+            [svi_total_variance(params.slice_at(ti), row) for ti, row in zip(maturities, kappa)]
+        )
+        iv = np.sqrt(total / t)
+        mid = put_price(forward, strike, t, iv, discount)
+    else:
+        mid = cn.price_at(t, curves.reduced_strike(strike, t))
+        iv = implied_vol_array(mid, forward, strike, t, discount)
+        skipped = np.isnan(iv)
+        for ti, ki in zip(t[skipped].tolist(), strike[skipped].tolist()):
+            log.warning("CEV price at (%.3f, %.1f) not invertible; skipped", ti, ki)
+        t, strike, mid, iv = (a[~skipped] for a in (t, strike, mid, iv))
+
+    return [
+        QuoteRecord(
+            maturity=ti, strike=ki, bid=m * (1.0 - spec.spread), ask=m * (1.0 + spec.spread),
+            listed_iv=v,
+        )
+        for ti, ki, m, v in zip(t.tolist(), strike.tolist(), mid.tolist(), iv.tolist())
+    ]
 
 
 def write_quotes_csv(quotes, path) -> None:

@@ -98,6 +98,105 @@ def total_variance(iv: float, maturity: float) -> float:
     return iv * iv * maturity
 
 
+def _band(forward, strike, discount):
+    """The open no-arbitrage band (df*(K-F)+, df*K) of a put price."""
+    return discount * np.maximum(strike - forward, 0.0), discount * strike
+
+
+def implied_vol_array(
+    price,
+    forward,
+    strike,
+    maturity,
+    discount=1.0,
+    price_tol: float = 1e-12,
+    max_vol: float = 20.0,
+) -> np.ndarray:
+    """Invert put prices to Black-Scholes volatilities, element by element.
+
+    Each element follows the same steps: double the upper bracket from 1.0
+    until it prices above the target (capped at max_vol), bisect from 1e-9
+    down to a 1e-4 vol interval, then take at most 60 Newton steps with the
+    analytic vega, falling back to bisection whenever Newton leaves the
+    bracket.  Elements that have finished are masked out of later steps, so
+    every element gets exactly the arithmetic a lone quote would get.  The
+    round-tripped price agrees with the input within 1e-10 absolute for
+    prices safely inside the arbitrage band.
+
+    Inputs broadcast together; the result has their shape.  Prices outside
+    (df*(K-F)+, df*K), NaN included, give NaN.  Raises ValueError when any
+    forward, strike or maturity is not positive or any discount is outside
+    (0, 1].
+    """
+    arrays = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (price, forward, strike, maturity, discount))
+    )
+    shape = arrays[0].shape
+    price, forward, strike, maturity, discount = (a.ravel() for a in arrays)
+    if (
+        np.any(forward <= 0) or np.any(strike <= 0) or np.any(maturity <= 0)
+        or not np.all((discount > 0) & (discount <= 1))
+    ):
+        raise ValueError("forward, strike, maturity must be positive; discount in (0,1]")
+    out = np.full(price.size, np.nan)
+    lower, upper = _band(forward, strike, discount)
+    live = np.flatnonzero((lower < price) & (price < upper))
+    price, forward, strike, maturity, discount = (
+        a[live] for a in (price, forward, strike, maturity, discount)
+    )
+
+    def gap(vol, sel):
+        """put_price(vol) - price on the working rows sel."""
+        return put_price(forward[sel], strike[sel], maturity[sel], vol, discount[sel]) - price[sel]
+
+    # grow the upper bracket until it prices above the target
+    lo = np.full(live.size, 1e-9)
+    hi = np.ones(live.size)
+    act = np.arange(live.size)
+    while act.size:
+        act = act[gap(hi[act], act) < 0.0]
+        hi[act] *= 2.0
+        capped = hi[act] > max_vol
+        hi[act[capped]] = max_vol
+        act = act[~capped]
+
+    # bisect to a 1e-4 wide bracket
+    flo = gap(lo, slice(None))
+    act = np.flatnonzero(hi - lo > 1e-4)
+    while act.size:
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = gap(mid, act)
+        same = (flo[act] < 0.0) == (fm < 0.0)
+        lo[act[same]] = mid[same]
+        flo[act[same]] = fm[same]
+        hi[act[~same]] = mid[~same]
+        act = act[hi[act] - lo[act] > 1e-4]
+
+    vol = 0.5 * (lo + hi)
+    tol = price_tol * (1.0 + np.abs(price))
+    act = np.arange(live.size)
+    for _ in range(60):
+        if not act.size:
+            break
+        diff = gap(vol[act], act)
+        keep = ~(np.abs(diff) <= tol[act])
+        act, diff = act[keep], diff[keep]
+        vega = put_vega(forward[act], strike[act], maturity[act], vol[act], discount[act])
+        keep = ~(vega <= 1e-16)
+        act, diff, vega = act[keep], diff[keep], vega[keep]
+        new_vol = vol[act] - diff / vega
+        # Newton left the bracket: fall back to bisection on the sign
+        left = ~((lo[act] <= new_vol) & (new_vol <= hi[act]))
+        up = act[left & (diff > 0.0)]
+        down = act[left & ~(diff > 0.0)]
+        hi[up] = vol[up]
+        lo[down] = vol[down]
+        new_vol[left] = 0.5 * (lo[act[left]] + hi[act[left]])
+        vol[act] = new_vol
+    out[live] = vol
+    return out.reshape(shape)
+
+
 def implied_vol(
     price: float,
     forward: float,
@@ -107,59 +206,14 @@ def implied_vol(
     price_tol: float = 1e-12,
     max_vol: float = 20.0,
 ) -> float:
-    """Invert the put price to a Black-Scholes volatility.
-
-    Bracketed bisection down to a 1e-4 vol interval, then Newton polishing with
-    the analytic vega.  The round-tripped price agrees with the input within
-    1e-10 absolute for prices safely inside the arbitrage band.
+    """Invert one put price to a Black-Scholes volatility (see implied_vol_array).
 
     Raises InversionDomainError when price is outside (df*(K-F)+, df*K).
     """
-    if forward <= 0 or strike <= 0 or maturity <= 0 or not 0 < discount <= 1:
-        raise ValueError("forward, strike, maturity must be positive; discount in (0,1]")
-    lower = discount * max(strike - forward, 0.0)
-    upper = discount * strike
-    if not lower < price < upper:
+    vol = float(implied_vol_array(price, forward, strike, maturity, discount, price_tol, max_vol))
+    if math.isnan(vol):
+        lower, upper = _band(forward, strike, discount)
         raise InversionDomainError(
-            f"price {price} outside the invertible band ({lower}, {upper})"
+            f"price {price} outside the invertible band ({float(lower)}, {float(upper)})"
         )
-
-    def f(vol: float) -> float:
-        return float(put_price(forward, strike, maturity, vol, discount)) - price
-
-    lo, hi = 1e-9, 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > max_vol:
-            hi = max_vol
-            break
-
-    # bisect to a 1e-4 wide bracket
-    flo = f(lo)
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-
-    vol = 0.5 * (lo + hi)
-    for _ in range(60):
-        diff = f(vol)
-        if abs(diff) <= price_tol * (1.0 + abs(price)):
-            break
-        vega = put_vega(forward, strike, maturity, vol, discount)
-        if vega <= 1e-16:
-            break
-        step = diff / vega
-        new_vol = vol - step
-        if not lo <= new_vol <= hi:
-            # Newton left the bracket; fall back to bisection on the sign
-            if diff > 0.0:
-                hi = vol
-            else:
-                lo = vol
-            new_vol = 0.5 * (lo + hi)
-        vol = new_vol
-    return float(vol)
+    return vol

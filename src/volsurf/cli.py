@@ -6,8 +6,8 @@ repricing backtests, and arbitrage checks.  Exit codes: 0 success,
 2 input problem, 3 numerical failure; failures also emit a one-line
 machine-readable JSON error on stderr.
 
-Heavy imports happen inside the handlers so `--help` stays instant and the
-VOLSURF_THREADS cap can be applied before the numerics libraries load.
+Model-specific imports happen inside the handlers.  The VOLSURF_THREADS cap
+is applied by the package itself, before numpy loads (see volsurf/__init__).
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ class CliInputError(Exception):
 def _fail(code: int, kind: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     return code
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("VOLSURF_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _outdir(path):
@@ -104,59 +97,52 @@ def _fit_report(price_fn, frame_train, frame_test):
 
 
 def _gp_price_fn(model):
-    import numpy as np
-
     def fn(frame):
-        t = np.array([p.maturity for p in frame.points])
-        k = np.array([p.reduced_strike for p in frame.points])
-        reduced = model.price(t, k)
-        growth = np.array([float(frame.curves.growth(ti)) for ti in t])
-        return reduced / growth
+        cols = frame.arrays()
+        return model.price(cols.maturity, cols.reduced_strike) / frame.curves.growth(cols.maturity)
 
     return fn
+
+
+def _iv_put_prices(frame, cols, iv):
+    """Currency put prices of the frame's quotes at implied vols iv."""
+    from .black_scholes import put_price
+
+    t = cols.maturity
+    return put_price(frame.curves.forward(t), cols.strike, t, iv, frame.curves.discount(t))
 
 
 def _nn_price_fn(model):
     import numpy as np
 
-    from .black_scholes import put_price
-
     def fn(frame):
-        out = []
-        for p in frame.points:
-            iv = model.sigma(p.maturity, p.log_moneyness)
-            out.append(
-                put_price(
-                    float(frame.curves.forward(p.maturity)), p.strike, p.maturity,
-                    iv, float(frame.curves.discount(p.maturity)),
-                )
-            )
-        return np.asarray(out)
+        cols = frame.arrays()
+        # one point at a time: a batched forward pass can round differently
+        iv = np.array(
+            [model.sigma(t, kappa)
+             for t, kappa in zip(cols.maturity.tolist(), cols.log_moneyness.tolist())],
+            dtype=float,
+        )
+        return _iv_put_prices(frame, cols, iv)
 
     return fn
 
 
 def _ssvi_price_fn(surface):
-    import math
-
     import numpy as np
 
-    from .black_scholes import put_price
     from .ssvi import interpolate_slice, svi_total_variance
 
     def fn(frame):
-        out = []
-        for p in frame.points:
-            slice_params = interpolate_slice(surface, p.maturity)
-            total = float(svi_total_variance(slice_params, p.log_moneyness))
-            iv = math.sqrt(max(total, 1e-14) / p.maturity)
-            out.append(
-                put_price(
-                    float(frame.curves.forward(p.maturity)), p.strike, p.maturity,
-                    iv, float(frame.curves.discount(p.maturity)),
-                )
-            )
-        return np.asarray(out)
+        cols = frame.arrays()
+        total = np.empty(len(frame))
+        maturities, which = np.unique(cols.maturity, return_inverse=True)
+        for i, t in enumerate(maturities.tolist()):
+            rows = which == i
+            slice_params = interpolate_slice(surface, t)
+            total[rows] = svi_total_variance(slice_params, cols.log_moneyness[rows])
+        iv = np.sqrt(np.maximum(total, 1e-14) / cols.maturity)
+        return _iv_put_prices(frame, cols, iv)
 
     return fn
 
@@ -337,11 +323,9 @@ def cmd_backtest(args) -> int:
         raise CliInputError(f"local-vol file not found: {args.localvol}")
     lv = read_grid_json(args.localvol)
     frame, _ = _load_market(args)
-    t_needed = max(p.maturity for p in frame.points)
-    k_needed = [p.reduced_strike for p in frame.points]
-    if min(k_needed) < lv.k_axis[0] - 0.25 * (lv.k_axis[-1] - lv.k_axis[0]) or max(
-        k_needed
-    ) > lv.k_axis[-1] + 0.25 * (lv.k_axis[-1] - lv.k_axis[0]):
+    k_needed = frame.arrays().reduced_strike
+    margin = 0.25 * (lv.k_axis[-1] - lv.k_axis[0])
+    if k_needed.min() < lv.k_axis[0] - margin or k_needed.max() > lv.k_axis[-1] + margin:
         raise CliInputError("quote strikes fall far outside the local-vol grid domain")
     rep = run_backtest(
         lv, frame, args.method, n_paths=args.paths, n_steps=args.steps, seed=args.seed,
@@ -554,13 +538,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    from numpy.linalg import LinAlgError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except CliInputError as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
+    except LinAlgError as exc:  # a ValueError subclass, but a numerical failure
+        return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     except (FileNotFoundError, ValueError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
     except ArithmeticError as exc:
@@ -568,9 +555,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # numerical / solver failures
         from .constrained_sampling import QpError
 
-        import numpy as np
-
-        if isinstance(exc, (QpError, np.linalg.LinAlgError, RuntimeError)):
+        if isinstance(exc, (QpError, RuntimeError)):
             return _fail(EXIT_NUMERICAL, "numerical", str(exc))
         raise
 

@@ -14,10 +14,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .black_scholes import InversionDomainError, implied_vol
+# implied_vol stays a public name of this module for callers that import it from here
+from .black_scholes import implied_vol, implied_vol_array  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -189,6 +192,19 @@ class MarketPoint:
     mid_iv: float
 
 
+class FrameColumns(NamedTuple):
+    """MarketFrame points as contiguous float columns, one per MarketPoint field."""
+
+    maturity: np.ndarray
+    strike: np.ndarray
+    reduced_strike: np.ndarray
+    log_moneyness: np.ndarray
+    reduced_bid: np.ndarray
+    reduced_ask: np.ndarray
+    reduced_mid: np.ndarray
+    mid_iv: np.ndarray
+
+
 @dataclass(frozen=True)
 class MarketFrame:
     """Preprocessed dataset shared by all calibration methods. Immutable."""
@@ -201,24 +217,12 @@ class MarketFrame:
     def __len__(self) -> int:
         return len(self.points)
 
-    def arrays(self):
-        """Column arrays (T, k, kappa, bid, ask, mid, iv) over retained points."""
-        cols = np.array(
-            [
-                (
-                    p.maturity,
-                    p.reduced_strike,
-                    p.log_moneyness,
-                    p.reduced_bid,
-                    p.reduced_ask,
-                    p.reduced_mid,
-                    p.mid_iv,
-                )
-                for p in self.points
-            ],
-            dtype=float,
-        )
-        return (cols[:, i] for i in range(7))
+    def arrays(self) -> FrameColumns:
+        """The retained points as columns, in point order."""
+        row = attrgetter(*FrameColumns._fields)
+        table = np.array([row(p) for p in self.points], dtype=float)
+        table = table.reshape(-1, len(FrameColumns._fields))
+        return FrameColumns(*np.ascontiguousarray(table.T))
 
     def bid_ask_observations(self):
         """Bid and ask reduced prices as separate replications at the same (T, k).
@@ -226,16 +230,14 @@ class MarketFrame:
         Returns (T, k, y) with two rows per quote; this is the observation set
         the price-surface GP is trained on.
         """
-        t = np.repeat([p.maturity for p in self.points], 2)
-        k = np.repeat([p.reduced_strike for p in self.points], 2)
-        y = np.ravel([[p.reduced_bid, p.reduced_ask] for p in self.points])
-        return t, k, np.asarray(y, dtype=float)
+        cols = self.arrays()
+        t = np.repeat(cols.maturity, 2)
+        k = np.repeat(cols.reduced_strike, 2)
+        y = np.stack([cols.reduced_bid, cols.reduced_ask], axis=1).ravel()
+        return t, k, y
 
     def to_unit_square(self, t, k):
         return self.scaling.to_unit(t, k)
-
-    def from_unit_square(self, u, v):
-        return self.scaling.from_unit(u, v)
 
 
 def load_quotes(path, columns: dict[str, str] | None = None) -> list[QuoteRecord]:
@@ -328,44 +330,50 @@ def build_frame(
     if quotes and min(curves.rate_curve.max_tenor, curves.dividend_curve.max_tenor) < max_t:
         raise ValueError("curves do not cover the longest quote maturity")
 
-    points: list[MarketPoint] = []
-    rejected: list[tuple[int, str]] = []
-    for index, q in enumerate(quotes):
-        if q.maturity < cfg.min_maturity:
-            rejected.append((index, "below minimum maturity"))
-            continue
-        growth = float(curves.growth(q.maturity))
-        k = float(curves.reduced_strike(q.strike, q.maturity))
-        forward = float(curves.forward(q.maturity))
-        discount = float(curves.discount(q.maturity))
-        try:
-            mid_iv = implied_vol(q.mid, forward, q.strike, q.maturity, discount)
-        except InversionDomainError:
-            rejected.append((index, "mid price outside arbitrage band"))
-            continue
-        if q.listed_iv is not None:
-            gap = abs(q.listed_iv - mid_iv) / q.listed_iv
-            if gap > cfg.iv_gap_tol:
-                rejected.append((index, "listed iv inconsistent with mid price"))
-                continue
-        points.append(
-            MarketPoint(
-                maturity=q.maturity,
-                strike=q.strike,
-                reduced_strike=k,
-                log_moneyness=math.log(k / curves.spot),
-                reduced_bid=growth * q.bid,
-                reduced_ask=growth * q.ask,
-                reduced_mid=growth * q.mid,
-                mid_iv=mid_iv,
-            )
-        )
+    maturity, strike, bid, ask = (
+        np.array([getattr(q, name) for q in quotes], dtype=float)
+        for name in ("maturity", "strike", "bid", "ask")
+    )
+    listed_iv = np.array(
+        [math.nan if q.listed_iv is None else q.listed_iv for q in quotes], dtype=float
+    )
+    reasons: dict[int, str] = {}
+    for index in np.flatnonzero(maturity < cfg.min_maturity).tolist():
+        reasons[index] = "below minimum maturity"
 
-    if not points:
+    idx = np.flatnonzero(maturity >= cfg.min_maturity)
+    t, strike, bid, ask, listed_iv = (a[idx] for a in (maturity, strike, bid, ask, listed_iv))
+    mid = 0.5 * (bid + ask)
+    mid_iv = implied_vol_array(mid, curves.forward(t), strike, t, curves.discount(t))
+    for index in idx[np.isnan(mid_iv)].tolist():
+        reasons[index] = "mid price outside arbitrage band"
+    with np.errstate(invalid="ignore"):
+        inconsistent = np.abs(listed_iv - mid_iv) / listed_iv > cfg.iv_gap_tol
+    for index in idx[inconsistent].tolist():
+        reasons[index] = "listed iv inconsistent with mid price"
+    rejected = tuple(sorted(reasons.items()))
+
+    keep = ~np.isnan(mid_iv) & ~inconsistent
+    if not keep.any():
         raise EmptyInputError("all quotes were filtered out")
-
-    ts = np.array([p.maturity for p in points])
-    ks = np.array([p.reduced_strike for p in points])
+    t, strike, mid_iv = t[keep], strike[keep], mid_iv[keep]
+    growth = curves.growth(t)
+    ks = curves.reduced_strike(strike, t)
+    columns = (t, strike, ks, growth * bid[keep], growth * ask[keep], growth * mid[keep], mid_iv)
+    points = tuple(
+        MarketPoint(
+            maturity=ti,
+            strike=ki,
+            reduced_strike=k,
+            # math.log, not np.log: the two differ in the last bit on some strikes
+            log_moneyness=math.log(k / curves.spot),
+            reduced_bid=b,
+            reduced_ask=a,
+            reduced_mid=m,
+            mid_iv=iv,
+        )
+        for ti, ki, k, b, a, m, iv in zip(*(col.tolist() for col in columns))
+    )
 
     def _bounds(lo: float, hi: float) -> tuple[float, float]:
         # a single-maturity (or single-strike) book still needs an invertible map
@@ -374,9 +382,7 @@ def build_frame(
             return lo - pad, hi + pad
         return lo, hi
 
-    t_lo, t_hi = _bounds(float(ts.min()), float(ts.max()))
+    t_lo, t_hi = _bounds(float(t.min()), float(t.max()))
     k_lo, k_hi = _bounds(float(ks.min()), float(ks.max()))
     scaling = AffineScaling(t_min=t_lo, t_max=t_hi, k_min=k_lo, k_max=k_hi)
-    return MarketFrame(
-        points=tuple(points), scaling=scaling, curves=curves, rejected=tuple(rejected)
-    )
+    return MarketFrame(points=points, scaling=scaling, curves=curves, rejected=rejected)

@@ -4,9 +4,12 @@ Nothing in here calls the solvers under test; the point is to compute the
 same answers by a method slow enough to be obviously correct.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
+
+from volsurf.black_scholes import put_price, put_vega
 
 
 def brute_force_qp(q, c, a, b, feas_tol=1e-9):
@@ -63,3 +66,133 @@ def random_feasible_qp(rng, d_max=4, m_max=6):
 def truncated_standard_normal_mean() -> float:
     """Mean of a standard normal conditioned on being nonnegative."""
     return float(np.sqrt(2.0 / np.pi))
+
+
+# ---------------------------------------------------------------------------
+# per-quote scalar references for the vectorised quote path
+# ---------------------------------------------------------------------------
+
+
+def scalar_implied_vol(price, forward, strike, maturity, discount=1.0,
+                       price_tol=1e-12, max_vol=20.0):
+    """One quote's implied vol by the loop the array kernel must reproduce.
+
+    Doubling of the upper bracket, bisection to a 1e-4 bracket, then at most
+    60 Newton steps with the bracket fallback.  None outside the band.
+    """
+    lower = discount * max(strike - forward, 0.0)
+    upper = discount * strike
+    if not lower < price < upper:
+        return None
+
+    def f(vol):
+        return float(put_price(forward, strike, maturity, vol, discount)) - price
+
+    lo, hi = 1e-9, 1.0
+    while f(hi) < 0.0:
+        hi *= 2.0
+        if hi > max_vol:
+            hi = max_vol
+            break
+    flo = f(lo)
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    vol = 0.5 * (lo + hi)
+    for _ in range(60):
+        diff = f(vol)
+        if abs(diff) <= price_tol * (1.0 + abs(price)):
+            break
+        vega = put_vega(forward, strike, maturity, vol, discount)
+        if vega <= 1e-16:
+            break
+        new_vol = vol - diff / vega
+        if not lo <= new_vol <= hi:
+            if diff > 0.0:
+                hi = vol
+            else:
+                lo = vol
+            new_vol = 0.5 * (lo + hi)
+        vol = new_vol
+    return float(vol)
+
+
+def scalar_frame_points(quotes, curves, min_maturity=0.055, iv_gap_tol=0.05):
+    """build_frame's points and rejections, one quote and one curve call at a time."""
+    points, rejected = [], []
+    for index, q in enumerate(quotes):
+        if q.maturity < min_maturity:
+            rejected.append((index, "below minimum maturity"))
+            continue
+        growth = float(curves.growth(q.maturity))
+        k = float(curves.reduced_strike(q.strike, q.maturity))
+        forward = float(curves.forward(q.maturity))
+        discount = float(curves.discount(q.maturity))
+        mid_iv = scalar_implied_vol(q.mid, forward, q.strike, q.maturity, discount)
+        if mid_iv is None:
+            rejected.append((index, "mid price outside arbitrage band"))
+            continue
+        if q.listed_iv is not None and abs(q.listed_iv - mid_iv) / q.listed_iv > iv_gap_tol:
+            rejected.append((index, "listed iv inconsistent with mid price"))
+            continue
+        points.append((q.maturity, q.strike, k, math.log(k / curves.spot), growth * q.bid,
+                       growth * q.ask, growth * q.mid, mid_iv))
+    return points, rejected
+
+
+def scalar_report(model_prices, frame):
+    """report's rows and (price RMSE, IV RMSE, failures), one quote at a time."""
+    curves = frame.curves
+    rows, price_errs, iv_errs = [], [], []
+    for price, p in zip(model_prices, frame.points):
+        t = p.maturity
+        market_price = p.reduced_mid / float(curves.growth(t))
+        model_iv = scalar_implied_vol(float(price), float(curves.forward(t)), p.strike, t,
+                                      float(curves.discount(t)))
+        if model_iv is not None:
+            iv_errs.append(model_iv - p.mid_iv)
+        price_errs.append(price - market_price)
+        rows.append({"maturity": t, "strike": p.strike, "model_price": float(price),
+                     "market_price": float(market_price), "model_iv": model_iv,
+                     "market_iv": p.mid_iv})
+    price_rmse = float(np.sqrt(np.mean(np.square(price_errs))))
+    iv_rmse = float(np.sqrt(np.mean(np.square(iv_errs)))) if iv_errs else float("nan")
+    return rows, price_rmse, iv_rmse, len(model_prices) - len(iv_errs)
+
+
+def scalar_synthetic_quotes(spec, curves, cn=None):
+    """generate_synthetic's quotes as (T, K, bid, ask, iv), one quote at a time.
+
+    cn is the CEV book's CN solution (the same grid generate_synthetic solves).
+    """
+    out = []
+    for t in np.asarray(spec.maturities, dtype=float):
+        forward = float(curves.forward(t))
+        discount = float(curves.discount(t))
+        for strike in np.asarray(spec.moneyness, dtype=float) * curves.spot:
+            if spec.kind == "flat":
+                iv = spec.sigma
+                mid = put_price(forward, strike, t, iv, discount)
+            elif spec.kind == "ssvi":
+                from volsurf.ssvi import SsviParams, svi_total_variance
+
+                maturities = np.asarray(spec.maturities, dtype=float)
+                params = SsviParams(
+                    rho=spec.rho, eta=spec.eta, theta_maturities=tuple(maturities),
+                    theta_values=tuple(spec.theta_slope * m for m in maturities),
+                )
+                kappa = math.log(float(curves.reduced_strike(strike, t)) / curves.spot)
+                iv = math.sqrt(float(svi_total_variance(params.slice_at(t), kappa)) / t)
+                mid = put_price(forward, strike, t, iv, discount)
+            else:
+                mid = float(cn.price_at(float(t), float(curves.reduced_strike(strike, t))))
+                iv = scalar_implied_vol(mid, forward, strike, t, discount)
+                if iv is None:
+                    continue
+            out.append((float(t), float(strike), mid * (1.0 - spec.spread),
+                        mid * (1.0 + spec.spread), float(iv)))
+    return out

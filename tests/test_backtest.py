@@ -15,9 +15,19 @@ from volsurf.backtest import (
     write_curve_csv,
     write_quotes_csv,
 )
+from volsurf import backtest
 from volsurf.black_scholes import implied_vol, put_price
 from volsurf.local_vol import LocalVolGrid
-from volsurf.market_data import Curve, CurveSet, build_frame, load_curve, load_quotes
+from volsurf.market_data import (
+    Curve,
+    CurveSet,
+    QuoteRecord,
+    build_frame,
+    load_curve,
+    load_quotes,
+)
+
+from oracles import scalar_frame_points, scalar_report, scalar_synthetic_quotes
 
 SPOT = 100.0
 
@@ -326,3 +336,76 @@ class TestGenerateSynthetic:
         write_curve_csv([0.0, 2.0], [0.02, 0.025], path)
         curve = load_curve(path)
         assert curve.value(1.0) == pytest.approx(0.0225)
+
+
+class TestScalarReference:
+    """The vectorised quote path against per-quote scalar loops, compared exactly."""
+
+    @staticmethod
+    def curves():
+        return CurveSet(spot=100.0, rate_curve=Curve([0.0, 0.5, 1.5, 4.0], [0.01, 0.03, 0.02, 0.04]),
+                        dividend_curve=Curve([0.0, 2.0, 5.0], [0.005, 0.02, 0.01]))
+
+    @staticmethod
+    def cev_book(curves, monkeypatch):
+        """A CEV book, plus the CN solution generate_synthetic priced it with."""
+        solved = []
+        solve = backtest.price_cn
+        monkeypatch.setattr(backtest, "price_cn",
+                            lambda *a, **kw: solved.append(solve(*a, **kw)) or solved[-1])
+        spec = SyntheticSpec(kind="cev", sigma0=2.0, beta=0.5,
+                             maturities=tuple(np.linspace(0.04, 2.4, 9).tolist()),
+                             moneyness=tuple(np.linspace(0.6, 1.6, 23).tolist()))
+        return spec, generate_synthetic(spec, curves), solved[0]
+
+    def test_build_frame_and_report(self, monkeypatch):
+        curves = self.curves()
+        _, quotes, _ = self.cev_book(curves, monkeypatch)
+        # one quote per rejection reason, and one without a listed iv
+        q = quotes[40]
+        quotes += [
+            QuoteRecord(maturity=q.maturity, strike=q.strike, bid=q.bid, ask=q.ask),
+            QuoteRecord(maturity=q.maturity, strike=q.strike, bid=q.strike, ask=q.strike * 2),
+            QuoteRecord(maturity=q.maturity, strike=q.strike, bid=q.bid, ask=q.ask,
+                        listed_iv=q.listed_iv * 1.5),
+        ]
+        frame = build_frame(quotes, curves)
+        points, rejected = scalar_frame_points(quotes, curves)
+        assert [tuple(vars(p).values()) for p in frame.points] == points
+        assert list(frame.rejected) == rejected
+        assert {reason for _, reason in rejected} == {
+            "below minimum maturity", "mid price outside arbitrage band",
+            "listed iv inconsistent with mid price",
+        }
+
+        market = np.array([p.reduced_mid / float(curves.growth(p.maturity))
+                           for p in frame.points])
+        prices = market * np.linspace(0.9, 1.1, market.size)
+        prices[::17] = -1.0                       # uninvertible rows
+        got = report(prices, frame, "cn")
+        rows, price_rmse, iv_rmse, failures = scalar_report(prices, frame)
+        assert got.rows == rows
+        assert (got.price_rmse, got.iv_rmse, got.n_iv_failures) == (price_rmse, iv_rmse, failures)
+        assert failures >= len(prices[::17])
+
+    def test_cn_option_prices(self, monkeypatch):
+        curves = self.curves()
+        _, quotes, cn = self.cev_book(curves, monkeypatch)
+        options = [(q.maturity, q.strike) for q in quotes]
+        want = np.array([cn.price_at(t, float(curves.reduced_strike(k, t))) for t, k in options])
+        assert cn_option_prices(cn, curves, options).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["flat", "ssvi", "cev"])
+    def test_generate_synthetic_quotes_csv(self, kind, tmp_path, monkeypatch):
+        curves = self.curves()
+        if kind == "cev":
+            spec, quotes, cn = self.cev_book(curves, monkeypatch)
+        else:
+            spec = SyntheticSpec(kind=kind, maturities=tuple(np.linspace(0.1, 2.5, 7).tolist()),
+                                 moneyness=tuple(np.linspace(0.7, 1.4, 15).tolist()))
+            quotes, cn = generate_synthetic(spec, curves), None
+        reference = [QuoteRecord(*row[:4], listed_iv=row[4])
+                     for row in scalar_synthetic_quotes(spec, curves, cn)]
+        write_quotes_csv(quotes, tmp_path / "got.csv")
+        write_quotes_csv(reference, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsurf.black_scholes import (
     BsQuote,
     InversionDomainError,
     bs_put,
     implied_vol,
+    implied_vol_array,
     put_price,
     put_vega,
     total_variance,
 )
+
+from oracles import scalar_implied_vol
 
 # Closed-form evaluation of K*N(-d2) - F*N(-d1) at F=K=100, T=1, sigma=0.2,
 # frozen from an independent scipy.special.ndtr computation.
@@ -102,6 +107,71 @@ def test_implied_vol_rejects_boundary_price():
         implied_vol(0.0, 100.0, 90.0, 1.0, 1.0)
     with pytest.raises(InversionDomainError):
         implied_vol(121.0, 100.0, 120.0, 1.0, 1.0)  # above df*K
+
+
+# A quote: forward, strike/forward, maturity, discount, where its price sits
+# relative to the band (df*(K-F)+, df*K), and a position in [0, 1] there.
+quotes = st.tuples(
+    st.floats(50.0, 200.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.02, 5.0),
+    st.floats(0.5, 1.0),
+    st.sampled_from(["inside", "near_lower", "near_upper", "below", "above"]),
+    st.floats(0.0, 1.0),
+)
+
+
+def _quote_price(forward, strike, maturity, discount, where, pos):
+    """A price inside the band, within 1e-12 relative of an edge, or outside it."""
+    lower, upper = discount * max(strike - forward, 0.0), discount * strike
+    rel = 1e-15 + pos * 1e-12
+    if where == "inside":
+        return put_price(forward, strike, maturity, 0.01 + 2.99 * pos, discount)
+    if where == "near_lower":
+        return lower * (1.0 + rel) if lower > 0.0 else upper * rel
+    if where == "near_upper":
+        return upper * (1.0 - rel)
+    if where == "below":
+        return lower * (1.0 - rel) if pos > 0.5 else lower
+    return upper * (1.0 + rel) if pos > 0.5 else upper
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(quotes, min_size=1, max_size=25))
+def test_implied_vol_array_matches_scalar_bitwise(rows):
+    fwd, ratio, mat, df = (np.array(c, dtype=float) for c in list(zip(*rows))[:4])
+    strike = fwd * ratio
+    price = np.array([
+        _quote_price(f, k, t, d, where, pos)
+        for f, k, t, d, (*_, where, pos) in zip(fwd, strike, mat, df, rows)
+    ])
+    got = implied_vol_array(price, fwd, strike, mat, df)
+    for i in range(len(rows)):
+        args = (float(price[i]), float(fwd[i]), float(strike[i]), float(mat[i]), float(df[i]))
+        reference = scalar_implied_vol(*args)
+        lower, upper = df[i] * max(strike[i] - fwd[i], 0.0), df[i] * strike[i]
+        assert (reference is not None) == (lower < price[i] < upper)
+        if reference is None:
+            assert np.isnan(got[i])
+            with pytest.raises(InversionDomainError):
+                implied_vol(*args)
+        else:
+            assert got[i].tobytes() == np.float64(reference).tobytes()
+            assert implied_vol(*args) == reference
+
+
+def test_implied_vol_array_broadcasts_and_validates():
+    vols = np.array([[0.1, 0.2], [0.4, 0.8]])
+    prices = put_price(100.0, np.array([90.0, 110.0]), 1.0, vols, 0.97)
+    got = implied_vol_array(prices, 100.0, np.array([90.0, 110.0]), 1.0, 0.97)
+    assert got.shape == (2, 2)
+    assert np.allclose(got, vols, atol=1e-8)
+    assert np.isnan(implied_vol_array(0.0, 100.0, 90.0, 1.0))
+    assert implied_vol_array([], [], [], [], []).shape == (0,)
+    with pytest.raises(ValueError):
+        implied_vol_array([5.0, 5.0], [100.0, -1.0], 100.0, 1.0)
+    with pytest.raises(ValueError):
+        implied_vol_array(5.0, 100.0, 100.0, 1.0, 1.2)
 
 
 def test_total_variance():

@@ -1,8 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volsurf
+from volsurf import cli
 from volsurf.cli import main
 
 
@@ -212,3 +220,88 @@ class TestBacktestCommand:
         )
         assert code == 2
         assert "domain" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestFailureContract:
+    def test_linalg_error_exits_3(self, monkeypatch, capsys):
+        def singular(args):
+            raise np.linalg.LinAlgError("covariance is not positive definite")
+
+        monkeypatch.setattr(cli, "cmd_check_arbitrage", singular)
+        assert run(["check-arbitrage", "--model", "model.json"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "numerical", "message": "covariance is not positive definite"}
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_thread_cap_set_before_numpy_loads(self, preset, expected):
+        probe = textwrap.dedent(
+            """
+            import os, sys
+            seen = []
+            class Probe:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.meta_path.insert(0, Probe())
+            import volsurf.cli
+            print(seen)
+            """
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["VOLSURF_THREADS"] = "1"
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = str(Path(volsurf.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([expected])
+
+
+class TestPriceAdapters:
+    """The vectorised price adapters against one-point-at-a-time references."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        from volsurf.backtest import SyntheticSpec, generate_synthetic
+        from volsurf.market_data import Curve, CurveSet, build_frame
+
+        curves = CurveSet(spot=100.0, rate_curve=Curve([0.0, 1.0, 5.0], [0.01, 0.03, 0.02]),
+                          dividend_curve=Curve.flat(0.015))
+        spec = SyntheticSpec(kind="cev", maturities=(0.3, 0.7, 1.2, 2.0),
+                             moneyness=tuple(np.linspace(0.8, 1.25, 9).tolist()))
+        return build_frame(generate_synthetic(spec, curves), curves)
+
+    @staticmethod
+    def per_point(frame, iv_of):
+        from volsurf.black_scholes import put_price
+
+        curves = frame.curves
+        return np.array([
+            put_price(float(curves.forward(p.maturity)), p.strike, p.maturity, iv_of(p),
+                      float(curves.discount(p.maturity)))
+            for p in frame.points
+        ])
+
+    def test_ssvi_adapter(self, frame):
+        from volsurf.ssvi import calibrate, interpolate_slice, svi_total_variance
+
+        _, surface = calibrate(frame)
+
+        def iv_of(p):
+            total = float(svi_total_variance(interpolate_slice(surface, p.maturity),
+                                             p.log_moneyness))
+            return math.sqrt(max(total, 1e-14) / p.maturity)
+
+        got = cli._ssvi_price_fn(surface)(frame)
+        assert got.tobytes() == self.per_point(frame, iv_of).tobytes()
+
+    def test_nn_adapter(self, frame):
+        from volsurf.nn_iv import NnIvModel
+
+        model = NnIvModel.initialize(seed=3, hidden=(6, 6))
+        got = cli._nn_price_fn(model)(frame)
+        want = self.per_point(frame, lambda p: model.sigma(p.maturity, p.log_moneyness))
+        assert got.tobytes() == want.tobytes()
