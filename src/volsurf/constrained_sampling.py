@@ -13,6 +13,16 @@ Two independent tools live here:
   of a whitened Gaussian is harmonic, so trajectories are followed
   analytically and wall hits are reflected exactly; no step size exists to
   tune and no sample ever leaves the support.
+
+  With m walls, d dimensions and covariance root L, the whitened walls
+  F = A L are never formed.  A trajectory starts from exact products
+  F v = A (L v), one O(d^2) matvec with L and one O(nnz(A)) sparse
+  product, and ends with one more for its exact feasibility check.  A
+  bounce in between costs O(m + d + nnz(A)): the hit search evaluates the
+  trig on reachable walls only, and the products of the new position and
+  velocity follow in closed form from the old ones plus A (L L' a_j') for
+  the wall's sparse row a_j.  A dense F costs two O(m d) matvecs per
+  bounce instead.
 """
 
 from __future__ import annotations
@@ -101,10 +111,6 @@ class QuadProgram:
     def n_eq(self) -> int:
         return self.b_eq.size
 
-    def objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.q @ x) + self.c @ x)
-
 
 @dataclass
 class QpResult:
@@ -176,43 +182,50 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
     z = np.ones(m)
     nu = np.zeros(n_eq)
 
-    def factor_and_solve(w, rd, rp, re, rc):
-        """Solve the reduced Newton system for (dx, dnu); back out (ds, dz).
+    def factor(w):
+        """Build Q + A' W A (bordered by the equality block) and factor it once.
 
-        rp is the true primal residual A x - s - b; rc the complementarity
-        target in Z ds + S dz = rc.
+        Returns solve(rhs_x, re) -> (dx, dnu); the predictor and corrector
+        steps of one iteration share it.
         """
         if sp.issparse(a):
             awa = (a.T @ sp.diags(w) @ a).toarray()
         else:
             awa = a.T @ (w[:, None] * a)
         h = p.q + awa
-        rhs_x = -rd + a.T @ ((rc - z * rp) / s)
         if n_eq:
             kkt = np.zeros((d + n_eq, d + n_eq))
             kkt[:d, :d] = h
             kkt[:d, d:] = g_dense.T
             kkt[d:, :d] = g_dense
-            sol = sla.solve(kkt, np.concatenate([rhs_x, -re]), assume_a="sym")
-            dx, dnu = sol[:d], sol[d:]
-        else:
-            try:
-                cf = sla.cho_factor(h, check_finite=False)
-                dx = sla.cho_solve(cf, rhs_x, check_finite=False)
-            except sla.LinAlgError:
-                ridge = 1e-12 * (np.trace(h) / d + 1.0)
-                for _ in range(6):
-                    try:
-                        cf = sla.cho_factor(
-                            h + ridge * np.eye(d), check_finite=False
-                        )
-                        dx = sla.cho_solve(cf, rhs_x, check_finite=False)
-                        break
-                    except sla.LinAlgError:
-                        ridge *= 100.0
-                else:
-                    raise QpError("normal matrix factorization failed")
-            dnu = np.zeros(0)
+
+            def solve_bordered(rhs_x, re):
+                sol = sla.solve(kkt, np.concatenate([rhs_x, -re]), assume_a="sym")
+                return sol[:d], sol[d:]
+
+            return solve_bordered
+        try:
+            cf = sla.cho_factor(h, check_finite=False)
+        except sla.LinAlgError:
+            ridge = 1e-12 * (np.trace(h) / d + 1.0)
+            for _ in range(6):
+                try:
+                    cf = sla.cho_factor(h + ridge * np.eye(d), check_finite=False)
+                    break
+                except sla.LinAlgError:
+                    ridge *= 100.0
+            else:
+                raise QpError("normal matrix factorization failed")
+        return lambda rhs_x, re: (sla.cho_solve(cf, rhs_x, check_finite=False), np.zeros(0))
+
+    def newton_step(solve, rd, rp, re, rc):
+        """Solve the reduced Newton system for (dx, dnu); back out (ds, dz).
+
+        rp is the true primal residual A x - s - b; rc the complementarity
+        target in Z ds + S dz = rc.
+        """
+        rhs_x = -rd + a.T @ ((rc - z * rp) / s)
+        dx, dnu = solve(rhs_x, re)
         ds = np.asarray(a @ dx).ravel() + rp
         dz = (rc - z * ds) / s
         return dx, ds, dz, dnu
@@ -238,9 +251,9 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
         ):
             return QpResult(x=x, z=z, nu=nu, iterations=iteration - 1, kkt=res)
 
-        w = z / s
+        solve = factor(z / s)
         # predictor (affine) step
-        dx_a, ds_a, dz_a, dnu_a = factor_and_solve(w, rd, rp, re, -s * z)
+        dx_a, ds_a, dz_a, dnu_a = newton_step(solve, rd, rp, re, -s * z)
         alpha_p = max_step(s, ds_a)
         alpha_d = max_step(z, dz_a)
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
@@ -248,7 +261,8 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
 
         # corrector step
         rc = -s * z - ds_a * dz_a + sigma * mu
-        dx, ds, dz, dnu = factor_and_solve(w, rd, rp, re, rc)
+        dx, ds, dz, dnu = newton_step(solve, rd, rp, re, rc)
+        del solve  # free this factor before the next iteration builds its own
         alpha_p = 0.995 * max_step(s, ds)
         alpha_d = 0.995 * max_step(z, dz)
 
@@ -340,27 +354,95 @@ def chol_with_jitter(matrix: np.ndarray, label: str = "matrix") -> np.ndarray:
 
 _MIN_HIT_TIME = 1e-9
 
+# consecutive trajectories restarted (knife edge, bounce limit, roundoff
+# rejection) before the sampler gives up instead of looping forever
+MAX_CONSECUTIVE_RESTARTS = 100
+
+
+class SamplerStallError(RuntimeError):
+    """Every one of MAX_CONSECUTIVE_RESTARTS trajectories in a row was restarted."""
+
 
 def _wall_hit(f_a, f_b, g):
     """First positive time any wall f.x(t) + g = 0 is hit, x(t)=a sin t + b cos t.
 
-    Returns (time, wall_index); time = inf when no wall is reachable.
+    Only walls whose amplitude hypot(f_a, f_b) exceeds |g| can be reached, so
+    the trig runs on those rows alone; a reachable wall always has a root
+    past _MIN_HIT_TIME.  Returns (time, wall_index), or (inf, 0) when no wall
+    is reachable.  Ties go to the lowest wall, and on one wall to the first
+    root.
     """
     u = np.hypot(f_a, f_b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reachable = u > np.abs(g)
-        phi = np.arctan2(-f_a, f_b)
-        acos = np.arccos(np.where(reachable, -g / np.where(u > 0, u, 1.0), 0.0))
-    t1 = acos - phi
-    t2 = -acos - phi
-    times = np.stack([t1, t2], axis=1)
+    rows = np.flatnonzero(u > np.abs(g))
+    if rows.size == 0:
+        return np.inf, 0
+    f_a, f_b = f_a[rows], f_b[rows]
+    phi = np.arctan2(-f_a, f_b)
+    acos = np.arccos(-g[rows] / u[rows])
+    times = np.stack([acos - phi, -acos - phi], axis=1)
     times = np.where(times < 0.0, times + 2.0 * np.pi, times)
     times = np.where(times < _MIN_HIT_TIME, np.inf, times)
-    times[~reachable, :] = np.inf
     flat = int(np.argmin(times))
-    row, _ = divmod(flat, 2)
-    t_hit = float(times.flat[flat])
-    return t_hit, row
+    return float(times.flat[flat]), int(rows[flat // 2])
+
+
+class _Walls:
+    """The whitened walls f = A L of a support f z >= -g, never formed.
+
+    A product f v costs one dense matvec with L and one sparse matvec with
+    A.  Wall j's row f_j = L' a_j' combines the rows of L picked by the (at
+    most three, for the GP shape rules) nonzeros of a_j, and
+    f f_j' = A (L L') a_j' combines as many rows of the cached L L'.
+    L L' rather than the covariance keeps these identities exact when the
+    factorization needed a jitter ridge.
+    """
+
+    def __init__(self, a, root: np.ndarray):
+        self.a = sp.csr_matrix(a)
+        self.root = root
+        self.root_outer = root @ root.T
+
+    def products(self, v: np.ndarray) -> np.ndarray:
+        """f v = A (L v)."""
+        return self.a @ (self.root @ v)
+
+    def _nonzeros(self, j: int):
+        lo, hi = self.a.indptr[j], self.a.indptr[j + 1]
+        return self.a.data[lo:hi], self.a.indices[lo:hi]
+
+    def row(self, j: int) -> np.ndarray:
+        """f_j = L' a_j'."""
+        vals, cols = self._nonzeros(j)
+        return vals @ self.root[cols]
+
+    def row_products(self, j: int) -> np.ndarray:
+        """f f_j' = A (L L' a_j')."""
+        vals, cols = self._nonzeros(j)
+        return self.a @ (vals @ self.root_outer[cols])
+
+
+def _reflect(walls: _Walls, a_vec, b_vec, f_a, f_b, t_hit: float, wall: int):
+    """State just after bouncing off `wall` at t_hit on x(t) = a sin t + b cos t.
+
+    Returns (velocity, position, f velocity, f position), the wall products
+    in closed form from f_a = f a and f_b = f b:
+
+        f b_new = sin t f_a + cos t f_b,
+        f v_ref = cos t f_a - sin t f_b - c f f_j',   v_ref = v_hit - c f_j.
+
+    Returns None when the reflected velocity points into the wall, a
+    numerical knife edge.
+    """
+    sin_t, cos_t = np.sin(t_hit), np.cos(t_hit)
+    b_new = a_vec * sin_t + b_vec * cos_t
+    v_hit = a_vec * cos_t - b_vec * sin_t
+    row = walls.row(wall)
+    coef = 2.0 * (row @ v_hit) / (row @ row)
+    v_ref = v_hit - coef * row
+    if v_ref @ row < 0.0:
+        return None
+    f_v = cos_t * f_a - sin_t * f_b - coef * walls.row_products(wall)
+    return v_ref, b_new, f_v, sin_t * f_a + cos_t * f_b
 
 
 def sample_truncated(
@@ -375,8 +457,9 @@ def sample_truncated(
 
     Every returned sample satisfies a @ x >= b; trajectories are reflected
     analytically at the walls and a move is rejected (momentum redrawn)
-    in the rare event roundoff lands it outside the support.  Fixed seed
-    gives a bitwise-identical sample stream.
+    in the rare event roundoff lands it outside the support.  After
+    MAX_CONSECUTIVE_RESTARTS restarts in a row it raises SamplerStallError.
+    Fixed seed gives a bitwise-identical sample stream.
     """
     d = tg.dim
     init = np.asarray(init, dtype=float).ravel()
@@ -392,18 +475,17 @@ def sample_truncated(
                 f"initial point must be strictly feasible; min slack {np.min(slack):.3e}"
             )
         # whiten: x = mean + root z, so the support becomes f z >= -g
-        f = np.asarray(tg.a @ root)
         g = np.asarray(tg.a @ tg.mean).ravel() - tg.b
-    else:
-        f = np.zeros((0, d))
-        g = np.zeros(0)
+        walls = _Walls(tg.a, root)
 
     z = sla.solve_triangular(root, init - tg.mean, lower=True, check_finite=False)
+    f_z = walls.products(z) if constrained else None
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, d))
     travel = 0.5 * np.pi
 
     kept = 0
+    restarts = 0
     total = burn_in + n_samples
     while kept < total:
         velocity = rng.standard_normal(d)
@@ -412,36 +494,43 @@ def sample_truncated(
         remaining = travel
         ok = True
         if constrained:
-            f_a = f @ a_vec
-            f_b = f @ b_vec
+            # exact products at the start; closed-form updates per bounce
+            f_a = walls.products(a_vec)
+            f_b = f_z
             for _ in range(max_bounces):
                 t_hit, wall = _wall_hit(f_a, f_b, g)
                 if t_hit >= remaining:
                     break
-                sin_t, cos_t = np.sin(t_hit), np.cos(t_hit)
-                b_new = a_vec * sin_t + b_vec * cos_t
-                v_hit = a_vec * cos_t - b_vec * sin_t
-                row = f[wall]
-                v_ref = v_hit - 2.0 * (row @ v_hit) / (row @ row) * row
-                if v_ref @ row < 0.0:
-                    # reflected velocity points into the wall: numerical knife
-                    # edge, restart the trajectory with fresh momentum
+                bounced = _reflect(walls, a_vec, b_vec, f_a, f_b, t_hit, wall)
+                if bounced is None:
+                    # reflected velocity points into the wall: restart the
+                    # trajectory with fresh momentum
                     ok = False
                     break
-                a_vec, b_vec = v_ref, b_new
-                f_a = f @ a_vec
-                f_b = f @ b_vec
+                a_vec, b_vec, f_a, f_b = bounced
                 remaining -= t_hit
             else:
                 ok = False
+        if ok:
+            z_new = a_vec * np.sin(remaining) + b_vec * np.cos(remaining)
+            deviation = root @ z_new
+            if constrained:
+                f_z_new = walls.a @ deviation
+                ok = not np.min(f_z_new + g) < 0.0  # roundoff violation: redraw
         if not ok:
+            restarts += 1
+            if restarts >= MAX_CONSECUTIVE_RESTARTS:
+                raise SamplerStallError(
+                    f"{restarts} consecutive HMC trajectories restarted after "
+                    f"{kept} accepted draws"
+                )
             continue
-        z_new = a_vec * np.sin(remaining) + b_vec * np.cos(remaining)
-        if constrained and np.min(f @ z_new + g) < 0.0:
-            continue  # reject roundoff violation, redraw momentum
+        restarts = 0
         z = z_new
+        if constrained:
+            f_z = f_z_new
         if kept >= burn_in:
-            out[kept - burn_in] = tg.mean + root @ z
+            out[kept - burn_in] = tg.mean + deviation
         kept += 1
 
     if constrained:

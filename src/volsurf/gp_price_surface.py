@@ -255,12 +255,10 @@ def evaluate_surface(node_values, grid: BasisGrid, t_scaled, k_scaled):
 
 
 def _scaled_observations(frame: MarketFrame, grid: BasisGrid):
+    """Bid/ask observations and their hat-basis rows on the unit square."""
     t, k, y = frame.bid_ask_observations()
     u, v = frame.to_unit_square(t, k)
-    wt = _axis_weights(u, grid.n_t)
-    wk = _axis_weights(v, grid.n_k)
-    phi = basis_matrix(grid, u, v)
-    return u, v, y, wt, wk, phi
+    return y, basis_matrix(grid, u, v)
 
 
 def _axis_correlations(grid: BasisGrid, params: KernelParams):
@@ -269,11 +267,67 @@ def _axis_correlations(grid: BasisGrid, params: KernelParams):
     return c_t, c_k
 
 
-def _observation_gram(params, c_t, c_k, wt, wk) -> np.ndarray:
-    """Phi Gamma Phi' without forming Gamma: Hadamard of per-axis sandwiches."""
-    sand_t = np.asarray((wt @ c_t) @ wt.T.toarray()) if sp.issparse(wt) else wt @ c_t @ wt.T
-    sand_k = np.asarray((wk @ c_k) @ wk.T.toarray()) if sp.issparse(wk) else wk @ c_k @ wk.T
-    return params.sigma**2 * np.multiply(sand_t, sand_k)
+class _HatAxis:
+    """One axis of the observation basis: node distances, hat cells and weights.
+
+    W @ C for a per-axis correlation C is formed by gathering the two hat
+    rows of every point, which is exactly the sparse product's arithmetic
+    (two weights >= 0, summed in cell order).
+    """
+
+    def __init__(self, coords: np.ndarray, nodes: np.ndarray):
+        self.weights_t = _axis_weights(coords, nodes.size).T.toarray()
+        self.cell, frac = _cells_and_fracs(coords, nodes.size)
+        self.lower = (1.0 - frac)[:, None]
+        self.upper = frac[:, None]
+        self.distances = nodes[:, None] - nodes[None, :]
+
+    def correlations(self, theta: float) -> np.ndarray:
+        return matern52(self.distances, theta)
+
+    def rows(self, c: np.ndarray) -> np.ndarray:
+        """W @ C, shape (n_points, n_nodes)."""
+        return self.lower * c[self.cell] + self.upper * c[self.cell + 1]
+
+    def sandwich(self, c: np.ndarray) -> np.ndarray:
+        """W C W', shape (n_points, n_points)."""
+        return self.rows(c) @ self.weights_t
+
+
+class LikelihoodEvaluator:
+    """Negative marginal log likelihood of one frame's bid/ask observations.
+
+    Everything that does not depend on the kernel parameters (observations,
+    hat cells and weights, node distances, the diagonal index) is built
+    once, so one evaluation costs two per-axis sandwiches, a Hadamard
+    product and one Cholesky factorization.  The value is computed up to
+    the additive 2-pi constant from the Cholesky factor of
+    Phi Gamma Phi' + noise^2 I.  The shape constraints are deliberately
+    ignored here; conditioning on them would barely move the optimum at
+    realistic sample sizes and costs far more.
+    """
+
+    def __init__(self, frame: MarketFrame, grid: BasisGrid):
+        t, k, self.y = frame.bid_ask_observations()
+        u, v = frame.to_unit_square(t, k)
+        self.axis_t = _HatAxis(u, grid.t_nodes)
+        self.axis_k = _HatAxis(v, grid.k_nodes)
+        self._diagonal = np.diag_indices(self.y.size)
+
+    def gram(self, params: KernelParams) -> np.ndarray:
+        """Phi Gamma Phi' + noise^2 I without forming Gamma: Hadamard of per-axis sandwiches."""
+        sand_t = self.axis_t.sandwich(self.axis_t.correlations(params.theta_t))
+        sand_k = self.axis_k.sandwich(self.axis_k.correlations(params.theta_k))
+        gram = params.sigma**2 * np.multiply(sand_t, sand_k)
+        gram[self._diagonal] += params.noise_sd**2
+        return gram
+
+    def __call__(self, params: KernelParams) -> float:
+        if self.y.size == 0:
+            raise ValueError("frame is empty")
+        root = chol_with_jitter(self.gram(params), "observation gram")
+        alpha = sla.solve_triangular(root, self.y, lower=True, check_finite=False)
+        return 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
 
 
 def marginal_log_likelihood(
@@ -281,22 +335,10 @@ def marginal_log_likelihood(
 ) -> float:
     """Gaussian marginal log likelihood of the bid/ask observations.
 
-    Computed up to the additive 2-pi constant, from the Cholesky factor of
-    Phi Gamma Phi' + noise^2 I.  The shape constraints are deliberately
-    ignored here; conditioning on them would barely move the optimum at
-    realistic sample sizes and costs far more.
+    See ``LikelihoodEvaluator``; build one directly to evaluate many
+    parameter sets on the same frame.
     """
-    if len(frame) == 0:
-        raise ValueError("frame is empty")
-    _, _, y, wt, wk, _ = _scaled_observations(frame, grid)
-    c_t, c_k = _axis_correlations(grid, params)
-    gram = _observation_gram(params, c_t, c_k, wt, wk)
-    gram[np.diag_indices_from(gram)] += params.noise_sd**2
-    root = chol_with_jitter(gram, "observation gram")
-    alpha = sla.solve_triangular(root, y, lower=True, check_finite=False)
-    quad = float(alpha @ alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(root))))
-    return -0.5 * (quad + logdet)
+    return -LikelihoodEvaluator(frame, grid)(params)
 
 
 @dataclass(frozen=True)
@@ -314,7 +356,8 @@ def fit_hyperparameters(
 ) -> KernelParams:
     """Maximize the marginal log likelihood over log-parameters, multi-start."""
     cfg = config or GpFitConfig()
-    _, _, y, wt, wk, _ = _scaled_observations(frame, grid)
+    evaluate = LikelihoodEvaluator(frame, grid)
+    y = evaluate.y
     n = y.size
     if n < cfg.low_data_threshold:
         log.warning("only %d observations; hyperparameter fit is weakly identified", n)
@@ -328,24 +371,13 @@ def fit_hyperparameters(
     for _ in range(cfg.n_starts - 1):
         starts.append(center + rng.normal(scale=[1.0, 0.7, 0.7, 1.0]))
 
-    c_t_nodes = grid.t_nodes
-    c_k_nodes = grid.k_nodes
-
     def negative_mll(logp):
         if np.any(np.abs(logp) > 25.0):
             return 1e12
-        sigma, theta_t, theta_k, noise = np.exp(logp)
-        c_t = matern52(c_t_nodes[:, None] - c_t_nodes[None, :], theta_t)
-        c_k = matern52(c_k_nodes[:, None] - c_k_nodes[None, :], theta_k)
-        params = KernelParams(sigma, theta_t, theta_k, noise)
-        gram = _observation_gram(params, c_t, c_k, wt, wk)
-        gram[np.diag_indices_from(gram)] += noise**2
         try:
-            root = chol_with_jitter(gram, "observation gram")
+            return evaluate(KernelParams(*np.exp(logp)))
         except np.linalg.LinAlgError:
             return 1e12
-        alpha = sla.solve_triangular(root, y, lower=True, check_finite=False)
-        return 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
 
     best = None
     per_start = []
@@ -421,7 +453,7 @@ def fit_map(
     kernel's near-singularity never reaches the KKT systems.  rho = 0 (noise
     absorbs everything) is always feasible.
     """
-    _, _, y, _, _, phi = _scaled_observations(frame, grid)
+    y, phi = _scaled_observations(frame, grid)
     c_t, c_k = _axis_correlations(grid, params)
     root_t = chol_with_jitter(c_t, "maturity correlation")
     root_k = chol_with_jitter(c_k, "strike correlation")
@@ -463,16 +495,14 @@ def posterior_factors(model: GpModel, frame: MarketFrame | None = None):
     if model._posterior is not None and frame is model._frame:
         return model._posterior
     params, grid = model.params, model.grid
-    _, _, y, wt, wk, _ = _scaled_observations(frame, grid)
+    observations = LikelihoodEvaluator(frame, grid)
+    y = observations.y
     c_t, c_k = _axis_correlations(grid, params)
-
-    gram = _observation_gram(params, c_t, c_k, wt, wk)
-    gram[np.diag_indices_from(gram)] += params.noise_sd**2
-    root = chol_with_jitter(gram, "observation gram")
+    root = chol_with_jitter(observations.gram(params), "observation gram")
 
     # Gamma Phi' columns are tensor products of the per-axis kernel averages
-    proj_t = np.asarray((wt @ c_t)).T      # (n_t, n)
-    proj_k = np.asarray((wk @ c_k)).T      # (n_k, n)
+    proj_t = observations.axis_t.rows(c_t).T      # (n_t, n)
+    proj_k = observations.axis_k.rows(c_k).T      # (n_k, n)
     cross = params.sigma**2 * np.einsum("il,jl->ijl", proj_t, proj_k).reshape(
         grid.size, y.size
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize as sopt
 
-from .market_data import MarketFrame
+from .market_data import FrameColumns, MarketFrame
 
 log = logging.getLogger(__name__)
 
@@ -176,22 +176,48 @@ class SsviFitConfig:
     max_iter: int = 400
 
 
-def _atm_total_variance(frame: MarketFrame):
+def _atm_total_variance(cols: FrameColumns):
     """Raw per-maturity ATM total variance from the two bracketing strikes."""
-    by_t: dict[float, list] = {}
-    for p in frame.points:
-        by_t.setdefault(p.maturity, []).append((p.log_moneyness, p.mid_iv))
     maturities, thetas = [], []
-    for t in sorted(by_t):
-        pts = sorted(by_t[t])
-        kappas = np.array([k for k, _ in pts])
+    for t in np.unique(cols.maturity):
+        rows = cols.maturity == t
+        order = np.lexsort((cols.mid_iv[rows], cols.log_moneyness[rows]))
+        kappas = cols.log_moneyness[rows][order]
         if kappas[0] > 0.0 or kappas[-1] < 0.0:
             log.warning("maturity %.4f has no strikes bracketing ATM; skipped", t)
             continue
-        totals = np.array([iv * iv * t for _, iv in pts])
+        ivs = cols.mid_iv[rows][order]
+        totals = ivs * ivs * t
         maturities.append(t)
         thetas.append(float(np.interp(0.0, kappas, totals)))
     return np.asarray(maturities), np.asarray(thetas)
+
+
+def _slice_objective(x, t, kappa_all, n_fit, ivs, prev_total, crossing_penalty):
+    """Step-2 objective of one slice: IV RMSE plus the calendar-crossing penalty.
+
+    x = (delta, mu, rho, omega, zeta), clipped to a valid natural slice.
+    kappa_all holds the slice's n_fit data points followed by the crossing
+    grid, so SVI runs once per evaluation; the arithmetic is
+    ``svi_total_variance``'s, operation for operation.  Any nonpositive
+    total variance scores 1e6.
+    """
+    delta, mu, rho, omega, zeta = x
+    rho = min(max(rho, -0.999), 0.999)
+    omega = max(omega, 0.0)
+    zeta = max(zeta, 1e-6)
+    shifted = kappa_all - mu
+    s = zeta * shifted + rho
+    root = np.sqrt(s * s + 1.0 - rho * rho)
+    total = delta + 0.5 * omega * (1.0 + rho * zeta * shifted + root)
+    if (total <= 0.0).any():
+        return 1e6
+    resid = np.sqrt(total[:n_fit] / t) - ivs
+    fit = math.sqrt(float(np.add.reduce(resid**2) / n_fit))
+    if prev_total is None:
+        return fit
+    gaps = np.minimum(total[n_fit:] - prev_total, 0.0)
+    return fit + crossing_penalty * float(np.add.reduce(gaps * gaps))
 
 
 def calibrate(
@@ -207,20 +233,20 @@ def calibrate(
     below.  Slices are only refined when that improves their objective.
     """
     cfg = config or SsviFitConfig()
-    maturities, raw_theta = _atm_total_variance(frame)
+    cols = frame.arrays()
+    maturities, raw_theta = _atm_total_variance(cols)
     if maturities.size < 2:
         raise CalibrationScopeError(
             "need at least two maturities with ATM-bracketing quotes"
         )
     theta_curve = np.maximum.accumulate(raw_theta)
 
-    slice_points = {
-        t: [(p.log_moneyness, p.mid_iv) for p in frame.points if p.maturity == t]
-        for t in maturities
-    }
-    all_t = np.concatenate([[t] * len(slice_points[t]) for t in maturities])
-    all_kappa = np.concatenate([[k for k, _ in slice_points[t]] for t in maturities])
-    all_iv = np.concatenate([[iv for _, iv in slice_points[t]] for t in maturities])
+    slice_rows = {t: cols.maturity == t for t in maturities}
+    slice_kappas = {t: cols.log_moneyness[rows] for t, rows in slice_rows.items()}
+    slice_ivs = {t: cols.mid_iv[rows] for t, rows in slice_rows.items()}
+    all_t = np.concatenate([np.full(slice_kappas[t].size, t) for t in maturities])
+    all_kappa = np.concatenate([slice_kappas[t] for t in maturities])
+    all_iv = np.concatenate([slice_ivs[t] for t in maturities])
     theta_of_t = dict(zip(maturities, theta_curve))
     all_theta = np.array([theta_of_t[t] for t in all_t])
 
@@ -265,33 +291,12 @@ def calibrate(
     prev_total: np.ndarray | None = None
     theta_max = float(theta_curve[-1])
     for t in maturities:
-        pts = slice_points[t]
-        kappas = np.array([k for k, _ in pts])
-        ivs = np.array([iv for _, iv in pts])
-        start = ssvi.slice_at(t)
-        x0 = np.array([start.delta, start.mu, start.rho, start.omega, start.zeta])
-
-        def slice_objective(x, _t=t, _kappas=kappas, _ivs=ivs, _prev=prev_total):
-            delta, mu, rho_s, omega, zeta = x
-            p = NaturalSviParams(
-                delta=delta, mu=mu, rho=float(np.clip(rho_s, -0.999, 0.999)),
-                omega=max(omega, 0.0), zeta=max(zeta, 1e-6),
-            )
-            total = svi_total_variance(p, _kappas)
-            if np.any(total <= 0.0):
-                return 1e6
-            fit = math.sqrt(float(np.mean((np.sqrt(total / _t) - _ivs) ** 2)))
-            penalty = 0.0
-            grid_total = svi_total_variance(p, kappa_grid)
-            if np.any(grid_total <= 0.0):
-                return 1e6
-            if _prev is not None:
-                gaps = np.minimum(grid_total - _prev, 0.0)
-                penalty = cfg.crossing_penalty * float(np.sum(gaps * gaps))
-            return fit + penalty
-
-        refined = start
+        refined = start = ssvi.slice_at(t)
         if cfg.refine_slices:
+            x0 = np.array([start.delta, start.mu, start.rho, start.omega, start.zeta])
+            kappas = slice_kappas[t]
+            args = (t, np.concatenate([kappas, kappa_grid]), kappas.size, slice_ivs[t],
+                    prev_total, cfg.crossing_penalty)
             bounds = [
                 (-0.5 * theta_max - 1e-6, 0.5 * theta_max + 1e-6),
                 (-1.0, 1.0),
@@ -300,10 +305,10 @@ def calibrate(
                 (1e-6, 50.0),
             ]
             res = sopt.minimize(
-                slice_objective, x0, method="Nelder-Mead", bounds=bounds,
+                _slice_objective, x0, args=args, method="Nelder-Mead", bounds=bounds,
                 options={"maxiter": cfg.max_iter, "xatol": 1e-8, "fatol": 1e-12},
             )
-            if res.fun <= slice_objective(x0):
+            if res.fun <= _slice_objective(x0, *args):
                 delta, mu, rho_s, omega, zeta = res.x
                 refined = NaturalSviParams(
                     delta=float(delta), mu=float(mu),

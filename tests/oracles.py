@@ -50,6 +50,12 @@ def brute_force_qp(q, c, a, b, feas_tol=1e-9):
     return best_x, best_val
 
 
+def qp_objective(q, c, x) -> float:
+    """1/2 x'Qx + c'x, the objective solve_qp minimizes."""
+    x = np.asarray(x, dtype=float)
+    return float(0.5 * x @ (np.asarray(q, float) @ x) + np.asarray(c, float) @ x)
+
+
 def random_feasible_qp(rng, d_max=4, m_max=6):
     """Random strictly convex QP with a guaranteed non-empty feasible region."""
     d = int(rng.integers(1, d_max + 1))
@@ -66,6 +72,75 @@ def random_feasible_qp(rng, d_max=4, m_max=6):
 def truncated_standard_normal_mean() -> float:
     """Mean of a standard normal conditioned on being nonnegative."""
     return float(np.sqrt(2.0 / np.pi))
+
+
+def sparse_negative_log_likelihood(params, frame, grid) -> float:
+    """GP negative marginal log likelihood with the per-axis hat weights as sparse matrices.
+
+    Forms Phi Gamma Phi' as sigma^2 (Wt Ct Wt') * (Wk Ck Wk') with scipy's
+    sparse-dense products, rebuilding everything from the frame.
+    """
+    import scipy.linalg as sla
+
+    from volsurf.constrained_sampling import chol_with_jitter
+    from volsurf.gp_price_surface import _axis_weights, matern52
+
+    t, k, y = frame.bid_ask_observations()
+    u, v = frame.to_unit_square(t, k)
+    sandwiches = []
+    for coords, nodes, theta in ((u, grid.t_nodes, params.theta_t),
+                                 (v, grid.k_nodes, params.theta_k)):
+        w = _axis_weights(coords, nodes.size)
+        c = matern52(nodes[:, None] - nodes[None, :], theta)
+        sandwiches.append(np.asarray((w @ c) @ w.T.toarray()))
+    gram = params.sigma**2 * np.multiply(*sandwiches)
+    gram[np.diag_indices_from(gram)] += params.noise_sd**2
+    root = chol_with_jitter(gram, "observation gram")
+    alpha = sla.solve_triangular(root, y, lower=True, check_finite=False)
+    return 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
+
+
+def svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev_total, crossing_penalty):
+    """SSVI step-2 slice objective through NaturalSviParams and svi_total_variance.
+
+    Data points and the crossing grid are evaluated in two separate SVI calls.
+    """
+    from volsurf.ssvi import NaturalSviParams, svi_total_variance
+
+    delta, mu, rho, omega, zeta = x
+    p = NaturalSviParams(delta=delta, mu=mu, rho=float(np.clip(rho, -0.999, 0.999)),
+                         omega=max(omega, 0.0), zeta=max(zeta, 1e-6))
+    total = svi_total_variance(p, kappas)
+    if np.any(total <= 0.0):
+        return 1e6
+    fit = math.sqrt(float(np.mean((np.sqrt(total / t) - ivs) ** 2)))
+    grid_total = svi_total_variance(p, kappa_grid)
+    if np.any(grid_total <= 0.0):
+        return 1e6
+    penalty = 0.0
+    if prev_total is not None:
+        gaps = np.minimum(grid_total - prev_total, 0.0)
+        penalty = crossing_penalty * float(np.sum(gaps * gaps))
+    return fit + penalty
+
+
+def all_walls_hit(f_a, f_b, g, min_time=1e-9):
+    """First positive hit time of x(t) = a sin t + b cos t on any wall f.x + g = 0.
+
+    Evaluates both roots of every wall, reachable or not, and takes the flat
+    argmin over (wall, root); returns (inf, 0) when nothing is reachable.
+    """
+    u = np.hypot(f_a, f_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reachable = u > np.abs(g)
+        phi = np.arctan2(-f_a, f_b)
+        acos = np.arccos(np.where(reachable, -g / np.where(u > 0, u, 1.0), 0.0))
+    times = np.stack([acos - phi, -acos - phi], axis=1)
+    times = np.where(times < 0.0, times + 2.0 * np.pi, times)
+    times = np.where(times < min_time, np.inf, times)
+    times[~reachable, :] = np.inf
+    flat = int(np.argmin(times))
+    return float(times.flat[flat]), flat // 2
 
 
 # ---------------------------------------------------------------------------

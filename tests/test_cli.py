@@ -232,6 +232,25 @@ class TestFailureContract:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "numerical", "message": "covariance is not positive definite"}
 
+    def test_sampler_stall_exits_3(self, synthetic_dir, tmp_path, monkeypatch, capsys):
+        import faulthandler
+        import functools
+
+        from volsurf import gp_price_surface
+
+        # no bounce budget: every HMC trajectory that meets a wall restarts
+        stalling = functools.partial(gp_price_surface.sample_truncated, max_bounces=0)
+        monkeypatch.setattr(gp_price_surface, "sample_truncated", stalling)
+        faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+        try:
+            code = run(["calibrate", "gp", *market_args(synthetic_dir), "--out", tmp_path,
+                        "--grid-t", 3, "--grid-k", 4, "--starts", 1, "--paths", 2])
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "numerical" and "restarted" in err["message"]
+
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_thread_cap_set_before_numpy_loads(self, preset, expected):
         probe = textwrap.dedent(

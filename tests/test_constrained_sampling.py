@@ -1,19 +1,34 @@
+import faulthandler
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from volsurf import constrained_sampling
 from volsurf.constrained_sampling import (
     InfeasibleStartError,
     QpConvergenceError,
     QpInfeasibleError,
     QuadProgram,
+    SamplerStallError,
     TruncatedGaussian,
+    _reflect,
+    _wall_hit,
+    _Walls,
     chol_with_jitter,
     sample_truncated,
     solve_qp,
 )
 
-from oracles import brute_force_qp, random_feasible_qp, truncated_standard_normal_mean
+from oracles import (
+    all_walls_hit,
+    brute_force_qp,
+    qp_objective,
+    random_feasible_qp,
+    truncated_standard_normal_mean,
+)
 
 
 class TestQuadProgram:
@@ -85,8 +100,7 @@ class TestSolveQp:
             if x_ref is None:
                 continue
             res = solve_qp(QuadProgram(q=q, c=c, a_ineq=a, b_ineq=b))
-            val = 0.5 * res.x @ q @ res.x + c @ res.x
-            assert val == pytest.approx(val_ref, abs=1e-6)
+            assert qp_objective(q, c, res.x) == pytest.approx(val_ref, abs=1e-6)
             assert np.min(a @ res.x - b) >= -1e-7
             solved += 1
         assert solved >= 50
@@ -97,16 +111,32 @@ class TestSolveQp:
             q, c, a, b = random_feasible_qp(rng)
             prob = QuadProgram(q=q, c=c, a_ineq=a, b_ineq=b)
             res = solve_qp(prob)
-            opt = prob.objective(res.x)
+            opt = qp_objective(q, c, res.x)
             # rejection-sample feasible points
             found = 0
             for _ in range(2000):
                 x = rng.standard_normal(prob.dim) * 3.0
                 if np.min(a @ x - b) >= 0.0:
-                    assert opt <= prob.objective(x) + 1e-7
+                    assert opt <= qp_objective(q, c, x) + 1e-7
                     found += 1
                     if found >= 20:
                         break
+
+    def test_one_factorization_per_iteration(self, monkeypatch):
+        # predictor and corrector share the normal-matrix factor
+        factored = []
+        real = sla.cho_factor
+
+        def counting(*args, **kwargs):
+            factored.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "cho_factor", counting)
+        rng = np.random.default_rng(5)
+        q, c, a, b = random_feasible_qp(rng, d_max=6, m_max=10)
+        res = solve_qp(QuadProgram(q=q, c=c, a_ineq=a, b_ineq=b))
+        assert res.iterations >= 3
+        assert len(factored) == res.iterations
 
     def test_infeasible_detected(self):
         # x >= 1 and -x >= 0 cannot both hold
@@ -188,3 +218,129 @@ class TestSampleTruncated:
         tg = TruncatedGaussian(mean=[0.0, 0.0], covariance=cov, a=[[1.0, 0.0]], b=[0.0])
         samples = sample_truncated(tg, init=np.array([1.0, 1.0]), n_samples=200, seed=5)
         assert np.min(samples[:, 0]) >= 0.0
+
+
+def _shape_rows(n_t=4, n_k=6):
+    """Monotone/convex/nonnegative rows of an n_t x n_k node grid, like the GP's."""
+    rows = []
+    idx = lambda i, j: i * n_k + j  # noqa: E731
+    for i in range(n_t - 1):
+        for j in range(n_k):
+            rows.append({idx(i + 1, j): 1.0, idx(i, j): -1.0})
+    for i in range(n_t):
+        for j in range(n_k - 2):
+            rows.append({idx(i, j + 2): 1.0, idx(i, j + 1): -2.0, idx(i, j): 1.0})
+    for n in range(n_t * n_k):
+        rows.append({n: 1.0})
+    a = np.zeros((len(rows), n_t * n_k))
+    for r, row in enumerate(rows):
+        for col, val in row.items():
+            a[r, col] = val
+    return a
+
+
+class TestClosedFormBounces:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_products_track_exact_after_many_bounces(self, sparse):
+        rng = np.random.default_rng(17)
+        a_dense = _shape_rows()
+        d = a_dense.shape[1]
+        half = rng.standard_normal((d, d))
+        root = np.linalg.cholesky(half @ half.T / d + 0.1 * np.eye(d))
+        z = rng.standard_normal(d)
+        g = -(a_dense @ (root @ z)) + rng.uniform(0.05, 0.5, a_dense.shape[0])
+        walls = _Walls(sp.csr_matrix(a_dense) if sparse else a_dense, root)
+
+        a_vec, b_vec = rng.standard_normal(d), z
+        f_a, f_b = walls.products(a_vec), walls.products(b_vec)
+        bounces = 0
+        while bounces < 40:
+            t_hit, wall = _wall_hit(f_a, f_b, g)
+            assert np.isfinite(t_hit)
+            bounced = _reflect(walls, a_vec, b_vec, f_a, f_b, t_hit, wall)
+            assert bounced is not None
+            a_vec, b_vec, f_a, f_b = bounced
+            bounces += 1
+        for closed, vec in ((f_a, a_vec), (f_b, b_vec)):
+            exact = a_dense @ (root @ vec)
+            assert np.max(np.abs(closed - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_reflection_preserves_energy_and_flips_wall_velocity(self):
+        rng = np.random.default_rng(2)
+        a_dense = _shape_rows(3, 4)
+        d = a_dense.shape[1]
+        root = np.linalg.cholesky(np.eye(d) + 0.3 * np.ones((d, d)))
+        z = rng.standard_normal(d)
+        g = -(a_dense @ (root @ z)) + 0.2
+        walls = _Walls(a_dense, root)
+        a_vec = rng.standard_normal(d)
+        t_hit, wall = _wall_hit(walls.products(a_vec), walls.products(z), g)
+        v_ref, b_new, f_v, f_b = _reflect(
+            walls, a_vec, z, walls.products(a_vec), walls.products(z), t_hit, wall
+        )
+        v_hit = a_vec * np.cos(t_hit) - z * np.sin(t_hit)
+        assert v_ref @ v_ref == pytest.approx(v_hit @ v_hit, rel=1e-12)
+        row = root.T @ a_dense[wall]
+        assert v_ref @ row == pytest.approx(-(v_hit @ row), rel=1e-9)
+        assert f_b[wall] + g[wall] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestWallHit:
+    def test_matches_all_walls_reference(self):
+        rng = np.random.default_rng(8)
+        for case in range(400):
+            m = int(rng.integers(1, 30))
+            f_a = rng.standard_normal(m) * rng.uniform(0.1, 3.0)
+            f_b = rng.standard_normal(m)
+            g = rng.uniform(-0.5, 3.0, m)
+            if case % 5 == 0:
+                f_a, f_b = np.round(f_a, 1), np.round(f_b, 1)   # ties between walls
+            if case % 7 == 0:
+                f_a[rng.integers(0, m)] = 0.0
+            assert _wall_hit(f_a, f_b, g) == all_walls_hit(f_a, f_b, g)
+
+    def test_duplicate_walls_pick_the_first(self):
+        f_a = np.array([0.1, 2.0, 2.0, 2.0])
+        f_b = np.array([0.0, -1.0, -1.0, -1.0])
+        g = np.array([5.0, 1.5, 1.5, 1.5])
+        t_hit, row = _wall_hit(f_a, f_b, g)
+        assert (t_hit, row) == all_walls_hit(f_a, f_b, g)
+        assert row == 1 and np.isfinite(t_hit)
+
+    def test_nothing_reachable(self):
+        f_a = np.array([0.1, 0.2, 0.0])
+        f_b = np.array([0.0, 0.1, 0.0])
+        g = np.array([1.0, 1.0, 0.0])
+        assert _wall_hit(f_a, f_b, g) == (np.inf, 0) == all_walls_hit(f_a, f_b, g)
+
+
+class TestSamplerStall:
+    @pytest.fixture
+    def hang_guard(self):
+        # a regression here would loop forever: dump the stacks and exit
+        faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def test_no_bounce_budget_stalls_instead_of_looping(self, hang_guard):
+        tg = TruncatedGaussian(mean=[0.0], covariance=[[1.0]], a=[[1.0]], b=[0.0])
+        with pytest.raises(SamplerStallError, match="consecutive"):
+            sample_truncated(tg, init=np.array([0.5]), n_samples=5, seed=0, max_bounces=0)
+
+    def test_restart_count_resets_after_a_draw(self, monkeypatch, hang_guard):
+        # four forced knife edges, never three in a row: sampling completes
+        monkeypatch.setattr(constrained_sampling, "MAX_CONSECUTIVE_RESTARTS", 3)
+        calls = []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) in (1, 2, 21, 22):
+                return None
+            return _reflect(*args)
+
+        monkeypatch.setattr(constrained_sampling, "_reflect", flaky)
+        tg = TruncatedGaussian(mean=[0.0, 0.0], covariance=np.eye(2),
+                               a=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])
+        samples = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=100, seed=4)
+        assert len(calls) > 22
+        assert samples.min() >= 0.0

@@ -10,6 +10,7 @@ from volsurf.gp_price_surface import (
     GpFitConfig,
     GpModel,
     KernelParams,
+    LikelihoodEvaluator,
     basis_matrix,
     build_constraints,
     evaluate_surface,
@@ -24,6 +25,7 @@ from volsurf.gp_price_surface import (
     posterior_factors,
     sample_posterior,
 )
+from volsurf import gp_price_surface
 from volsurf.market_data import (
     AffineScaling,
     Curve,
@@ -33,6 +35,8 @@ from volsurf.market_data import (
     QuoteRecord,
     build_frame,
 )
+
+from oracles import sparse_negative_log_likelihood
 
 MATERN_AT_ONE = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
 
@@ -265,6 +269,63 @@ class TestMarginalLogLikelihood:
         n = 2 * len(frame)
         # pure-noise limit: L -> -n/2 * log(noise^2)
         assert got == pytest.approx(-0.5 * n * math.log(big**2), rel=1e-6)
+
+
+class TestLikelihoodEvaluator:
+    PARAMS = (
+        KernelParams(sigma=5.0, theta_t=0.3, theta_k=0.3, noise_sd=0.5),
+        KernelParams(sigma=0.7, theta_t=2.5, theta_k=0.05, noise_sd=0.01),
+        KernelParams(sigma=40.0, theta_t=0.02, theta_k=1.7, noise_sd=3.0),
+        KernelParams(*np.exp([1.3, -0.9, -1.4, -2.2])),
+    )
+
+    @pytest.mark.parametrize("grid", [BasisGrid(n_t=3, n_k=4), BasisGrid(n_t=7, n_k=19)])
+    def test_bitwise_equal_to_sparse_products(self, grid):
+        frame = flat_vol_frame(n_t=5, n_k=7)
+        evaluate = LikelihoodEvaluator(frame, grid)
+        for p in self.PARAMS:
+            want = sparse_negative_log_likelihood(p, frame, grid)
+            assert evaluate(p) == want
+            assert marginal_log_likelihood(p, frame, grid) == -want
+
+    def test_random_points_and_grids_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            n = int(rng.integers(1, 40))
+            t = rng.uniform(0.1, 3.0, n)
+            k = rng.uniform(60.0, 140.0, n)
+            bid = rng.uniform(0.0, 20.0, n)
+            frame = make_frame(t, k, bid, bid + rng.uniform(0.0, 1.0, n))
+            grid = BasisGrid(n_t=int(rng.integers(2, 12)), n_k=int(rng.integers(3, 30)))
+            p = KernelParams(*np.exp(rng.normal([1.0, -1.0, -1.0, -1.0], 1.0)))
+            assert LikelihoodEvaluator(frame, grid)(p) == sparse_negative_log_likelihood(
+                p, frame, grid
+            )
+
+    def test_fit_evaluates_through_module_cholesky(self, monkeypatch):
+        # the fit and the evaluator share chol_with_jitter, one call per evaluation
+        frame = flat_vol_frame(n_t=4, n_k=5)
+        grid = BasisGrid(n_t=3, n_k=4)
+        calls = []
+        real = gp_price_surface.chol_with_jitter
+
+        def counting(matrix, label="matrix"):
+            calls.append(label)
+            return real(matrix, label)
+
+        monkeypatch.setattr(gp_price_surface, "chol_with_jitter", counting)
+        fit_hyperparameters(frame, grid, GpFitConfig(n_starts=1, max_iter=20))
+        assert 20 <= len(calls) and set(calls) == {"observation gram"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spread of no observations
+    def test_empty_frame_rejected(self):
+        frame = make_frame([0.5, 1.0], [90.0, 110.0], [1.0, 1.0], [1.0, 1.0])
+        empty = MarketFrame(points=(), scaling=frame.scaling, curves=frame.curves)
+        p = KernelParams(sigma=1.0, theta_t=0.3, theta_k=0.3, noise_sd=0.1)
+        with pytest.raises(ValueError, match="empty"):
+            marginal_log_likelihood(p, empty, BasisGrid(n_t=2, n_k=3))
+        with pytest.raises(ValueError, match="empty"):
+            fit_hyperparameters(empty, BasisGrid(n_t=2, n_k=3), GpFitConfig(n_starts=1))
 
 
 class TestFitHyperparameters:

@@ -11,6 +11,7 @@ from volsurf.ssvi import (
     ExtrapolationError,
     NaturalSviParams,
     SsviFitConfig,
+    _slice_objective,
     SsviParams,
     SviSurface,
     calibrate,
@@ -24,6 +25,8 @@ from volsurf.ssvi import (
     svi_derivatives,
     svi_total_variance,
 )
+
+from oracles import svi_slice_objective
 
 SPOT = 100.0
 
@@ -203,6 +206,21 @@ class TestCalibrate:
             rmse_start = np.sqrt(np.mean((np.sqrt(svi_total_variance(start, kappas) / t) - ivs) ** 2))
             rmse_ref = np.sqrt(np.mean((np.sqrt(svi_total_variance(refined, kappas) / t) - ivs) ** 2))
             assert rmse_ref <= rmse_start + 1e-12
+
+    def test_one_pass_slice_objective_is_bitwise_the_two_call_one(self):
+        rng = np.random.default_rng(12)
+        kappa_grid = np.linspace(-0.6, 0.5, 41)
+        for case in range(300):
+            n = int(rng.integers(2, 30))
+            kappas = np.sort(rng.uniform(-0.5, 0.4, n))
+            ivs = rng.uniform(0.1, 0.4, n)
+            t = float(rng.uniform(0.1, 3.0))
+            x = np.array([rng.normal(0.0, 0.05), rng.normal(0.0, 0.2), rng.uniform(-1.2, 1.2),
+                          rng.uniform(-0.05, 0.3), rng.uniform(-0.5, 5.0)])
+            prev = None if case % 3 == 0 else rng.uniform(0.0, 0.3, kappa_grid.size)
+            want = svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev, 100.0)
+            got = _slice_objective(x, t, np.concatenate([kappas, kappa_grid]), n, ivs, prev, 100.0)
+            assert got == want
 
     def test_too_few_maturities(self):
         frame, _ = ssvi_quotes(maturities=np.array([1.0]))
