@@ -27,9 +27,9 @@ from scipy.linalg import solve_banded
 
 # implied_vol stays a public name of this module for callers that import it from here
 from .black_scholes import implied_vol, implied_vol_array, put_price  # noqa: F401
-from .local_vol import LocalVolGrid
+from .local_vol import LocalVolGrid, bilinear
 from .market_data import CurveSet, MarketFrame, QuoteRecord
-from .ssvi import SsviParams, check_no_arbitrage, svi_total_variance
+from .ssvi import SsviParams, check_no_arbitrage, total_variance_at
 
 log = logging.getLogger(__name__)
 
@@ -169,17 +169,7 @@ class CnSolution:
         k = np.asarray(k, dtype=float)
         if np.any(k < self.k_axis[0]) or np.any(k > self.k_axis[-1]):
             raise DomainError("reduced strike outside the PDE grid")
-        it = np.clip(np.searchsorted(self.t_axis, t) - 1, 0, self.t_axis.size - 2)
-        ik = np.clip(np.searchsorted(self.k_axis, k) - 1, 0, self.k_axis.size - 2)
-        wt = (t - self.t_axis[it]) / (self.t_axis[it + 1] - self.t_axis[it])
-        wk = (k - self.k_axis[ik]) / (self.k_axis[ik + 1] - self.k_axis[ik])
-        out = (
-            (1 - wt) * (1 - wk) * self.reduced[it, ik]
-            + (1 - wt) * wk * self.reduced[it, ik + 1]
-            + wt * (1 - wk) * self.reduced[it + 1, ik]
-            + wt * wk * self.reduced[it + 1, ik + 1]
-        )
-        return float(out) if out.ndim == 0 else out
+        return bilinear(self.t_axis, self.k_axis, self.reduced, t, k)
 
     def price_at(self, t, k):
         """Currency put price: undo the reduced-price growth factor."""
@@ -399,11 +389,8 @@ def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> list[QuoteRecor
         # math.log, not np.log: the two differ in the last bit on some strikes
         kappa = np.array(
             [math.log(k / curves.spot) for k in curves.reduced_strike(strike, t).tolist()]
-        ).reshape(maturities.size, strikes.size)
-        total = np.concatenate(
-            [svi_total_variance(params.slice_at(ti), row) for ti, row in zip(maturities, kappa)]
         )
-        iv = np.sqrt(total / t)
+        iv = np.sqrt(total_variance_at(params.slice_at, t, kappa) / t)
         mid = put_price(forward, strike, t, iv, discount)
     else:
         mid = cn.price_at(t, curves.reduced_strike(strike, t))

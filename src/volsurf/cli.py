@@ -6,6 +6,12 @@ repricing backtests, and arbitrage checks.  Exit codes: 0 success,
 2 input problem, 3 numerical failure; failures also emit a one-line
 machine-readable JSON error on stderr.
 
+``localvol`` and ``check-arbitrage`` read a model through one loader that
+maps its version to the parsing module (MODEL_MODULES).  A model or local-vol
+document that is missing, not a JSON object, or has a missing or mistyped
+field is an input problem.  Without ``--t-range``, both commands use an SSVI
+model's calibrated maturity range, or a fixed range for an NN model.
+
 Model-specific imports happen inside the handlers.  The VOLSURF_THREADS cap
 is applied by the package itself, before numpy loads (see volsurf/__init__).
 """
@@ -13,6 +19,7 @@ is applied by the package itself, before numpy loads (see volsurf/__init__).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import os
@@ -131,16 +138,12 @@ def _nn_price_fn(model):
 def _ssvi_price_fn(surface):
     import numpy as np
 
-    from .ssvi import interpolate_slice, svi_total_variance
+    from . import ssvi
 
     def fn(frame):
         cols = frame.arrays()
-        total = np.empty(len(frame))
-        maturities, which = np.unique(cols.maturity, return_inverse=True)
-        for i, t in enumerate(maturities.tolist()):
-            rows = which == i
-            slice_params = interpolate_slice(surface, t)
-            total[rows] = svi_total_variance(slice_params, cols.log_moneyness[rows])
+        total = ssvi.total_variance_at(lambda t: ssvi.interpolate_slice(surface, t),
+                                       cols.maturity, cols.log_moneyness)
         iv = np.sqrt(np.maximum(total, 1e-14) / cols.maturity)
         return _iv_put_prices(frame, cols, iv)
 
@@ -247,27 +250,58 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _load_model_doc(path):
+# version -> the volsurf module whose model_from_json reads it
+MODEL_MODULES = {"gpmodel/1": "gp_price_surface", "nnivmodel/1": "nn_iv", "ssvi/1": "ssvi"}
+
+
+def _read_document(path, what: str, from_json):
+    """from_json(doc) of a JSON object file; a malformed document is an input error."""
+    from .serialize import load_json
+
     if not os.path.exists(path):
-        raise CliInputError(f"model file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        raise CliInputError(f"{what} file not found: {path}")
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise CliInputError(f"{what} file {path} is not a JSON object")
+    try:
+        return from_json(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CliInputError(f"malformed {what} file {path}: {exc!r}") from exc
+
+
+def _load_model(path):
+    """(version, model) of a model file written by calibrate."""
+
+    def from_json(doc):
+        version = doc.get("version", "")
+        if version not in MODEL_MODULES:
+            raise CliInputError(f"unsupported model version {version!r}")
+        module = importlib.import_module(f"{__package__}.{MODEL_MODULES[version]}")
+        return version, module.model_from_json(doc)
+
+    return _read_document(path, "model", from_json)
+
+
+def _iv_surface(version, model):
+    """(theta_fn, spot, calibrated maturity range or None) of an NN or SSVI model."""
+    if version == "nnivmodel/1":
+        return model.forward_theta, model.spot, None
+    from .ssvi import surface_theta_fn
+
+    _, surface, spot = model
+    return surface_theta_fn(surface), spot, (surface.maturities[0], surface.maturities[-1])
 
 
 def cmd_localvol(args) -> int:
     import numpy as np
 
-    from .local_vol import cap_and_report, dupire_fd, dupire_iv, write_grid_csv, write_grid_json
+    from .local_vol import cap_and_report, dupire_fd, dupire_iv, grid_to_json, write_grid_csv
     from .serialize import dump_json
 
     out = _outdir(args.out)
-    doc = _load_model_doc(args.model)
-    version = doc.get("version", "")
+    version, model = _load_model(args.model)
 
     if version == "gpmodel/1":
-        from .gp_price_surface import model_from_json
-
-        model = model_from_json(doc)
         basis_spacing = model.grid.h_k
         eval_spacing = 1.0 / (args.grid_k - 1)
         if eval_spacing < 2.0 * basis_spacing - 1e-12:
@@ -281,32 +315,16 @@ def cmd_localvol(args) -> int:
         t_axis = scaling.t_min + u * (scaling.t_max - scaling.t_min)
         k_axis = scaling.k_min + v * (scaling.k_max - scaling.k_min)
         grid = dupire_fd(model.price, t_axis, k_axis)
-    elif version in ("nnivmodel/1", "ssvi/1"):
-        if version == "nnivmodel/1":
-            from .nn_iv import model_from_json
-
-            model = model_from_json(doc)
-            theta_fn = model.forward_theta
-            spot = model.spot
-            t_lo, t_hi = args.t_range if args.t_range else (0.1, 2.0)
-        else:
-            from .ssvi import model_from_json, surface_theta_fn
-
-            _, surface, spot = model_from_json(doc)
-            theta_fn = surface_theta_fn(surface)
-            t_lo, t_hi = (
-                args.t_range if args.t_range
-                else (surface.maturities[0], surface.maturities[-1])
-            )
+    else:
+        theta_fn, spot, t_range = _iv_surface(version, model)
+        t_lo, t_hi = args.t_range or t_range or (0.1, 2.0)
         k_lo, k_hi = (r * spot for r in args.k_range)
         t_axis = np.linspace(t_lo, t_hi, args.grid_t)
         k_axis = np.linspace(k_lo, k_hi, args.grid_k)
         grid = dupire_iv(theta_fn, t_axis, k_axis, spot=spot)
-    else:
-        raise CliInputError(f"unsupported model version {version!r}")
 
     capped, summary = cap_and_report(grid, args.cap)
-    write_grid_json(capped, out / "localvol.json")
+    dump_json(grid_to_json(capped), out / "localvol.json")
     write_grid_csv(capped, out / "localvol.csv")
     dump_json({**summary, "diagnostics": grid.diagnostics}, out / "summary.json")
     print(json.dumps({"out": str(out), **summary}))
@@ -315,13 +333,11 @@ def cmd_localvol(args) -> int:
 
 def cmd_backtest(args) -> int:
     from .backtest import run_backtest
-    from .local_vol import read_grid_json
+    from .local_vol import grid_from_json
     from .serialize import dump_json
 
     out = _outdir(args.out)
-    if not os.path.exists(args.localvol):
-        raise CliInputError(f"local-vol file not found: {args.localvol}")
-    lv = read_grid_json(args.localvol)
+    lv = _read_document(args.localvol, "local-vol", grid_from_json)
     frame, _ = _load_market(args)
     k_needed = frame.arrays().reduced_strike
     margin = 0.25 * (lv.k_axis[-1] - lv.k_axis[0])
@@ -380,14 +396,12 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_check_arbitrage(args) -> int:
     import numpy as np
 
-    doc = _load_model_doc(args.model)
-    version = doc.get("version", "")
+    version, model = _load_model(args.model)
     result = {"model": args.model, "version": version}
 
     if version == "gpmodel/1":
-        from .gp_price_surface import build_constraints, model_from_json
+        from .gp_price_surface import build_constraints
 
-        model = model_from_json(doc)
         system = build_constraints(model.grid)
         slack = np.asarray(system.a @ model.map_nodes)
         violated = int(np.sum(slack < -1e-8))
@@ -399,30 +413,19 @@ def cmd_check_arbitrage(args) -> int:
                 "min_slack": float(slack.min()),
             }
         )
-    elif version in ("nnivmodel/1", "ssvi/1"):
+    else:
         from .local_vol import calendar_butterfly_terms
 
-        if version == "nnivmodel/1":
-            from .nn_iv import model_from_json
-
-            model = model_from_json(doc)
-            theta_fn = model.forward_theta
-            t_lo, t_hi = args.t_range
-        else:
-            from .ssvi import model_from_json, surface_theta_fn
-
-            _, surface, _ = model_from_json(doc)
-            theta_fn = surface_theta_fn(surface)
-            t_lo, t_hi = surface.maturities[0], surface.maturities[-1]
+        theta_fn, _, t_range = _iv_surface(version, model)
+        t_lo, t_hi = args.t_range or t_range or (0.1, 2.5)
         t_axis = np.linspace(t_lo, t_hi, args.grid_t)
         kappa_axis = np.linspace(args.kappa_min, args.kappa_max, args.grid_k)
         tt, kk = np.meshgrid(t_axis, kappa_axis, indexing="ij")
         theta, d_t, d_k, d_kk = theta_fn(tt, kk)
         cal, butt = calendar_butterfly_terms(theta, d_t, d_k, d_kk, kk)
-        n = cal.size
         result.update(
             {
-                "grid_points": int(n),
+                "grid_points": int(cal.size),
                 "calendar_violations": int(np.sum(cal < 0.0)),
                 "butterfly_violations": int(np.sum(butt < 0.0)),
                 "calendar_violation_fraction": float(np.mean(cal < 0.0)),
@@ -431,8 +434,6 @@ def cmd_check_arbitrage(args) -> int:
                 "mean_butterfly_negative": float(np.mean(np.maximum(-butt, 0.0))),
             }
         )
-    else:
-        raise CliInputError(f"unsupported model version {version!r}")
 
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
@@ -529,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--model", required=True)
     chk.add_argument("--grid-t", type=int, default=30)
     chk.add_argument("--grid-k", type=int, default=50)
-    chk.add_argument("--t-range", type=float, nargs=2, default=(0.1, 2.5))
+    chk.add_argument("--t-range", type=float, nargs=2, default=None, metavar=("T_LO", "T_HI"),
+                     help="maturity range for nn/ssvi models "
+                          "(default: 0.1..2.5 for nn, calibrated range for ssvi)")
     chk.add_argument("--kappa-min", type=float, default=-0.5)
     chk.add_argument("--kappa-max", type=float, default=0.5)
     chk.set_defaults(handler=cmd_check_arbitrage)

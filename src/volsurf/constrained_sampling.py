@@ -4,9 +4,9 @@ Two independent tools live here:
 
 * ``solve_qp`` — a primal-dual interior-point solver (Mehrotra
   predictor-corrector) for convex quadratic programs with linear
-  inequality and optional equality constraints,
+  inequality constraints,
 
-      min 1/2 x'Qx + c'x   s.t.  A_ineq x >= b_ineq,  A_eq x = b_eq.
+      min 1/2 x'Qx + c'x   s.t.  A x >= b.
 
 * ``sample_truncated`` — exact Hamiltonian Monte Carlo for multivariate
   Gaussians restricted to a polyhedron {x : A x >= b}.  The Hamiltonian flow
@@ -58,24 +58,14 @@ class QpConvergenceError(QpError):
     """Iteration limit reached before the KKT tolerances were met."""
 
 
-def _as_dense(a):
-    if a is None:
-        return None
-    if sp.issparse(a):
-        return a
-    return np.atleast_2d(np.asarray(a, dtype=float))
-
-
 @dataclass
 class QuadProgram:
-    """Convex QP data. Inequalities are `a_ineq @ x >= b_ineq`."""
+    """Convex QP data. Inequalities are `a_ineq @ x >= b_ineq`; at least one is required."""
 
     q: np.ndarray
     c: np.ndarray
     a_ineq: object = None
     b_ineq: np.ndarray | None = None
-    a_eq: object = None
-    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -86,37 +76,23 @@ class QuadProgram:
         sym_gap = np.max(np.abs(self.q - self.q.T)) if d else 0.0
         if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(self.q)))):
             raise ValueError(f"Q must be symmetric, asymmetry {sym_gap:.2e}")
-        self.a_ineq = _as_dense(self.a_ineq)
-        self.a_eq = _as_dense(self.a_eq)
-        self.b_ineq = (
-            np.zeros(0) if self.b_ineq is None else np.asarray(self.b_ineq, dtype=float).ravel()
-        )
-        self.b_eq = (
-            np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
-        )
-        if self.a_ineq is not None and self.a_ineq.shape != (self.b_ineq.size, d):
+        if self.a_ineq is None or self.b_ineq is None or np.size(self.b_ineq) == 0:
+            raise ValueError("QP needs at least one inequality row")
+        if not sp.issparse(self.a_ineq):
+            self.a_ineq = np.atleast_2d(np.asarray(self.a_ineq, dtype=float))
+        self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
+        if self.a_ineq.shape != (self.b_ineq.size, d):
             raise ValueError("inequality system dimensions inconsistent")
-        if self.a_eq is not None and self.a_eq.shape != (self.b_eq.size, d):
-            raise ValueError("equality system dimensions inconsistent")
 
     @property
     def dim(self) -> int:
         return self.c.size
-
-    @property
-    def n_ineq(self) -> int:
-        return self.b_ineq.size
-
-    @property
-    def n_eq(self) -> int:
-        return self.b_eq.size
 
 
 @dataclass
 class QpResult:
     x: np.ndarray
     z: np.ndarray          # inequality multipliers, z >= 0
-    nu: np.ndarray         # equality multipliers
     iterations: int
     kkt: dict = field(default_factory=dict)
 
@@ -125,19 +101,12 @@ class QpResult:
         return {"iterations": self.iterations, **self.kkt}
 
 
-def _kkt_residuals(p: QuadProgram, x, z, nu) -> dict:
+def _kkt_residuals(p: QuadProgram, x, z) -> dict:
     scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
-    grad = p.q @ x + p.c
-    if p.n_ineq:
-        grad = grad - p.a_ineq.T @ z
-        slack = p.a_ineq @ x - p.b_ineq
-        primal = float(max(0.0, -np.min(slack)))
-        comp = float(np.max(np.abs(slack * z)))
-    else:
-        primal, comp = 0.0, 0.0
-    if p.n_eq:
-        grad = grad + p.a_eq.T @ nu
-        primal = max(primal, float(np.max(np.abs(p.a_eq @ x - p.b_eq))))
+    grad = p.q @ x + p.c - p.a_ineq.T @ z
+    slack = p.a_ineq @ x - p.b_ineq
+    primal = float(max(0.0, -np.min(slack)))
+    comp = float(np.max(np.abs(slack * z)))
     return {
         "stationarity": float(np.max(np.abs(grad))) / scale,
         "primal": primal / (1.0 + float(np.max(np.abs(p.b_ineq), initial=0.0))),
@@ -150,60 +119,26 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
     """Solve a convex QP to the requested KKT tolerance.
 
     Implements an infeasible-start Mehrotra predictor-corrector method on the
-    normal-equation form: each iteration factors Q + A' (Z/S) A (bordered by
-    the equality block when present).  Raises QpInfeasibleError when the
-    iterates certify an empty feasible region, QpConvergenceError on an
-    iteration-limit hit; both carry residual diagnostics.
+    normal-equation form: each iteration factors Q + A' (Z/S) A.  Raises
+    QpInfeasibleError when the iterates certify an empty feasible region,
+    QpConvergenceError on an iteration-limit hit; both carry residual
+    diagnostics.
     """
-    d, m, n_eq = p.dim, p.n_ineq, p.n_eq
+    d, m = p.dim, p.b_ineq.size
     a = p.a_ineq
-    g = _as_dense(p.a_eq)
-    g_dense = g.toarray() if sp.issparse(g) else g
-
-    if m == 0:
-        # equality-constrained (or unconstrained) QP: one KKT solve
-        kkt = np.zeros((d + n_eq, d + n_eq))
-        kkt[:d, :d] = p.q
-        if n_eq:
-            kkt[:d, d:] = g_dense.T
-            kkt[d:, :d] = g_dense
-        rhs = np.concatenate([-p.c, p.b_eq])
-        try:
-            sol = sla.solve(kkt, rhs, assume_a="sym")
-        except sla.LinAlgError as exc:
-            raise QpError(f"singular KKT system: {exc}") from exc
-        x, nu = sol[:d], sol[d:]
-        res = _kkt_residuals(p, x, np.zeros(0), nu)
-        return QpResult(x=x, z=np.zeros(0), nu=nu, iterations=1, kkt=res)
 
     x = np.zeros(d)
     slack_raw = np.asarray(a @ x).ravel() - p.b_ineq
     s = np.maximum(slack_raw, 1.0)
     z = np.ones(m)
-    nu = np.zeros(n_eq)
 
     def factor(w):
-        """Build Q + A' W A (bordered by the equality block) and factor it once.
-
-        Returns solve(rhs_x, re) -> (dx, dnu); the predictor and corrector
-        steps of one iteration share it.
-        """
+        """Factor Q + A' W A once; predictor and corrector share the returned solve."""
         if sp.issparse(a):
             awa = (a.T @ sp.diags(w) @ a).toarray()
         else:
             awa = a.T @ (w[:, None] * a)
         h = p.q + awa
-        if n_eq:
-            kkt = np.zeros((d + n_eq, d + n_eq))
-            kkt[:d, :d] = h
-            kkt[:d, d:] = g_dense.T
-            kkt[d:, :d] = g_dense
-
-            def solve_bordered(rhs_x, re):
-                sol = sla.solve(kkt, np.concatenate([rhs_x, -re]), assume_a="sym")
-                return sol[:d], sol[d:]
-
-            return solve_bordered
         try:
             cf = sla.cho_factor(h, check_finite=False)
         except sla.LinAlgError:
@@ -216,19 +151,18 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
                     ridge *= 100.0
             else:
                 raise QpError("normal matrix factorization failed")
-        return lambda rhs_x, re: (sla.cho_solve(cf, rhs_x, check_finite=False), np.zeros(0))
+        return lambda rhs_x: sla.cho_solve(cf, rhs_x, check_finite=False)
 
-    def newton_step(solve, rd, rp, re, rc):
-        """Solve the reduced Newton system for (dx, dnu); back out (ds, dz).
+    def newton_step(solve, rd, rp, rc):
+        """Solve the reduced Newton system for dx; back out (ds, dz).
 
         rp is the true primal residual A x - s - b; rc the complementarity
         target in Z ds + S dz = rc.
         """
-        rhs_x = -rd + a.T @ ((rc - z * rp) / s)
-        dx, dnu = solve(rhs_x, re)
+        dx = solve(-rd + a.T @ ((rc - z * rp) / s))
         ds = np.asarray(a @ dx).ravel() + rp
         dz = (rc - z * ds) / s
-        return dx, ds, dz, dnu
+        return dx, ds, dz
 
     def max_step(v, dv):
         neg = dv < 0.0
@@ -238,22 +172,23 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
 
     res = {}
     for iteration in range(1, max_iter + 1):
-        rd = p.q @ x + p.c - np.asarray(a.T @ z).ravel() + (g_dense.T @ nu if n_eq else 0.0)
+        # + 0.0 turns -0.0 entries into +0.0: zero signs here can reach the
+        # iterates' bytes
+        rd = p.q @ x + p.c - np.asarray(a.T @ z).ravel() + 0.0
         rp = np.asarray(a @ x).ravel() - s - p.b_ineq
-        re = (g_dense @ x - p.b_eq) if n_eq else np.zeros(0)
         mu = float(s @ z) / m
 
-        res = _kkt_residuals(p, x, z, nu)
+        res = _kkt_residuals(p, x, z)
         if (
             res["stationarity"] <= tol
             and res["primal"] <= tol
             and res["complementarity"] <= tol
         ):
-            return QpResult(x=x, z=z, nu=nu, iterations=iteration - 1, kkt=res)
+            return QpResult(x=x, z=z, iterations=iteration - 1, kkt=res)
 
         solve = factor(z / s)
         # predictor (affine) step
-        dx_a, ds_a, dz_a, dnu_a = newton_step(solve, rd, rp, re, -s * z)
+        dx_a, ds_a, dz_a = newton_step(solve, rd, rp, -s * z)
         alpha_p = max_step(s, ds_a)
         alpha_d = max_step(z, dz_a)
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
@@ -261,7 +196,7 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
 
         # corrector step
         rc = -s * z - ds_a * dz_a + sigma * mu
-        dx, ds, dz, dnu = newton_step(solve, rd, rp, re, rc)
+        dx, ds, dz = newton_step(solve, rd, rp, rc)
         del solve  # free this factor before the next iteration builds its own
         alpha_p = 0.995 * max_step(s, ds)
         alpha_d = 0.995 * max_step(z, dz)
@@ -269,8 +204,6 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
         x = x + alpha_p * dx
         s = s + alpha_p * ds
         z = z + alpha_d * dz
-        if n_eq:
-            nu = nu + alpha_d * dnu
 
         # divergence of the duals with a stubborn primal residual certifies
         # (numerically) that no feasible point exists

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ from .constrained_sampling import (
     solve_qp,
 )
 from .market_data import AffineScaling, MarketFrame
+from .serialize import number_array
 
 log = logging.getLogger(__name__)
 
@@ -582,9 +584,9 @@ def model_from_json(doc: dict) -> GpModel:
     if doc.get("version") != "gpmodel/1":
         raise ValueError(f"unsupported GP model version {doc.get('version')!r}")
     params = KernelParams(**doc["params"])
-    grid = BasisGrid(**doc["grid"])
+    grid = BasisGrid(n_t=operator.index(doc["grid"]["n_t"]), n_k=operator.index(doc["grid"]["n_k"]))
     scaling = AffineScaling(**doc["scaling"])
-    nodes = np.asarray(doc["map_nodes"], dtype=float)
+    nodes = number_array(doc["map_nodes"])
     if nodes.size != grid.size:
         raise ValueError("node vector size does not match the grid")
     return GpModel(params=params, grid=grid, scaling=scaling, map_nodes=nodes)

@@ -22,11 +22,12 @@ consumers decide how to fill them.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
+
+from .serialize import number_array
 
 DENOM_FLOOR = 1e-8
 
@@ -93,21 +94,25 @@ class LocalVolGrid:
         values = self.filled_values() if fill else self.values
         t = np.clip(np.asarray(t, dtype=float), self.t_axis[0], self.t_axis[-1])
         k = np.clip(np.asarray(k, dtype=float), self.k_axis[0], self.k_axis[-1])
-        it = np.clip(np.searchsorted(self.t_axis, t) - 1, 0, self.t_axis.size - 2)
-        ik = np.clip(np.searchsorted(self.k_axis, k) - 1, 0, self.k_axis.size - 2)
-        wt = (t - self.t_axis[it]) / (self.t_axis[it + 1] - self.t_axis[it])
-        wk = (k - self.k_axis[ik]) / (self.k_axis[ik + 1] - self.k_axis[ik])
-        v00 = values[it, ik]
-        v01 = values[it, ik + 1]
-        v10 = values[it + 1, ik]
-        v11 = values[it + 1, ik + 1]
-        out = (
-            (1 - wt) * (1 - wk) * v00
-            + (1 - wt) * wk * v01
-            + wt * (1 - wk) * v10
-            + wt * wk * v11
-        )
-        return float(out) if out.ndim == 0 else out
+        return bilinear(self.t_axis, self.k_axis, values, t, k)
+
+
+def bilinear(t_axis, k_axis, values, t, k):
+    """Bilinear interpolation of values on the (t_axis, k_axis) grid at (t, k).
+
+    Points must lie inside the grid: callers clamp or reject the others.
+    """
+    it = np.clip(np.searchsorted(t_axis, t) - 1, 0, t_axis.size - 2)
+    ik = np.clip(np.searchsorted(k_axis, k) - 1, 0, k_axis.size - 2)
+    wt = (t - t_axis[it]) / (t_axis[it + 1] - t_axis[it])
+    wk = (k - k_axis[ik]) / (k_axis[ik + 1] - k_axis[ik])
+    out = (
+        (1 - wt) * (1 - wk) * values[it, ik]
+        + (1 - wt) * wk * values[it, ik + 1]
+        + wt * (1 - wk) * values[it + 1, ik]
+        + wt * wk * values[it + 1, ik + 1]
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def calendar_butterfly_terms(theta, d_t, d_k, d_kk, kappa):
@@ -268,21 +273,10 @@ def grid_from_json(doc: dict) -> LocalVolGrid:
     if doc.get("version") != "localvol/1":
         raise ValueError(f"unsupported local-vol document version {doc.get('version')!r}")
     return LocalVolGrid(
-        t_axis=np.asarray(doc["t_axis"], dtype=float),
-        k_axis=np.asarray(doc["k_axis"], dtype=float),
-        values=np.asarray(doc["values"], dtype=float),
-        mask=np.asarray(doc["mask"], dtype=bool),
+        t_axis=number_array(doc["t_axis"]),
+        k_axis=number_array(doc["k_axis"]),
+        values=number_array(doc["values"]),
+        mask=number_array(doc["mask"], dtype=bool),
         cap=doc.get("cap"),
         diagnostics=doc.get("diagnostics", {}),
     )
-
-
-def write_grid_json(grid: LocalVolGrid, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(grid_to_json(grid), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def read_grid_json(path) -> LocalVolGrid:
-    with open(path, encoding="utf-8") as handle:
-        return grid_from_json(json.load(handle))

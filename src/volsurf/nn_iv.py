@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .local_vol import calendar_butterfly_terms
 from .market_data import MarketFrame
+from .serialize import number_array
 
 log = logging.getLogger(__name__)
 
@@ -574,12 +575,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
     if candidates:
         ranked = []
         for idx, lam in enumerate(candidates):
-            pen = PenaltyConfig(
-                lambdas=tuple(lam), band=penalty.band,
-                n_maturity=penalty.n_maturity, n_moneyness=penalty.n_moneyness,
-                maturity_range=penalty.maturity_range,
-                moneyness_range=penalty.moneyness_range,
-            )
+            pen = replace(penalty, lambdas=tuple(lam))
             mdl, _ = _train_once(
                 data_t, data_kappa, data_iv, weights, pen, cfg,
                 seed=cfg.seed + idx, spot=spot, epochs=cfg.search_epochs,
@@ -595,12 +591,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
                 {"lambdas": list(lam), "clean": clean, "fit_rmse": comp["fit_rmse"]}
             )
         ranked.sort()
-        chosen = PenaltyConfig(
-            lambdas=tuple(ranked[0][2]), band=penalty.band,
-            n_maturity=penalty.n_maturity, n_moneyness=penalty.n_moneyness,
-            maturity_range=penalty.maturity_range,
-            moneyness_range=penalty.moneyness_range,
-        )
+        chosen = replace(penalty, lambdas=tuple(ranked[0][2]))
 
     model, history = _train_once(
         data_t, data_kappa, data_iv, weights, chosen, cfg,
@@ -643,17 +634,17 @@ def model_from_json(doc: dict) -> NnIvModel:
     if doc.get("version") != "nnivmodel/1":
         raise ValueError(f"unsupported NN model version {doc.get('version')!r}")
     sizes = [2, *doc["hidden"], 1]
-    weights = [
-        np.asarray(w, dtype=float).reshape(fan_out, fan_in)
-        for w, fan_in, fan_out in zip(doc["weights"], sizes[:-1], sizes[1:])
-    ]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+    if len(doc["weights"]) != len(sizes) - 1 or len(doc["biases"]) != len(sizes) - 1:
+        raise ValueError("layer count does not match the hidden sizes")
+    weights = [number_array(w).reshape(fan_out, fan_in)
+               for w, fan_in, fan_out in zip(doc["weights"], sizes[:-1], sizes[1:])]
+    biases = [number_array(b).reshape(fan_out) for b, fan_out in zip(doc["biases"], sizes[1:])]
     return NnIvModel(
         weights=weights,
         biases=biases,
-        input_mean=np.asarray(doc["input_mean"], dtype=float),
-        input_scale=np.asarray(doc["input_scale"], dtype=float),
-        sigma_lo=doc["sigma_lo"],
-        sigma_hi=doc["sigma_hi"],
-        spot=doc["spot"],
+        input_mean=number_array(doc["input_mean"]).reshape(2),
+        input_scale=number_array(doc["input_scale"]).reshape(2),
+        sigma_lo=float(doc["sigma_lo"]),
+        sigma_hi=float(doc["sigma_hi"]),
+        spot=float(doc["spot"]),
     )

@@ -360,83 +360,55 @@ def interpolate_slice(surface: SviSurface, t: float) -> NaturalSviParams:
     )
 
 
-def surface_theta_fn(surface: SviSurface, step: float = 1e-4):
-    """Adapter returning (Theta, dT, dk, dkk) at array (T, kappa) points.
+def total_variance_at(slice_at, t_vals, kappa):
+    """Total variance at array (T, kappa) points, one slice_at(T) call per distinct T."""
+    flat_t = np.asarray(t_vals, dtype=float).ravel()
+    flat_k = np.asarray(kappa, dtype=float).ravel()
+    res = np.empty_like(flat_k)
+    for t in np.unique(flat_t):
+        sel = flat_t == t
+        res[sel] = svi_total_variance(slice_at(float(t)), flat_k[sel])
+    return res.reshape(np.shape(kappa))
+
+
+def _theta_fn(slice_at, t_lo: float, t_hi: float, step: float):
+    """(Theta, dT, dk, dkk) adapter over a slice source slice_at(t) valid on [t_lo, t_hi].
 
     kappa-derivatives are analytic; the maturity derivative is a central
-    difference of the slice-interpolated surface (clamped inside the
-    calibrated range at the ends).
+    difference of the slice source, clamped inside [t_lo, t_hi] at the ends.
     """
-    t_lo = surface.maturities[0]
-    t_hi = surface.maturities[-1]
-
-    def theta_only(t_vals, kappa):
-        flat_t = np.asarray(t_vals, dtype=float).ravel()
-        flat_k = np.asarray(kappa, dtype=float).ravel()
-        res = np.empty_like(flat_k)
-        for t in np.unique(flat_t):
-            p = interpolate_slice(surface, float(t))
-            sel = flat_t == t
-            res[sel] = svi_total_variance(p, flat_k[sel])
-        return res.reshape(np.shape(kappa))
 
     def fn(t_vals, kappa):
         t_arr = np.asarray(t_vals, dtype=float)
         kappa = np.asarray(kappa, dtype=float)
         flat_t = t_arr.ravel()
         flat_k = kappa.ravel()
-        th = np.empty_like(flat_k)
-        dk = np.empty_like(flat_k)
-        dkk = np.empty_like(flat_k)
+        th, dk, dkk = (np.empty_like(flat_k) for _ in range(3))
         for t in np.unique(flat_t):
-            p = interpolate_slice(surface, float(t))
             sel = flat_t == t
-            th[sel], dk[sel], dkk[sel] = svi_derivatives(p, flat_k[sel])
+            th[sel], dk[sel], dkk[sel] = svi_derivatives(slice_at(float(t)), flat_k[sel])
         t_plus = np.minimum(t_arr + step, t_hi)
         t_minus = np.maximum(t_arr - step, t_lo)
-        d_t = (theta_only(t_plus, kappa) - theta_only(t_minus, kappa)) / (
-            t_plus - t_minus
-        )
+        d_t = (
+            total_variance_at(slice_at, t_plus, kappa)
+            - total_variance_at(slice_at, t_minus, kappa)
+        ) / (t_plus - t_minus)
         return th.reshape(kappa.shape), d_t, dk.reshape(kappa.shape), dkk.reshape(kappa.shape)
 
     return fn
+
+
+def surface_theta_fn(surface: SviSurface, step: float = 1e-4):
+    """Theta adapter of a slice-interpolated surface over its calibrated range."""
+    # interpolate_slice is looked up at call time, so wrappers of it see every call
+    return _theta_fn(lambda t: interpolate_slice(surface, t),
+                     surface.maturities[0], surface.maturities[-1], step)
 
 
 def ssvi_theta_fn(params: SsviParams, step: float = 1e-4):
-    """Adapter for a pure SSVI surface: analytic in kappa, central FD in T."""
+    """Theta adapter of a pure SSVI surface over its ATM-curve knots."""
     tm = np.asarray(params.theta_maturities)
-    t_lo, t_hi = float(tm[0]), float(tm[-1])
-
-    def theta_only(t_vals, kappa):
-        flat_t = np.asarray(t_vals, dtype=float).ravel()
-        flat_k = np.asarray(kappa, dtype=float).ravel()
-        res = np.empty_like(flat_k)
-        for t in np.unique(flat_t):
-            p = params.slice_at(float(t))
-            sel = flat_t == t
-            res[sel] = svi_total_variance(p, flat_k[sel])
-        return res.reshape(np.shape(kappa))
-
-    def fn(t_vals, kappa):
-        t_arr = np.asarray(t_vals, dtype=float)
-        kappa = np.asarray(kappa, dtype=float)
-        flat_t = t_arr.ravel()
-        flat_k = kappa.ravel()
-        th = np.empty_like(flat_k)
-        dk = np.empty_like(flat_k)
-        dkk = np.empty_like(flat_k)
-        for t in np.unique(flat_t):
-            p = params.slice_at(float(t))
-            sel = flat_t == t
-            th[sel], dk[sel], dkk[sel] = svi_derivatives(p, flat_k[sel])
-        t_plus = np.minimum(t_arr + step, t_hi)
-        t_minus = np.maximum(t_arr - step, t_lo)
-        d_t = (theta_only(t_plus, kappa) - theta_only(t_minus, kappa)) / (
-            t_plus - t_minus
-        )
-        return th.reshape(kappa.shape), d_t, dk.reshape(kappa.shape), dkk.reshape(kappa.shape)
-
-    return fn
+    return _theta_fn(params.slice_at, float(tm[0]), float(tm[-1]), step)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +444,22 @@ def model_to_json(params: SsviParams, surface: SviSurface, spot: float) -> dict:
 def model_from_json(doc: dict) -> tuple[SsviParams, SviSurface, float]:
     if doc.get("version") != "ssvi/1":
         raise ValueError(f"unsupported SSVI model version {doc.get('version')!r}")
+    theta_values = tuple(float(v) for v in doc["atm_curve"]["values"])
     params = SsviParams(
-        rho=doc["rho"], eta=doc["eta"], gamma=doc["gamma"],
-        theta_maturities=tuple(doc["atm_curve"]["maturities"]),
-        theta_values=tuple(doc["atm_curve"]["values"]),
+        rho=float(doc["rho"]), eta=float(doc["eta"]), gamma=float(doc["gamma"]),
+        theta_maturities=tuple(float(t) for t in doc["atm_curve"]["maturities"]),
+        theta_values=theta_values,
     )
     slices = tuple(
         NaturalSviParams(
-            delta=s["delta"], mu=s["mu"], rho=s["rho"], omega=s["omega"], zeta=s["zeta"]
+            delta=float(s["delta"]), mu=float(s["mu"]), rho=float(s["rho"]),
+            omega=float(s["omega"]), zeta=float(s["zeta"]),
         )
         for s in doc["slices"]
     )
     surface = SviSurface(
-        maturities=tuple(s["maturity"] for s in doc["slices"]),
+        maturities=tuple(float(s["maturity"]) for s in doc["slices"]),
         slices=slices,
-        atm_curve=tuple(doc["atm_curve"]["values"]),
+        atm_curve=theta_values,
     )
     return params, surface, float(doc["spot"])

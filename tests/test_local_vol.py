@@ -14,10 +14,9 @@ from volsurf.local_vol import (
     dupire_iv,
     grid_from_json,
     grid_to_json,
-    read_grid_json,
     write_grid_csv,
-    write_grid_json,
 )
+from volsurf.serialize import dump_json, load_json
 
 S0 = 100.0
 
@@ -213,8 +212,8 @@ class TestGridOps:
         grid = self.make_grid()
         grid.mask[0, 0] = False
         path = tmp_path / "lv.json"
-        write_grid_json(grid, path)
-        back = read_grid_json(path)
+        dump_json(grid_to_json(grid), path)
+        back = grid_from_json(load_json(path))
         assert np.array_equal(back.values, grid.values)
         assert np.array_equal(back.mask, grid.mask)
         assert grid_to_json(back) == grid_to_json(grid)

@@ -26,7 +26,7 @@ from volsurf.ssvi import (
     svi_total_variance,
 )
 
-from oracles import svi_slice_objective
+from oracles import per_point_theta, svi_slice_objective
 
 SPOT = 100.0
 
@@ -299,6 +299,30 @@ class TestThetaSurfaces:
         dn = fn(t, kappa - h)[0]
         assert d_k == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-10)
 
+
+    @pytest.mark.parametrize("source", ["surface", "ssvi"])
+    def test_adapter_bitwise_against_per_point_oracle(self, source):
+        # end-clamped T (first and last knot, and within one step of them) and
+        # every T repeated across the kappa axis
+        frame, _ = ssvi_quotes()
+        params, surface = calibrate(frame)
+        if source == "surface":
+            fn = surface_theta_fn(surface)
+            t_lo, t_hi = surface.maturities[0], surface.maturities[-1]
+
+            def slice_at(t):
+                return interpolate_slice(surface, t)
+        else:
+            fn = ssvi_theta_fn(params)
+            t_lo, t_hi = params.theta_maturities[0], params.theta_maturities[-1]
+            slice_at = params.slice_at
+        t_axis = np.array([t_lo, t_lo + 5e-5, 0.5 * (t_lo + t_hi), t_hi - 5e-5, t_hi])
+        tt, kk = np.meshgrid(t_axis, np.linspace(-0.4, 0.3, 7), indexing="ij")
+        got = fn(tt, kk)
+        want = per_point_theta(slice_at, t_lo, t_hi, tt, kk)
+        for g, w in zip(got, want):
+            assert g.shape == tt.shape
+            assert g.tobytes() == w.tobytes()
 
 class TestSerialization:
     def test_round_trip(self):
