@@ -133,7 +133,7 @@ def price_mc(
         step_carry = carry_vals[i + 1] - carry_vals[i]
         spot_now = np.exp(x)
         k_coord = spot_now * math.exp(-carry_vals[i])
-        sigma = lv.lookup(np.full(n_paths, t0), k_coord)
+        sigma = lv.lookup(t0, k_coord)
         if antithetic:
             half = (n_paths + 1) // 2
             draw = rng.standard_normal(half)
@@ -207,7 +207,7 @@ def price_cn(
     negatives = 0
 
     def diffusion(t):
-        sigma = lv.lookup(np.full(k_inner.size, t), k_inner)
+        sigma = lv.lookup(t, k_inner)
         return 0.5 * sigma * sigma * k_inner * k_inner / dk**2
 
     for n in range(n_t - 1):

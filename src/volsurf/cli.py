@@ -551,7 +551,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_INPUT, "input", str(exc))
     except LinAlgError as exc:  # a ValueError subclass, but a numerical failure
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # missing, unreadable or directory paths too
         return _fail(EXIT_INPUT, "input", str(exc))
     except ArithmeticError as exc:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))

@@ -100,7 +100,8 @@ class LocalVolGrid:
 def bilinear(t_axis, k_axis, values, t, k):
     """Bilinear interpolation of values on the (t_axis, k_axis) grid at (t, k).
 
-    Points must lie inside the grid: callers clamp or reject the others.
+    Points must lie inside the grid: callers clamp or reject the others.  A
+    scalar t with an array k costs one search and 1-D gathers along T.
     """
     it = np.clip(np.searchsorted(t_axis, t) - 1, 0, t_axis.size - 2)
     ik = np.clip(np.searchsorted(k_axis, k) - 1, 0, k_axis.size - 2)

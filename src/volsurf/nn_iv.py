@@ -14,6 +14,15 @@ arbitrage penalties (negative calendar term, negative butterfly term, local
 variance outside a band) are differentiable and exact on their grid.  The
 observation weights are nearest-neighbor distances in the (T, kappa) plane,
 which stops dense quote clusters from drowning out isolated points.
+
+Each training run (one ``_train_once`` call) builds a ``_Workspace`` before
+its first epoch: the penalty grid and, for the data points and the grid,
+one block of (h, n) arrays that every epoch's forward and backward pass
+rewrites in place.  It is dropped when the run returns; nothing is cached
+between runs.  The in-place passes keep the operation order of the plain
+array expressions, so the model bytes are those of fresh arrays.  Passes
+outside training (``sigma``, ``theta``, ``forward_theta``, ``loss``) build
+their own arrays per call.
 """
 
 from __future__ import annotations
@@ -175,77 +184,188 @@ def dupire_terms(model: NnIvModel, t, kappa):
 # ---------------------------------------------------------------------------
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
+def _sigmoid(z, out=None):
+    """0.5 (1 + tanh(z / 2)), written into out when given."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _layer_sizes(model: NnIvModel) -> list:
+    return [model.weights[0].shape[1], *(w.shape[0] for w in model.weights)]
 
 
-@dataclass
-class _ForwardState:
-    """Everything the backward pass needs, for one batch."""
+class _Pass:
+    """The arrays of one extended forward and backward pass over n points.
 
-    t: np.ndarray
-    pre: list = field(default_factory=list)    # pre-activations per layer
-    a: list = field(default_factory=list)      # value stream per layer input
-    p: list = field(default_factory=list)      # d/dk~ stream
-    q: list = field(default_factory=list)      # d2/dk~2 stream
-    r: list = field(default_factory=list)      # d/dlogT~ stream
-    out: tuple = ()                            # (o, op, oq, or) at the head
-    sigma: np.ndarray = None
-    sigma_streams: tuple = ()                  # (sp, sq, sr) after output map
+    They are the four input streams; per hidden layer its pre-activation
+    streams (zp, zq, zr), its sigmoid f1 = softplus'(z) and its output
+    streams (a, p, q, r), all eight read by the backward pass; the output
+    layer's four rows; a scratch array for z; and two backward temporaries.
+    The backward pass writes each layer's adjoints over the output streams
+    of the layer below, once its gradient has read them.  Every call
+    rewrites the arrays in place, in the operation order of the plain array
+    expressions, so a reused pass gives the same bits as a fresh one; only
+    the latest call's values are valid.
 
+    A workspace pass, reused for a whole training run, takes its arrays as
+    views of one block (``block=True``) that the kernel can back with huge
+    pages.  A pass made for one evaluation (``_forward``) allocates them one
+    by one: a block of tens of MB freed after one use raises glibc's mmap
+    threshold to its size, and the heap then keeps later allocations of up
+    to that size resident.
+    """
 
-def _forward(model: NnIvModel, t, kappa) -> _ForwardState:
-    t_flat = np.asarray(t, dtype=float).ravel()
-    kappa_flat = np.asarray(kappa, dtype=float).ravel()
-    x0, x1 = model.standardized_inputs(t_flat, kappa_flat)
-    n = t_flat.size
-
-    state = _ForwardState(t=t_flat)
-    a = np.vstack([x0, x1])
-    p = np.vstack([np.zeros(n), np.ones(n)])
-    q = np.zeros((2, n))
-    r = np.vstack([np.ones(n), np.zeros(n)])
-
-    n_layers = len(model.weights)
-    for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
-        state.a.append(a)
-        state.p.append(p)
-        state.q.append(q)
-        state.r.append(r)
-        z = w @ a + b[:, None]
-        zp = w @ p
-        zq = w @ q
-        zr = w @ r
-        state.pre.append((z, zp, zq, zr))
-        if idx < n_layers - 1:
-            f1 = _sigmoid(z)
-            a = _softplus(z)
-            p = f1 * zp
-            q = f1 * (1.0 - f1) * zp**2 + f1 * zq
-            r = f1 * zr
+    def __init__(self, sizes, n: int, block: bool = False):
+        width = max(sizes[1:])
+        rows = [2] * 4 + [h for h in sizes[1:-1] for _ in range(8)] + [1] * 4 + [width] * 3
+        if block:
+            memory = np.empty(sum(rows) * n)
+            offsets = np.cumsum([0, *rows]) * n
+            views = [memory[lo:lo + h * n].reshape(h, n) for lo, h in zip(offsets, rows)]
         else:
-            a, p, q, r = z, zp, zq, zr
+            views = [np.empty((h, n)) for h in rows]
+        self.inputs = _, p, q, r = views[:4]    # a is written by each forward
+        p[0], p[1] = 0.0, 1.0
+        q[:] = 0.0
+        r[0], r[1] = 1.0, 0.0
+        self.layers = [tuple(views[4 + 8 * i: 12 + 8 * i]) for i in range(len(sizes) - 2)]
+        self.head = tuple(views[-7:-3])
+        self.scratch, self.f2, self.f3 = views[-3:]
+        self.t = None
+        self.sigma = None
+        self.sigma_streams = ()    # (sp, sq, sr) after the output map
+        self._s = self._g1 = self._g2 = None
 
-    o, op, oq, orr = a[0], p[0], q[0], r[0]
-    state.out = (o, op, oq, orr)
-    span = model.sigma_hi - model.sigma_lo
-    s = _sigmoid(o)
-    g1 = span * s * (1.0 - s)
-    g2 = g1 * (1.0 - 2.0 * s)
-    sigma = model.sigma_lo + span * s
-    sp = g1 * op
-    sq = g2 * op**2 + g1 * oq
-    sr = g1 * orr
-    state.sigma = sigma
-    state.sigma_streams = (sp, sq, sr)
-    return state
+    def forward(self, model: NnIvModel, t, kappa) -> "_Pass":
+        self.t = np.asarray(t, dtype=float).ravel()
+        x0, x1 = model.standardized_inputs(self.t, np.asarray(kappa, dtype=float).ravel())
+        a, p, q, r = self.inputs
+        a[0], a[1] = x0, x1
+        for w, b, (zp, zq, zr, f1, a_out, p_out, q_out, r_out) in zip(
+            model.weights, model.biases, self.layers
+        ):
+            z = self.scratch[: w.shape[0]]
+            np.matmul(w, a, out=z)
+            z += b[:, None]
+            np.matmul(w, p, out=zp)
+            np.matmul(w, q, out=zq)
+            np.matmul(w, r, out=zr)
+            _sigmoid(z, out=f1)
+            np.logaddexp(0.0, z, out=a_out)    # softplus
+            np.multiply(f1, zp, out=p_out)
+            # q = f1 (1 - f1) zp^2 + f1 zq, z being free again
+            np.subtract(1.0, f1, out=q_out)
+            q_out *= f1
+            q_out *= np.square(zp, out=z)
+            q_out += np.multiply(f1, zq, out=z)
+            np.multiply(f1, zr, out=r_out)
+            a, p, q, r = a_out, p_out, q_out, r_out
+
+        w, b = model.weights[-1], model.biases[-1]
+        o, op, oq, orr = self.head
+        np.matmul(w, a, out=o)
+        o += b[:, None]
+        np.matmul(w, p, out=op)
+        np.matmul(w, q, out=oq)
+        np.matmul(w, r, out=orr)
+
+        o, op, oq, orr = o[0], op[0], oq[0], orr[0]
+        span = model.sigma_hi - model.sigma_lo
+        s = _sigmoid(o)
+        g1 = span * s * (1.0 - s)
+        g2 = g1 * (1.0 - 2.0 * s)
+        self.sigma = model.sigma_lo + span * s
+        self.sigma_streams = (g1 * op, g2 * op**2 + g1 * oq, g1 * orr)
+        self._s, self._g1, self._g2 = s, g1, g2
+        return self
+
+    def backward(self, model: NnIvModel, bar_sigma, bar_streams=None):
+        """Gradients of sum(bar_sigma * Sigma + bar_streams . streams) w.r.t. params.
+
+        bar_streams, when given, is the adjoint tuple (sp_bar, sq_bar, sr_bar)
+        of the Sigma derivative streams.  Reads the latest forward call and
+        overwrites its hidden-layer outputs.
+        """
+        o, op, oq, orr = (x[0] for x in self.head)
+        span = model.sigma_hi - model.sigma_lo
+        s, g1, g2 = self._s, self._g1, self._g2
+        g3 = span * s * (1.0 - s) * (1.0 - 6.0 * s + 6.0 * s * s)
+
+        bar_sigma = np.asarray(bar_sigma, dtype=float)
+        if bar_streams is None:
+            sp_bar = sq_bar = sr_bar = np.zeros_like(bar_sigma)
+        else:
+            sp_bar, sq_bar, sr_bar = (np.asarray(v, dtype=float) for v in bar_streams)
+
+        o_bar = (
+            bar_sigma * g1
+            + sp_bar * g2 * op
+            + sq_bar * (g3 * op**2 + g2 * oq)
+            + sr_bar * g2 * orr
+        )
+        op_bar = sp_bar * g1 + sq_bar * 2.0 * g2 * op
+        oq_bar = sq_bar * g1
+        or_bar = sr_bar * g1
+        adjoints = (o_bar[None, :], op_bar[None, :], oq_bar[None, :], or_bar[None, :])
+
+        n_layers = len(model.weights)
+        layer_inputs = [self.inputs] + [layer[4:] for layer in self.layers]
+        grads_w = [None] * n_layers
+        grads_b = [None] * n_layers
+        for idx in range(n_layers - 1, -1, -1):
+            za, zp_bar, zq_bar, zr_bar = adjoints
+            if idx < n_layers - 1:
+                # output adjoints become pre-activation adjoints in place
+                zp, zq, zr, f1 = self.layers[idx][:4]
+                h = f1.shape[0]
+                f2, f3, tmp = self.f2[:h], self.f3[:h], self.scratch[:h]
+                np.subtract(1.0, f1, out=f2)
+                f2 *= f1
+                np.multiply(f1, 2.0, out=f3)
+                np.subtract(1.0, f3, out=f3)
+                f3 *= f2
+                # z_bar = a_bar f1 + p_bar f2 zp + q_bar (f3 zp^2 + f2 zq) + r_bar f2 zr
+                np.square(zp, out=tmp)
+                tmp *= f3
+                tmp += np.multiply(f2, zq, out=f3)
+                tmp *= zq_bar
+                za *= f1
+                np.multiply(zp_bar, f2, out=f3)
+                f3 *= zp
+                za += f3
+                za += tmp
+                np.multiply(zr_bar, f2, out=f3)
+                f3 *= zr
+                za += f3
+                # zp_bar = p_bar f1 + q_bar 2 f2 zp, zq_bar = q_bar f1, zr_bar = r_bar f1
+                np.multiply(zq_bar, 2.0, out=tmp)
+                tmp *= f2
+                tmp *= zp
+                zp_bar *= f1
+                zp_bar += tmp
+                zq_bar *= f1
+                zr_bar *= f1
+
+            a_in, p_in, q_in, r_in = layer_inputs[idx]
+            grads_w[idx] = za @ a_in.T + zp_bar @ p_in.T + zq_bar @ q_in.T + zr_bar @ r_in.T
+            grads_b[idx] = za.sum(axis=1)
+            if idx:
+                adjoints = layer_inputs[idx]
+                w_t = model.weights[idx].T
+                for src, dst in zip((za, zp_bar, zq_bar, zr_bar), adjoints):
+                    np.matmul(w_t, src, out=dst)
+        return grads_w, grads_b
 
 
-def _theta_tuple(model: NnIvModel, state: _ForwardState):
+def _forward(model: NnIvModel, t, kappa) -> _Pass:
+    """Extended forward pass over freshly allocated arrays, for one evaluation."""
+    return _Pass(_layer_sizes(model), np.size(t)).forward(model, t, kappa)
+
+
+def _theta_tuple(model: NnIvModel, state: _Pass):
     """Theta and its (T, kappa) derivatives from the Sigma streams."""
     t = state.t
     sigma = state.sigma
@@ -256,77 +376,6 @@ def _theta_tuple(model: NnIvModel, state: _ForwardState):
     d_kk = 2.0 * t * (sp**2 + sigma * sq) / s_k**2
     d_t = sigma**2 + 2.0 * sigma * sr / s_t
     return theta, d_t, d_k, d_kk
-
-
-def _backward(model: NnIvModel, state: _ForwardState, bar_sigma, bar_streams=None):
-    """Gradients of sum(bar_sigma * Sigma + bar_streams . streams) w.r.t. params.
-
-    bar_streams, when given, is the adjoint tuple (sp_bar, sq_bar, sr_bar) of
-    the Sigma derivative streams.
-    """
-    o, op, oq, orr = state.out
-    span = model.sigma_hi - model.sigma_lo
-    s = _sigmoid(o)
-    g1 = span * s * (1.0 - s)
-    g2 = g1 * (1.0 - 2.0 * s)
-    g3 = span * s * (1.0 - s) * (1.0 - 6.0 * s + 6.0 * s * s)
-
-    bar_sigma = np.asarray(bar_sigma, dtype=float)
-    if bar_streams is None:
-        sp_bar = sq_bar = sr_bar = np.zeros_like(bar_sigma)
-    else:
-        sp_bar, sq_bar, sr_bar = (np.asarray(v, dtype=float) for v in bar_streams)
-
-    o_bar = (
-        bar_sigma * g1
-        + sp_bar * g2 * op
-        + sq_bar * (g3 * op**2 + g2 * oq)
-        + sr_bar * g2 * orr
-    )
-    op_bar = sp_bar * g1 + sq_bar * 2.0 * g2 * op
-    oq_bar = sq_bar * g1
-    or_bar = sr_bar * g1
-
-    a_bar = o_bar[None, :]
-    p_bar = op_bar[None, :]
-    q_bar = oq_bar[None, :]
-    r_bar = or_bar[None, :]
-
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    n_layers = len(model.weights)
-    for idx in range(n_layers - 1, -1, -1):
-        z, zp, zq, zr = state.pre[idx]
-        if idx < n_layers - 1:
-            f1 = _sigmoid(z)
-            f2 = f1 * (1.0 - f1)
-            f3 = f2 * (1.0 - 2.0 * f1)
-            z_bar = (
-                a_bar * f1
-                + p_bar * f2 * zp
-                + q_bar * (f3 * zp**2 + f2 * zq)
-                + r_bar * f2 * zr
-            )
-            zp_bar = p_bar * f1 + q_bar * 2.0 * f2 * zp
-            zq_bar = q_bar * f1
-            zr_bar = r_bar * f1
-        else:
-            z_bar, zp_bar, zq_bar, zr_bar = a_bar, p_bar, q_bar, r_bar
-
-        a_in = state.a[idx]
-        grads_w[idx] = (
-            z_bar @ a_in.T
-            + zp_bar @ state.p[idx].T
-            + zq_bar @ state.q[idx].T
-            + zr_bar @ state.r[idx].T
-        )
-        grads_b[idx] = z_bar.sum(axis=1)
-        w = model.weights[idx]
-        a_bar = w.T @ z_bar
-        p_bar = w.T @ zp_bar
-        q_bar = w.T @ zq_bar
-        r_bar = w.T @ zr_bar
-    return grads_w, grads_b
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +415,20 @@ def _penalty_pieces(theta, d_t, d_k, d_kk, kappa, band, denom_floor=1e-8):
     return cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable
 
 
+class _Workspace:
+    """Penalty grid and pass arrays of one training run, built once.
+
+    Fixed by the network's layer sizes, the number of data points and the
+    penalty grid; the penalty strengths and band are read per call.
+    """
+
+    def __init__(self, model: NnIvModel, n_data: int, penalty: PenaltyConfig):
+        sizes = _layer_sizes(model)
+        self.grid_t, self.grid_kappa = penalty.grid()
+        self.data = _Pass(sizes, n_data, block=True)
+        self.grid = _Pass(sizes, self.grid_t.size, block=True)
+
+
 def loss(
     model: NnIvModel,
     data_t: np.ndarray,
@@ -381,28 +444,9 @@ def loss(
 
     Returns (total, components) with the fit term and each lambda term.
     """
-    state = _forward(model, data_t, data_kappa)
-    rel = (state.sigma - data_iv) / data_iv
-    fit = math.sqrt(float(np.mean((weights.w * rel) ** 2)))
-
-    grid_t, grid_kappa = penalty.grid()
-    gstate = _forward(model, grid_t, grid_kappa)
-    theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
-    _, _, cal_neg, butt_neg, _, _, _, band_excess, _ = _penalty_pieces(
-        theta, d_t, d_k, d_kk, grid_kappa, penalty.band
+    total, comp, _ = _loss_and_grads(
+        model, data_t, data_kappa, data_iv, weights, penalty, with_grads=False
     )
-    lam = penalty.lambdas
-    scale = weights.mu_w
-    comp = {
-        "fit_rmse": fit,
-        "calendar_penalty": scale * lam[0] * float(np.mean(cal_neg)),
-        "butterfly_penalty": scale * lam[1] * float(np.mean(butt_neg)),
-        "band_penalty": scale * lam[2] * float(np.mean(band_excess)),
-        "mean_calendar_negative": float(np.mean(cal_neg)),
-        "mean_butterfly_negative": float(np.mean(butt_neg)),
-        "mean_band_excess": float(np.mean(band_excess)),
-    }
-    total = fit + comp["calendar_penalty"] + comp["butterfly_penalty"] + comp["band_penalty"]
     return total, comp
 
 
@@ -436,33 +480,53 @@ def _adam_step(params, grads, moments, lr, step, beta1=0.9, beta2=0.999, eps=1e-
     return new_params
 
 
-def _loss_and_grads(model, data_t, data_kappa, data_iv, weights, penalty):
-    """Total loss, components, and parameter gradients (weights then biases)."""
+def _loss_and_grads(
+    model, data_t, data_kappa, data_iv, weights, penalty, workspace=None, with_grads=True
+):
+    """Total loss, components, and parameter gradients (weights then biases).
+
+    ``workspace`` (a ``_Workspace`` for this model, data size and penalty
+    grid) is built for the call when not given.  Without ``with_grads`` the
+    backward passes are skipped and the gradients come back as None.
+    """
+    ws = workspace or _Workspace(model, data_t.size, penalty)
     lam = penalty.lambdas
     mu_w = weights.mu_w
     n = data_t.size
 
-    # fit term and its adjoint on Sigma
-    state = _forward(model, data_t, data_kappa)
+    # fit term
+    state = ws.data.forward(model, data_t, data_kappa)
     rel = (state.sigma - data_iv) / data_iv
     fit = math.sqrt(float(np.mean((weights.w * rel) ** 2)))
-    denom = max(fit, 1e-12)
-    bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
-    gw_data, gb_data = _backward(model, state, bar_sigma_data)
 
-    # penalty terms and their adjoints on the Theta streams
-    grid_t, grid_kappa = penalty.grid()
-    m_grid = grid_t.size
-    gstate = _forward(model, grid_t, grid_kappa)
+    # penalty terms
+    grid_kappa = ws.grid_kappa
+    gstate = ws.grid.forward(model, ws.grid_t, grid_kappa)
     theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
     cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable = (
         _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa, penalty.band)
     )
-    pen1 = mu_w * lam[0] * float(np.mean(cal_neg))
-    pen2 = mu_w * lam[1] * float(np.mean(butt_neg))
-    pen3 = mu_w * lam[2] * float(np.mean(band_excess))
-    total = fit + pen1 + pen2 + pen3
+    means = [float(np.mean(v)) for v in (cal_neg, butt_neg, band_excess)]
+    comp = {
+        "fit_rmse": fit,
+        "calendar_penalty": mu_w * lam[0] * means[0],
+        "butterfly_penalty": mu_w * lam[1] * means[1],
+        "band_penalty": mu_w * lam[2] * means[2],
+        "mean_calendar_negative": means[0],
+        "mean_butterfly_negative": means[1],
+        "mean_band_excess": means[2],
+    }
+    total = fit + comp["calendar_penalty"] + comp["butterfly_penalty"] + comp["band_penalty"]
+    if not with_grads:
+        return total, comp, None
 
+    # adjoint of the fit term on Sigma
+    denom = max(fit, 1e-12)
+    bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
+    gw_data, gb_data = state.backward(model, bar_sigma_data)
+
+    # adjoints of the penalty terms on (cal, butt)
+    m_grid = grid_kappa.size
     bar_cal = np.where(cal < 0.0, -mu_w * lam[0] / m_grid, 0.0)
     bar_butt = np.where(butt < 0.0, -mu_w * lam[1] / m_grid, 0.0)
     band_sign = np.where(above, 1.0, 0.0) - np.where(below, 1.0, 0.0)
@@ -497,11 +561,10 @@ def _loss_and_grads(model, data_t, data_kappa, data_iv, weights, penalty):
     bar_sp = bar_dk * 2.0 * t_arr * sig / s_k + bar_dkk * 4.0 * t_arr * sp / s_k**2
     bar_sq = bar_dkk * 2.0 * t_arr * sig / s_k**2
     bar_sr = bar_dt * 2.0 * sig / s_t
-    gw_pen, gb_pen = _backward(model, gstate, bar_sig, (bar_sp, bar_sq, bar_sr))
+    gw_pen, gb_pen = gstate.backward(model, bar_sig, (bar_sp, bar_sq, bar_sr))
 
     grads = [a + b for a, b in zip(gw_data + gb_data, gw_pen + gb_pen)]
-    parts = {"fit": fit, "cal": pen1, "butt": pen2, "band": pen3}
-    return total, parts, grads
+    return total, comp, grads
 
 
 def _train_once(
@@ -520,10 +583,11 @@ def _train_once(
     best_total = np.inf
     best_params = None
     history = []
+    workspace = _Workspace(model, frame_t.size, penalty)
 
     for epoch in range(1, epochs + 1):
-        total, parts, grads = _loss_and_grads(
-            model, frame_t, frame_kappa, frame_iv, weights, penalty
+        total, comp, grads = _loss_and_grads(
+            model, frame_t, frame_kappa, frame_iv, weights, penalty, workspace
         )
         if not np.isfinite(total):
             raise TrainingError(f"loss diverged at epoch {epoch}", epoch)
@@ -536,11 +600,36 @@ def _train_once(
         n_w = len(model.weights)
         model.weights = flat[:n_w]
         model.biases = flat[n_w:]
-        history.append({"epoch": epoch, "total": total, **parts})
+        history.append({
+            "epoch": epoch, "total": total, "fit": comp["fit_rmse"],
+            "cal": comp["calendar_penalty"], "butt": comp["butterfly_penalty"],
+            "band": comp["band_penalty"],
+        })
 
     if best_params is not None:
         model.weights, model.biases = best_params
     return model, history
+
+
+def _observations(frame: MarketFrame):
+    """Distinct (T, kappa) points in sorted order with their mean mid IVs.
+
+    Returns (T, kappa, iv, number of duplicate points collapsed).  Points
+    with equal (T, kappa) form one group; each mean is taken in frame order.
+    """
+    cols = frame.arrays()
+    order = np.lexsort((cols.log_moneyness, cols.maturity))
+    t = cols.maturity[order]
+    kappa = cols.log_moneyness[order]
+    iv = cols.mid_iv[order]
+    first = np.ones(t.size, dtype=bool)
+    first[1:] = (t[1:] != t[:-1]) | (kappa[1:] != kappa[:-1])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], t.size)
+    mean_iv = iv[starts]
+    for group in np.flatnonzero(ends - starts > 1):
+        mean_iv[group] = np.mean(iv[starts[group]:ends[group]])
+    return t[starts], kappa[starts], mean_iv, int(t.size - starts.size)
 
 
 def train(frame: MarketFrame, config: TrainConfig | None = None):
@@ -553,16 +642,9 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
     retrained for the full budget.  Returns (model, report).
     """
     cfg = config or TrainConfig()
-    pts = {}
-    for p in frame.points:
-        pts.setdefault((p.maturity, p.log_moneyness), []).append(p.mid_iv)
-    n_dupes = sum(len(v) - 1 for v in pts.values())
+    data_t, data_kappa, data_iv, n_dupes = _observations(frame)
     if n_dupes:
         log.warning("collapsed %d duplicate observation points to mean IV", n_dupes)
-    keys = sorted(pts)
-    data_t = np.array([k[0] for k in keys])
-    data_kappa = np.array([k[1] for k in keys])
-    data_iv = np.array([float(np.mean(pts[k])) for k in keys])
     if data_t.size < 2:
         raise ValueError("need at least two distinct observation points")
     weights = compute_weights(np.column_stack([data_t, data_kappa]))

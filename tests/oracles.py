@@ -290,3 +290,196 @@ def scalar_synthetic_quotes(spec, curves, cn=None):
             out.append((float(t), float(strike), mid * (1.0 - spec.spread),
                         mid * (1.0 + spec.spread), float(iv)))
     return out
+
+
+def _nn_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+class AllocatingNnState:
+    """What allocating_nn_backward needs from one allocating_nn_forward call."""
+
+    def __init__(self, t):
+        self.t = t
+        self.pre, self.a, self.p, self.q, self.r = [], [], [], [], []
+        self.out = ()
+        self.sigma = None
+        self.sigma_streams = ()
+
+
+def allocating_nn_forward(model, t, kappa):
+    """The NN's extended forward pass with fresh arrays for every temporary."""
+    t_flat = np.asarray(t, dtype=float).ravel()
+    kappa_flat = np.asarray(kappa, dtype=float).ravel()
+    x0, x1 = model.standardized_inputs(t_flat, kappa_flat)
+    n = t_flat.size
+
+    state = AllocatingNnState(t_flat)
+    a = np.vstack([x0, x1])
+    p = np.vstack([np.zeros(n), np.ones(n)])
+    q = np.zeros((2, n))
+    r = np.vstack([np.ones(n), np.zeros(n)])
+
+    n_layers = len(model.weights)
+    for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
+        state.a.append(a)
+        state.p.append(p)
+        state.q.append(q)
+        state.r.append(r)
+        z = w @ a + b[:, None]
+        zp = w @ p
+        zq = w @ q
+        zr = w @ r
+        state.pre.append((z, zp, zq, zr))
+        if idx < n_layers - 1:
+            f1 = _nn_sigmoid(z)
+            a = np.logaddexp(0.0, z)
+            p = f1 * zp
+            q = f1 * (1.0 - f1) * zp**2 + f1 * zq
+            r = f1 * zr
+        else:
+            a, p, q, r = z, zp, zq, zr
+
+    o, op, oq, orr = a[0], p[0], q[0], r[0]
+    state.out = (o, op, oq, orr)
+    span = model.sigma_hi - model.sigma_lo
+    s = _nn_sigmoid(o)
+    g1 = span * s * (1.0 - s)
+    g2 = g1 * (1.0 - 2.0 * s)
+    state.sigma = model.sigma_lo + span * s
+    state.sigma_streams = (g1 * op, g2 * op**2 + g1 * oq, g1 * orr)
+    return state
+
+
+def allocating_nn_backward(model, state, bar_sigma, bar_streams=None):
+    """Parameter gradients of the extended forward pass, fresh arrays throughout."""
+    o, op, oq, orr = state.out
+    span = model.sigma_hi - model.sigma_lo
+    s = _nn_sigmoid(o)
+    g1 = span * s * (1.0 - s)
+    g2 = g1 * (1.0 - 2.0 * s)
+    g3 = span * s * (1.0 - s) * (1.0 - 6.0 * s + 6.0 * s * s)
+
+    bar_sigma = np.asarray(bar_sigma, dtype=float)
+    if bar_streams is None:
+        sp_bar = sq_bar = sr_bar = np.zeros_like(bar_sigma)
+    else:
+        sp_bar, sq_bar, sr_bar = (np.asarray(v, dtype=float) for v in bar_streams)
+
+    o_bar = (
+        bar_sigma * g1
+        + sp_bar * g2 * op
+        + sq_bar * (g3 * op**2 + g2 * oq)
+        + sr_bar * g2 * orr
+    )
+    a_bar = o_bar[None, :]
+    p_bar = (sp_bar * g1 + sq_bar * 2.0 * g2 * op)[None, :]
+    q_bar = (sq_bar * g1)[None, :]
+    r_bar = (sr_bar * g1)[None, :]
+
+    n_layers = len(model.weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    for idx in range(n_layers - 1, -1, -1):
+        z, zp, zq, zr = state.pre[idx]
+        if idx < n_layers - 1:
+            f1 = _nn_sigmoid(z)
+            f2 = f1 * (1.0 - f1)
+            f3 = f2 * (1.0 - 2.0 * f1)
+            z_bar = (
+                a_bar * f1
+                + p_bar * f2 * zp
+                + q_bar * (f3 * zp**2 + f2 * zq)
+                + r_bar * f2 * zr
+            )
+            zp_bar = p_bar * f1 + q_bar * 2.0 * f2 * zp
+            zq_bar = q_bar * f1
+            zr_bar = r_bar * f1
+        else:
+            z_bar, zp_bar, zq_bar, zr_bar = a_bar, p_bar, q_bar, r_bar
+        grads_w[idx] = (
+            z_bar @ state.a[idx].T
+            + zp_bar @ state.p[idx].T
+            + zq_bar @ state.q[idx].T
+            + zr_bar @ state.r[idx].T
+        )
+        grads_b[idx] = z_bar.sum(axis=1)
+        w = model.weights[idx]
+        a_bar = w.T @ z_bar
+        p_bar = w.T @ zp_bar
+        q_bar = w.T @ zq_bar
+        r_bar = w.T @ zr_bar
+    return grads_w, grads_b
+
+
+def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, penalty):
+    """(total, parameter gradients) of the NN training loss on allocating passes."""
+    from volsurf.nn_iv import _penalty_pieces, _theta_tuple
+
+    lam = penalty.lambdas
+    mu_w = weights.mu_w
+    n = data_t.size
+
+    state = allocating_nn_forward(model, data_t, data_kappa)
+    rel = (state.sigma - data_iv) / data_iv
+    fit = math.sqrt(float(np.mean((weights.w * rel) ** 2)))
+    denom = max(fit, 1e-12)
+    bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
+    gw_data, gb_data = allocating_nn_backward(model, state, bar_sigma_data)
+
+    grid_t, grid_kappa = penalty.grid()
+    m_grid = grid_t.size
+    gstate = allocating_nn_forward(model, grid_t, grid_kappa)
+    theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
+    cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable = (
+        _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa, penalty.band)
+    )
+    pen1 = mu_w * lam[0] * float(np.mean(cal_neg))
+    pen2 = mu_w * lam[1] * float(np.mean(butt_neg))
+    pen3 = mu_w * lam[2] * float(np.mean(band_excess))
+    total = fit + pen1 + pen2 + pen3
+
+    bar_cal = np.where(cal < 0.0, -mu_w * lam[0] / m_grid, 0.0)
+    bar_butt = np.where(butt < 0.0, -mu_w * lam[1] / m_grid, 0.0)
+    band_sign = np.where(above, 1.0, 0.0) - np.where(below, 1.0, 0.0)
+    safe_butt = np.where(usable, butt, 1.0)
+    bar_cal = bar_cal + np.where(usable, mu_w * lam[2] / m_grid * band_sign / safe_butt, 0.0)
+    bar_butt = bar_butt + np.where(
+        usable, -mu_w * lam[2] / m_grid * band_sign * ratio / safe_butt, 0.0
+    )
+    kap = grid_kappa
+    bar_theta = bar_butt * (
+        (kap / theta**2) * d_k + 0.25 * (1.0 / theta**2 - 2.0 * kap**2 / theta**3) * d_k**2
+    )
+    bar_dt = bar_cal
+    bar_dk = bar_butt * (-kap / theta + 0.5 * (-0.25 - 1.0 / theta + kap**2 / theta**2) * d_k)
+    bar_dkk = bar_butt * 0.5
+    s_t, s_k = model.input_scale[0], model.input_scale[1]
+    sig = gstate.sigma
+    sp, sq, sr = gstate.sigma_streams
+    t_arr = gstate.t
+    bar_sig = (
+        bar_theta * 2.0 * sig * t_arr
+        + bar_dt * (2.0 * sig + 2.0 * sr / s_t)
+        + bar_dk * 2.0 * t_arr * sp / s_k
+        + bar_dkk * 2.0 * t_arr * sq / s_k**2
+    )
+    bar_sp = bar_dk * 2.0 * t_arr * sig / s_k + bar_dkk * 4.0 * t_arr * sp / s_k**2
+    bar_sq = bar_dkk * 2.0 * t_arr * sig / s_k**2
+    bar_sr = bar_dt * 2.0 * sig / s_t
+    gw_pen, gb_pen = allocating_nn_backward(model, gstate, bar_sig, (bar_sp, bar_sq, bar_sr))
+    return total, [a + b for a, b in zip(gw_data + gb_data, gw_pen + gb_pen)]
+
+
+def grouped_nn_observations(frame):
+    """(T, kappa, mean IV, duplicates) of a frame, one point at a time through a dict."""
+    pts = {}
+    for p in frame.points:
+        pts.setdefault((p.maturity, p.log_moneyness), []).append(p.mid_iv)
+    keys = sorted(pts)
+    return (
+        np.array([k[0] for k in keys]),
+        np.array([k[1] for k in keys]),
+        np.array([float(np.mean(pts[k])) for k in keys]),
+        sum(len(v) - 1 for v in pts.values()),
+    )

@@ -312,12 +312,30 @@ class TestModelFiles:
     def expect_input_error(self, name, doc, tmp_path, synthetic_dir, capsys):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
+        return self.expect_input_error_at(name, path, tmp_path, synthetic_dir, capsys)
+
+    def expect_input_error_at(self, name, path, tmp_path, synthetic_dir, capsys):
         capsys.readouterr()
         assert run(self.command(name, path, tmp_path, synthetic_dir)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "input"
         return json.loads(err)["message"]
+
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage", "backtest"])
+    def test_directory_instead_of_document(self, name, tmp_path, synthetic_dir, capsys):
+        folder = tmp_path / "model.json"
+        folder.mkdir()
+        message = self.expect_input_error_at(name, folder, tmp_path, synthetic_dir, capsys)
+        assert "model.json" in message
+
+    def test_directory_instead_of_quotes(self, tmp_path, synthetic_dir, capsys):
+        args = market_args(synthetic_dir)
+        args[1] = tmp_path
+        capsys.readouterr()
+        assert run(["calibrate", "ssvi", *args, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "input"
 
     @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
     def test_unsupported_model_version(self, name, tmp_path, synthetic_dir, capsys):

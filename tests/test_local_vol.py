@@ -208,6 +208,21 @@ class TestGridOps:
         assert grid.lookup(0.1, 70.0) == pytest.approx(0.1)
         assert grid.lookup(5.0, 500.0) == pytest.approx(0.5)
 
+    def test_lookup_scalar_time_bitwise(self):
+        rng = np.random.default_rng(8)
+        t_axis = np.geomspace(0.05, 2.5, 13)
+        k_axis = np.linspace(60.0, 160.0, 17)
+        grid = LocalVolGrid(t_axis, k_axis, rng.uniform(0.1, 0.5, (13, 17)),
+                            rng.uniform(size=(13, 17)) > 0.3)
+        k = np.concatenate([rng.uniform(40.0, 180.0, 500), k_axis])
+        times = [0.01, t_axis[0], 0.3, t_axis[6], float(np.nextafter(t_axis[6], 0.0)),
+                 1.7, t_axis[-1], 4.0]
+        for fill in (True, False):
+            for t in times:
+                got = grid.lookup(t, k, fill=fill)
+                want = grid.lookup(np.full(k.size, t), k, fill=fill)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_json_round_trip(self, tmp_path):
         grid = self.make_grid()
         grid.mask[0, 0] = False

@@ -1,10 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import (
+    allocating_nn_forward,
+    allocating_nn_loss_and_grads,
+    grouped_nn_observations,
+)
 
 from volsurf.black_scholes import put_price
-from volsurf.market_data import Curve, CurveSet, QuoteRecord, build_frame
+from volsurf.market_data import (
+    AffineScaling,
+    Curve,
+    CurveSet,
+    MarketFrame,
+    MarketPoint,
+    QuoteRecord,
+    build_frame,
+)
 from volsurf.nn_iv import (
     LossWeights,
     NnIvModel,
@@ -12,7 +26,10 @@ from volsurf.nn_iv import (
     TrainConfig,
     TrainingError,
     _loss_and_grads,
+    _observations,
+    _theta_tuple,
     _train_once,
+    _Workspace,
     compute_weights,
     dupire_terms,
     loss,
@@ -151,6 +168,27 @@ class TestWeights:
         assert any("duplicate" in r.message for r in caplog.records)
         assert w.w[0] == 0.0
 
+        # train's observations: sorted (T, kappa), each duplicate group
+        # collapsed to its mean IV, bit for bit as a per-point dict gives them
+        rng = np.random.default_rng(17)
+        cells = [(t, k) for t in (0.25, 0.5, 1.5) for k in (-0.2, -0.0, 0.0, 0.1)]
+        keys = [cells[i] for i in rng.integers(0, len(cells), 60)] + [cells[0]] * 12
+        order = rng.permutation(len(keys))
+        points = tuple(
+            MarketPoint(maturity=keys[i][0], strike=100.0, reduced_strike=100.0,
+                        log_moneyness=keys[i][1], reduced_bid=1.0, reduced_ask=1.0,
+                        reduced_mid=1.0, mid_iv=float(rng.uniform(0.1, 0.4)))
+            for i in order
+        )
+        curves = CurveSet(spot=SPOT, rate_curve=Curve.flat(0.0),
+                          dividend_curve=Curve.flat(0.0))
+        frame = MarketFrame(points=points, scaling=AffineScaling(0.25, 1.5, 80.0, 110.0),
+                            curves=curves)
+        got, want = _observations(frame), grouped_nn_observations(frame)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()
+        assert got[3] == want[3] == len(points) - got[0].size
+
 
 class TestLoss:
     def setup_data(self):
@@ -244,6 +282,83 @@ class TestGradients:
                 assert an == pytest.approx(fd, rel=5e-4, abs=1e-8), (layer, idx)
                 checked += 1
         assert checked >= 24
+
+
+def lively_model(seed, hidden):
+    model = NnIvModel.initialize(seed=seed, hidden=hidden, spot=SPOT)
+    rng = np.random.default_rng(seed)
+    model.input_mean = rng.normal(scale=0.2, size=2)
+    model.input_scale = rng.uniform(0.2, 1.0, 2)
+    model.weights[-1] = model.weights[-1] * 30.0
+    return model
+
+
+def random_data(rng, n):
+    t = rng.uniform(0.2, 2.5, n)
+    kappa = rng.uniform(-0.4, 0.4, n)
+    return t, kappa, rng.uniform(0.15, 0.3, n), compute_weights(np.column_stack([t, kappa]))
+
+
+class TestWorkspace:
+    """Training passes on reused arrays against the allocating oracle passes."""
+
+    @pytest.mark.parametrize(
+        "hidden, grid",
+        [((8, 8, 8), (5, 7)), ((40, 40, 40), (12, 25)), ((5,), (1, 9)),
+         ((12, 7, 3), (6, 1)), ((), (4, 4)), ((16, 9), (17, 23))],
+    )
+    def test_bitwise_against_allocating_oracle(self, hidden, grid):
+        rng = np.random.default_rng(grid[0] * 31 + len(hidden))
+        model = lively_model(grid[1], hidden)
+        t, kappa, iv, weights = random_data(rng, 13)
+        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), band=(0.01, 0.09),
+                            n_maturity=grid[0], n_moneyness=grid[1])
+        workspace = _Workspace(model, t.size, pen)
+        n_w = len(model.weights)
+        for _ in range(3):
+            want_total, want_grads = allocating_nn_loss_and_grads(
+                model, t, kappa, iv, weights, pen
+            )
+            total, comp, grads = _loss_and_grads(model, t, kappa, iv, weights, pen, workspace)
+            assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+            assert loss(model, t, kappa, iv, weights, pen) == (total, comp)
+            assert len(grads) == len(want_grads)
+            for got, want in zip(grads, want_grads):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # a different model on the same workspace next time round
+            model.weights = [w - 0.5 * g for w, g in zip(model.weights, grads[:n_w])]
+            model.biases = [b - 0.5 * g for b, g in zip(model.biases, grads[n_w:])]
+
+    @pytest.mark.parametrize("hidden", [(8, 8, 8), (6,), (), (9, 4)])
+    def test_one_off_forwards_bitwise(self, hidden):
+        rng = np.random.default_rng(len(hidden))
+        model = lively_model(7, hidden)
+        t = rng.uniform(0.05, 3.0, (3, 11))
+        kappa = rng.uniform(-0.6, 0.6, (3, 11))
+        want = allocating_nn_forward(model, t, kappa)
+        assert model.sigma(t, kappa).tobytes() == want.sigma.tobytes()
+        assert model.sigma(t[0, 0], kappa[0, 0]) == want.sigma[0]
+        assert model.sigma(t[:0, 0], kappa[:0, 0]).shape == (0,)
+        for got, ref in zip(model.forward_theta(t, kappa), _theta_tuple(model, want)):
+            assert got.shape == t.shape and got.tobytes() == ref.tobytes()
+
+    def test_warm_workspace_allocates_no_layer_arrays(self):
+        rng = np.random.default_rng(5)
+        hidden, n_grid = (40, 40, 40), 20 * 100
+        model = lively_model(3, hidden)
+        t, kappa, iv, weights = random_data(rng, 30)
+        pen = PenaltyConfig(n_maturity=20, n_moneyness=100)
+        workspace = _Workspace(model, t.size, pen)
+        _loss_and_grads(model, t, kappa, iv, weights, pen, workspace)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _loss_and_grads(model, t, kappa, iv, weights, pen, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layer_array = 40 * n_grid * 8
+        assert peak - before < 2 * layer_array
 
 
 class TestTraining:
