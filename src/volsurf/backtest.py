@@ -38,6 +38,10 @@ class DomainError(ValueError):
     """Requested options fall outside the provided local-vol domain."""
 
 
+# one report row per option, in rows.csv column order
+ROW_FIELDS = ("maturity", "strike", "model_price", "market_price", "model_iv", "market_iv")
+
+
 @dataclass
 class BacktestReport:
     """Aligned per-option rows plus the two headline error numbers."""
@@ -63,18 +67,9 @@ class BacktestReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["maturity", "strike", "model_price", "market_price", "model_iv", "market_iv"]
-            )
+            writer.writerow(ROW_FIELDS)
             for row in self.rows:
-                writer.writerow(
-                    [
-                        row["maturity"], row["strike"], row["model_price"],
-                        row["market_price"],
-                        "" if row["model_iv"] is None else row["model_iv"],
-                        row["market_iv"],
-                    ]
-                )
+                writer.writerow(["" if row[name] is None else row[name] for name in ROW_FIELDS])
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +256,21 @@ def report(model_prices, frame: MarketFrame, method: str, runtime: float = 0.0) 
     flagged and excluded from the IV RMSE (but still count in price RMSE).
     """
     model_prices = np.asarray(model_prices, dtype=float)
-    if model_prices.size != len(frame.points):
+    if model_prices.size != len(frame):
         raise ValueError("one model price per frame point required")
     curves = frame.curves
-    cols = frame.arrays()
-    t = cols.maturity
-    market_prices = cols.reduced_mid / curves.growth(t)
+    t = frame.maturity
+    market_prices = frame.reduced_mid / curves.growth(t)
     model_ivs = implied_vol_array(
-        model_prices, curves.forward(t), cols.strike, t, curves.discount(t)
+        model_prices, curves.forward(t), frame.strike, t, curves.discount(t)
     )
     inverted = ~np.isnan(model_ivs)
-    iv_errs = (model_ivs - cols.mid_iv)[inverted]
+    iv_errs = (model_ivs - frame.mid_iv)[inverted]
     failures = int(model_prices.size - np.count_nonzero(inverted))
-    rows = [
-        {
-            "maturity": point.maturity,
-            "strike": point.strike,
-            "model_price": price,
-            "market_price": market_price,
-            "model_iv": model_iv if ok else None,
-            "market_iv": point.mid_iv,
-        }
-        for point, price, market_price, model_iv, ok in zip(
-            frame.points, model_prices.tolist(), market_prices.tolist(), model_ivs.tolist(),
-            inverted.tolist(),
-        )
-    ]
+    values = (t.tolist(), frame.strike.tolist(), model_prices.tolist(), market_prices.tolist(),
+              [None if math.isnan(iv) else iv for iv in model_ivs.tolist()],
+              frame.mid_iv.tolist())
+    rows = [dict(zip(ROW_FIELDS, row)) for row in zip(*values)]
     price_rmse = float(np.sqrt(np.mean(np.square(model_prices - market_prices))))
     iv_rmse = float(np.sqrt(np.mean(np.square(iv_errs)))) if iv_errs.size else float("nan")
     return BacktestReport(
@@ -309,8 +293,7 @@ def run_backtest(
     cn_grid: tuple = (100, 100),
 ) -> BacktestReport:
     """Reprice every frame quote under the local-vol grid and report errors."""
-    cols = frame.arrays()
-    options = list(zip(cols.maturity.tolist(), cols.strike.tolist()))
+    options = list(zip(frame.maturity.tolist(), frame.strike.tolist()))
     start = time.perf_counter()
     if method == "mc":
         prices, _ = price_mc(

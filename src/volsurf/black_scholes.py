@@ -11,7 +11,6 @@ which keeps rates and dividends out of the formulas entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -19,29 +18,6 @@ from scipy.special import ndtr
 
 class InversionDomainError(ValueError):
     """Raised when a price lies outside the no-arbitrage band (df*(K-F)+, df*K)."""
-
-
-@dataclass(frozen=True)
-class BsQuote:
-    """A single Black-Scholes put quote in forward terms."""
-
-    forward: float
-    strike: float
-    maturity: float
-    vol: float
-    discount: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.forward <= 0.0:
-            raise ValueError(f"forward must be positive, got {self.forward}")
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.maturity <= 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.vol <= 0.0:
-            raise ValueError(f"vol must be positive, got {self.vol}")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {self.discount}")
 
 
 def _norm_pdf(x):
@@ -66,11 +42,6 @@ def put_price(forward, strike, maturity, vol, discount=1.0):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def bs_put(q: BsQuote) -> float:
-    """Price of a validated put quote."""
-    return float(put_price(q.forward, q.strike, q.maturity, q.vol, q.discount))
 
 
 def put_vega(forward, strike, maturity, vol, discount=1.0):

@@ -10,7 +10,9 @@ machine-readable JSON error on stderr.
 maps its version to the parsing module (MODEL_MODULES).  A model or local-vol
 document that is missing, not a JSON object, or has a missing or mistyped
 field is an input problem.  Without ``--t-range``, both commands use an SSVI
-model's calibrated maturity range, or a fixed range for an NN model.
+model's calibrated maturity range (``t_range``), or a fixed range for an NN
+model.  Every model prices a frame itself (``put_prices``) for the
+train/test report.
 
 Model-specific imports happen inside the handlers.  The VOLSURF_THREADS cap
 is applied by the package itself, before numpy loads (see volsurf/__init__).
@@ -68,86 +70,25 @@ def _load_market(args):
 
 def _split_frame(frame, holdout: bool):
     """Deterministic alternating train/test split by sorted (T, K)."""
-    from .market_data import MarketFrame
-
     if not holdout:
         return frame, frame
-    order = sorted(range(len(frame.points)),
-                   key=lambda i: (frame.points[i].maturity, frame.points[i].strike))
-    train_idx = order[0::2]
-    test_idx = order[1::2]
-
-    def sub(indices):
-        return MarketFrame(
-            points=tuple(frame.points[i] for i in indices),
-            scaling=frame.scaling,
-            curves=frame.curves,
-        )
-
-    return sub(train_idx), sub(test_idx)
-
-
-def _fit_report(price_fn, frame_train, frame_test):
-    from .backtest import report
-
     import numpy as np
+
+    order = np.lexsort((frame.strike, frame.maturity))
+    return frame.subset(order[0::2]), frame.subset(order[1::2])
+
+
+def _fit_report(model, frame_train, frame_test):
+    from .backtest import report
 
     out = {}
     for tag, frame in (("train", frame_train), ("test", frame_test)):
-        prices = np.asarray(price_fn(frame))
-        rep = report(prices, frame, method=tag)
+        rep = report(model.put_prices(frame), frame, method=tag)
         out[f"{tag}_price_rmse"] = rep.price_rmse
         out[f"{tag}_iv_rmse"] = rep.iv_rmse
         out[f"{tag}_iv_failures"] = rep.n_iv_failures
-        out[f"{tag}_n"] = len(frame.points)
+        out[f"{tag}_n"] = len(frame)
     return out
-
-
-def _gp_price_fn(model):
-    def fn(frame):
-        cols = frame.arrays()
-        return model.price(cols.maturity, cols.reduced_strike) / frame.curves.growth(cols.maturity)
-
-    return fn
-
-
-def _iv_put_prices(frame, cols, iv):
-    """Currency put prices of the frame's quotes at implied vols iv."""
-    from .black_scholes import put_price
-
-    t = cols.maturity
-    return put_price(frame.curves.forward(t), cols.strike, t, iv, frame.curves.discount(t))
-
-
-def _nn_price_fn(model):
-    import numpy as np
-
-    def fn(frame):
-        cols = frame.arrays()
-        # one point at a time: a batched forward pass can round differently
-        iv = np.array(
-            [model.sigma(t, kappa)
-             for t, kappa in zip(cols.maturity.tolist(), cols.log_moneyness.tolist())],
-            dtype=float,
-        )
-        return _iv_put_prices(frame, cols, iv)
-
-    return fn
-
-
-def _ssvi_price_fn(surface):
-    import numpy as np
-
-    from . import ssvi
-
-    def fn(frame):
-        cols = frame.arrays()
-        total = ssvi.total_variance_at(lambda t: ssvi.interpolate_slice(surface, t),
-                                       cols.maturity, cols.log_moneyness)
-        iv = np.sqrt(np.maximum(total, 1e-14) / cols.maturity)
-        return _iv_put_prices(frame, cols, iv)
-
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +129,7 @@ def cmd_calibrate(args) -> int:
             "params": model_to_json(model)["params"],
             "grid": {"n_t": grid.n_t, "n_k": grid.n_k},
             "qp": model.qp_diagnostics,
-            "min_constraint_slack": model.constraint_slack(),
-            **_fit_report(_gp_price_fn(model), frame_train, frame_test),
+            "min_constraint_slack": float(model.constraint_slacks().min()),
         }
         if args.paths > 0:
             paths = sample_posterior(model, n_paths=args.paths, seed=args.seed)
@@ -218,28 +158,25 @@ def cmd_calibrate(args) -> int:
         model, train_report = train(frame_train, cfg)
         dump_json(model_to_json(model), out / "model.json")
         history = train_report.pop("history")
-        report = {
-            "method": "nn",
-            **train_report,
-            **_fit_report(_nn_price_fn(model), frame_train, frame_test),
-        }
+        report = {"method": "nn", **train_report}
         dump_json({"history": history}, out / "training_history.json")
 
     elif args.method == "ssvi":
-        from .ssvi import calibrate, check_no_arbitrage, model_to_json
+        from .ssvi import SsviModel, calibrate, check_no_arbitrage, model_to_json
 
         params, surface = calibrate(frame_train)
-        dump_json(model_to_json(params, surface, spot=curves.spot), out / "model.json")
+        model = SsviModel(params=params, surface=surface, spot=curves.spot)
+        dump_json(model_to_json(model), out / "model.json")
         report = {
             "method": "ssvi",
             "rho": params.rho,
             "eta": params.eta,
             "no_arbitrage": check_no_arbitrage(params),
-            **_fit_report(_ssvi_price_fn(surface), frame_train, frame_test),
         }
     else:
         raise CliInputError(f"unknown calibration method {args.method!r}")
 
+    report.update(_fit_report(model, frame_train, frame_test))
     report["runtime_seconds"] = time.perf_counter() - started
     report["seed"] = args.seed
     report["n_quotes"] = len(frame)
@@ -282,16 +219,6 @@ def _load_model(path):
     return _read_document(path, "model", from_json)
 
 
-def _iv_surface(version, model):
-    """(theta_fn, spot, calibrated maturity range or None) of an NN or SSVI model."""
-    if version == "nnivmodel/1":
-        return model.forward_theta, model.spot, None
-    from .ssvi import surface_theta_fn
-
-    _, surface, spot = model
-    return surface_theta_fn(surface), spot, (surface.maturities[0], surface.maturities[-1])
-
-
 def cmd_localvol(args) -> int:
     import numpy as np
 
@@ -309,19 +236,16 @@ def cmd_localvol(args) -> int:
                 f"evaluation grid too fine in strike: {args.grid_k} nodes against "
                 f"{model.grid.n_k} basis nodes (need spacing ratio >= 2)"
             )
-        scaling = model.scaling
-        u = np.linspace(0.0, 1.0, args.grid_t)
-        v = np.linspace(0.0, 1.0, args.grid_k)
-        t_axis = scaling.t_min + u * (scaling.t_max - scaling.t_min)
-        k_axis = scaling.k_min + v * (scaling.k_max - scaling.k_min)
+        t_axis, k_axis = model.scaling.from_unit(
+            np.linspace(0.0, 1.0, args.grid_t), np.linspace(0.0, 1.0, args.grid_k)
+        )
         grid = dupire_fd(model.price, t_axis, k_axis)
     else:
-        theta_fn, spot, t_range = _iv_surface(version, model)
-        t_lo, t_hi = args.t_range or t_range or (0.1, 2.0)
-        k_lo, k_hi = (r * spot for r in args.k_range)
+        t_lo, t_hi = args.t_range or model.t_range or (0.1, 2.0)
+        k_lo, k_hi = (r * model.spot for r in args.k_range)
         t_axis = np.linspace(t_lo, t_hi, args.grid_t)
         k_axis = np.linspace(k_lo, k_hi, args.grid_k)
-        grid = dupire_iv(theta_fn, t_axis, k_axis, spot=spot)
+        grid = dupire_iv(model.forward_theta, t_axis, k_axis, spot=model.spot)
 
     capped, summary = cap_and_report(grid, args.cap)
     dump_json(grid_to_json(capped), out / "localvol.json")
@@ -339,7 +263,7 @@ def cmd_backtest(args) -> int:
     out = _outdir(args.out)
     lv = _read_document(args.localvol, "local-vol", grid_from_json)
     frame, _ = _load_market(args)
-    k_needed = frame.arrays().reduced_strike
+    k_needed = frame.reduced_strike
     margin = 0.25 * (lv.k_axis[-1] - lv.k_axis[0])
     if k_needed.min() < lv.k_axis[0] - margin or k_needed.max() > lv.k_axis[-1] + margin:
         raise CliInputError("quote strikes fall far outside the local-vol grid domain")
@@ -400,10 +324,7 @@ def cmd_check_arbitrage(args) -> int:
     result = {"model": args.model, "version": version}
 
     if version == "gpmodel/1":
-        from .gp_price_surface import build_constraints
-
-        system = build_constraints(model.grid)
-        slack = np.asarray(system.a @ model.map_nodes)
+        slack = model.constraint_slacks()
         violated = int(np.sum(slack < -1e-8))
         result.update(
             {
@@ -416,12 +337,11 @@ def cmd_check_arbitrage(args) -> int:
     else:
         from .local_vol import calendar_butterfly_terms
 
-        theta_fn, _, t_range = _iv_surface(version, model)
-        t_lo, t_hi = args.t_range or t_range or (0.1, 2.5)
+        t_lo, t_hi = args.t_range or model.t_range or (0.1, 2.5)
         t_axis = np.linspace(t_lo, t_hi, args.grid_t)
         kappa_axis = np.linspace(args.kappa_min, args.kappa_max, args.grid_k)
         tt, kk = np.meshgrid(t_axis, kappa_axis, indexing="ij")
-        theta, d_t, d_k, d_kk = theta_fn(tt, kk)
+        theta, d_t, d_k, d_kk = model.forward_theta(tt, kk)
         cal, butt = calendar_butterfly_terms(theta, d_t, d_k, d_kk, kk)
         result.update(
             {

@@ -228,8 +228,8 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
 # ---------------------------------------------------------------------------
 
 
-class InfeasibleStartError(ValueError):
-    """HMC initial point does not strictly satisfy the constraints."""
+class InfeasibleStartError(RuntimeError):
+    """HMC initial point does not strictly satisfy the constraints (a numerical failure)."""
 
 
 @dataclass

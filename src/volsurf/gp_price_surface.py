@@ -128,26 +128,6 @@ def matern52(d, theta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel(x, x_prime, params: KernelParams):
-    """Separable product kernel sigma^2 * m52(dT) * m52(dk), scaled coords."""
-    t, k = x
-    tp, kp = x_prime
-    return (
-        params.sigma**2
-        * matern52(np.asarray(t) - tp, params.theta_t)
-        * matern52(np.asarray(k) - kp, params.theta_k)
-    )
-
-
-def hat_basis(x, node, h_t: float, h_k: float):
-    """Bilinear hat weight of grid node (i, j) at scaled point x = (t, k)."""
-    t, k = x
-    i, j = node
-    wt = max(1.0 - abs(t - i * h_t) / h_t, 0.0)
-    wk = max(1.0 - abs(k - j * h_k) / h_k, 0.0)
-    return wt * wk
-
-
 def _axis_weights(coords: np.ndarray, n_nodes: int) -> sp.csr_matrix:
     """Per-axis hat weights: (n_points, n_nodes) with two entries per row."""
     coords = np.asarray(coords, dtype=float)
@@ -256,11 +236,18 @@ def evaluate_surface(node_values, grid: BasisGrid, t_scaled, k_scaled):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_observations(frame: MarketFrame, grid: BasisGrid):
-    """Bid/ask observations and their hat-basis rows on the unit square."""
-    t, k, y = frame.bid_ask_observations()
-    u, v = frame.to_unit_square(t, k)
-    return y, basis_matrix(grid, u, v)
+def bid_ask_observations(frame: MarketFrame):
+    """Bid and ask reduced prices as separate replications at the same (T, k).
+
+    Returns (u, v, y): the unit-square coordinates and the price of two rows
+    per quote, bid then ask.  This is the observation set the likelihood and
+    the MAP surface are fitted to.
+    """
+    u, v = frame.scaling.to_unit(
+        np.repeat(frame.maturity, 2), np.repeat(frame.reduced_strike, 2)
+    )
+    y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
+    return u, v, y
 
 
 def _axis_correlations(grid: BasisGrid, params: KernelParams):
@@ -310,8 +297,7 @@ class LikelihoodEvaluator:
     """
 
     def __init__(self, frame: MarketFrame, grid: BasisGrid):
-        t, k, self.y = frame.bid_ask_observations()
-        u, v = frame.to_unit_square(t, k)
+        u, v, self.y = bid_ask_observations(frame)
         self.axis_t = _HatAxis(u, grid.t_nodes)
         self.axis_k = _HatAxis(v, grid.k_nodes)
         self._diagonal = np.diag_indices(self.y.size)
@@ -330,17 +316,6 @@ class LikelihoodEvaluator:
         root = chol_with_jitter(self.gram(params), "observation gram")
         alpha = sla.solve_triangular(root, self.y, lower=True, check_finite=False)
         return 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
-
-
-def marginal_log_likelihood(
-    params: KernelParams, frame: MarketFrame, grid: BasisGrid
-) -> float:
-    """Gaussian marginal log likelihood of the bid/ask observations.
-
-    See ``LikelihoodEvaluator``; build one directly to evaluate many
-    parameter sets on the same frame.
-    """
-    return -LikelihoodEvaluator(frame, grid)(params)
 
 
 @dataclass(frozen=True)
@@ -430,10 +405,14 @@ class GpModel:
         u, v = self.scaling.to_unit(t, k)
         return evaluate_surface(self.map_nodes, self.grid, u, v)
 
-    def constraint_slack(self) -> float:
-        """min(A @ map_nodes): >= -tol when the MAP honors the shape rules."""
-        system = build_constraints(self.grid)
-        return float(np.min(system.a @ self.map_nodes))
+    def put_prices(self, frame: MarketFrame):
+        """Currency put prices of the frame's quotes on the MAP surface."""
+        t = frame.maturity
+        return self.price(t, frame.reduced_strike) / frame.curves.growth(t)
+
+    def constraint_slacks(self) -> np.ndarray:
+        """A @ map_nodes, one entry per shape row: >= -tol where the MAP honors it."""
+        return build_constraints(self.grid).a @ self.map_nodes
 
 
 def fit_map(
@@ -455,7 +434,8 @@ def fit_map(
     kernel's near-singularity never reaches the KKT systems.  rho = 0 (noise
     absorbs everything) is always feasible.
     """
-    y, phi = _scaled_observations(frame, grid)
+    u, v, y = bid_ask_observations(frame)
+    phi = basis_matrix(grid, u, v)
     c_t, c_k = _axis_correlations(grid, params)
     root_t = chol_with_jitter(c_t, "maturity correlation")
     root_k = chol_with_jitter(c_k, "strike correlation")

@@ -32,8 +32,11 @@ from .serialize import number_array
 DENOM_FLOOR = 1e-8
 
 
-class DegenerateVarianceError(ValueError):
-    """Total variance too close to zero for the implied-variance ratio."""
+class DegenerateVarianceError(ArithmeticError):
+    """Total variance too close to zero for the implied-variance ratio.
+
+    A numerical failure of the model, not an input error.
+    """
 
 
 @dataclass

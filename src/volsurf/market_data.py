@@ -6,6 +6,9 @@ The calibration methods all work on "reduced" put prices
 
 which strips the drift terms out of the Dupire equation, and on inputs
 rescaled to the unit square so neither coordinate dominates a fit.
+``build_frame`` turns quotes into a ``MarketFrame``: one read-only float
+column per quote field, plus the unit-square scaling, the curves and the
+rejected rows.  Each model's ``put_prices(frame)`` reads those columns.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
+
+from . import black_scholes
 
 # implied_vol stays a public name of this module for callers that import it from here
 from .black_scholes import implied_vol, implied_vol_array  # noqa: F401
@@ -178,22 +182,20 @@ class AffineScaling:
         return t, k
 
 
-@dataclass(frozen=True)
-class MarketPoint:
-    """One preprocessed quote in reduced coordinates."""
+@dataclass(frozen=True, eq=False)
+class MarketFrame:
+    """Preprocessed dataset shared by all calibration methods. Immutable.
 
-    maturity: float
-    strike: float
-    reduced_strike: float
-    log_moneyness: float
-    reduced_bid: float
-    reduced_ask: float
-    reduced_mid: float
-    mid_iv: float
+    One read-only float column per quote field (COLUMNS), all of one length:
+    maturity T, strike K, reduced strike k, log-moneyness log(k / spot),
+    reduced bid, ask and mid prices, and the mid implied volatility.  The
+    frame copies the columns it is given.  Frames compare by identity.
+    """
 
-
-class FrameColumns(NamedTuple):
-    """MarketFrame points as contiguous float columns, one per MarketPoint field."""
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        "maturity", "strike", "reduced_strike", "log_moneyness",
+        "reduced_bid", "reduced_ask", "reduced_mid", "mid_iv",
+    )
 
     maturity: np.ndarray
     strike: np.ndarray
@@ -203,41 +205,29 @@ class FrameColumns(NamedTuple):
     reduced_ask: np.ndarray
     reduced_mid: np.ndarray
     mid_iv: np.ndarray
-
-
-@dataclass(frozen=True)
-class MarketFrame:
-    """Preprocessed dataset shared by all calibration methods. Immutable."""
-
-    points: tuple[MarketPoint, ...]
     scaling: AffineScaling
     curves: CurveSet
     rejected: tuple[tuple[int, str], ...] = field(default=())
 
+    def __post_init__(self) -> None:
+        for name in self.COLUMNS:
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
     def __len__(self) -> int:
-        return len(self.points)
+        return self.maturity.size
 
-    def arrays(self) -> FrameColumns:
-        """The retained points as columns, in point order."""
-        row = attrgetter(*FrameColumns._fields)
-        table = np.array([row(p) for p in self.points], dtype=float)
-        table = table.reshape(-1, len(FrameColumns._fields))
-        return FrameColumns(*np.ascontiguousarray(table.T))
+    def subset(self, index) -> "MarketFrame":
+        """The quotes at index (an index array or slice), same scaling and curves."""
+        return replace(self, **{name: getattr(self, name)[index] for name in self.COLUMNS})
 
-    def bid_ask_observations(self):
-        """Bid and ask reduced prices as separate replications at the same (T, k).
-
-        Returns (T, k, y) with two rows per quote; this is the observation set
-        the price-surface GP is trained on.
-        """
-        cols = self.arrays()
-        t = np.repeat(cols.maturity, 2)
-        k = np.repeat(cols.reduced_strike, 2)
-        y = np.stack([cols.reduced_bid, cols.reduced_ask], axis=1).ravel()
-        return t, k, y
-
-    def to_unit_square(self, t, k):
-        return self.scaling.to_unit(t, k)
+    def put_prices_at(self, iv):
+        """Currency Black-Scholes put prices of the quotes at implied vols iv."""
+        t = self.maturity
+        return black_scholes.put_price(
+            self.curves.forward(t), self.strike, t, iv, self.curves.discount(t)
+        )
 
 
 def load_quotes(path, columns: dict[str, str] | None = None) -> list[QuoteRecord]:
@@ -359,21 +349,6 @@ def build_frame(
     t, strike, mid_iv = t[keep], strike[keep], mid_iv[keep]
     growth = curves.growth(t)
     ks = curves.reduced_strike(strike, t)
-    columns = (t, strike, ks, growth * bid[keep], growth * ask[keep], growth * mid[keep], mid_iv)
-    points = tuple(
-        MarketPoint(
-            maturity=ti,
-            strike=ki,
-            reduced_strike=k,
-            # math.log, not np.log: the two differ in the last bit on some strikes
-            log_moneyness=math.log(k / curves.spot),
-            reduced_bid=b,
-            reduced_ask=a,
-            reduced_mid=m,
-            mid_iv=iv,
-        )
-        for ti, ki, k, b, a, m, iv in zip(*(col.tolist() for col in columns))
-    )
 
     def _bounds(lo: float, hi: float) -> tuple[float, float]:
         # a single-maturity (or single-strike) book still needs an invertible map
@@ -385,4 +360,11 @@ def build_frame(
     t_lo, t_hi = _bounds(float(t.min()), float(t.max()))
     k_lo, k_hi = _bounds(float(ks.min()), float(ks.max()))
     scaling = AffineScaling(t_min=t_lo, t_max=t_hi, k_min=k_lo, k_max=k_hi)
-    return MarketFrame(points=points, scaling=scaling, curves=curves, rejected=rejected)
+    return MarketFrame(
+        maturity=t, strike=strike, reduced_strike=ks,
+        # math.log, not np.log: the two differ in the last bit on some strikes
+        log_moneyness=[math.log(k / curves.spot) for k in ks.tolist()],
+        reduced_bid=growth * bid[keep], reduced_ask=growth * ask[keep],
+        reduced_mid=growth * mid[keep], mid_iv=mid_iv,
+        scaling=scaling, curves=curves, rejected=rejected,
+    )

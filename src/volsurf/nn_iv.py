@@ -18,8 +18,10 @@ which stops dense quote clusters from drowning out isolated points.
 Each training run (one ``_train_once`` call) builds a ``_Workspace`` before
 its first epoch: the penalty grid and, for the data points and the grid,
 one block of (h, n) arrays that every epoch's forward and backward pass
-rewrites in place.  It is dropped when the run returns; nothing is cached
-between runs.  The in-place passes keep the operation order of the plain
+rewrites in place.  The run is scored by its best epoch's loss and
+components, computed on that workspace (or, with no epochs, by one pass
+over it).  It is dropped when the run returns; nothing is cached between
+runs.  The in-place passes keep the operation order of the plain
 array expressions, so the model bytes are those of fresh arrays.  Passes
 outside training (``sigma``, ``theta``, ``forward_theta``, ``loss``) build
 their own arrays per call.
@@ -102,6 +104,8 @@ class NnIvModel:
     sigma_hi: float = SIGMA_HI
     spot: float = 100.0
 
+    t_range = None    # no calibrated maturity range: callers pick one
+
     @classmethod
     def initialize(
         cls, seed: int, hidden: tuple = (40, 40, 40), spot: float = 100.0,
@@ -170,13 +174,12 @@ class NnIvModel:
             d_k.reshape(shape), d_kk.reshape(shape),
         )
 
-
-def dupire_terms(model: NnIvModel, t, kappa):
-    """Calendar numerator and butterfly denominator of the Dupire ratio."""
-    theta, d_t, d_k, d_kk = model.forward_theta(t, kappa)
-    if np.any(np.asarray(theta) <= 1e-12):
-        raise ValueError("total variance vanished; Dupire terms undefined")
-    return calendar_butterfly_terms(theta, d_t, d_k, d_kk, np.asarray(kappa, dtype=float))
+    def put_prices(self, frame: MarketFrame):
+        """Currency put prices of the frame's quotes."""
+        # one point at a time: a batched forward pass can round differently
+        iv = [self.sigma(t, kappa)
+              for t, kappa in zip(frame.maturity.tolist(), frame.log_moneyness.tolist())]
+        return frame.put_prices_at(np.array(iv, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +596,7 @@ def _train_once(
             raise TrainingError(f"loss diverged at epoch {epoch}", epoch)
         if total < best_total:
             best_total = total
+            best_score = (total, comp)
             best_params = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
 
         flat = model.weights + model.biases
@@ -606,9 +610,14 @@ def _train_once(
             "band": comp["band_penalty"],
         })
 
-    if best_params is not None:
+    if best_params is None:
+        total, comp, _ = _loss_and_grads(
+            model, frame_t, frame_kappa, frame_iv, weights, penalty, workspace, with_grads=False
+        )
+        best_score = (total, comp)
+    else:
         model.weights, model.biases = best_params
-    return model, history
+    return model, history, best_score
 
 
 def _observations(frame: MarketFrame):
@@ -617,11 +626,10 @@ def _observations(frame: MarketFrame):
     Returns (T, kappa, iv, number of duplicate points collapsed).  Points
     with equal (T, kappa) form one group; each mean is taken in frame order.
     """
-    cols = frame.arrays()
-    order = np.lexsort((cols.log_moneyness, cols.maturity))
-    t = cols.maturity[order]
-    kappa = cols.log_moneyness[order]
-    iv = cols.mid_iv[order]
+    order = np.lexsort((frame.log_moneyness, frame.maturity))
+    t = frame.maturity[order]
+    kappa = frame.log_moneyness[order]
+    iv = frame.mid_iv[order]
     first = np.ones(t.size, dtype=bool)
     first[1:] = (t[1:] != t[:-1]) | (kappa[1:] != kappa[:-1])
     starts = np.flatnonzero(first)
@@ -658,11 +666,10 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         ranked = []
         for idx, lam in enumerate(candidates):
             pen = replace(penalty, lambdas=tuple(lam))
-            mdl, _ = _train_once(
+            _, _, (_, comp) = _train_once(
                 data_t, data_kappa, data_iv, weights, pen, cfg,
                 seed=cfg.seed + idx, spot=spot, epochs=cfg.search_epochs,
             )
-            _, comp = loss(mdl, data_t, data_kappa, data_iv, weights, pen)
             clean = (
                 comp["mean_calendar_negative"] <= 1e-12
                 and comp["mean_butterfly_negative"] <= 1e-12
@@ -675,11 +682,10 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         ranked.sort()
         chosen = replace(penalty, lambdas=tuple(ranked[0][2]))
 
-    model, history = _train_once(
+    model, history, (total, comp) = _train_once(
         data_t, data_kappa, data_iv, weights, chosen, cfg,
         seed=cfg.seed, spot=spot, epochs=cfg.epochs,
     )
-    total, comp = loss(model, data_t, data_kappa, data_iv, weights, chosen)
     report = {
         "final_total": total,
         "components": comp,

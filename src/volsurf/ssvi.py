@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize as sopt
 
-from .market_data import FrameColumns, MarketFrame
+from .market_data import MarketFrame
 
 log = logging.getLogger(__name__)
 
@@ -176,17 +176,17 @@ class SsviFitConfig:
     max_iter: int = 400
 
 
-def _atm_total_variance(cols: FrameColumns):
+def _atm_total_variance(frame: MarketFrame):
     """Raw per-maturity ATM total variance from the two bracketing strikes."""
     maturities, thetas = [], []
-    for t in np.unique(cols.maturity):
-        rows = cols.maturity == t
-        order = np.lexsort((cols.mid_iv[rows], cols.log_moneyness[rows]))
-        kappas = cols.log_moneyness[rows][order]
+    for t in np.unique(frame.maturity):
+        rows = frame.maturity == t
+        order = np.lexsort((frame.mid_iv[rows], frame.log_moneyness[rows]))
+        kappas = frame.log_moneyness[rows][order]
         if kappas[0] > 0.0 or kappas[-1] < 0.0:
             log.warning("maturity %.4f has no strikes bracketing ATM; skipped", t)
             continue
-        ivs = cols.mid_iv[rows][order]
+        ivs = frame.mid_iv[rows][order]
         totals = ivs * ivs * t
         maturities.append(t)
         thetas.append(float(np.interp(0.0, kappas, totals)))
@@ -233,17 +233,16 @@ def calibrate(
     below.  Slices are only refined when that improves their objective.
     """
     cfg = config or SsviFitConfig()
-    cols = frame.arrays()
-    maturities, raw_theta = _atm_total_variance(cols)
+    maturities, raw_theta = _atm_total_variance(frame)
     if maturities.size < 2:
         raise CalibrationScopeError(
             "need at least two maturities with ATM-bracketing quotes"
         )
     theta_curve = np.maximum.accumulate(raw_theta)
 
-    slice_rows = {t: cols.maturity == t for t in maturities}
-    slice_kappas = {t: cols.log_moneyness[rows] for t, rows in slice_rows.items()}
-    slice_ivs = {t: cols.mid_iv[rows] for t, rows in slice_rows.items()}
+    slice_rows = {t: frame.maturity == t for t in maturities}
+    slice_kappas = {t: frame.log_moneyness[rows] for t, rows in slice_rows.items()}
+    slice_ivs = {t: frame.mid_iv[rows] for t, rows in slice_rows.items()}
     all_t = np.concatenate([np.full(slice_kappas[t].size, t) for t in maturities])
     all_kappa = np.concatenate([slice_kappas[t] for t in maturities])
     all_iv = np.concatenate([slice_ivs[t] for t in maturities])
@@ -411,18 +410,44 @@ def ssvi_theta_fn(params: SsviParams, step: float = 1e-4):
     return _theta_fn(params.slice_at, float(tm[0]), float(tm[-1]), step)
 
 
+@dataclass(frozen=True)
+class SsviModel:
+    """A calibrated surface: SSVI parameters, refined slices and the spot."""
+
+    params: SsviParams
+    surface: SviSurface
+    spot: float
+
+    @property
+    def t_range(self) -> tuple[float, float]:
+        """The calibrated maturity range, first to last slice."""
+        return self.surface.maturities[0], self.surface.maturities[-1]
+
+    def forward_theta(self, t, kappa):
+        """(Theta, dT Theta, dk Theta, dkk Theta) of the slice-interpolated surface."""
+        return surface_theta_fn(self.surface)(t, kappa)
+
+    def put_prices(self, frame: MarketFrame):
+        """Currency put prices of the frame's quotes, one slice per distinct maturity."""
+        # interpolate_slice is looked up at call time, so wrappers of it see every call
+        total = total_variance_at(lambda t: interpolate_slice(self.surface, t),
+                                  frame.maturity, frame.log_moneyness)
+        return frame.put_prices_at(np.sqrt(np.maximum(total, 1e-14) / frame.maturity))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
 
-def model_to_json(params: SsviParams, surface: SviSurface, spot: float) -> dict:
+def model_to_json(model: SsviModel) -> dict:
+    params, surface = model.params, model.surface
     return {
         "version": "ssvi/1",
         "rho": params.rho,
         "eta": params.eta,
         "gamma": params.gamma,
-        "spot": float(spot),
+        "spot": float(model.spot),
         "atm_curve": {
             "maturities": list(params.theta_maturities),
             "values": list(params.theta_values),
@@ -441,7 +466,7 @@ def model_to_json(params: SsviParams, surface: SviSurface, spot: float) -> dict:
     }
 
 
-def model_from_json(doc: dict) -> tuple[SsviParams, SviSurface, float]:
+def model_from_json(doc: dict) -> SsviModel:
     if doc.get("version") != "ssvi/1":
         raise ValueError(f"unsupported SSVI model version {doc.get('version')!r}")
     theta_values = tuple(float(v) for v in doc["atm_curve"]["values"])
@@ -462,4 +487,4 @@ def model_from_json(doc: dict) -> tuple[SsviParams, SviSurface, float]:
         slices=slices,
         atm_curve=theta_values,
     )
-    return params, surface, float(doc["spot"])
+    return SsviModel(params=params, surface=surface, spot=float(doc["spot"]))

@@ -5,6 +5,7 @@ same answers by a method slow enough to be obviously correct.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -85,8 +86,9 @@ def sparse_negative_log_likelihood(params, frame, grid) -> float:
     from volsurf.constrained_sampling import chol_with_jitter
     from volsurf.gp_price_surface import _axis_weights, matern52
 
-    t, k, y = frame.bid_ask_observations()
-    u, v = frame.to_unit_square(t, k)
+    u, v = frame.scaling.to_unit(np.repeat(frame.maturity, 2),
+                                 np.repeat(frame.reduced_strike, 2))
+    y = np.column_stack([frame.reduced_bid, frame.reduced_ask]).ravel()
     sandwiches = []
     for coords, nodes, theta in ((u, grid.t_nodes, params.theta_t),
                                  (v, grid.k_nodes, params.theta_k)):
@@ -242,17 +244,16 @@ def scalar_report(model_prices, frame):
     """report's rows and (price RMSE, IV RMSE, failures), one quote at a time."""
     curves = frame.curves
     rows, price_errs, iv_errs = [], [], []
-    for price, p in zip(model_prices, frame.points):
-        t = p.maturity
-        market_price = p.reduced_mid / float(curves.growth(t))
-        model_iv = scalar_implied_vol(float(price), float(curves.forward(t)), p.strike, t,
+    for price, (t, strike, _, _, _, _, mid, mid_iv) in zip(model_prices, frame_rows(frame)):
+        market_price = mid / float(curves.growth(t))
+        model_iv = scalar_implied_vol(float(price), float(curves.forward(t)), strike, t,
                                       float(curves.discount(t)))
         if model_iv is not None:
-            iv_errs.append(model_iv - p.mid_iv)
+            iv_errs.append(model_iv - mid_iv)
         price_errs.append(price - market_price)
-        rows.append({"maturity": t, "strike": p.strike, "model_price": float(price),
+        rows.append({"maturity": t, "strike": strike, "model_price": float(price),
                      "market_price": float(market_price), "model_iv": model_iv,
-                     "market_iv": p.mid_iv})
+                     "market_iv": mid_iv})
     price_rmse = float(np.sqrt(np.mean(np.square(price_errs))))
     iv_rmse = float(np.sqrt(np.mean(np.square(iv_errs)))) if iv_errs else float("nan")
     return rows, price_rmse, iv_rmse, len(model_prices) - len(iv_errs)
@@ -474,8 +475,8 @@ def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, pe
 def grouped_nn_observations(frame):
     """(T, kappa, mean IV, duplicates) of a frame, one point at a time through a dict."""
     pts = {}
-    for p in frame.points:
-        pts.setdefault((p.maturity, p.log_moneyness), []).append(p.mid_iv)
+    for t, _, _, kappa, _, _, _, mid_iv in frame_rows(frame):
+        pts.setdefault((t, kappa), []).append(mid_iv)
     keys = sorted(pts)
     return (
         np.array([k[0] for k in keys]),
@@ -483,3 +484,107 @@ def grouped_nn_observations(frame):
         np.array([float(np.mean(pts[k])) for k in keys]),
         sum(len(v) - 1 for v in pts.values()),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference formulas with no caller in the package
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BsQuote:
+    """A single Black-Scholes put quote in forward terms."""
+
+    forward: float
+    strike: float
+    maturity: float
+    vol: float
+    discount: float = 1.0
+
+
+def bs_put(q: BsQuote) -> float:
+    """Price of one put quote."""
+    return float(put_price(q.forward, q.strike, q.maturity, q.vol, q.discount))
+
+
+def kernel(x, x_prime, params):
+    """Separable product kernel sigma^2 * m52(dT) * m52(dk), scaled coords."""
+    from volsurf.gp_price_surface import matern52
+
+    t, k = x
+    tp, kp = x_prime
+    return (
+        params.sigma**2
+        * matern52(np.asarray(t) - tp, params.theta_t)
+        * matern52(np.asarray(k) - kp, params.theta_k)
+    )
+
+
+def hat_basis(x, node, h_t: float, h_k: float):
+    """Bilinear hat weight of grid node (i, j) at scaled point x = (t, k)."""
+    t, k = x
+    i, j = node
+    wt = max(1.0 - abs(t - i * h_t) / h_t, 0.0)
+    wk = max(1.0 - abs(k - j * h_k) / h_k, 0.0)
+    return wt * wk
+
+
+def marginal_log_likelihood(params, frame, grid) -> float:
+    """Gaussian marginal log likelihood of a frame's bid/ask observations."""
+    from volsurf.gp_price_surface import LikelihoodEvaluator
+
+    return -LikelihoodEvaluator(frame, grid)(params)
+
+
+def dupire_terms(model, t, kappa):
+    """Calendar numerator and butterfly denominator of an NN model's Dupire ratio."""
+    from volsurf.local_vol import calendar_butterfly_terms
+
+    theta, d_t, d_k, d_kk = model.forward_theta(t, kappa)
+    if np.any(np.asarray(theta) <= 1e-12):
+        raise ValueError("total variance vanished; Dupire terms undefined")
+    return calendar_butterfly_terms(theta, d_t, d_k, d_kk, np.asarray(kappa, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# per-quote references for the columnar frame and the models' put_prices
+# ---------------------------------------------------------------------------
+
+
+def frame_rows(frame):
+    """The frame's quotes as one tuple of Python floats per quote, in column order."""
+    return list(zip(*(getattr(frame, name).tolist() for name in frame.COLUMNS)))
+
+
+def per_point_put_prices(frame, iv_of):
+    """Black-Scholes put prices one quote and one curve call at a time.
+
+    iv_of(maturity, log_moneyness) gives each quote's implied vol.
+    """
+    curves = frame.curves
+    out = []
+    for t, strike, _, kappa, *_ in frame_rows(frame):
+        out.append(put_price(float(curves.forward(t)), strike, t, iv_of(t, kappa),
+                             float(curves.discount(t))))
+    return np.array(out)
+
+
+def per_point_gp_put_prices(model, frame):
+    """A GP model's currency put prices, one quote and one surface call at a time."""
+    curves = frame.curves
+    return np.array([
+        model.price(t, k) / float(curves.growth(t))
+        for t, _, k, *_ in frame_rows(frame)
+    ])
+
+
+def term_structure_cev_frame():
+    """A small CEV book under sloped rate and flat dividend curves, as a frame."""
+    from volsurf.backtest import SyntheticSpec, generate_synthetic
+    from volsurf.market_data import Curve, CurveSet, build_frame
+
+    curves = CurveSet(spot=100.0, rate_curve=Curve([0.0, 1.0, 5.0], [0.01, 0.03, 0.02]),
+                      dividend_curve=Curve.flat(0.015))
+    spec = SyntheticSpec(kind="cev", maturities=(0.3, 0.7, 1.2, 2.0),
+                         moneyness=tuple(np.linspace(0.8, 1.25, 9).tolist()))
+    return build_frame(generate_synthetic(spec, curves), curves)

@@ -117,7 +117,7 @@ def test_03_gp_round_trip(calibration_frame):
         calibration_frame, grid, GpFitConfig(n_starts=5, max_iter=200, seed=0)
     )
     model = fit_map(calibration_frame, grid, params)
-    slack = model.constraint_slack()
+    slack = float(model.constraint_slacks().min())
 
     scaling = model.scaling
     u = np.linspace(0.0, 1.0, 20)
@@ -147,8 +147,8 @@ def test_04_nn_round_trip(calibration_frame):
     model, report = train(calibration_frame, cfg)
     comp = report["components"]
 
-    k_lo = min(p.reduced_strike for p in calibration_frame.points)
-    k_hi = max(p.reduced_strike for p in calibration_frame.points)
+    k_lo = float(calibration_frame.reduced_strike.min())
+    k_hi = float(calibration_frame.reduced_strike.max())
     t_axis = np.linspace(0.25, 2.5, 20)
     k_axis = np.linspace(k_lo * 1.01, k_hi * 0.99, 25)
     lv = dupire_iv(model.forward_theta, t_axis, k_axis, spot=SPOT)

@@ -27,7 +27,13 @@ from volsurf.market_data import (
     load_quotes,
 )
 
-from oracles import scalar_frame_points, scalar_report, scalar_synthetic_quotes
+from oracles import frame_rows, scalar_frame_points, scalar_report, scalar_synthetic_quotes
+
+
+def market_prices(frame):
+    """Currency mid prices of the frame's quotes, one quote at a time."""
+    return np.array([mid / float(frame.curves.growth(t))
+                     for t, mid in zip(frame.maturity.tolist(), frame.reduced_mid.tolist())])
 
 SPOT = 100.0
 
@@ -148,24 +154,20 @@ class TestReport:
 
     def test_perfect_prices_zero_rmse(self):
         frame = self.make_frame()
-        prices = [p.reduced_mid / float(frame.curves.growth(p.maturity)) for p in frame.points]
-        rep = report(np.array(prices), frame, "cn")
+        prices = market_prices(frame)
+        rep = report(prices, frame, "cn")
         assert rep.price_rmse == pytest.approx(0.0, abs=1e-14)
         assert rep.iv_rmse == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_shift_price_rmse(self):
         frame = self.make_frame()
-        prices = np.array(
-            [p.reduced_mid / float(frame.curves.growth(p.maturity)) + 1.0 for p in frame.points]
-        )
+        prices = market_prices(frame) + 1.0
         rep = report(prices, frame, "mc")
         assert rep.price_rmse == pytest.approx(1.0, rel=1e-12)
 
     def test_uninvertible_row_flagged_and_excluded(self):
         frame = self.make_frame()
-        prices = np.array(
-            [p.reduced_mid / float(frame.curves.growth(p.maturity)) for p in frame.points]
-        )
+        prices = market_prices(frame)
         prices[3] = -1.0  # impossible price
         rep = report(prices, frame, "mc")
         assert rep.n_iv_failures == 1
@@ -174,36 +176,27 @@ class TestReport:
 
     def test_permutation_invariance(self):
         frame = self.make_frame()
-        base = np.array(
-            [p.reduced_mid / float(frame.curves.growth(p.maturity)) for p in frame.points]
-        )
+        base = market_prices(frame)
         rng = np.random.default_rng(0)
         noisy = base * (1.0 + 0.01 * rng.standard_normal(base.size))
         rep = report(noisy, frame, "mc")
-        # permute frame points and prices together
+        # permute frame quotes and prices together
         perm = rng.permutation(base.size)
-        from volsurf.market_data import MarketFrame
-
-        frame2 = MarketFrame(
-            points=tuple(frame.points[i] for i in perm),
-            scaling=frame.scaling, curves=frame.curves,
-        )
+        frame2 = frame.subset(perm)
         rep2 = report(noisy[perm], frame2, "mc")
         assert rep2.price_rmse == pytest.approx(rep.price_rmse, rel=1e-12)
         assert rep2.iv_rmse == pytest.approx(rep.iv_rmse, rel=1e-12)
 
     def test_csv_and_json(self, tmp_path):
         frame = self.make_frame()
-        prices = np.array(
-            [p.reduced_mid / float(frame.curves.growth(p.maturity)) for p in frame.points]
-        )
+        prices = market_prices(frame)
         rep = report(prices, frame, "cn", runtime=1.5)
         doc = rep.to_json()
         assert doc["method"] == "cn"
-        assert doc["n_options"] == len(frame.points)
+        assert doc["n_options"] == len(frame)
         path = tmp_path / "rows.csv"
         rep.write_csv(path)
-        assert len(path.read_text().strip().splitlines()) == 1 + len(frame.points)
+        assert len(path.read_text().strip().splitlines()) == 1 + len(frame)
 
 
 class TestRunBacktest:
@@ -371,15 +364,15 @@ class TestScalarReference:
         ]
         frame = build_frame(quotes, curves)
         points, rejected = scalar_frame_points(quotes, curves)
-        assert [tuple(vars(p).values()) for p in frame.points] == points
+        assert frame_rows(frame) == points
+        assert np.array(frame_rows(frame)).tobytes() == np.array(points).tobytes()
         assert list(frame.rejected) == rejected
         assert {reason for _, reason in rejected} == {
             "below minimum maturity", "mid price outside arbitrage band",
             "listed iv inconsistent with mid price",
         }
 
-        market = np.array([p.reduced_mid / float(curves.growth(p.maturity))
-                           for p in frame.points])
+        market = market_prices(frame)
         prices = market * np.linspace(0.9, 1.1, market.size)
         prices[::17] = -1.0                       # uninvertible rows
         got = report(prices, frame, "cn")

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volsurf.black_scholes import (
-    BsQuote,
     InversionDomainError,
-    bs_put,
     implied_vol,
     implied_vol_array,
     put_price,
@@ -14,7 +12,7 @@ from volsurf.black_scholes import (
     total_variance,
 )
 
-from oracles import scalar_implied_vol
+from oracles import BsQuote, bs_put, scalar_implied_vol
 
 # Closed-form evaluation of K*N(-d2) - F*N(-d1) at F=K=100, T=1, sigma=0.2,
 # frozen from an independent scipy.special.ndtr computation.
@@ -182,12 +180,3 @@ def test_total_variance():
         total_variance(-0.1, 1.0)
     with pytest.raises(ValueError):
         total_variance(0.2, 0.0)
-
-
-def test_quote_validation():
-    with pytest.raises(ValueError):
-        BsQuote(forward=-1.0, strike=100.0, maturity=1.0, vol=0.2)
-    with pytest.raises(ValueError):
-        BsQuote(forward=100.0, strike=100.0, maturity=1.0, vol=0.2, discount=1.2)
-    with pytest.raises(ValueError):
-        BsQuote(forward=100.0, strike=100.0, maturity=0.0, vol=0.2)

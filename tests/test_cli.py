@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -182,6 +181,33 @@ class TestCalibrate:
             assert code == 0
             outs.append((out / "model.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestSplit:
+    def test_order_is_sorted_maturity_then_strike_ties_included(self):
+        from volsurf.market_data import AffineScaling, Curve, CurveSet, MarketFrame
+
+        from oracles import frame_rows
+
+        rng = np.random.default_rng(5)
+        n = 41
+        t = rng.choice([0.25, 0.5, 1.0], n)
+        k = rng.choice([90.0, 100.0, 110.0], n)
+        bid = rng.uniform(1.0, 2.0, n)      # tells tied quotes apart
+        frame = MarketFrame(
+            maturity=t, strike=k, reduced_strike=k, log_moneyness=np.log(k / 100.0),
+            reduced_bid=bid, reduced_ask=bid + 0.1, reduced_mid=bid + 0.05,
+            mid_iv=np.full(n, 0.2), scaling=AffineScaling(0.25, 1.0, 90.0, 110.0),
+            curves=CurveSet(spot=100.0, rate_curve=Curve.flat(0.0),
+                            dividend_curve=Curve.flat(0.0)),
+        )
+        rows = frame_rows(frame)
+        order = sorted(range(n), key=lambda i: (rows[i][0], rows[i][1]))
+        train, test = cli._split_frame(frame, holdout=True)
+        assert frame_rows(train) == [rows[i] for i in order[0::2]]
+        assert frame_rows(test) == [rows[i] for i in order[1::2]]
+        train, test = cli._split_frame(frame, holdout=False)
+        assert train is frame and test is frame
 
 
 class TestBacktestCommand:
@@ -424,6 +450,50 @@ class TestFailureContract:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "numerical" and "restarted" in err["message"]
 
+    @staticmethod
+    def one_json_line(capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return json.loads(err[0])
+
+    def test_degenerate_variance_exits_3(self, tmp_path, capsys):
+        # an SSVI surface whose slices carry no variance at all
+        flat = {"delta": 0.0, "mu": 0.0, "rho": 0.0, "omega": 0.0, "zeta": 1.0}
+        doc = {"version": "ssvi/1", "rho": 0.0, "eta": 1.0, "gamma": 0.5, "spot": 100.0,
+               "atm_curve": {"maturities": [0.5, 1.5], "values": [0.0, 0.0]},
+               "slices": [{"maturity": 0.5, **flat}, {"maturity": 1.5, **flat}]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["localvol", "--model", path, "--out", tmp_path / "lv",
+                    "--grid-t", 4, "--grid-k", 4])
+        assert code == 3
+        assert self.one_json_line(capsys) == {
+            "error": "numerical", "message": "total variance vanishes on the evaluation grid"}
+
+    def test_infeasible_sampler_start_exits_3(self, synthetic_dir, tmp_path, monkeypatch,
+                                              capsys):
+        from volsurf import gp_price_surface
+
+        # an HMC start that breaks every nonnegativity row
+        monkeypatch.setattr(gp_price_surface, "_interior_nudge",
+                            lambda model, system: -np.ones(model.grid.size))
+        capsys.readouterr()
+        code = run(["calibrate", "gp", *market_args(synthetic_dir), "--out", tmp_path,
+                    "--grid-t", 3, "--grid-k", 4, "--starts", 1, "--paths", 2])
+        assert code == 3
+        err = self.one_json_line(capsys)
+        assert err["error"] == "numerical"
+        assert err["message"].startswith("initial point must be strictly feasible")
+
+    def test_maturity_beyond_calibrated_range_exits_2(self, model_files, tmp_path, capsys):
+        capsys.readouterr()
+        code = run(["localvol", "--model", model_files["ssvi"], "--out", tmp_path / "lv",
+                    "--grid-t", 4, "--grid-k", 4, "--t-range", 0.5, 9.0])
+        assert code == 2
+        err = self.one_json_line(capsys)
+        assert err["error"] == "input" and "outside calibrated range" in err["message"]
+
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_thread_cap_set_before_numpy_loads(self, preset, expected):
         probe = textwrap.dedent(
@@ -450,50 +520,3 @@ class TestFailureContract:
                               text=True, timeout=120, check=False)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == repr([expected])
-
-
-class TestPriceAdapters:
-    """The vectorised price adapters against one-point-at-a-time references."""
-
-    @pytest.fixture(scope="class")
-    def frame(self):
-        from volsurf.backtest import SyntheticSpec, generate_synthetic
-        from volsurf.market_data import Curve, CurveSet, build_frame
-
-        curves = CurveSet(spot=100.0, rate_curve=Curve([0.0, 1.0, 5.0], [0.01, 0.03, 0.02]),
-                          dividend_curve=Curve.flat(0.015))
-        spec = SyntheticSpec(kind="cev", maturities=(0.3, 0.7, 1.2, 2.0),
-                             moneyness=tuple(np.linspace(0.8, 1.25, 9).tolist()))
-        return build_frame(generate_synthetic(spec, curves), curves)
-
-    @staticmethod
-    def per_point(frame, iv_of):
-        from volsurf.black_scholes import put_price
-
-        curves = frame.curves
-        return np.array([
-            put_price(float(curves.forward(p.maturity)), p.strike, p.maturity, iv_of(p),
-                      float(curves.discount(p.maturity)))
-            for p in frame.points
-        ])
-
-    def test_ssvi_adapter(self, frame):
-        from volsurf.ssvi import calibrate, interpolate_slice, svi_total_variance
-
-        _, surface = calibrate(frame)
-
-        def iv_of(p):
-            total = float(svi_total_variance(interpolate_slice(surface, p.maturity),
-                                             p.log_moneyness))
-            return math.sqrt(max(total, 1e-14) / p.maturity)
-
-        got = cli._ssvi_price_fn(surface)(frame)
-        assert got.tobytes() == self.per_point(frame, iv_of).tobytes()
-
-    def test_nn_adapter(self, frame):
-        from volsurf.nn_iv import NnIvModel
-
-        model = NnIvModel.initialize(seed=3, hidden=(6, 6))
-        got = cli._nn_price_fn(model)(frame)
-        want = self.per_point(frame, lambda p: model.sigma(p.maturity, p.log_moneyness))
-        assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ from volsurf.gp_price_surface import (
     build_constraints,
     evaluate_surface,
     fit_hyperparameters,
+    bid_ask_observations,
     fit_map,
-    hat_basis,
-    kernel,
-    marginal_log_likelihood,
     matern52,
     model_from_json,
     model_to_json,
@@ -31,12 +30,17 @@ from volsurf.market_data import (
     Curve,
     CurveSet,
     MarketFrame,
-    MarketPoint,
     QuoteRecord,
     build_frame,
 )
 
-from oracles import sparse_negative_log_likelihood
+from oracles import (
+    hat_basis,
+    kernel,
+    marginal_log_likelihood,
+    per_point_gp_put_prices,
+    sparse_negative_log_likelihood,
+)
 
 MATERN_AT_ONE = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
 
@@ -47,19 +51,6 @@ def make_frame(t, k, bid, ask, spot=100.0):
     k = np.asarray(k, float)
     bid = np.asarray(bid, float)
     ask = np.asarray(ask, float)
-    points = tuple(
-        MarketPoint(
-            maturity=float(ti),
-            strike=float(ki),
-            reduced_strike=float(ki),
-            log_moneyness=math.log(ki / spot),
-            reduced_bid=float(bi),
-            reduced_ask=float(ai),
-            reduced_mid=float(0.5 * (bi + ai)),
-            mid_iv=0.2,
-        )
-        for ti, ki, bi, ai in zip(t, k, bid, ask)
-    )
     pad_t = 1e-9 * max(1.0, float(t.max()))
     pad_k = 1e-9 * max(1.0, float(k.max()))
     scaling = AffineScaling(
@@ -69,7 +60,11 @@ def make_frame(t, k, bid, ask, spot=100.0):
         k_max=float(k.max()) + (pad_k if k.max() == k.min() else 0.0),
     )
     curves = CurveSet(spot=spot, rate_curve=Curve.flat(0.0), dividend_curve=Curve.flat(0.0))
-    return MarketFrame(points=points, scaling=scaling, curves=curves)
+    return MarketFrame(
+        maturity=t, strike=k, reduced_strike=k, log_moneyness=np.log(k / spot),
+        reduced_bid=bid, reduced_ask=ask, reduced_mid=0.5 * (bid + ask),
+        mid_iv=np.full(t.size, 0.2), scaling=scaling, curves=curves,
+    )
 
 
 def flat_vol_frame(sigma=0.2, spread=0.005, n_t=10, n_k=15, spot=100.0, r=0.02, q=0.01):
@@ -230,7 +225,7 @@ class TestMarginalLogLikelihood:
         # gram = sigma^2 * ones(2,2) + noise^2 I, y = 0, so
         # L = -1/2 log det = -1/2 log((s+n)^2 - s^2), s = sigma^2, n = noise^2
         frame = make_frame([1.0, 2.0], [90.0, 110.0], [0.0, 0.0], [0.0, 0.0])
-        frame = MarketFrame(points=frame.points[:1], scaling=frame.scaling, curves=frame.curves)
+        frame = frame.subset(slice(0, 1))
         grid = BasisGrid(n_t=2, n_k=3)
         p = KernelParams(sigma=1.7, theta_t=0.3, theta_k=0.3, noise_sd=0.4)
         s, n = p.sigma**2, p.noise_sd**2
@@ -240,14 +235,8 @@ class TestMarginalLogLikelihood:
 
     def test_quadratic_term_scales_with_y(self):
         frame1 = flat_vol_frame(n_t=4, n_k=5)
-        pts2 = tuple(
-            MarketPoint(
-                p.maturity, p.strike, p.reduced_strike, p.log_moneyness,
-                2 * p.reduced_bid, 2 * p.reduced_ask, 2 * p.reduced_mid, p.mid_iv,
-            )
-            for p in frame1.points
-        )
-        frame2 = MarketFrame(points=pts2, scaling=frame1.scaling, curves=frame1.curves)
+        frame2 = replace(frame1, reduced_bid=2 * frame1.reduced_bid,
+                         reduced_ask=2 * frame1.reduced_ask, reduced_mid=2 * frame1.reduced_mid)
         grid = BasisGrid(n_t=3, n_k=4)
         p = KernelParams(sigma=5.0, theta_t=0.3, theta_k=0.3, noise_sd=0.5)
         l1 = marginal_log_likelihood(p, frame1, grid)
@@ -320,7 +309,7 @@ class TestLikelihoodEvaluator:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spread of no observations
     def test_empty_frame_rejected(self):
         frame = make_frame([0.5, 1.0], [90.0, 110.0], [1.0, 1.0], [1.0, 1.0])
-        empty = MarketFrame(points=(), scaling=frame.scaling, curves=frame.curves)
+        empty = frame.subset(slice(0, 0))
         p = KernelParams(sigma=1.0, theta_t=0.3, theta_k=0.3, noise_sd=0.1)
         with pytest.raises(ValueError, match="empty"):
             marginal_log_likelihood(p, empty, BasisGrid(n_t=2, n_k=3))
@@ -353,10 +342,8 @@ class TestFitHyperparameters:
             ask = np.maximum(y1, y2)
             # frame whose scaled coordinates reproduce (u, v) exactly
             frame = make_frame(t_pts, k_pts, bid, ask)
-            frame = MarketFrame(
-                points=frame.points,
-                scaling=AffineScaling(t_min=0.1, t_max=2.1, k_min=50.0, k_max=150.0),
-                curves=frame.curves,
+            frame = replace(
+                frame, scaling=AffineScaling(t_min=0.1, t_max=2.1, k_min=50.0, k_max=150.0)
             )
             fitted = fit_hyperparameters(
                 frame, grid, GpFitConfig(n_starts=3, max_iter=150, seed=seed)
@@ -414,7 +401,7 @@ class TestFitMap:
         grid = BasisGrid(n_t=2, n_k=3)
         p = KernelParams(sigma=10.0, theta_t=0.4, theta_k=0.4, noise_sd=0.05)
         model = fit_map(frame, grid, p)
-        assert model.constraint_slack() >= -1e-8
+        assert model.constraint_slacks().min() >= -1e-8
         assert np.max(np.abs(model.map_noise)) > 0.5  # the violation went to noise
 
     def test_map_objective_beats_trivial_feasible_point(self):
@@ -422,10 +409,10 @@ class TestFitMap:
         grid = BasisGrid(n_t=4, n_k=6)
         p = KernelParams(sigma=20.0, theta_t=0.4, theta_k=0.4, noise_sd=0.2)
         model = fit_map(frame, grid, p)
-        assert model.constraint_slack() >= -1e-8
+        assert model.constraint_slacks().min() >= -1e-8
         # objective of (rho, e) vs the always-feasible (0, y)
-        _, _, y = frame.bid_ask_observations()
-        from volsurf.gp_price_surface import _axis_correlations, _scaled_observations
+        _, _, y = bid_ask_observations(frame)
+        from volsurf.gp_price_surface import _axis_correlations
         import scipy.linalg as sla
 
         c_t, c_k = _axis_correlations(grid, p)
@@ -444,11 +431,8 @@ class TestFitMap:
         grid = BasisGrid(n_t=5, n_k=8)
         params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=3, max_iter=150))
         model = fit_map(frame, grid, params)
-        t = np.array([p.maturity for p in frame.points])
-        k = np.array([p.reduced_strike for p in frame.points])
-        mid = np.array([p.reduced_mid for p in frame.points])
-        fit = model.price(t, k)
-        rel = np.abs(fit - mid) / np.maximum(mid, 0.5)
+        fit = model.price(frame.maturity, frame.reduced_strike)
+        rel = np.abs(fit - frame.reduced_mid) / np.maximum(frame.reduced_mid, 0.5)
         assert np.median(rel) < 0.02
 
 
@@ -494,7 +478,7 @@ class TestPosterior:
         # two identical replications y* at one node: eta(node) = 2 s y* / (2 s + n)
         y_star = 4.0
         frame = make_frame([0.5, 2.0], [80.0, 120.0], [y_star, 0.0], [y_star, 0.0])
-        frame = MarketFrame(points=frame.points[:1], scaling=frame.scaling, curves=frame.curves)
+        frame = frame.subset(slice(0, 1))
         grid = BasisGrid(n_t=2, n_k=3)
         p = KernelParams(sigma=3.0, theta_t=0.5, theta_k=0.5, noise_sd=0.7)
         model = fit_map(frame, grid, p)
@@ -528,10 +512,8 @@ class TestConvergenceProxy:
         v = (k_pts - 50.0) / 100.0
         y = truth(u, v)
         frame = make_frame(t_pts, k_pts, y, y)
-        frame = MarketFrame(
-            points=frame.points,
-            scaling=AffineScaling(t_min=0.1, t_max=2.1, k_min=50.0, k_max=150.0),
-            curves=frame.curves,
+        frame = replace(
+            frame, scaling=AffineScaling(t_min=0.1, t_max=2.1, k_min=50.0, k_max=150.0)
         )
         p = KernelParams(sigma=50.0, theta_t=0.5, theta_k=0.5, noise_sd=0.01)
         errs = []
@@ -543,6 +525,16 @@ class TestConvergenceProxy:
             fit = model.price_scaled(grid_u.ravel(), grid_v.ravel())
             errs.append(np.max(np.abs(fit - truth(grid_u.ravel(), grid_v.ravel()))))
         assert errs[1] < errs[0]
+
+
+class TestPutPrices:
+    def test_bitwise_against_per_point_oracle(self):
+        frame = flat_vol_frame(n_t=5, n_k=7)
+        model = fit_map(frame, BasisGrid(n_t=4, n_k=6),
+                        KernelParams(sigma=20.0, theta_t=0.4, theta_k=0.4, noise_sd=0.2))
+        for part in (frame, frame.subset(np.arange(1, len(frame), 3))):
+            got = model.put_prices(part)
+            assert got.tobytes() == per_point_gp_put_prices(model, part).tobytes()
 
 
 class TestSerialization:

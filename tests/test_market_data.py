@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from volsurf.black_scholes import put_price
+from volsurf.gp_price_surface import bid_ask_observations
 from volsurf.market_data import (
     AffineScaling,
     Curve,
@@ -151,15 +153,14 @@ class TestBuildFrame:
         curves = make_curves()
         quotes = synthetic_quotes(curves, [0.02, 0.5, 1.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
-        assert all(p.maturity >= 0.055 for p in frame.points)
+        assert np.all(frame.maturity >= 0.055)
         assert sum(1 for _, reason in frame.rejected if "maturity" in reason) == 3
 
     def test_constant_r_equals_q_gives_k_equal_strike(self):
         curves = make_curves(r=0.015, q=0.015)
         quotes = synthetic_quotes(curves, [0.5, 1.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
-        for p in frame.points:
-            assert p.reduced_strike == pytest.approx(p.strike, rel=1e-14)
+        assert frame.reduced_strike == pytest.approx(frame.strike, rel=1e-14)
 
     def test_iv_gap_filter(self):
         curves = make_curves()
@@ -177,30 +178,27 @@ class TestBuildFrame:
         curves = make_curves(r=0.03, q=0.02)
         quotes = synthetic_quotes(curves, [1.5], [1.0], spread=0.0)
         frame = build_frame(quotes, curves)
-        p = frame.points[0]
         growth = math.exp(curves.dividend_curve.integral(1.5))
-        assert p.reduced_mid == pytest.approx(growth * quotes[0].mid, rel=1e-14)
-        assert p.reduced_strike == pytest.approx(
+        assert frame.reduced_mid[0] == pytest.approx(growth * quotes[0].mid, rel=1e-14)
+        assert frame.reduced_strike[0] == pytest.approx(
             quotes[0].strike * math.exp(-(curves.carry(1.5))), rel=1e-14
         )
-        assert p.log_moneyness == pytest.approx(math.log(p.reduced_strike / 100.0))
+        assert frame.log_moneyness[0] == pytest.approx(
+            math.log(frame.reduced_strike[0] / 100.0)
+        )
 
     def test_bid_mid_ask_ordering(self):
         curves = make_curves()
         quotes = synthetic_quotes(curves, [0.5, 1.0, 2.0], np.linspace(0.85, 1.2, 7))
         frame = build_frame(quotes, curves)
-        for p in frame.points:
-            assert p.reduced_bid <= p.reduced_mid <= p.reduced_ask
+        assert np.all(frame.reduced_bid <= frame.reduced_mid)
+        assert np.all(frame.reduced_mid <= frame.reduced_ask)
 
     def test_filtering_idempotent(self):
         curves = make_curves()
         quotes = synthetic_quotes(curves, [0.02, 0.5, 1.0, 2.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
-        survivors = [
-            QuoteRecord(p.maturity, p.strike, p.reduced_bid, p.reduced_ask)
-            for p in frame.points
-        ]
-        # re-feed raw (unreduced) quotes of the survivors instead
+        # re-feed the raw (unreduced) quotes of the survivors
         survivors = [q for q in quotes if q.maturity >= 0.055]
         frame2 = build_frame(survivors, curves)
         assert len(frame2) == len(frame)
@@ -225,10 +223,40 @@ class TestBuildFrame:
         curves = make_curves()
         quotes = synthetic_quotes(curves, [0.5, 1.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
-        t, k, y = frame.bid_ask_observations()
-        assert t.shape == k.shape == y.shape == (2 * len(frame),)
-        assert y[0] == frame.points[0].reduced_bid
-        assert y[1] == frame.points[0].reduced_ask
+        u, v, y = bid_ask_observations(frame)
+        assert u.shape == v.shape == y.shape == (2 * len(frame),)
+        assert y[0] == frame.reduced_bid[0]
+        assert y[1] == frame.reduced_ask[0]
+
+
+class TestFrameColumns:
+    def frame(self):
+        curves = make_curves()
+        return build_frame(synthetic_quotes(curves, [0.5, 1.0], [0.9, 1.0, 1.1]), curves)
+
+    def test_columns_reject_writes(self):
+        frame = self.frame()
+        for name in MarketFrame.COLUMNS:
+            column = getattr(frame, name)
+            assert column.dtype == np.float64 and column.shape == (len(frame),)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        with pytest.raises(AttributeError):
+            frame.maturity = np.ones(len(frame))
+
+    def test_frame_owns_its_columns(self):
+        frame = self.frame()
+        t = np.linspace(0.5, 1.0, 3)
+        copy = replace(frame.subset(slice(0, 3)), maturity=t)
+        t[0] = 9.0
+        assert copy.maturity[0] == 0.5
+
+    def test_subset_keeps_scaling_and_curves(self):
+        frame = self.frame()
+        part = frame.subset(np.array([4, 1]))
+        assert part.scaling is frame.scaling and part.curves is frame.curves
+        for name in MarketFrame.COLUMNS:
+            assert getattr(part, name).tolist() == getattr(frame, name)[[4, 1]].tolist()
 
 
 class TestUnitSquare:
@@ -260,8 +288,6 @@ class TestUnitSquare:
         curves = make_curves()
         quotes = synthetic_quotes(curves, [0.5, 1.0, 2.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
-        ts = np.array([p.maturity for p in frame.points])
-        ks = np.array([p.reduced_strike for p in frame.points])
-        u, v = frame.to_unit_square(ts, ks)
+        u, v = frame.scaling.to_unit(frame.maturity, frame.reduced_strike)
         assert np.all(u >= -1e-15) and np.all(u <= 1 + 1e-15)
         assert np.all(v >= -1e-15) and np.all(v <= 1 + 1e-15)

@@ -1,12 +1,16 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import (
     allocating_nn_forward,
     allocating_nn_loss_and_grads,
+    dupire_terms,
     grouped_nn_observations,
+    per_point_put_prices,
+    term_structure_cev_frame,
 )
 
 from volsurf.black_scholes import put_price
@@ -15,10 +19,10 @@ from volsurf.market_data import (
     Curve,
     CurveSet,
     MarketFrame,
-    MarketPoint,
     QuoteRecord,
     build_frame,
 )
+from volsurf import nn_iv
 from volsurf.nn_iv import (
     LossWeights,
     NnIvModel,
@@ -31,7 +35,6 @@ from volsurf.nn_iv import (
     _train_once,
     _Workspace,
     compute_weights,
-    dupire_terms,
     loss,
     model_from_json,
     model_to_json,
@@ -174,20 +177,20 @@ class TestWeights:
         cells = [(t, k) for t in (0.25, 0.5, 1.5) for k in (-0.2, -0.0, 0.0, 0.1)]
         keys = [cells[i] for i in rng.integers(0, len(cells), 60)] + [cells[0]] * 12
         order = rng.permutation(len(keys))
-        points = tuple(
-            MarketPoint(maturity=keys[i][0], strike=100.0, reduced_strike=100.0,
-                        log_moneyness=keys[i][1], reduced_bid=1.0, reduced_ask=1.0,
-                        reduced_mid=1.0, mid_iv=float(rng.uniform(0.1, 0.4)))
-            for i in order
+        ones = np.ones(len(keys))
+        frame = MarketFrame(
+            maturity=[keys[i][0] for i in order], strike=100.0 * ones,
+            reduced_strike=100.0 * ones, log_moneyness=[keys[i][1] for i in order],
+            reduced_bid=ones, reduced_ask=ones, reduced_mid=ones,
+            mid_iv=[float(rng.uniform(0.1, 0.4)) for _ in order],
+            scaling=AffineScaling(0.25, 1.5, 80.0, 110.0),
+            curves=CurveSet(spot=SPOT, rate_curve=Curve.flat(0.0),
+                            dividend_curve=Curve.flat(0.0)),
         )
-        curves = CurveSet(spot=SPOT, rate_curve=Curve.flat(0.0),
-                          dividend_curve=Curve.flat(0.0))
-        frame = MarketFrame(points=points, scaling=AffineScaling(0.25, 1.5, 80.0, 110.0),
-                            curves=curves)
         got, want = _observations(frame), grouped_nn_observations(frame)
         for g, w in zip(got[:3], want[:3]):
             assert g.tobytes() == w.tobytes()
-        assert got[3] == want[3] == len(points) - got[0].size
+        assert got[3] == want[3] == len(frame) - got[0].size
 
 
 class TestLoss:
@@ -452,6 +455,44 @@ class TestTraining:
         model, report = train(frame, cfg)
         assert len(report["lambda_search"]) == 2
         assert report["lambdas"] in ([0.1, 0.1, 0.1], [1.0, 1.0, 1.0])
+
+
+    def test_one_workspace_per_training_run(self, monkeypatch):
+        # the report scores the returned model on the run's own workspace
+        built = []
+
+        class CountingWorkspace(nn_iv._Workspace):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(nn_iv, "_Workspace", CountingWorkspace)
+        frame = flat_frame(n_t=4, n_k=5)
+        t, kappa, iv, _ = _observations(frame)
+        weights = compute_weights(np.column_stack([t, kappa]))
+        common = dict(hidden=(8, 8), penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=2)
+        search = dict(search_epochs=3, lambda_candidates=((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)))
+        for cfg, runs in ((TrainConfig(epochs=7, **common), 1),
+                          (TrainConfig(epochs=0, **common), 1),
+                          (TrainConfig(epochs=6, **search, **common), 3)):
+            built.clear()
+            model, report = train(frame, cfg)
+            assert len(built) == runs
+            pen = replace(cfg.penalty, lambdas=tuple(report["lambdas"]))
+            assert (report["final_total"], report["components"]) == loss(
+                model, t, kappa, iv, weights, pen
+            )
+            if cfg.epochs:
+                assert min(h["total"] for h in report["history"]) == report["final_total"]
+
+
+class TestPutPrices:
+    def test_bitwise_against_per_point_oracle(self):
+        frame = term_structure_cev_frame()
+        model = NnIvModel.initialize(seed=3, hidden=(6, 6))
+        for part in (frame, frame.subset(np.arange(len(frame) - 1, -1, -2))):
+            want = per_point_put_prices(part, model.sigma)
+            assert model.put_prices(part).tobytes() == want.tobytes()
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ from volsurf.ssvi import (
     ExtrapolationError,
     NaturalSviParams,
     SsviFitConfig,
+    SsviModel,
     _slice_objective,
     SsviParams,
     SviSurface,
@@ -26,7 +27,12 @@ from volsurf.ssvi import (
     svi_total_variance,
 )
 
-from oracles import per_point_theta, svi_slice_objective
+from oracles import (
+    per_point_put_prices,
+    per_point_theta,
+    svi_slice_objective,
+    term_structure_cev_frame,
+)
 
 SPOT = 100.0
 
@@ -197,8 +203,9 @@ class TestCalibrate:
         ssvi_only, _ = calibrate(frame, SsviFitConfig(refine_slices=False))
         _, surface = calibrate(frame)
         mids = {}
-        for p in frame.points:
-            mids.setdefault(p.maturity, []).append((p.log_moneyness, p.mid_iv))
+        for t, kappa, iv in zip(frame.maturity.tolist(), frame.log_moneyness.tolist(),
+                                frame.mid_iv.tolist()):
+            mids.setdefault(t, []).append((kappa, iv))
         for t, refined in zip(surface.maturities, surface.slices):
             kappas = np.array([k for k, _ in mids[t]])
             ivs = np.array([v for _, v in mids[t]])
@@ -324,18 +331,33 @@ class TestThetaSurfaces:
             assert g.shape == tt.shape
             assert g.tobytes() == w.tobytes()
 
+class TestPutPrices:
+    def test_bitwise_against_per_point_oracle(self):
+        frame = term_structure_cev_frame()
+        params, surface = calibrate(frame)
+        model = SsviModel(params=params, surface=surface, spot=frame.curves.spot)
+
+        def iv_of(t, kappa):
+            total = float(svi_total_variance(interpolate_slice(surface, t), kappa))
+            return math.sqrt(max(total, 1e-14) / t)
+
+        for part in (frame, frame.subset(np.arange(0, len(frame), 2))):
+            assert model.put_prices(part).tobytes() == per_point_put_prices(part, iv_of).tobytes()
+
+
 class TestSerialization:
     def test_round_trip(self):
         frame, _ = ssvi_quotes()
         params, surface = calibrate(frame)
-        doc = model_to_json(params, surface, spot=SPOT)
+        doc = model_to_json(SsviModel(params=params, surface=surface, spot=SPOT))
         assert doc["version"] == "ssvi/1"
-        params2, surface2, spot = model_from_json(doc)
-        assert spot == SPOT
-        assert params2.rho == params.rho
-        assert params2.eta == params.eta
-        assert surface2.slices == surface.slices
-        assert model_to_json(params2, surface2, spot) == doc
+        back = model_from_json(doc)
+        assert back.spot == SPOT
+        assert back.params.rho == params.rho
+        assert back.params.eta == params.eta
+        assert back.surface.slices == surface.slices
+        assert back.t_range == (surface.maturities[0], surface.maturities[-1])
+        assert model_to_json(back) == doc
 
     def test_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
