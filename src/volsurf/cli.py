@@ -473,14 +473,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
     except (OSError, ValueError) as exc:  # missing, unreadable or directory paths too
         return _fail(EXIT_INPUT, "input", str(exc))
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeError) as exc:  # numerical / solver failures
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
-    except Exception as exc:  # numerical / solver failures
-        from .constrained_sampling import QpError
-
-        if isinstance(exc, (QpError, RuntimeError)):
-            return _fail(EXIT_NUMERICAL, "numerical", str(exc))
-        raise
 
 
 if __name__ == "__main__":

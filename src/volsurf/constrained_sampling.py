@@ -9,7 +9,8 @@ Two independent tools live here:
       min 1/2 x'Qx + c'x   s.t.  A x >= b.
 
 * ``sample_truncated`` — exact Hamiltonian Monte Carlo for multivariate
-  Gaussians restricted to a polyhedron {x : A x >= b}.  The Hamiltonian flow
+  Gaussians restricted to a polyhedron {x : A x >= b}, each given by its
+  mean and a square root of its covariance.  The Hamiltonian flow
   of a whitened Gaussian is harmonic, so trajectories are followed
   analytically and wall hits are reflected exactly; no step size exists to
   tune and no sample ever leaves the support.
@@ -234,23 +235,23 @@ class InfeasibleStartError(RuntimeError):
 
 @dataclass
 class TruncatedGaussian:
-    """Gaussian N(mean, covariance) restricted to {x : a @ x >= b}."""
+    """Gaussian N(mean, root @ root.T) restricted to {x : a @ x >= b}.
+
+    `root` is any nonsingular square root of the covariance, not necessarily
+    triangular; the sampler whitens with it as given and never factors.
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    root: np.ndarray
     a: object = None
     b: np.ndarray | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).ravel()
-        self.covariance = np.asarray(self.covariance, dtype=float)
+        self.root = np.asarray(self.root, dtype=float)
         d = self.mean.size
-        if self.covariance.shape != (d, d):
-            raise ValueError("covariance shape inconsistent with mean")
-        if np.max(np.abs(self.covariance - self.covariance.T)) > 1e-10 * max(
-            1.0, float(np.max(np.abs(self.covariance)))
-        ):
-            raise ValueError("covariance must be symmetric")
+        if self.root.shape != (d, d):
+            raise ValueError("covariance root shape inconsistent with mean")
         if self.a is not None:
             self.a = self.a if sp.issparse(self.a) else np.atleast_2d(np.asarray(self.a, float))
             self.b = np.asarray(self.b, dtype=float).ravel()
@@ -326,8 +327,6 @@ class _Walls:
     A.  Wall j's row f_j = L' a_j' combines the rows of L picked by the (at
     most three, for the GP shape rules) nonzeros of a_j, and
     f f_j' = A (L L') a_j' combines as many rows of the cached L L'.
-    L L' rather than the covariance keeps these identities exact when the
-    factorization needed a jitter ridge.
     """
 
     def __init__(self, a, root: np.ndarray):
@@ -399,7 +398,7 @@ def sample_truncated(
     if init.size != d:
         raise ValueError("init dimension mismatch")
 
-    root = chol_with_jitter(tg.covariance, "covariance")
+    root = tg.root
     constrained = tg.a is not None and tg.a.shape[0] > 0
     if constrained:
         slack = np.asarray(tg.a @ init).ravel() - tg.b
@@ -411,7 +410,7 @@ def sample_truncated(
         g = np.asarray(tg.a @ tg.mean).ravel() - tg.b
         walls = _Walls(tg.a, root)
 
-    z = sla.solve_triangular(root, init - tg.mean, lower=True, check_finite=False)
+    z = np.linalg.solve(root, init - tg.mean)  # the root need not be triangular
     f_z = walls.products(z) if constrained else None
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, d))

@@ -12,7 +12,9 @@ values, so:
 * the most probable surface is the solution of a convex QP over the
   constraint polyhedron,
 * posterior uncertainty comes from exact-HMC sampling of the truncated
-  Gaussian conditional law, started at the QP solution.
+  Gaussian conditional law, started at the QP solution.  That law's
+  unconstrained mean and covariance root come from one Cholesky factor of
+  the MAP QP's whitened Hessian, which is exactly the posterior precision.
 
 Bid and ask quotes enter as separate noisy replications of the same
 latent value, with homoscedastic Gaussian noise.
@@ -394,8 +396,8 @@ class GpModel:
     map_nodes: np.ndarray
     map_noise: np.ndarray | None = None
     qp_diagnostics: dict = field(default_factory=dict)
-    _frame: MarketFrame | None = None
-    _posterior: tuple[np.ndarray, np.ndarray] | None = None
+    # (L, Q, c) of fit_map's whitened QP, from which the posterior follows
+    _whitened: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def price_scaled(self, t_scaled, k_scaled):
         return evaluate_surface(self.map_nodes, self.grid, t_scaled, k_scaled)
@@ -461,42 +463,29 @@ def fit_map(
         map_nodes=map_nodes,
         map_noise=map_noise,
         qp_diagnostics=result.diagnostics,
-        _frame=frame,
+        _whitened=(root, q, c),
     )
 
 
-def posterior_factors(model: GpModel, frame: MarketFrame | None = None):
-    """Mean and covariance of the node values given the (unconstrained) data.
+def posterior_factors(model: GpModel):
+    """Mean and covariance root of the node values given the (unconstrained) data.
 
-    eta = Gamma Phi' (Phi Gamma Phi' + noise^2 I)^-1 y
-    cov = Gamma - Gamma Phi' (Phi Gamma Phi' + noise^2 I)^-1 Phi Gamma
+    In fit_map's whitened variables rho = L z the posterior precision of z is
+    exactly Q/2 = I + B'B / noise^2 (B = Phi L), and its mean is the QP's
+    unconstrained minimizer -inv(Q) c.  With one Cholesky factor Q/2 = R R',
+
+        eta = L R^-T R^-1 (-c/2),   cov = S S',   S = L R^-T,
+
+    so the covariance is positive semi-definite by construction.  Returns
+    (eta, S).
     """
-    frame = frame or model._frame
-    if frame is None:
-        raise ValueError("model carries no frame; pass one explicitly")
-    if model._posterior is not None and frame is model._frame:
-        return model._posterior
-    params, grid = model.params, model.grid
-    observations = LikelihoodEvaluator(frame, grid)
-    y = observations.y
-    c_t, c_k = _axis_correlations(grid, params)
-    root = chol_with_jitter(observations.gram(params), "observation gram")
-
-    # Gamma Phi' columns are tensor products of the per-axis kernel averages
-    proj_t = observations.axis_t.rows(c_t).T      # (n_t, n)
-    proj_k = observations.axis_k.rows(c_k).T      # (n_k, n)
-    cross = params.sigma**2 * np.einsum("il,jl->ijl", proj_t, proj_k).reshape(
-        grid.size, y.size
-    )
-    solve = sla.cho_solve((root, True), np.column_stack([y, cross.T]), check_finite=False)
-    eta = cross @ solve[:, 0]
-    gamma = params.sigma**2 * np.kron(c_t, c_k)
-    cov = gamma - cross @ solve[:, 1:]
-    cov = 0.5 * (cov + cov.T)
-    model._posterior = (eta, cov)
-    if np.min(np.diag(cov)) < -1e-10 * params.sigma**2:
-        log.warning("posterior covariance has a noticeably negative diagonal")
-    return eta, cov
+    if model._whitened is None:
+        raise ValueError("model carries no fitted QP; refit it with fit_map")
+    root, q, c = model._whitened
+    r = np.linalg.cholesky(0.5 * q)
+    cov_root = sla.solve_triangular(r, root.T, lower=True, check_finite=False).T
+    eta = cov_root @ sla.solve_triangular(r, -0.5 * c, lower=True, check_finite=False)
+    return eta, cov_root
 
 
 def _interior_nudge(model: GpModel, system: ConstraintSystem) -> np.ndarray:
@@ -522,16 +511,15 @@ def sample_posterior(
     n_paths: int = 100,
     seed: int = 0,
     burn_in: int = 100,
-    frame: MarketFrame | None = None,
 ) -> np.ndarray:
     """Constrained posterior node-value paths via exact HMC.
 
     Returns an (n_paths, M) array; every row satisfies the constraint system.
     """
-    eta, cov = posterior_factors(model, frame)
+    eta, root = posterior_factors(model)
     system = build_constraints(model.grid)
     init = _interior_nudge(model, system)
-    tg = TruncatedGaussian(mean=eta, covariance=cov, a=system.a, b=system.b)
+    tg = TruncatedGaussian(mean=eta, root=root, a=system.a, b=system.b)
     return sample_truncated(tg, init=init, n_samples=n_paths, seed=seed, burn_in=burn_in)
 
 

@@ -75,6 +75,28 @@ def truncated_standard_normal_mean() -> float:
     return float(np.sqrt(2.0 / np.pi))
 
 
+def dense_gp_posterior(params, frame, grid):
+    """Unconstrained node posterior by the textbook formula, on dense matrices.
+
+    eta = Gamma Phi' K^-1 y and cov = Gamma - Gamma Phi' K^-1 Phi Gamma with
+    K = Phi Gamma Phi' + noise^2 I, where Gamma and Phi are filled entry by
+    entry from `kernel` and `hat_basis` and K is applied by np.linalg.solve.
+    """
+    nodes = [(i, j) for i in range(grid.n_t) for j in range(grid.n_k)]
+    points = [(i * grid.h_t, j * grid.h_k) for i, j in nodes]
+    gamma = np.array([[kernel(x, x_prime, params) for x_prime in points] for x in points])
+    u, v = frame.scaling.to_unit(np.repeat(frame.maturity, 2),
+                                 np.repeat(frame.reduced_strike, 2))
+    y = np.column_stack([frame.reduced_bid, frame.reduced_ask]).ravel()
+    phi = np.array([[hat_basis(x, node, grid.h_t, grid.h_k) for node in nodes]
+                    for x in zip(u, v)])
+    cross = gamma @ phi.T
+    gram = phi @ cross + params.noise_sd**2 * np.eye(y.size)
+    eta = cross @ np.linalg.solve(gram, y)
+    cov = gamma - cross @ np.linalg.solve(gram, cross.T)
+    return eta, cov
+
+
 def sparse_negative_log_likelihood(params, frame, grid) -> float:
     """GP negative marginal log likelihood with the per-axis hat weights as sparse matrices.
 

@@ -191,7 +191,7 @@ def test_05_ssvi_round_trip(curves):
 
 def test_06_sampler_correctness(calibration_frame):
     # half-line truncated standard normal
-    tg = TruncatedGaussian(mean=[0.0], covariance=[[1.0]], a=[[1.0]], b=[0.0])
+    tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
     samples = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
     target = truncated_standard_normal_mean()
     stderr = samples.std(ddof=1) / np.sqrt(samples.size)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import volsurf
-from volsurf import cli
+from volsurf import cli, gp_price_surface, nn_iv
 from volsurf.cli import main
+from volsurf.constrained_sampling import QpConvergenceError
+from volsurf.gp_price_surface import HyperparameterFitError
+from volsurf.nn_iv import TrainingError
 
 
 def run(argv):
@@ -435,8 +438,6 @@ class TestFailureContract:
         import faulthandler
         import functools
 
-        from volsurf import gp_price_surface
-
         # no bounce budget: every HMC trajectory that meets a wall restarts
         stalling = functools.partial(gp_price_surface.sample_truncated, max_bounces=0)
         monkeypatch.setattr(gp_price_surface, "sample_truncated", stalling)
@@ -473,8 +474,6 @@ class TestFailureContract:
 
     def test_infeasible_sampler_start_exits_3(self, synthetic_dir, tmp_path, monkeypatch,
                                               capsys):
-        from volsurf import gp_price_surface
-
         # an HMC start that breaks every nonnegativity row
         monkeypatch.setattr(gp_price_surface, "_interior_nudge",
                             lambda model, system: -np.ones(model.grid.size))
@@ -485,6 +484,24 @@ class TestFailureContract:
         err = self.one_json_line(capsys)
         assert err["error"] == "numerical"
         assert err["message"].startswith("initial point must be strictly feasible")
+
+    @pytest.mark.parametrize("method, module, stage, error", [
+        ("gp", gp_price_surface, "fit_map", QpConvergenceError("KKT tolerances not met")),
+        ("gp", gp_price_surface, "fit_hyperparameters",
+         HyperparameterFitError("all optimizer starts failed", [])),
+        ("nn", nn_iv, "train", TrainingError("loss became non-finite", 3)),
+    ], ids=["QpConvergenceError", "HyperparameterFitError", "TrainingError"])
+    def test_solver_failure_exits_3(self, method, module, stage, error, synthetic_dir, tmp_path,
+                                    monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, stage, fail)
+        capsys.readouterr()
+        code = run(["calibrate", method, *market_args(synthetic_dir), "--out", tmp_path,
+                    "--grid-t", 3, "--grid-k", 4, "--starts", 1])
+        assert code == 3
+        assert self.one_json_line(capsys) == {"error": "numerical", "message": str(error)}
 
     def test_maturity_beyond_calibrated_range_exits_2(self, model_files, tmp_path, capsys):
         capsys.readouterr()

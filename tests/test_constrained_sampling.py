@@ -152,7 +152,7 @@ class TestCholWithJitter:
 
 class TestSampleTruncated:
     def test_half_line_mean(self):
-        tg = TruncatedGaussian(mean=[0.0], covariance=[[1.0]], a=[[1.0]], b=[0.0])
+        tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
         samples = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
         assert np.min(samples) >= 0.0
         target = truncated_standard_normal_mean()
@@ -161,7 +161,7 @@ class TestSampleTruncated:
 
     def test_unconstrained_covariance(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        tg = TruncatedGaussian(mean=[1.0, -2.0], covariance=cov)
+        tg = TruncatedGaussian(mean=[1.0, -2.0], root=np.linalg.cholesky(cov))
         samples = sample_truncated(tg, init=np.array([1.0, -2.0]), n_samples=20_000, seed=3)
         est = np.cov(samples.T)
         assert est == pytest.approx(cov, abs=0.08)
@@ -170,7 +170,7 @@ class TestSampleTruncated:
     def test_far_tail_support(self):
         tg = TruncatedGaussian(
             mean=[0.0, 0.0],
-            covariance=np.eye(2),
+            root=np.eye(2),
             a=[[1.0, 0.0]],
             b=[5.0],
         )
@@ -178,13 +178,13 @@ class TestSampleTruncated:
         assert np.min(samples[:, 0]) >= 5.0
 
     def test_deterministic_given_seed(self):
-        tg = TruncatedGaussian(mean=[0.0], covariance=[[1.0]], a=[[1.0]], b=[0.0])
+        tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
         s1 = sample_truncated(tg, init=np.array([1.0]), n_samples=500, seed=11)
         s2 = sample_truncated(tg, init=np.array([1.0]), n_samples=500, seed=11)
         assert np.array_equal(s1, s2)
 
     def test_infeasible_init_rejected(self):
-        tg = TruncatedGaussian(mean=[0.0], covariance=[[1.0]], a=[[1.0]], b=[0.0])
+        tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
         with pytest.raises(InfeasibleStartError):
             sample_truncated(tg, init=np.array([-0.5]), n_samples=10)
         with pytest.raises(InfeasibleStartError):
@@ -194,7 +194,7 @@ class TestSampleTruncated:
         # unit box around a mean outside the box
         a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = np.array([0.0, -1.0, 0.0, -1.0])
-        tg = TruncatedGaussian(mean=[1.5, 0.5], covariance=0.25 * np.eye(2), a=a, b=b)
+        tg = TruncatedGaussian(mean=[1.5, 0.5], root=0.5 * np.eye(2), a=a, b=b)
         samples = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=4_000, seed=1)
         assert np.min(a @ samples.T - b[:, None]) >= 0.0
         # mass should pile against the x=1 wall
@@ -203,7 +203,8 @@ class TestSampleTruncated:
     def test_near_singular_covariance_sampled(self):
         # rank-deficient direction handled by the jitter policy
         cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        tg = TruncatedGaussian(mean=[0.0, 0.0], covariance=cov, a=[[1.0, 0.0]], b=[0.0])
+        tg = TruncatedGaussian(mean=[0.0, 0.0], root=chol_with_jitter(cov), a=[[1.0, 0.0]],
+                               b=[0.0])
         samples = sample_truncated(tg, init=np.array([1.0, 1.0]), n_samples=200, seed=5)
         assert np.min(samples[:, 0]) >= 0.0
 
@@ -311,7 +312,7 @@ class TestSamplerStall:
         faulthandler.cancel_dump_traceback_later()
 
     def test_no_bounce_budget_stalls_instead_of_looping(self, hang_guard):
-        tg = TruncatedGaussian(mean=[0.0], covariance=[[1.0]], a=[[1.0]], b=[0.0])
+        tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
         with pytest.raises(SamplerStallError, match="consecutive"):
             sample_truncated(tg, init=np.array([0.5]), n_samples=5, seed=0, max_bounces=0)
 
@@ -327,7 +328,7 @@ class TestSamplerStall:
             return _reflect(*args)
 
         monkeypatch.setattr(constrained_sampling, "_reflect", flaky)
-        tg = TruncatedGaussian(mean=[0.0, 0.0], covariance=np.eye(2),
+        tg = TruncatedGaussian(mean=[0.0, 0.0], root=np.eye(2),
                                a=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])
         samples = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=100, seed=4)
         assert len(calls) > 22

@@ -35,6 +35,7 @@ from volsurf.market_data import (
 )
 
 from oracles import (
+    dense_gp_posterior,
     hat_basis,
     kernel,
     marginal_log_likelihood,
@@ -448,7 +449,8 @@ class TestPosterior:
         grid = BasisGrid(n_t=3, n_k=4)
         p = KernelParams(sigma=2.0, theta_t=0.3, theta_k=0.3, noise_sd=0.1)
         model = fit_map(frame, grid, p)
-        eta, cov = posterior_factors(model)
+        eta, root = posterior_factors(model)
+        cov = root @ root.T
         assert np.max(np.abs(eta)) == 0.0
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-8
 
@@ -466,7 +468,8 @@ class TestPosterior:
         grid = BasisGrid(n_t=3, n_k=4)
         p = KernelParams(sigma=2.0, theta_t=0.3, theta_k=0.3, noise_sd=1e7)
         model = fit_map(frame, grid, p)
-        eta, cov = posterior_factors(model)
+        eta, root = posterior_factors(model)
+        cov = root @ root.T
         from volsurf.gp_price_surface import _axis_correlations
 
         c_t, c_k = _axis_correlations(grid, p)
@@ -485,6 +488,25 @@ class TestPosterior:
         eta, _ = posterior_factors(model)
         s, n = p.sigma**2, p.noise_sd**2
         assert eta[0] == pytest.approx(2 * s * y_star / (2 * s + n), rel=1e-10)
+
+    def test_matches_dense_textbook_posterior(self):
+        model, frame = self.make_model()
+        eta, root = posterior_factors(model)
+        want_eta, want_cov = dense_gp_posterior(model.params, frame, model.grid)
+        assert np.max(np.abs(eta - want_eta)) <= 1e-9 * np.max(np.abs(want_eta))
+        assert np.max(np.abs(root @ root.T - want_cov)) <= 1e-9 * np.max(np.abs(want_cov))
+
+    def test_degenerate_hyperparameters_sampled(self):
+        # the degenerate corner a short hyperparameter search can end in: a
+        # huge prior scale against a tiny noise, where the textbook
+        # Gamma - Gamma Phi' K^-1 Phi Gamma cancels to an indefinite covariance
+        frame = flat_vol_frame(n_t=4, n_k=10)
+        train = frame.subset(np.lexsort((frame.strike, frame.maturity))[0::2])
+        grid = BasisGrid(n_t=4, n_k=8)
+        model = fit_map(train, grid, KernelParams(1148068.34, 27.29, 241.09, 0.2998))
+        paths = sample_posterior(model, n_paths=20)
+        assert paths.shape == (20, grid.size)
+        assert np.min(build_constraints(grid).a @ paths.T) >= 0.0
 
     def test_paths_satisfy_constraints_and_are_deterministic(self):
         model, frame = self.make_model()
