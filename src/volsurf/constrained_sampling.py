@@ -263,26 +263,28 @@ class TruncatedGaussian:
         return self.mean.size
 
 
-def chol_with_jitter(matrix: np.ndarray, label: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor, escalating a diagonal ridge on failure.
+def chol_with_jitter(matrix: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and the diagonal ridge it took, escalating on failure.
 
-    The ridge starts at 1e-12 of the mean diagonal and escalates to 1e-8;
-    applying it is logged so degenerate inputs are visible.
+    The ridge is 0 when the matrix factors as given; otherwise it starts at
+    1e-12 of the mean diagonal and escalates to 1e-8.  Applying it is logged
+    so degenerate inputs are visible, and returned so callers can refuse it.
     """
     try:
-        return np.linalg.cholesky(matrix)
+        return np.linalg.cholesky(matrix), 0.0
     except np.linalg.LinAlgError:
         pass
     base = float(np.trace(matrix)) / matrix.shape[0]
     if base <= 0.0:
         base = 1.0
     for scale in (1e-12, 1e-10, 1e-8):
+        jitter = scale * base
         try:
-            factor = np.linalg.cholesky(matrix + scale * base * np.eye(matrix.shape[0]))
-            log.warning("%s required jitter %.1e to factorize", label, scale * base)
-            return factor
+            factor = np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
         except np.linalg.LinAlgError:
             continue
+        log.warning("%s required jitter %.1e to factorize", label, jitter)
+        return factor, jitter
     raise np.linalg.LinAlgError(f"{label} is not positive definite even with jitter")
 
 

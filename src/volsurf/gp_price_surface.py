@@ -8,7 +8,9 @@ in strike) are exactly a finite set of linear inequalities between node
 values, so:
 
 * hyperparameters come from maximizing the (unconstrained) marginal
-  log likelihood of the observations,
+  log likelihood of the observations, by L-BFGS-B on its exact gradient
+  over a bounded box of log-parameters; a likelihood whose gram needs a
+  jitter ridge counts as a failed evaluation, never as a value,
 * the most probable surface is the solution of a convex QP over the
   constraint polyhedron,
 * posterior uncertainty comes from exact-HMC sampling of the truncated
@@ -16,8 +18,11 @@ values, so:
   unconstrained mean and covariance root come from one Cholesky factor of
   the MAP QP's whitened Hessian, which is exactly the posterior precision.
 
-Bid and ask quotes enter as separate noisy replications of the same
-latent value, with homoscedastic Gaussian noise.
+Bid and ask quotes enter as two noisy replications of the same latent
+value, with homoscedastic Gaussian noise.  Their mean and difference split
+that model exactly (unit Jacobian), so the likelihood, the MAP and the
+posterior all work on one row per quote: the mean with half the noise
+variance, and a closed-form term for the differences.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .serialize import number_array
 log = logging.getLogger(__name__)
 
 SQRT5 = math.sqrt(5.0)
+SQRT2 = math.sqrt(2.0)
 
 
 class HyperparameterFitError(RuntimeError):
@@ -238,18 +244,19 @@ def evaluate_surface(node_values, grid: BasisGrid, t_scaled, k_scaled):
 # ---------------------------------------------------------------------------
 
 
-def bid_ask_observations(frame: MarketFrame):
-    """Bid and ask reduced prices as separate replications at the same (T, k).
+def quote_observations(frame: MarketFrame):
+    """One observation row per quote: where it sits, its bid/ask mean and its spread.
 
-    Returns (u, v, y): the unit-square coordinates and the price of two rows
-    per quote, bid then ask.  This is the observation set the likelihood and
-    the MAP surface are fitted to.
+    Returns (u, v, m, d): the unit-square coordinates, m = (bid + ask) / 2
+    and d = bid - ask.  (bid, ask) -> (m, d) has unit Jacobian, and with
+    bid and ask two noisy replications of one latent price, m carries the
+    latent price plus noise of variance noise^2 / 2 while d is pure noise of
+    variance 2 noise^2, independent of m.  This is the observation set the
+    likelihood and the MAP surface are fitted to.
     """
-    u, v = frame.scaling.to_unit(
-        np.repeat(frame.maturity, 2), np.repeat(frame.reduced_strike, 2)
-    )
-    y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
-    return u, v, y
+    u, v = frame.scaling.to_unit(frame.maturity, frame.reduced_strike)
+    bid, ask = frame.reduced_bid, frame.reduced_ask
+    return u, v, 0.5 * (bid + ask), bid - ask
 
 
 def _axis_correlations(grid: BasisGrid, params: KernelParams):
@@ -276,6 +283,11 @@ class _HatAxis:
     def correlations(self, theta: float) -> np.ndarray:
         return matern52(self.distances, theta)
 
+    def log_theta_derivative(self, theta: float) -> np.ndarray:
+        """d/d(log theta) of the Matern correlations: (r^2/3)(1 + r) e^-r."""
+        r = SQRT5 * np.abs(self.distances) / theta
+        return r * r / 3.0 * (1.0 + r) * np.exp(-r)
+
     def rows(self, c: np.ndarray) -> np.ndarray:
         """W @ C, shape (n_points, n_nodes)."""
         return self.lower * c[self.cell] + self.upper * c[self.cell + 1]
@@ -286,38 +298,80 @@ class _HatAxis:
 
 
 class LikelihoodEvaluator:
-    """Negative marginal log likelihood of one frame's bid/ask observations.
+    """Negative marginal log likelihood of one frame's quotes and its gradient, in one call.
+
+    With bid and ask collapsed to m and d (see quote_observations),
+
+        -log p(bid, ask) = -log N(m; 0, K) + sum 1/2 (d^2 / (2 noise^2) + log 2 noise^2),
+        K = Phi Gamma Phi' + noise^2 / 2 I,
+
+    exactly, over one row per quote instead of two; both sides drop the
+    same 2-pi constant.  The gradient in the log-parameters is
+    1/2 tr((inv(K) - a a') dK) with a = inv(K) m (Rasmussen & Williams
+    2006, 5.4.1).
 
     Everything that does not depend on the kernel parameters (observations,
     hat cells and weights, node distances, the diagonal index) is built
-    once, so one evaluation costs two per-axis sandwiches, a Hadamard
-    product and one Cholesky factorization.  The value is computed up to
-    the additive 2-pi constant from the Cholesky factor of
-    Phi Gamma Phi' + noise^2 I.  The shape constraints are deliberately
-    ignored here; conditioning on them would barely move the optimum at
-    realistic sample sizes and costs far more.
+    once, so an evaluation costs four per-axis sandwiches (the separable
+    kernel makes each length scale's dK one more), Hadamard products, one
+    Cholesky factorization of K and one triangular inverse.  K is factored
+    through the module's chol_with_jitter, and a K that needs jitter fails
+    the evaluation with LinAlgError: a jittered likelihood is a different
+    likelihood.  The shape constraints are deliberately ignored here;
+    conditioning on them would barely move the optimum at realistic sample
+    sizes and costs far more.
     """
 
     def __init__(self, frame: MarketFrame, grid: BasisGrid):
-        u, v, self.y = bid_ask_observations(frame)
+        if len(frame) == 0:
+            raise ValueError("frame is empty")
+        u, v, self.mean, diff = quote_observations(frame)
+        self.diff_sq = float(diff @ diff)
         self.axis_t = _HatAxis(u, grid.t_nodes)
         self.axis_k = _HatAxis(v, grid.k_nodes)
-        self._diagonal = np.diag_indices(self.y.size)
+        self._diagonal = np.diag_indices(self.mean.size)
 
-    def gram(self, params: KernelParams) -> np.ndarray:
-        """Phi Gamma Phi' + noise^2 I without forming Gamma: Hadamard of per-axis sandwiches."""
+    def __call__(self, params: KernelParams) -> tuple[float, np.ndarray]:
+        """The value and its derivatives in (log sigma, log theta_t, log theta_k, log noise)."""
         sand_t = self.axis_t.sandwich(self.axis_t.correlations(params.theta_t))
         sand_k = self.axis_k.sandwich(self.axis_k.correlations(params.theta_k))
         gram = params.sigma**2 * np.multiply(sand_t, sand_k)
-        gram[self._diagonal] += params.noise_sd**2
-        return gram
+        noise_var = params.noise_sd**2
+        gram[self._diagonal] += 0.5 * noise_var
+        root, jitter = chol_with_jitter(gram, "observation gram")
+        if jitter:
+            raise np.linalg.LinAlgError(f"observation gram needed jitter {jitter:.1e}")
+        alpha = sla.solve_triangular(root, self.mean, lower=True, check_finite=False)
+        value = 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
+        n = self.mean.size
+        spread_terms = self.diff_sq / (2.0 * noise_var) + n * math.log(2.0 * noise_var)
 
-    def __call__(self, params: KernelParams) -> float:
-        if self.y.size == 0:
-            raise ValueError("frame is empty")
-        root = chol_with_jitter(self.gram(params), "observation gram")
-        alpha = sla.solve_triangular(root, self.y, lower=True, check_finite=False)
-        return 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
+        inv_root = sla.solve_triangular(root, np.eye(n), lower=True, check_finite=False)
+        a = inv_root.T @ alpha
+        w = inv_root.T @ inv_root - np.outer(a, a)
+        trace_w = float(np.trace(w))
+        half_var = 0.5 * params.sigma**2
+        d_t = self.axis_t.sandwich(self.axis_t.log_theta_derivative(params.theta_t))
+        d_k = self.axis_k.sandwich(self.axis_k.log_theta_derivative(params.theta_k))
+        grad = np.array([
+            # dK/dlog sigma = 2 (K - noise^2/2 I), and tr(w K) = n - m' inv(K) m
+            n - float(alpha @ alpha) - 0.5 * noise_var * trace_w,
+            half_var * float(np.sum(w * d_t * sand_k)),
+            half_var * float(np.sum(w * sand_t * d_k)),
+            # dK/dlog noise = noise^2 I, plus the spread terms
+            0.5 * noise_var * trace_w + n - self.diff_sq / (2.0 * noise_var),
+        ])
+        return value + 0.5 * spread_terms, grad
+
+
+# the box fit_hyperparameters searches (see its docstring)
+LOG_SIGMA_HALF_WIDTH = 7.0
+LENGTH_SCALE_BOUNDS = (0.01, 10.0)
+NOISE_BOUNDS = (0.1, 1e3)
+ZERO_SPREAD_NOISE = 1e-3
+
+# what a failed likelihood evaluation reports to the optimizer
+_FAILED = 1e12
 
 
 @dataclass(frozen=True)
@@ -333,44 +387,68 @@ class GpFitConfig:
 def fit_hyperparameters(
     frame: MarketFrame, grid: BasisGrid, config: GpFitConfig | None = None
 ) -> KernelParams:
-    """Maximize the marginal log likelihood over log-parameters, multi-start."""
+    """Minimize the negative marginal log likelihood over a box of log-parameters.
+
+    L-BFGS-B on LikelihoodEvaluator's exact gradient, from cfg.n_starts
+    starts (a fixed center and seeded normal draws around it, clipped into
+    the box), at most cfg.max_iter iterations each.  The box keeps sigma
+    within a factor e^7 (LOG_SIGMA_HALF_WIDTH) of std(y) for the stacked
+    bid/ask values y, theta_t and theta_k between 1% and ten times the
+    unit-square width (LENGTH_SCALE_BOUNDS), and noise_sd between 0.1 and
+    1000 times (NOISE_BOUNDS) the quotes' own noise scale
+    q = rms(bid - ask) / sqrt(2); when every bid equals its ask, q is
+    ZERO_SPREAD_NOISE = 1e-3 times std(y).  An evaluation whose gram needs
+    jitter fails; if every start fails, HyperparameterFitError carries the
+    per-start diagnostics.
+    """
     cfg = config or GpFitConfig()
     evaluate = LikelihoodEvaluator(frame, grid)
-    y = evaluate.y
-    n = y.size
-    if n < cfg.low_data_threshold:
-        log.warning("only %d observations; hyperparameter fit is weakly identified", n)
+    y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
+    if y.size < cfg.low_data_threshold:
+        log.warning("only %d observations; hyperparameter fit is weakly identified", y.size)
 
     spread = float(np.std(y))
     if spread <= 0.0:
         spread = max(abs(float(np.mean(y))), 1.0)
+    noise_scale = float(np.sqrt(np.mean(np.square(frame.reduced_bid - frame.reduced_ask)) / 2.0))
+    if noise_scale <= 0.0:
+        noise_scale = ZERO_SPREAD_NOISE * spread
+    log_spread = math.log(spread)
+    theta_lo, theta_hi = np.log(LENGTH_SCALE_BOUNDS)
+    noise_lo, noise_hi = np.log(noise_scale * np.array(NOISE_BOUNDS))
+    lower = np.array([log_spread - LOG_SIGMA_HALF_WIDTH, theta_lo, theta_lo, noise_lo])
+    upper = np.array([log_spread + LOG_SIGMA_HALF_WIDTH, theta_hi, theta_hi, noise_hi])
+
     center = np.log([spread, 0.3, 0.3, 0.1 * spread])
     rng = np.random.default_rng(cfg.seed)
     starts = [center]
     for _ in range(cfg.n_starts - 1):
         starts.append(center + rng.normal(scale=[1.0, 0.7, 0.7, 1.0]))
 
-    def negative_mll(logp):
-        if np.any(np.abs(logp) > 25.0):
-            return 1e12
+    def objective(logp):
         try:
-            return evaluate(KernelParams(*np.exp(logp)))
+            value, grad = evaluate(KernelParams(*np.exp(logp)))
         except np.linalg.LinAlgError:
-            return 1e12
+            return _FAILED, np.zeros(4)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return _FAILED, np.zeros(4)
+        return value, grad
 
     best = None
     per_start = []
     for start in starts:
+        start = np.clip(start, lower, upper)
         result = sopt.minimize(
-            negative_mll,
+            objective,
             start,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iter, "xatol": 1e-4, "fatol": 1e-6},
+            jac=True,
+            method="L-BFGS-B",
+            bounds=sopt.Bounds(lower, upper),
+            options={"maxiter": cfg.max_iter},
         )
-        per_start.append(
-            {"start": start.tolist(), "fun": float(result.fun), "nit": int(result.nit)}
-        )
-        if not np.isfinite(result.fun) or result.fun >= 1e12:
+        per_start.append({"start": start.tolist(), "fun": float(result.fun),
+                          "nit": int(result.nit), "nfev": int(result.nfev)})
+        if not np.isfinite(result.fun) or result.fun >= _FAILED:
             continue
         if best is None or result.fun < best.fun:
             best = result
@@ -425,29 +503,35 @@ def fit_map(
 ) -> GpModel:
     """Most probable constrained surface: a convex QP over the node values.
 
-    Eliminating the noise vector e = y - Phi rho turns the joint MAP into
+    Eliminating the noise e = y - Phi rho of the bid and ask rows turns the
+    joint MAP into
 
         min  rho' inv(Gamma) rho + |y - Phi rho|^2 / noise^2
-        s.t. rho in the shape polyhedron.
+        s.t. rho in the shape polyhedron,
+
+    and per quote (b - f)^2 + (a - f)^2 = 2 (m - f)^2 + d^2 / 2, so the data
+    term is |sqrt(2) m - sqrt(2) Phi_m rho|^2 / noise^2 over one row per
+    quote (Phi_m), up to a constant (see quote_observations).
 
     The problem is posed to the interior-point solver in whitened variables
     rho = L z with L the (Kronecker) Cholesky factor of Gamma, which turns
     the prior term into |z|^2: inv(Gamma) is never formed and the smooth
     kernel's near-singularity never reaches the KKT systems.  rho = 0 (noise
-    absorbs everything) is always feasible.
+    absorbs everything) is always feasible.  map_noise holds the bid and
+    ask residuals of every quote, bid then ask.
     """
-    u, v, y = bid_ask_observations(frame)
+    u, v, mean, _ = quote_observations(frame)
     phi = basis_matrix(grid, u, v)
     c_t, c_k = _axis_correlations(grid, params)
-    root_t = chol_with_jitter(c_t, "maturity correlation")
-    root_k = chol_with_jitter(c_k, "strike correlation")
+    root_t, _ = chol_with_jitter(c_t, "maturity correlation")
+    root_k, _ = chol_with_jitter(c_k, "strike correlation")
     root = params.sigma * np.kron(root_t, root_k)
 
     noise_var = params.noise_sd**2
-    basis_white = np.asarray(phi @ root)
+    basis_white = SQRT2 * np.asarray(phi @ root)
     q = 2.0 * (np.eye(grid.size) + basis_white.T @ basis_white / noise_var)
     q = 0.5 * (q + q.T)
-    c = -2.0 * basis_white.T @ y / noise_var
+    c = -2.0 * basis_white.T @ (SQRT2 * mean) / noise_var
 
     system = build_constraints(grid)
     a_white = np.asarray(system.a @ root)
@@ -455,7 +539,8 @@ def fit_map(
     result = solve_qp(problem, tol=qp_tol)
 
     map_nodes = root @ result.x
-    map_noise = y - np.asarray(phi @ map_nodes).ravel()
+    fitted = np.asarray(phi @ map_nodes).ravel()
+    map_noise = np.stack([frame.reduced_bid - fitted, frame.reduced_ask - fitted], axis=1).ravel()
     return GpModel(
         params=params,
         grid=grid,
@@ -471,8 +556,9 @@ def posterior_factors(model: GpModel):
     """Mean and covariance root of the node values given the (unconstrained) data.
 
     In fit_map's whitened variables rho = L z the posterior precision of z is
-    exactly Q/2 = I + B'B / noise^2 (B = Phi L), and its mean is the QP's
-    unconstrained minimizer -inv(Q) c.  With one Cholesky factor Q/2 = R R',
+    exactly Q/2 = I + B'B / noise^2 (B = sqrt(2) Phi_m L), and its mean is
+    the QP's unconstrained minimizer -inv(Q) c.  With one Cholesky factor
+    Q/2 = R R',
 
         eta = L R^-T R^-1 (-c/2),   cov = S S',   S = L R^-T,
 

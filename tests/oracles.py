@@ -119,9 +119,39 @@ def sparse_negative_log_likelihood(params, frame, grid) -> float:
         sandwiches.append(np.asarray((w @ c) @ w.T.toarray()))
     gram = params.sigma**2 * np.multiply(*sandwiches)
     gram[np.diag_indices_from(gram)] += params.noise_sd**2
-    root = chol_with_jitter(gram, "observation gram")
+    root, _ = chol_with_jitter(gram, "observation gram")
     alpha = sla.solve_triangular(root, y, lower=True, check_finite=False)
     return 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
+
+
+def collapsed_negative_log_likelihood(params, frame, grid) -> float:
+    """The same likelihood over one (bid + ask) / 2 row per quote, by sparse products.
+
+    -log N(m; 0, Phi Gamma Phi' + noise^2/2 I) with the per-axis hat weights
+    as sparse matrices, plus the closed-form density of d = bid - ask,
+    N(0, 2 noise^2) per quote; the 2-pi constants are dropped.
+    """
+    import scipy.linalg as sla
+
+    from volsurf.constrained_sampling import chol_with_jitter
+    from volsurf.gp_price_surface import _axis_weights, matern52
+
+    u, v = frame.scaling.to_unit(frame.maturity, frame.reduced_strike)
+    m = 0.5 * (frame.reduced_bid + frame.reduced_ask)
+    d = frame.reduced_bid - frame.reduced_ask
+    sandwiches = []
+    for coords, nodes, theta in ((u, grid.t_nodes, params.theta_t),
+                                 (v, grid.k_nodes, params.theta_k)):
+        w = _axis_weights(coords, nodes.size)
+        c = matern52(nodes[:, None] - nodes[None, :], theta)
+        sandwiches.append(np.asarray((w @ c) @ w.T.toarray()))
+    gram = params.sigma**2 * np.multiply(*sandwiches)
+    noise_var = params.noise_sd**2
+    gram[np.diag_indices_from(gram)] += 0.5 * noise_var
+    root, _ = chol_with_jitter(gram, "observation gram")
+    alpha = sla.solve_triangular(root, m, lower=True, check_finite=False)
+    value = 0.5 * (float(alpha @ alpha) + 2.0 * float(np.sum(np.log(np.diag(root)))))
+    return value + 0.5 * (float(d @ d) / (2.0 * noise_var) + m.size * math.log(2.0 * noise_var))
 
 
 def svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev_total, crossing_penalty):
@@ -555,7 +585,7 @@ def marginal_log_likelihood(params, frame, grid) -> float:
     """Gaussian marginal log likelihood of a frame's bid/ask observations."""
     from volsurf.gp_price_surface import LikelihoodEvaluator
 
-    return -LikelihoodEvaluator(frame, grid)(params)
+    return -LikelihoodEvaluator(frame, grid)(params)[0]
 
 
 def dupire_terms(model, t, kappa):

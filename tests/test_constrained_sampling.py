@@ -139,14 +139,17 @@ class TestSolveQp:
 class TestCholWithJitter:
     def test_plain_spd(self):
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        root = chol_with_jitter(m)
+        root, jitter = chol_with_jitter(m)
         assert root @ root.T == pytest.approx(m)
+        assert jitter == 0.0
 
     def test_degenerate_gets_ridge(self, caplog):
         m = np.ones((3, 3))  # rank one
         with caplog.at_level("WARNING"):
-            root = chol_with_jitter(m)
+            root, jitter = chol_with_jitter(m)
         assert np.all(np.isfinite(root))
+        assert jitter > 0.0
+        assert root @ root.T == pytest.approx(m + jitter * np.eye(3))
         assert any("jitter" in r.message for r in caplog.records)
 
 
@@ -203,7 +206,7 @@ class TestSampleTruncated:
     def test_near_singular_covariance_sampled(self):
         # rank-deficient direction handled by the jitter policy
         cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        tg = TruncatedGaussian(mean=[0.0, 0.0], root=chol_with_jitter(cov), a=[[1.0, 0.0]],
+        tg = TruncatedGaussian(mean=[0.0, 0.0], root=chol_with_jitter(cov)[0], a=[[1.0, 0.0]],
                                b=[0.0])
         samples = sample_truncated(tg, init=np.array([1.0, 1.0]), n_samples=200, seed=5)
         assert np.min(samples[:, 0]) >= 0.0

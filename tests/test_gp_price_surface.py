@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from volsurf.backtest import SyntheticSpec, generate_synthetic
 from volsurf.black_scholes import put_price
 from volsurf.gp_price_surface import (
     BasisGrid,
@@ -16,12 +17,12 @@ from volsurf.gp_price_surface import (
     build_constraints,
     evaluate_surface,
     fit_hyperparameters,
-    bid_ask_observations,
     fit_map,
     matern52,
     model_from_json,
     model_to_json,
     posterior_factors,
+    quote_observations,
     sample_posterior,
 )
 from volsurf import gp_price_surface
@@ -35,6 +36,7 @@ from volsurf.market_data import (
 )
 
 from oracles import (
+    collapsed_negative_log_likelihood,
     dense_gp_posterior,
     hat_basis,
     kernel,
@@ -269,43 +271,97 @@ class TestLikelihoodEvaluator:
         KernelParams(*np.exp([1.3, -0.9, -1.4, -2.2])),
     )
 
+    @staticmethod
+    def random_case(rng):
+        n = int(rng.integers(1, 40))
+        t = rng.uniform(0.1, 3.0, n)
+        k = rng.uniform(60.0, 140.0, n)
+        bid = rng.uniform(0.0, 20.0, n)
+        frame = make_frame(t, k, bid, bid + rng.uniform(0.0, 1.0, n))
+        grid = BasisGrid(n_t=int(rng.integers(2, 12)), n_k=int(rng.integers(3, 30)))
+        p = KernelParams(*np.exp(rng.normal([1.0, -1.0, -1.0, -1.0], 1.0)))
+        return frame, grid, p
+
     @pytest.mark.parametrize("grid", [BasisGrid(n_t=3, n_k=4), BasisGrid(n_t=7, n_k=19)])
     def test_bitwise_equal_to_sparse_products(self, grid):
         frame = flat_vol_frame(n_t=5, n_k=7)
         evaluate = LikelihoodEvaluator(frame, grid)
         for p in self.PARAMS:
-            want = sparse_negative_log_likelihood(p, frame, grid)
-            assert evaluate(p) == want
+            want = collapsed_negative_log_likelihood(p, frame, grid)
+            assert evaluate(p)[0] == want
             assert marginal_log_likelihood(p, frame, grid) == -want
 
     def test_random_points_and_grids_bitwise(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
-            n = int(rng.integers(1, 40))
-            t = rng.uniform(0.1, 3.0, n)
-            k = rng.uniform(60.0, 140.0, n)
-            bid = rng.uniform(0.0, 20.0, n)
-            frame = make_frame(t, k, bid, bid + rng.uniform(0.0, 1.0, n))
-            grid = BasisGrid(n_t=int(rng.integers(2, 12)), n_k=int(rng.integers(3, 30)))
-            p = KernelParams(*np.exp(rng.normal([1.0, -1.0, -1.0, -1.0], 1.0)))
-            assert LikelihoodEvaluator(frame, grid)(p) == sparse_negative_log_likelihood(
+            frame, grid, p = self.random_case(rng)
+            assert LikelihoodEvaluator(frame, grid)(p)[0] == collapsed_negative_log_likelihood(
                 p, frame, grid
             )
+
+    def cases(self, seed):
+        """The PARAMS sets on two grids, then 25 random frames, grids and parameters."""
+        frame = flat_vol_frame(n_t=5, n_k=7)
+        for grid in (BasisGrid(n_t=3, n_k=4), BasisGrid(n_t=7, n_k=19)):
+            for p in self.PARAMS:
+                yield frame, grid, p
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            yield self.random_case(rng)
+
+    def test_collapse_equals_bid_ask_likelihood(self):
+        # one mean row per quote plus the closed-form spread term is the
+        # likelihood of the bid and ask rows, up to round-off
+        for frame, grid, p in self.cases(seed=32):
+            want = sparse_negative_log_likelihood(p, frame, grid)
+            assert LikelihoodEvaluator(frame, grid)(p)[0] == pytest.approx(want, rel=1e-10)
+
+    def test_gradient_matches_central_differences(self):
+        step = 1e-5
+        for frame, grid, p in self.cases(seed=33):
+            evaluate = LikelihoodEvaluator(frame, grid)
+            _, grad = evaluate(p)
+            logp = np.log([p.sigma, p.theta_t, p.theta_k, p.noise_sd])
+            fd = np.array([
+                (evaluate(KernelParams(*np.exp(logp + step * e)))[0]
+                 - evaluate(KernelParams(*np.exp(logp - step * e)))[0]) / (2.0 * step)
+                for e in np.eye(4)
+            ])
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+    def test_jittered_gram_fails_the_evaluation(self, caplog):
+        # three quotes at one point and a noise 1e-9 of the prior scale: the
+        # gram is numerically rank one, and its jittered factor is refused
+        frame = make_frame([1.0] * 3, [90.0] * 3, [3.0] * 3, [3.0] * 3)
+        evaluate = LikelihoodEvaluator(frame, BasisGrid(n_t=2, n_k=3))
+        p = KernelParams(sigma=1.0, theta_t=0.3, theta_k=0.3, noise_sd=1e-9)
+        with caplog.at_level("WARNING"), pytest.raises(np.linalg.LinAlgError, match="jitter"):
+            evaluate(p)
+        assert any("observation gram required jitter" in r.message for r in caplog.records)
 
     def test_fit_evaluates_through_module_cholesky(self, monkeypatch):
         # the fit and the evaluator share chol_with_jitter, one call per evaluation
         frame = flat_vol_frame(n_t=4, n_k=5)
         grid = BasisGrid(n_t=3, n_k=4)
         calls = []
-        real = gp_price_surface.chol_with_jitter
+        results = []
+        real_cholesky = gp_price_surface.chol_with_jitter
+        real_minimize = gp_price_surface.sopt.minimize
 
         def counting(matrix, label="matrix"):
             calls.append(label)
-            return real(matrix, label)
+            return real_cholesky(matrix, label)
+
+        def recording(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(gp_price_surface, "chol_with_jitter", counting)
-        fit_hyperparameters(frame, grid, GpFitConfig(n_starts=1, max_iter=20))
-        assert 20 <= len(calls) and set(calls) == {"observation gram"}
+        monkeypatch.setattr(gp_price_surface.sopt, "minimize", recording)
+        fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2, max_iter=20))
+        assert len(results) == 2
+        assert len(calls) == sum(r.nfev for r in results)
+        assert set(calls) == {"observation gram"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spread of no observations
     def test_empty_frame_rejected(self):
@@ -373,6 +429,32 @@ class TestFitHyperparameters:
         assert len(err.value.per_start) == 2
 
 
+    def test_degenerate_region_stays_out_of_reach(self, caplog):
+        # a short search on the README book's train half used to end at
+        # thousands of unit-square widths, maximizing a jittered likelihood
+        curves = CurveSet(spot=100.0, rate_curve=Curve.flat(0.02),
+                          dividend_curve=Curve.flat(0.01))
+        frame = build_frame(generate_synthetic(SyntheticSpec(kind="flat"), curves), curves)
+        train = frame.subset(np.lexsort((frame.strike, frame.maturity))[0::2])
+        with caplog.at_level("WARNING"):
+            params = fit_hyperparameters(train, BasisGrid(n_t=15, n_k=40),
+                                         GpFitConfig(n_starts=2, max_iter=100, seed=0))
+        lo, hi = gp_price_surface.LENGTH_SCALE_BOUNDS
+        assert lo <= params.theta_t <= hi and lo <= params.theta_k <= hi
+        assert not any("observation gram required jitter" in r.message for r in caplog.records)
+
+    def test_zero_spread_book_fits_inside_the_noise_floor(self):
+        # every bid equals its ask: the noise floor falls back to a fraction
+        # of the spread of the values instead of collapsing to zero
+        frame = flat_vol_frame(n_t=4, n_k=5, spread=0.0)
+        assert np.array_equal(frame.reduced_bid, frame.reduced_ask)
+        params = fit_hyperparameters(frame, BasisGrid(n_t=3, n_k=4),
+                                     GpFitConfig(n_starts=2, max_iter=50))
+        unit = gp_price_surface.ZERO_SPREAD_NOISE * float(np.std(frame.reduced_bid))
+        lo, hi = gp_price_surface.NOISE_BOUNDS
+        assert lo * unit * (1 - 1e-12) <= params.noise_sd <= hi * unit * (1 + 1e-12)
+
+
 class TestFitMap:
     def test_zero_data_gives_zero_map(self):
         # the optimum sits on every nonnegativity wall at once, so interior
@@ -412,7 +494,7 @@ class TestFitMap:
         model = fit_map(frame, grid, p)
         assert model.constraint_slacks().min() >= -1e-8
         # objective of (rho, e) vs the always-feasible (0, y)
-        _, _, y = bid_ask_observations(frame)
+        y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
         from volsurf.gp_price_surface import _axis_correlations
         import scipy.linalg as sla
 

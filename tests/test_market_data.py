@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from volsurf.black_scholes import put_price
-from volsurf.gp_price_surface import bid_ask_observations
+from volsurf.gp_price_surface import quote_observations
 from volsurf.market_data import (
     AffineScaling,
     Curve,
@@ -219,14 +219,14 @@ class TestBuildFrame:
         with pytest.raises(EmptyInputError):
             build_frame(quotes, curves)
 
-    def test_bid_ask_observations_shape(self):
+    def test_quote_observations_shape(self):
         curves = make_curves()
         quotes = synthetic_quotes(curves, [0.5, 1.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
-        u, v, y = bid_ask_observations(frame)
-        assert u.shape == v.shape == y.shape == (2 * len(frame),)
-        assert y[0] == frame.reduced_bid[0]
-        assert y[1] == frame.reduced_ask[0]
+        u, v, m, d = quote_observations(frame)
+        assert u.shape == v.shape == m.shape == d.shape == (len(frame),)
+        assert m[0] == 0.5 * (frame.reduced_bid[0] + frame.reduced_ask[0])
+        assert d[0] == frame.reduced_bid[0] - frame.reduced_ask[0]
 
 
 class TestFrameColumns:
