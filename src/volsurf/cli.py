@@ -130,6 +130,7 @@ def cmd_calibrate(args) -> int:
             "grid": {"n_t": grid.n_t, "n_k": grid.n_k},
             "qp": model.qp_diagnostics,
             "min_constraint_slack": float(model.constraint_slacks().min()),
+            "prior_jitter": dict(zip(("maturity", "strike"), model.prior_jitter)),
         }
         if args.paths > 0:
             paths = sample_posterior(model, n_paths=args.paths, seed=args.seed)

@@ -4,7 +4,7 @@ Two independent tools live here:
 
 * ``solve_qp`` — a primal-dual interior-point solver (Mehrotra
   predictor-corrector) for convex quadratic programs with linear
-  inequality constraints,
+  inequality constraints given as dense rows,
 
       min 1/2 x'Qx + c'x   s.t.  A x >= b.
 
@@ -13,7 +13,8 @@ Two independent tools live here:
   mean and a square root of its covariance.  The Hamiltonian flow
   of a whitened Gaussian is harmonic, so trajectories are followed
   analytically and wall hits are reflected exactly; no step size exists to
-  tune and no sample ever leaves the support.
+  tune and no sample ever leaves the support.  The walls A are held as
+  CSR; the support needs at least one.
 
   With m walls, d dimensions and covariance root L, the whitened walls
   F = A L are never formed.  A trajectory starts from exact products
@@ -22,8 +23,7 @@ Two independent tools live here:
   bounce in between costs O(m + d + nnz(A)): the hit search evaluates the
   trig on reachable walls only, and the products of the new position and
   velocity follow in closed form from the old ones plus A (L L' a_j') for
-  the wall's sparse row a_j.  A dense F costs two O(m d) matvecs per
-  bounce instead.
+  the wall's sparse row a_j.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class QpConvergenceError(QpError):
 
 @dataclass
 class QuadProgram:
-    """Convex QP data. Inequalities are `a_ineq @ x >= b_ineq`; at least one is required."""
+    """Convex QP data: dense inequality rows `a_ineq @ x >= b_ineq`, at least one of them."""
 
     q: np.ndarray
     c: np.ndarray
-    a_ineq: object = None
+    a_ineq: np.ndarray | None = None
     b_ineq: np.ndarray | None = None
 
     def __post_init__(self):
@@ -79,8 +79,7 @@ class QuadProgram:
             raise ValueError(f"Q must be symmetric, asymmetry {sym_gap:.2e}")
         if self.a_ineq is None or self.b_ineq is None or np.size(self.b_ineq) == 0:
             raise ValueError("QP needs at least one inequality row")
-        if not sp.issparse(self.a_ineq):
-            self.a_ineq = np.atleast_2d(np.asarray(self.a_ineq, dtype=float))
+        self.a_ineq = np.atleast_2d(np.asarray(self.a_ineq, dtype=float))
         self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
         if self.a_ineq.shape != (self.b_ineq.size, d):
             raise ValueError("inequality system dimensions inconsistent")
@@ -102,10 +101,9 @@ class QpResult:
         return {"iterations": self.iterations, **self.kkt}
 
 
-def _kkt_residuals(p: QuadProgram, x, z) -> dict:
+def _kkt_residuals(p: QuadProgram, grad, slack, z) -> dict:
+    """Scaled KKT residuals from the Lagrangian gradient Qx + c - A'z and the slack Ax - b."""
     scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
-    grad = p.q @ x + p.c - p.a_ineq.T @ z
-    slack = p.a_ineq @ x - p.b_ineq
     primal = float(max(0.0, -np.min(slack)))
     comp = float(np.max(np.abs(slack * z)))
     return {
@@ -129,17 +127,12 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
     a = p.a_ineq
 
     x = np.zeros(d)
-    slack_raw = np.asarray(a @ x).ravel() - p.b_ineq
-    s = np.maximum(slack_raw, 1.0)
+    s = np.maximum(-p.b_ineq, 1.0)   # the slack of x = 0, floored at 1
     z = np.ones(m)
 
     def factor(w):
         """Factor Q + A' W A once; predictor and corrector share the returned solve."""
-        if sp.issparse(a):
-            awa = (a.T @ sp.diags(w) @ a).toarray()
-        else:
-            awa = a.T @ (w[:, None] * a)
-        h = p.q + awa
+        h = p.q + a.T @ (w[:, None] * a)
         try:
             cf = sla.cho_factor(h, check_finite=False)
         except sla.LinAlgError:
@@ -161,7 +154,7 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
         target in Z ds + S dz = rc.
         """
         dx = solve(-rd + a.T @ ((rc - z * rp) / s))
-        ds = np.asarray(a @ dx).ravel() + rp
+        ds = a @ dx + rp
         dz = (rc - z * ds) / s
         return dx, ds, dz
 
@@ -175,11 +168,12 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
     for iteration in range(1, max_iter + 1):
         # + 0.0 turns -0.0 entries into +0.0: zero signs here can reach the
         # iterates' bytes
-        rd = p.q @ x + p.c - np.asarray(a.T @ z).ravel() + 0.0
-        rp = np.asarray(a @ x).ravel() - s - p.b_ineq
+        ax = a @ x
+        rd = p.q @ x + p.c - a.T @ z + 0.0
+        rp = ax - s - p.b_ineq
         mu = float(s @ z) / m
 
-        res = _kkt_residuals(p, x, z)
+        res = _kkt_residuals(p, rd, ax - p.b_ineq, z)
         if (
             res["stationarity"] <= tol
             and res["primal"] <= tol
@@ -239,12 +233,13 @@ class TruncatedGaussian:
 
     `root` is any nonsingular square root of the covariance, not necessarily
     triangular; the sampler whitens with it as given and never factors.
+    `a` may be dense or sparse and is held as CSR.
     """
 
     mean: np.ndarray
     root: np.ndarray
-    a: object = None
-    b: np.ndarray | None = None
+    a: sp.csr_matrix
+    b: np.ndarray
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).ravel()
@@ -252,11 +247,10 @@ class TruncatedGaussian:
         d = self.mean.size
         if self.root.shape != (d, d):
             raise ValueError("covariance root shape inconsistent with mean")
-        if self.a is not None:
-            self.a = self.a if sp.issparse(self.a) else np.atleast_2d(np.asarray(self.a, float))
-            self.b = np.asarray(self.b, dtype=float).ravel()
-            if self.a.shape[0] != self.b.size or self.a.shape[1] != d:
-                raise ValueError("constraint system dimensions inconsistent")
+        self.a = sp.csr_matrix(self.a, dtype=float)
+        self.b = np.asarray(self.b, dtype=float).ravel()
+        if self.a.shape != (self.b.size, d):
+            raise ValueError("constraint system dimensions inconsistent")
 
     @property
     def dim(self) -> int:
@@ -331,8 +325,8 @@ class _Walls:
     f f_j' = A (L L') a_j' combines as many rows of the cached L L'.
     """
 
-    def __init__(self, a, root: np.ndarray):
-        self.a = sp.csr_matrix(a)
+    def __init__(self, a: sp.csr_matrix, root: np.ndarray):
+        self.a = a
         self.root = root
         self.root_outer = root @ root.T
 
@@ -401,19 +395,17 @@ def sample_truncated(
         raise ValueError("init dimension mismatch")
 
     root = tg.root
-    constrained = tg.a is not None and tg.a.shape[0] > 0
-    if constrained:
-        slack = np.asarray(tg.a @ init).ravel() - tg.b
-        if np.min(slack) < 1e-12:
-            raise InfeasibleStartError(
-                f"initial point must be strictly feasible; min slack {np.min(slack):.3e}"
-            )
-        # whiten: x = mean + root z, so the support becomes f z >= -g
-        g = np.asarray(tg.a @ tg.mean).ravel() - tg.b
-        walls = _Walls(tg.a, root)
+    slack = tg.a @ init - tg.b
+    if np.min(slack) < 1e-12:
+        raise InfeasibleStartError(
+            f"initial point must be strictly feasible; min slack {np.min(slack):.3e}"
+        )
+    # whiten: x = mean + root z, so the support becomes f z >= -g
+    g = tg.a @ tg.mean - tg.b
+    walls = _Walls(tg.a, root)
 
     z = np.linalg.solve(root, init - tg.mean)  # the root need not be triangular
-    f_z = walls.products(z) if constrained else None
+    f_z = walls.products(z)
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, d))
     travel = 0.5 * np.pi
@@ -422,35 +414,32 @@ def sample_truncated(
     restarts = 0
     total = burn_in + n_samples
     while kept < total:
-        velocity = rng.standard_normal(d)
-        a_vec = velocity
+        a_vec = rng.standard_normal(d)   # the momentum
         b_vec = z
         remaining = travel
         ok = True
-        if constrained:
-            # exact products at the start; closed-form updates per bounce
-            f_a = walls.products(a_vec)
-            f_b = f_z
-            for _ in range(max_bounces):
-                t_hit, wall = _wall_hit(f_a, f_b, g)
-                if t_hit >= remaining:
-                    break
-                bounced = _reflect(walls, a_vec, b_vec, f_a, f_b, t_hit, wall)
-                if bounced is None:
-                    # reflected velocity points into the wall: restart the
-                    # trajectory with fresh momentum
-                    ok = False
-                    break
-                a_vec, b_vec, f_a, f_b = bounced
-                remaining -= t_hit
-            else:
+        # exact products at the start; closed-form updates per bounce
+        f_a = walls.products(a_vec)
+        f_b = f_z
+        for _ in range(max_bounces):
+            t_hit, wall = _wall_hit(f_a, f_b, g)
+            if t_hit >= remaining:
+                break
+            bounced = _reflect(walls, a_vec, b_vec, f_a, f_b, t_hit, wall)
+            if bounced is None:
+                # reflected velocity points into the wall: restart the
+                # trajectory with fresh momentum
                 ok = False
+                break
+            a_vec, b_vec, f_a, f_b = bounced
+            remaining -= t_hit
+        else:
+            ok = False
         if ok:
             z_new = a_vec * np.sin(remaining) + b_vec * np.cos(remaining)
             deviation = root @ z_new
-            if constrained:
-                f_z_new = walls.a @ deviation
-                ok = not np.min(f_z_new + g) < 0.0  # roundoff violation: redraw
+            f_z_new = walls.a @ deviation
+            ok = not np.min(f_z_new + g) < 0.0  # roundoff violation: redraw
         if not ok:
             restarts += 1
             if restarts >= MAX_CONSECUTIVE_RESTARTS:
@@ -460,17 +449,13 @@ def sample_truncated(
                 )
             continue
         restarts = 0
-        z = z_new
-        if constrained:
-            f_z = f_z_new
+        z, f_z = z_new, f_z_new
         if kept >= burn_in:
             out[kept - burn_in] = tg.mean + deviation
         kept += 1
 
-    if constrained:
-        # hard support assertion on the returned block
-        final_slack = np.asarray(tg.a @ out.T) - tg.b[:, None]
-        worst = float(np.min(final_slack))
-        if worst < 0.0:
-            raise RuntimeError(f"sampler produced an infeasible sample, slack {worst:.3e}")
+    # hard support assertion on the returned block
+    worst = float(np.min(tg.a @ out.T - tg.b[:, None]))
+    if worst < 0.0:
+        raise RuntimeError(f"sampler produced an infeasible sample, slack {worst:.3e}")
     return out

@@ -5,7 +5,8 @@ Matern-5/2 product kernel on the unit square, projected onto a regular
 grid of bilinear hat functions.  On that finite basis the no-arbitrage
 requirements (prices nondecreasing in maturity, convex and nonnegative
 in strike) are exactly a finite set of linear inequalities between node
-values, so:
+values: the Kronecker rows of build_constraints.  Points reach the basis
+through one unit-square check, in the hat-cell lookup.  So:
 
 * hyperparameters come from maximizing the (unconstrained) marginal
   log likelihood of the observations, by L-BFGS-B on its exact gradient
@@ -114,19 +115,6 @@ class BasisGrid:
         return np.linspace(0.0, 1.0, self.n_k)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Sparse rows encoding A @ nodes >= 0 for the three shape families."""
-
-    a: sp.csr_matrix
-    b: np.ndarray
-    counts: dict
-
-    @property
-    def n_rows(self) -> int:
-        return self.a.shape[0]
-
-
 def matern52(d, theta: float):
     """Matern nu=5/2 correlation at distance d, length scale theta."""
     if theta <= 0.0:
@@ -136,20 +124,12 @@ def matern52(d, theta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _axis_weights(coords: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """Per-axis hat weights: (n_points, n_nodes) with two entries per row."""
-    coords = np.asarray(coords, dtype=float)
-    if np.any(coords < -1e-9) or np.any(coords > 1.0 + 1e-9):
-        raise ValueError("points must lie inside the scaled unit interval")
-    cell, frac = _cells_and_fracs(coords, n_nodes)
-    rows = np.repeat(np.arange(coords.size), 2)
-    cols = np.stack([cell, cell + 1], axis=1).ravel()
-    weights = np.stack([1.0 - frac, frac], axis=1).ravel()
-    return sp.csr_matrix((weights, (rows, cols)), shape=(coords.size, n_nodes))
-
-
 def _cells_and_fracs(coords, n_nodes: int):
-    coords = np.clip(np.atleast_1d(np.asarray(coords, dtype=float)), 0.0, 1.0)
+    """Hat cell and position inside it of each unit-interval coordinate; raises outside it."""
+    coords = np.atleast_1d(np.asarray(coords, dtype=float))
+    if np.any(coords < -1e-9) or np.any(coords > 1.0 + 1e-9):
+        raise ValueError("point outside the scaled unit square")
+    coords = np.clip(coords, 0.0, 1.0)
     cell = np.minimum((coords * (n_nodes - 1)).astype(int), n_nodes - 2)
     frac = coords * (n_nodes - 1) - cell
     return cell, frac
@@ -161,14 +141,9 @@ def basis_matrix(grid: BasisGrid, t_scaled, k_scaled) -> sp.csr_matrix:
     Each row holds the four bilinear weights of the cell containing the point;
     rows sum to one (partition of unity inside the hull).
     """
-    t_arr = np.atleast_1d(np.asarray(t_scaled, dtype=float))
-    k_arr = np.atleast_1d(np.asarray(k_scaled, dtype=float))
-    for arr in (t_arr, k_arr):
-        if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
-            raise ValueError("points must lie inside the scaled unit square")
-    t_cell, t_frac = _cells_and_fracs(t_arr, grid.n_t)
-    k_cell, k_frac = _cells_and_fracs(k_arr, grid.n_k)
-    n = t_arr.size
+    t_cell, t_frac = _cells_and_fracs(t_scaled, grid.n_t)
+    k_cell, k_frac = _cells_and_fracs(k_scaled, grid.n_k)
+    n = t_cell.size
     rows, cols, vals = [], [], []
     for di in (0, 1):
         wt = t_frac if di else 1.0 - t_frac
@@ -183,58 +158,27 @@ def basis_matrix(grid: BasisGrid, t_scaled, k_scaled) -> sp.csr_matrix:
     )
 
 
-def build_constraints(grid: BasisGrid) -> ConstraintSystem:
-    """Monotonicity (T), convexity (k) and nonnegativity rows over node values."""
-    n_t, n_k = grid.n_t, grid.n_k
-    m = grid.size
+def build_constraints(grid: BasisGrid) -> sp.csr_matrix:
+    """Shape rows A with A @ nodes >= 0, as CSR.
 
-    def idx(i, j):
-        return i * n_k + j
-
-    rows, cols, vals = [], [], []
-    row = 0
-    # nondecreasing in maturity: value(i+1, j) - value(i, j) >= 0
-    for i in range(n_t - 1):
-        for j in range(n_k):
-            rows += [row, row]
-            cols += [idx(i + 1, j), idx(i, j)]
-            vals += [1.0, -1.0]
-            row += 1
-    # convex in strike: value(i, j+2) - 2 value(i, j+1) + value(i, j) >= 0
-    for i in range(n_t):
-        for j in range(n_k - 2):
-            rows += [row, row, row]
-            cols += [idx(i, j + 2), idx(i, j + 1), idx(i, j)]
-            vals += [1.0, -2.0, 1.0]
-            row += 1
-    # nonnegativity at every node
-    for i in range(n_t):
-        for j in range(n_k):
-            rows.append(row)
-            cols.append(idx(i, j))
-            vals.append(1.0)
-            row += 1
-
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(row, m))
-    counts = {
-        "monotonicity": (n_t - 1) * n_k,
-        "convexity": n_t * (n_k - 2),
-        "nonnegativity": n_t * n_k,
-    }
-    return ConstraintSystem(a=a, b=np.zeros(row), counts=counts)
+    On node values flattened row i * n_k + j they are D_T (x) I_k (nondecreasing
+    in maturity), I_T (x) D2_k (convex in strike) and I (nonnegative), stacked
+    in that order, with D_T the first and D2_k the second difference.
+    """
+    d_t = sp.diags([-1.0, 1.0], [0, 1], shape=(grid.n_t - 1, grid.n_t), format="csr")
+    d2_k = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(grid.n_k - 2, grid.n_k), format="csr")
+    return sp.vstack([
+        sp.kron(d_t, sp.identity(grid.n_k, format="csr"), format="csr"),
+        sp.kron(sp.identity(grid.n_t, format="csr"), d2_k, format="csr"),
+        sp.identity(grid.size, format="csr"),
+    ], format="csr")
 
 
 def evaluate_surface(node_values, grid: BasisGrid, t_scaled, k_scaled):
     """Bilinear interpolation of node values at scaled points inside the hull."""
-    t_arr = np.atleast_1d(np.asarray(t_scaled, dtype=float))
-    k_arr = np.atleast_1d(np.asarray(k_scaled, dtype=float))
-    if np.any(t_arr < -1e-9) or np.any(t_arr > 1 + 1e-9) or np.any(k_arr < -1e-9) or np.any(
-        k_arr > 1 + 1e-9
-    ):
-        raise ValueError("evaluation point outside the scaled grid hull")
-    phi = basis_matrix(grid, t_arr.ravel(), k_arr.ravel())
+    phi = basis_matrix(grid, np.ravel(t_scaled), np.ravel(k_scaled))
     out = phi @ np.asarray(node_values, dtype=float)
-    if np.isscalar(t_scaled) or (np.ndim(t_scaled) == 0):
+    if np.ndim(t_scaled) == 0:
         return float(out[0])
     return out.reshape(np.shape(t_scaled))
 
@@ -274,8 +218,15 @@ class _HatAxis:
     """
 
     def __init__(self, coords: np.ndarray, nodes: np.ndarray):
-        self.weights_t = _axis_weights(coords, nodes.size).T.toarray()
         self.cell, frac = _cells_and_fracs(coords, nodes.size)
+        # filled (n_points, n_nodes) and stored transposed, F-contiguous: a
+        # C-ordered (n_nodes, n_points) operand takes another BLAS path in
+        # sandwich() and moves the gram's last bits
+        weights = np.zeros((self.cell.size, nodes.size))
+        points = np.arange(self.cell.size)
+        weights[points, self.cell] = 1.0 - frac
+        weights[points, self.cell + 1] = frac
+        self.weights_t = weights.T
         self.lower = (1.0 - frac)[:, None]
         self.upper = frac[:, None]
         self.distances = nodes[:, None] - nodes[None, :]
@@ -373,6 +324,9 @@ ZERO_SPREAD_NOISE = 1e-3
 # what a failed likelihood evaluation reports to the optimizer
 _FAILED = 1e12
 
+# fewer bid/ask values than this log a weak-identification warning
+LOW_DATA_THRESHOLD = 10
+
 
 @dataclass(frozen=True)
 class GpFitConfig:
@@ -381,7 +335,6 @@ class GpFitConfig:
     n_starts: int = 5
     max_iter: int = 200
     seed: int = 0
-    low_data_threshold: int = 10
 
 
 def fit_hyperparameters(
@@ -404,7 +357,7 @@ def fit_hyperparameters(
     cfg = config or GpFitConfig()
     evaluate = LikelihoodEvaluator(frame, grid)
     y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
-    if y.size < cfg.low_data_threshold:
+    if y.size < LOW_DATA_THRESHOLD:
         log.warning("only %d observations; hyperparameter fit is weakly identified", y.size)
 
     spread = float(np.std(y))
@@ -474,11 +427,11 @@ class GpModel:
     map_nodes: np.ndarray
     map_noise: np.ndarray | None = None
     qp_diagnostics: dict = field(default_factory=dict)
+    # diagonal ridge chol_with_jitter added to the (maturity, strike) prior
+    # correlations in fit_map; 0.0 where the correlation factored as given
+    prior_jitter: tuple[float, float] | None = None
     # (L, Q, c) of fit_map's whitened QP, from which the posterior follows
     _whitened: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def price_scaled(self, t_scaled, k_scaled):
-        return evaluate_surface(self.map_nodes, self.grid, t_scaled, k_scaled)
 
     def price(self, t, k):
         """Reduced price at physical (T, k); errors outside the data hull."""
@@ -492,7 +445,7 @@ class GpModel:
 
     def constraint_slacks(self) -> np.ndarray:
         """A @ map_nodes, one entry per shape row: >= -tol where the MAP honors it."""
-        return build_constraints(self.grid).a @ self.map_nodes
+        return build_constraints(self.grid) @ self.map_nodes
 
 
 def fit_map(
@@ -518,13 +471,15 @@ def fit_map(
     the prior term into |z|^2: inv(Gamma) is never formed and the smooth
     kernel's near-singularity never reaches the KKT systems.  rho = 0 (noise
     absorbs everything) is always feasible.  map_noise holds the bid and
-    ask residuals of every quote, bid then ask.
+    ask residuals of every quote, bid then ask, and prior_jitter the ridge
+    each axis correlation needed to factor (a fit at the top of the
+    length-scale box can need one).
     """
     u, v, mean, _ = quote_observations(frame)
     phi = basis_matrix(grid, u, v)
     c_t, c_k = _axis_correlations(grid, params)
-    root_t, _ = chol_with_jitter(c_t, "maturity correlation")
-    root_k, _ = chol_with_jitter(c_k, "strike correlation")
+    root_t, jitter_t = chol_with_jitter(c_t, "maturity correlation")
+    root_k, jitter_k = chol_with_jitter(c_k, "strike correlation")
     root = params.sigma * np.kron(root_t, root_k)
 
     noise_var = params.noise_sd**2
@@ -533,9 +488,8 @@ def fit_map(
     q = 0.5 * (q + q.T)
     c = -2.0 * basis_white.T @ (SQRT2 * mean) / noise_var
 
-    system = build_constraints(grid)
-    a_white = np.asarray(system.a @ root)
-    problem = QuadProgram(q=q, c=c, a_ineq=a_white, b_ineq=system.b)
+    a_white = build_constraints(grid) @ root
+    problem = QuadProgram(q=q, c=c, a_ineq=a_white, b_ineq=np.zeros(a_white.shape[0]))
     result = solve_qp(problem, tol=qp_tol)
 
     map_nodes = root @ result.x
@@ -548,6 +502,7 @@ def fit_map(
         map_nodes=map_nodes,
         map_noise=map_noise,
         qp_diagnostics=result.diagnostics,
+        prior_jitter=(jitter_t, jitter_k),
         _whitened=(root, q, c),
     )
 
@@ -574,7 +529,7 @@ def posterior_factors(model: GpModel):
     return eta, cov_root
 
 
-def _interior_nudge(model: GpModel, system: ConstraintSystem) -> np.ndarray:
+def _interior_nudge(model: GpModel, a: sp.csr_matrix) -> np.ndarray:
     """Shift the MAP strictly inside the polyhedron (it usually saturates it)."""
     grid = model.grid
     t_part = np.repeat(grid.t_nodes, grid.n_k)
@@ -584,7 +539,7 @@ def _interior_nudge(model: GpModel, system: ConstraintSystem) -> np.ndarray:
     eps = 1e-10 * scale
     for _ in range(40):
         candidate = model.map_nodes + eps * direction
-        if float(np.min(system.a @ candidate)) > 1e-12:
+        if float(np.min(a @ candidate)) > 1e-12:
             return candidate
         eps *= 10.0
         if eps > 0.01 * scale:
@@ -600,12 +555,12 @@ def sample_posterior(
 ) -> np.ndarray:
     """Constrained posterior node-value paths via exact HMC.
 
-    Returns an (n_paths, M) array; every row satisfies the constraint system.
+    Returns an (n_paths, M) array; every row satisfies the shape rows.
     """
     eta, root = posterior_factors(model)
-    system = build_constraints(model.grid)
-    init = _interior_nudge(model, system)
-    tg = TruncatedGaussian(mean=eta, root=root, a=system.a, b=system.b)
+    a = build_constraints(model.grid)
+    init = _interior_nudge(model, a)
+    tg = TruncatedGaussian(mean=eta, root=root, a=a, b=np.zeros(a.shape[0]))
     return sample_truncated(tg, init=init, n_samples=n_paths, seed=seed, burn_in=burn_in)
 
 

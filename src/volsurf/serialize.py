@@ -19,8 +19,14 @@ def load_json(path) -> dict:
 
 
 def number_array(value, dtype=float) -> np.ndarray:
-    """A JSON array of numbers as a numpy array; strings, nulls or objects raise ValueError."""
+    """A JSON array of finite numbers as a numpy array; anything else raises ValueError.
+
+    Strings, nulls and objects are rejected, and so are NaN and +-Infinity,
+    which Python's json module reads although JSON has no such numbers.
+    """
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"expected an array of numbers, got {value!r:.40}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("expected finite numbers, got NaN or Infinity")
     return arr.astype(dtype)

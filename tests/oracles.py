@@ -97,6 +97,54 @@ def dense_gp_posterior(params, frame, grid):
     return eta, cov
 
 
+def shape_rows(n_t, n_k):
+    """The GP's shape rows on an n_t x n_k node grid, one row at a time, as CSR.
+
+    Nondecreasing in maturity, value(i+1, j) - value(i, j) >= 0; convex in
+    strike, value(i, j+2) - 2 value(i, j+1) + value(i, j) >= 0; nonnegative
+    at every node; node (i, j) is column i * n_k + j.
+    """
+    import scipy.sparse as sp
+
+    rows, cols, vals = [], [], []
+    row = 0
+    for i in range(n_t - 1):
+        for j in range(n_k):
+            rows += [row, row]
+            cols += [(i + 1) * n_k + j, i * n_k + j]
+            vals += [1.0, -1.0]
+            row += 1
+    for i in range(n_t):
+        for j in range(n_k - 2):
+            rows += [row, row, row]
+            cols += [i * n_k + j + 2, i * n_k + j + 1, i * n_k + j]
+            vals += [1.0, -2.0, 1.0]
+            row += 1
+    for n in range(n_t * n_k):
+        rows.append(row)
+        cols.append(n)
+        vals.append(1.0)
+        row += 1
+    return sp.csr_matrix((vals, (rows, cols)), shape=(row, n_t * n_k))
+
+
+def hat_weights(coords, n_nodes):
+    """Per-axis hat weights of unit-interval coordinates, a sparse (n_points, n_nodes) matrix.
+
+    Row p holds 1 - f at node c and f at node c + 1, with c the cell of
+    coordinate x (the last cell for x = 1) and f = x (n_nodes - 1) - c.
+    """
+    import scipy.sparse as sp
+
+    coords = np.clip(np.asarray(coords, dtype=float), 0.0, 1.0)
+    cell = np.minimum(np.floor(coords * (n_nodes - 1)).astype(int), n_nodes - 2)
+    frac = coords * (n_nodes - 1) - cell
+    rows = np.repeat(np.arange(coords.size), 2)
+    cols = np.stack([cell, cell + 1], axis=1).ravel()
+    weights = np.stack([1.0 - frac, frac], axis=1).ravel()
+    return sp.csr_matrix((weights, (rows, cols)), shape=(coords.size, n_nodes))
+
+
 def sparse_negative_log_likelihood(params, frame, grid) -> float:
     """GP negative marginal log likelihood with the per-axis hat weights as sparse matrices.
 
@@ -106,7 +154,7 @@ def sparse_negative_log_likelihood(params, frame, grid) -> float:
     import scipy.linalg as sla
 
     from volsurf.constrained_sampling import chol_with_jitter
-    from volsurf.gp_price_surface import _axis_weights, matern52
+    from volsurf.gp_price_surface import matern52
 
     u, v = frame.scaling.to_unit(np.repeat(frame.maturity, 2),
                                  np.repeat(frame.reduced_strike, 2))
@@ -114,7 +162,7 @@ def sparse_negative_log_likelihood(params, frame, grid) -> float:
     sandwiches = []
     for coords, nodes, theta in ((u, grid.t_nodes, params.theta_t),
                                  (v, grid.k_nodes, params.theta_k)):
-        w = _axis_weights(coords, nodes.size)
+        w = hat_weights(coords, nodes.size)
         c = matern52(nodes[:, None] - nodes[None, :], theta)
         sandwiches.append(np.asarray((w @ c) @ w.T.toarray()))
     gram = params.sigma**2 * np.multiply(*sandwiches)
@@ -134,7 +182,7 @@ def collapsed_negative_log_likelihood(params, frame, grid) -> float:
     import scipy.linalg as sla
 
     from volsurf.constrained_sampling import chol_with_jitter
-    from volsurf.gp_price_surface import _axis_weights, matern52
+    from volsurf.gp_price_surface import matern52
 
     u, v = frame.scaling.to_unit(frame.maturity, frame.reduced_strike)
     m = 0.5 * (frame.reduced_bid + frame.reduced_ask)
@@ -142,7 +190,7 @@ def collapsed_negative_log_likelihood(params, frame, grid) -> float:
     sandwiches = []
     for coords, nodes, theta in ((u, grid.t_nodes, params.theta_t),
                                  (v, grid.k_nodes, params.theta_k)):
-        w = _axis_weights(coords, nodes.size)
+        w = hat_weights(coords, nodes.size)
         c = matern52(nodes[:, None] - nodes[None, :], theta)
         sandwiches.append(np.asarray((w @ c) @ w.T.toarray()))
     gram = params.sigma**2 * np.multiply(*sandwiches)

@@ -90,6 +90,7 @@ class TestCalibrate:
         report = json.loads((out / "report.json").read_text())
         assert report["train_n"] + report["test_n"] == 48
         assert report["min_constraint_slack"] >= -1e-8
+        assert report["prior_jitter"] == {"maturity": 0.0, "strike": 0.0}
 
         lv_out = tmp_path / "gp_lv"
         code = run(
@@ -412,6 +413,29 @@ class TestModelFiles:
             for value in ("x", None):
                 self.expect_input_error(name, with_field(doc, path, value), tmp_path,
                                         synthetic_dir, capsys)
+
+    @pytest.mark.parametrize("method", ["cn", "mc"])
+    @pytest.mark.parametrize("path", [("values", 1, 1), ("t_axis", 1)],
+                             ids=["nan-value", "nan-t-axis"])
+    def test_non_finite_local_vol_number(self, method, path, tmp_path, synthetic_dir, capsys):
+        from volsurf.local_vol import LocalVolGrid, grid_to_json
+
+        doc = grid_to_json(LocalVolGrid.flat(0.2, [0.1, 1.0, 2.5], [50.0, 100.0, 200.0]))
+        (tmp_path / "lv.json").write_text(json.dumps(with_field(doc, path, float("nan"))))
+        capsys.readouterr()
+        code = run(["backtest", method, "--localvol", tmp_path / "lv.json",
+                    *market_args(synthetic_dir), "--out", tmp_path / "bt", "--paths", 200,
+                    "--steps", 5, "--cn-t", 10, "--cn-k", 20])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "input"
+
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    def test_infinite_gp_node(self, name, model_files, tmp_path, synthetic_dir, capsys):
+        doc = json.loads(model_files["gp"].read_text())
+        message = self.expect_input_error(name, with_field(doc, ("map_nodes", 0), float("inf")),
+                                          tmp_path, synthetic_dir, capsys)
+        assert "finite" in message
 
     def test_every_mistyped_local_vol_field(self, tmp_path, synthetic_dir, capsys):
         from volsurf.local_vol import LocalVolGrid, grid_to_json

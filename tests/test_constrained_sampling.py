@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from volsurf import constrained_sampling
 from volsurf.constrained_sampling import (
@@ -27,6 +29,7 @@ from oracles import (
     brute_force_qp,
     qp_objective,
     random_feasible_qp,
+    shape_rows,
     truncated_standard_normal_mean,
 )
 
@@ -45,6 +48,29 @@ class TestQuadProgram:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             QuadProgram(q=np.eye(2), c=np.zeros(2), a_ineq=np.ones((1, 3)), b_ineq=[0.0])
+
+
+@st.composite
+def feasible_qps(draw, d_max=4, m_max=6):
+    """A strictly convex QP whose rows all keep slack >= 0.1 at a drawn witness point.
+
+    Entries are halves in [-3, 3], so zero rows, repeated rows and ties are
+    drawn as often as generic ones.
+    """
+    d = draw(st.integers(1, d_max))
+    m = draw(st.integers(1, m_max))
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size)),
+                        dtype=float).reshape(shape) / 2.0
+
+    half = array(d, d)
+    q = half @ half.T + 0.5 * np.eye(d)
+    a = array(m, d)
+    margin = np.array(draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+                                    min_size=m, max_size=m)))
+    return q, array(d), a, a @ array(d) - margin
 
 
 class TestSolveQp:
@@ -73,12 +99,6 @@ class TestSolveQp:
         for key in ("stationarity", "primal", "dual", "complementarity"):
             assert res.kkt[key] <= 1e-10
 
-    def test_sparse_inequalities(self):
-        a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        p = QuadProgram(q=2.0 * np.eye(2), c=[-2.0, -2.0], a_ineq=a, b_ineq=[0.0, 0.0, 1.5])
-        res = solve_qp(p)
-        assert res.x == pytest.approx([1.0, 1.0], abs=1e-7)
-
     def test_matches_brute_force_on_random_qps(self):
         rng = np.random.default_rng(123)
         solved = 0
@@ -92,6 +112,16 @@ class TestSolveQp:
             assert np.min(a @ res.x - b) >= -1e-7
             solved += 1
         assert solved >= 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(feasible_qps())
+    def test_matches_brute_force_on_drawn_qps(self, problem):
+        q, c, a, b = problem
+        x_ref, val_ref = brute_force_qp(q, c, a, b)
+        assume(x_ref is not None)
+        res = solve_qp(QuadProgram(q=q, c=c, a_ineq=a, b_ineq=b))
+        assert qp_objective(q, c, res.x) == pytest.approx(val_ref, abs=1e-6 * (1.0 + abs(val_ref)))
+        assert np.min(a @ res.x - b) >= -1e-7
 
     def test_solution_beats_random_feasible_points(self):
         rng = np.random.default_rng(7)
@@ -164,7 +194,9 @@ class TestSampleTruncated:
 
     def test_unconstrained_covariance(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        tg = TruncatedGaussian(mean=[1.0, -2.0], root=np.linalg.cholesky(cov))
+        # one wall 15 / sqrt(2) > 10 standard deviations below the mean: no draw reaches it
+        tg = TruncatedGaussian(mean=[1.0, -2.0], root=np.linalg.cholesky(cov),
+                               a=[[1.0, 0.0]], b=[-14.0])
         samples = sample_truncated(tg, init=np.array([1.0, -2.0]), n_samples=20_000, seed=3)
         est = np.cov(samples.T)
         assert est == pytest.approx(cov, abs=0.08)
@@ -212,36 +244,16 @@ class TestSampleTruncated:
         assert np.min(samples[:, 0]) >= 0.0
 
 
-def _shape_rows(n_t=4, n_k=6):
-    """Monotone/convex/nonnegative rows of an n_t x n_k node grid, like the GP's."""
-    rows = []
-    idx = lambda i, j: i * n_k + j  # noqa: E731
-    for i in range(n_t - 1):
-        for j in range(n_k):
-            rows.append({idx(i + 1, j): 1.0, idx(i, j): -1.0})
-    for i in range(n_t):
-        for j in range(n_k - 2):
-            rows.append({idx(i, j + 2): 1.0, idx(i, j + 1): -2.0, idx(i, j): 1.0})
-    for n in range(n_t * n_k):
-        rows.append({n: 1.0})
-    a = np.zeros((len(rows), n_t * n_k))
-    for r, row in enumerate(rows):
-        for col, val in row.items():
-            a[r, col] = val
-    return a
-
-
 class TestClosedFormBounces:
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_products_track_exact_after_many_bounces(self, sparse):
+    def test_products_track_exact_after_many_bounces(self):
         rng = np.random.default_rng(17)
-        a_dense = _shape_rows()
+        a_dense = shape_rows(4, 6).toarray()
         d = a_dense.shape[1]
         half = rng.standard_normal((d, d))
         root = np.linalg.cholesky(half @ half.T / d + 0.1 * np.eye(d))
         z = rng.standard_normal(d)
         g = -(a_dense @ (root @ z)) + rng.uniform(0.05, 0.5, a_dense.shape[0])
-        walls = _Walls(sp.csr_matrix(a_dense) if sparse else a_dense, root)
+        walls = _Walls(sp.csr_matrix(a_dense), root)
 
         a_vec, b_vec = rng.standard_normal(d), z
         f_a, f_b = walls.products(a_vec), walls.products(b_vec)
@@ -259,12 +271,12 @@ class TestClosedFormBounces:
 
     def test_reflection_preserves_energy_and_flips_wall_velocity(self):
         rng = np.random.default_rng(2)
-        a_dense = _shape_rows(3, 4)
+        a_dense = shape_rows(3, 4).toarray()
         d = a_dense.shape[1]
         root = np.linalg.cholesky(np.eye(d) + 0.3 * np.ones((d, d)))
         z = rng.standard_normal(d)
         g = -(a_dense @ (root @ z)) + 0.2
-        walls = _Walls(a_dense, root)
+        walls = _Walls(sp.csr_matrix(a_dense), root)
         a_vec = rng.standard_normal(d)
         t_hit, wall = _wall_hit(walls.products(a_vec), walls.products(z), g)
         v_ref, b_new, f_v, f_b = _reflect(

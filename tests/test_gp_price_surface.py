@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsurf.backtest import SyntheticSpec, generate_synthetic
 from volsurf.black_scholes import put_price
@@ -42,6 +44,7 @@ from oracles import (
     kernel,
     marginal_log_likelihood,
     per_point_gp_put_prices,
+    shape_rows,
     sparse_negative_log_likelihood,
 )
 
@@ -157,22 +160,32 @@ class TestHatBasis:
 
 class TestConstraints:
     def test_row_counts_3x3(self):
-        system = build_constraints(BasisGrid(n_t=3, n_k=3))
-        assert system.counts == {"monotonicity": 6, "convexity": 3, "nonnegativity": 9}
-        assert system.n_rows == 18
+        a = build_constraints(BasisGrid(n_t=3, n_k=3))
+        assert a.shape == (18, 9)
+        # 6 monotonicity rows of two nodes, 3 convexity rows of three, 9 nonnegativity rows
+        assert np.diff(a.indptr).tolist() == [2] * 6 + [3] * 3 + [1] * 9
+
+    @settings(max_examples=70, deadline=None)
+    @given(st.integers(2, 8), st.integers(3, 12))
+    def test_same_csr_as_row_loop(self, n_t, n_k):
+        got, want = build_constraints(BasisGrid(n_t=n_t, n_k=n_k)), shape_rows(n_t, n_k)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
     def test_row_counts_2x3(self):
-        system = build_constraints(BasisGrid(n_t=2, n_k=3))
-        assert system.n_rows == 11
+        assert build_constraints(BasisGrid(n_t=2, n_k=3)).shape == (11, 6)
 
     def test_constant_vector_feasible(self):
         grid = BasisGrid(n_t=3, n_k=4)
-        system = build_constraints(grid)
+        a = build_constraints(grid)
         rho = np.full(grid.size, 3.7)
-        slack = system.a @ rho
+        slack = a @ rho
         assert np.min(slack) >= 0.0
-        # monotone/convex rows hold with equality for a flat surface
-        assert np.max(np.abs(slack[: system.counts["monotonicity"] + system.counts["convexity"]])) == 0.0
+        # monotone/convex rows, all but the last grid.size, hold with
+        # equality for a flat surface
+        assert np.max(np.abs(slack[: a.shape[0] - grid.size])) == 0.0
 
     def test_feasible_vector_makes_monotone_convex_surface(self):
         grid = BasisGrid(n_t=5, n_k=7)
@@ -183,7 +196,7 @@ class TestConstraints:
         shift_t = np.cumsum(rng.uniform(0.0, 1.0, 5))
         vals = shift_t[:, None] + profile_k[None, :]
         rho = vals.ravel()
-        assert np.min(build_constraints(grid).a @ rho) >= -1e-12
+        assert np.min(build_constraints(grid) @ rho) >= -1e-12
         ts = np.linspace(0, 1, 21)
         ks = np.linspace(0, 1, 23)
         surf = np.array(
@@ -509,6 +522,16 @@ class TestFitMap:
             np.zeros(grid.size), y
         )
 
+    @pytest.mark.parametrize("theta, ridges", [(10.0, (0.0, 1e-12)), (1.0, (0.0, 0.0))])
+    def test_prior_jitter_kept(self, theta, ridges):
+        # the Matern correlation of 100 strike nodes at theta = 10 has condition
+        # number 1.4e18: it factors only with chol_with_jitter's first ridge,
+        # 1e-12 of its unit diagonal; at theta = 1 both axes factor as given
+        frame = flat_vol_frame(n_t=3, n_k=6)
+        p = KernelParams(sigma=20.0, theta_t=theta, theta_k=theta, noise_sd=0.2)
+        model = fit_map(frame, BasisGrid(n_t=2, n_k=100), p)
+        assert model.prior_jitter == ridges
+
     def test_flat_vol_map_tracks_mid_prices(self):
         frame = flat_vol_frame(n_t=8, n_k=10, spread=0.002)
         grid = BasisGrid(n_t=5, n_k=8)
@@ -588,17 +611,13 @@ class TestPosterior:
         model = fit_map(train, grid, KernelParams(1148068.34, 27.29, 241.09, 0.2998))
         paths = sample_posterior(model, n_paths=20)
         assert paths.shape == (20, grid.size)
-        assert np.min(build_constraints(grid).a @ paths.T) >= 0.0
+        assert np.min(build_constraints(grid) @ paths.T) >= 0.0
 
     def test_paths_satisfy_constraints_and_are_deterministic(self):
         model, frame = self.make_model()
         paths = sample_posterior(model, n_paths=50, seed=7, burn_in=50)
         assert paths.shape == (50, model.grid.size)
-        from volsurf.gp_price_surface import build_constraints
-
-        system = build_constraints(model.grid)
-        slack = np.asarray(system.a @ paths.T)
-        assert slack.min() >= 0.0
+        assert np.min(build_constraints(model.grid) @ paths.T) >= 0.0
         paths2 = sample_posterior(model, n_paths=50, seed=7, burn_in=50)
         assert np.array_equal(paths, paths2)
 
@@ -626,7 +645,7 @@ class TestConvergenceProxy:
             uu = np.linspace(0, 1, 31)
             vv = np.linspace(0, 1, 33)
             grid_u, grid_v = np.meshgrid(uu, vv, indexing="ij")
-            fit = model.price_scaled(grid_u.ravel(), grid_v.ravel())
+            fit = evaluate_surface(model.map_nodes, model.grid, grid_u.ravel(), grid_v.ravel())
             errs.append(np.max(np.abs(fit - truth(grid_u.ravel(), grid_v.ravel()))))
         assert errs[1] < errs[0]
 
