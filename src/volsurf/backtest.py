@@ -113,30 +113,40 @@ def price_mc(
     sums = np.zeros(len(options))
     sq_sums = np.zeros(len(options))
 
-    def settle(time_value, idx_time):
+    def settle(time_value):
+        """Pay off the options expiring at time_value; return the spots exp(x)."""
         spot_now = np.exp(x)
         for opt_idx in by_time.get(float(time_value), []):
             t_opt, strike = options[opt_idx]
             payoff = np.maximum(strike - spot_now, 0.0) * float(curves.discount(t_opt))
             sums[opt_idx] = payoff.sum()
             sq_sums[opt_idx] = (payoff * payoff).sum()
+        return spot_now
 
-    settle(times[0], 0)
+    spot_now = settle(times[0])
     for i in range(times.size - 1):
         t0, t1 = times[i], times[i + 1]
         dt = t1 - t0
         step_carry = carry_vals[i + 1] - carry_vals[i]
-        spot_now = np.exp(x)
-        k_coord = spot_now * math.exp(-carry_vals[i])
-        sigma = lv.lookup(t0, k_coord)
+        spot_now *= math.exp(-carry_vals[i])  # the strike coordinate of each path
+        sigma = lv.lookup(t0, spot_now)
         if antithetic:
             half = (n_paths + 1) // 2
             draw = rng.standard_normal(half)
             normals = np.concatenate([draw, -draw])[:n_paths]
         else:
             normals = rng.standard_normal(n_paths)
-        x = x + step_carry - 0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * normals
-        settle(t1, i + 1)
+        # x + step_carry - 0.5 * sigma * sigma * dt + sigma * sqrt(dt) * normals,
+        # in place and in that order, so every path gets the same bits
+        drift = 0.5 * sigma
+        drift *= sigma
+        drift *= dt
+        x += step_carry
+        x -= drift
+        sigma *= math.sqrt(dt)
+        sigma *= normals
+        x += sigma
+        spot_now = settle(t1)
 
     prices = sums / n_paths
     variances = np.maximum(sq_sums / n_paths - prices**2, 0.0)
@@ -205,10 +215,11 @@ def price_cn(
         sigma = lv.lookup(t, k_inner)
         return 0.5 * sigma * sigma * k_inner * k_inner / dk**2
 
+    # each time level's diffusion serves as d_new of one step and d_old of the next
+    d_new = diffusion(t_axis[0])
     for n in range(n_t - 1):
         dt = t_axis[n + 1] - t_axis[n]
-        d_old = diffusion(t_axis[n])
-        d_new = diffusion(t_axis[n + 1])
+        d_old, d_new = d_new, diffusion(t_axis[n + 1])
         # explicit half-step
         rhs = values[n, inner] + 0.5 * dt * d_old * (
             values[n, :-2] - 2.0 * values[n, inner] + values[n, 2:]

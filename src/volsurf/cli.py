@@ -173,6 +173,7 @@ def cmd_calibrate(args) -> int:
             "rho": params.rho,
             "eta": params.eta,
             "no_arbitrage": check_no_arbitrage(params),
+            "ssvi_slices_at_max_iter": surface.diagnostics["slices_at_max_iter"],
         }
     else:
         raise CliInputError(f"unknown calibration method {args.method!r}")

@@ -100,21 +100,48 @@ class LocalVolGrid:
         return bilinear(self.t_axis, self.k_axis, values, t, k)
 
 
+def axis_cells(axis, x):
+    """(cell, axis[cell], axis[cell + 1]) of each x on a strictly increasing axis.
+
+    cell equals clip(searchsorted(axis, x) - 1, 0, n - 2) for every x, NaN
+    and +-inf included.  It is guessed from the axis's mean spacing, which is
+    exact on the uniform axes ``localvol`` writes, and checked against both
+    ends of the cell; only the points the guess misses are searched.
+    """
+    n = axis.size
+    guess = (x - axis[0]) * ((n - 1) / (axis[-1] - axis[0]))
+    # fmax/fmin send NaN to cell 0, where the check below fails it
+    cell = np.fmin(np.fmax(guess, 0.0), n - 2).astype(np.intp)
+    lo, hi = axis.take(cell), axis[1:].take(cell)
+    hit = ((lo < x) | (cell == 0)) & ((x <= hi) | (cell == n - 2))
+    if not hit.all():
+        cell = np.array(cell)  # an array even for a scalar x, so misses can be set
+        miss = ~hit
+        cell[miss] = np.clip(np.searchsorted(axis, np.asarray(x)[miss]) - 1, 0, n - 2)
+        lo, hi = axis.take(cell), axis[1:].take(cell)
+    return cell, lo, hi
+
+
 def bilinear(t_axis, k_axis, values, t, k):
     """Bilinear interpolation of values on the (t_axis, k_axis) grid at (t, k).
 
-    Points must lie inside the grid: callers clamp or reject the others.  A
-    scalar t with an array k costs one search and 1-D gathers along T.
+    Points must lie inside the grid: callers clamp or reject the others.  The
+    four corners are gathered from the flattened values, so a scalar t with
+    an array k costs the same as 1-D gathers along one row pair.
     """
-    it = np.clip(np.searchsorted(t_axis, t) - 1, 0, t_axis.size - 2)
-    ik = np.clip(np.searchsorted(k_axis, k) - 1, 0, k_axis.size - 2)
-    wt = (t - t_axis[it]) / (t_axis[it + 1] - t_axis[it])
-    wk = (k - k_axis[ik]) / (k_axis[ik + 1] - k_axis[ik])
+    it, t_lo, t_hi = axis_cells(t_axis, t)
+    ik, k_lo, k_hi = axis_cells(k_axis, k)
+    wt = (t - t_lo) / (t_hi - t_lo)
+    wk = (k - k_lo) / (k_hi - k_lo)
+    ut, uk = 1 - wt, 1 - wk
+    n_k = k_axis.size
+    flat = values.ravel()
+    corner = it * n_k + ik
     out = (
-        (1 - wt) * (1 - wk) * values[it, ik]
-        + (1 - wt) * wk * values[it, ik + 1]
-        + wt * (1 - wk) * values[it + 1, ik]
-        + wt * wk * values[it + 1, ik + 1]
+        ut * uk * flat.take(corner)
+        + ut * wk * flat[1:].take(corner)
+        + wt * uk * flat[n_k:].take(corner)
+        + wt * wk * flat[n_k + 1:].take(corner)
     )
     return float(out) if out.ndim == 0 else out
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .local_vol import calendar_butterfly_terms
 from .market_data import MarketFrame
-from .serialize import number_array
+from .serialize import number, number_array
 
 log = logging.getLogger(__name__)
 
@@ -732,7 +732,7 @@ def model_from_json(doc: dict) -> NnIvModel:
         biases=biases,
         input_mean=number_array(doc["input_mean"]).reshape(2),
         input_scale=number_array(doc["input_scale"]).reshape(2),
-        sigma_lo=float(doc["sigma_lo"]),
-        sigma_hi=float(doc["sigma_hi"]),
-        spot=float(doc["spot"]),
+        sigma_lo=number(doc["sigma_lo"]),
+        sigma_hi=number(doc["sigma_hi"]),
+        spot=number(doc["spot"]),
     )

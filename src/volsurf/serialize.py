@@ -30,3 +30,11 @@ def number_array(value, dtype=float) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("expected finite numbers, got NaN or Infinity")
     return arr.astype(dtype)
+
+
+def number(value) -> float:
+    """A finite JSON number as a float: the scalar twin of ``number_array``."""
+    arr = number_array(value)
+    if arr.ndim:
+        raise ValueError(f"expected a number, got {value!r:.40}")
+    return float(arr)

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize as sopt
 
 from .market_data import MarketFrame
+from .serialize import number
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +58,10 @@ class NaturalSviParams:
             raise ValueError(f"omega must be nonnegative, got {self.omega}")
         if self.zeta <= 0.0:
             raise ValueError(f"zeta must be positive, got {self.zeta}")
+
+
+# the fields of a slice in an ssvi/1 document, besides its maturity
+SLICE_FIELDS = ("delta", "mu", "rho", "omega", "zeta")
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,15 @@ class SsviParams:
 
 @dataclass(frozen=True)
 class SviSurface:
-    """Per-maturity natural slices plus the ATM curve driving interpolation."""
+    """Per-maturity natural slices plus the ATM curve driving interpolation.
+
+    ``diagnostics`` holds what the calibration observed; it is not serialized.
+    """
 
     maturities: tuple
     slices: tuple          # NaturalSviParams per maturity
     atm_curve: tuple       # Theta_T at the slice maturities
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if len(self.maturities) != len(self.slices) or len(self.maturities) != len(
@@ -230,7 +239,8 @@ def calibrate(
     bound, imposed by projecting eta onto eta <= 2 / (1 + |rho|).  Step 2
     refines each maturity as a free natural-SVI slice, starting from the
     SSVI values, with a squared penalty on crossing the previous slice from
-    below.  Slices are only refined when that improves their objective.
+    below.  Slices are only refined when that improves their objective.  The
+    surface's diagnostics count the slice fits stopped by ``max_iter``.
     """
     cfg = config or SsviFitConfig()
     maturities, raw_theta = _atm_total_variance(frame)
@@ -288,6 +298,7 @@ def calibrate(
 
     slices: list[NaturalSviParams] = []
     prev_total: np.ndarray | None = None
+    at_max_iter = 0
     theta_max = float(theta_curve[-1])
     for t in maturities:
         refined = start = ssvi.slice_at(t)
@@ -307,6 +318,7 @@ def calibrate(
                 _slice_objective, x0, args=args, method="Nelder-Mead", bounds=bounds,
                 options={"maxiter": cfg.max_iter, "xatol": 1e-8, "fatol": 1e-12},
             )
+            at_max_iter += res.nit >= cfg.max_iter
             if res.fun <= _slice_objective(x0, *args):
                 delta, mu, rho_s, omega, zeta = res.x
                 refined = NaturalSviParams(
@@ -316,11 +328,15 @@ def calibrate(
                 )
         slices.append(refined)
         prev_total = svi_total_variance(refined, kappa_grid)
+    if at_max_iter:
+        log.warning("%d of %d SSVI slice fits stopped at max_iter=%d before converging",
+                    at_max_iter, maturities.size, cfg.max_iter)
 
     surface = SviSurface(
         maturities=tuple(float(t) for t in maturities),
         slices=tuple(slices),
         atm_curve=tuple(float(v) for v in theta_curve),
+        diagnostics={"slices_at_max_iter": at_max_iter},
     )
     return ssvi, surface
 
@@ -453,38 +469,29 @@ def model_to_json(model: SsviModel) -> dict:
             "values": list(params.theta_values),
         },
         "slices": [
-            {
-                "maturity": m,
-                "delta": s.delta,
-                "mu": s.mu,
-                "rho": s.rho,
-                "omega": s.omega,
-                "zeta": s.zeta,
-            }
+            {"maturity": m, **{name: getattr(s, name) for name in SLICE_FIELDS}}
             for m, s in zip(surface.maturities, surface.slices)
         ],
     }
 
 
 def model_from_json(doc: dict) -> SsviModel:
+    """An ``ssvi/1`` document as a model; every number in it must be finite."""
     if doc.get("version") != "ssvi/1":
         raise ValueError(f"unsupported SSVI model version {doc.get('version')!r}")
-    theta_values = tuple(float(v) for v in doc["atm_curve"]["values"])
+    theta_values = tuple(number(v) for v in doc["atm_curve"]["values"])
     params = SsviParams(
-        rho=float(doc["rho"]), eta=float(doc["eta"]), gamma=float(doc["gamma"]),
-        theta_maturities=tuple(float(t) for t in doc["atm_curve"]["maturities"]),
+        rho=number(doc["rho"]), eta=number(doc["eta"]), gamma=number(doc["gamma"]),
+        theta_maturities=tuple(number(t) for t in doc["atm_curve"]["maturities"]),
         theta_values=theta_values,
     )
     slices = tuple(
-        NaturalSviParams(
-            delta=float(s["delta"]), mu=float(s["mu"]), rho=float(s["rho"]),
-            omega=float(s["omega"]), zeta=float(s["zeta"]),
-        )
+        NaturalSviParams(**{name: number(s[name]) for name in SLICE_FIELDS})
         for s in doc["slices"]
     )
     surface = SviSurface(
-        maturities=tuple(float(s["maturity"]) for s in doc["slices"]),
+        maturities=tuple(number(s["maturity"]) for s in doc["slices"]),
         slices=slices,
         atm_curve=theta_values,
     )
-    return SsviModel(params=params, surface=surface, spot=float(doc["spot"]))
+    return SsviModel(params=params, surface=surface, spot=number(doc["spot"]))

@@ -688,3 +688,73 @@ def term_structure_cev_frame():
     spec = SyntheticSpec(kind="cev", maturities=(0.3, 0.7, 1.2, 2.0),
                          moneyness=tuple(np.linspace(0.8, 1.25, 9).tolist()))
     return build_frame(generate_synthetic(spec, curves), curves)
+
+
+def searchsorted_bilinear(t_axis, k_axis, values, t, k):
+    """Bilinear interpolation with both cells found by np.searchsorted.
+
+    The kernel ``local_vol.bilinear`` replaced: 2-D fancy-index corners and
+    ``1 - w`` formed per term, in the same order of operations.
+    """
+    it = np.clip(np.searchsorted(t_axis, t) - 1, 0, t_axis.size - 2)
+    ik = np.clip(np.searchsorted(k_axis, k) - 1, 0, k_axis.size - 2)
+    wt = (t - t_axis[it]) / (t_axis[it + 1] - t_axis[it])
+    wk = (k - k_axis[ik]) / (k_axis[ik + 1] - k_axis[ik])
+    out = (
+        (1 - wt) * (1 - wk) * values[it, ik]
+        + (1 - wt) * wk * values[it, ik + 1]
+        + wt * (1 - wk) * values[it + 1, ik]
+        + wt * wk * values[it + 1, ik + 1]
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def searchsorted_lookup(lv, t, k):
+    """``LocalVolGrid.lookup`` (filled, clamped) through ``searchsorted_bilinear``."""
+    t = np.clip(np.asarray(t, dtype=float), lv.t_axis[0], lv.t_axis[-1])
+    k = np.clip(np.asarray(k, dtype=float), lv.k_axis[0], lv.k_axis[-1])
+    return searchsorted_bilinear(lv.t_axis, lv.k_axis, lv.filled_values(), t, k)
+
+
+def allocating_price_mc(lv, curves, options, n_paths, n_steps, seed=0, antithetic=False):
+    """``backtest.price_mc`` as a loop that allocates every step's arrays.
+
+    Two exp(x) per step and a new x each step, with the local vol from
+    ``searchsorted_lookup``; the same draws and the same operation order.
+    """
+    options = [(float(t), float(k)) for t, k in options]
+    t_max = max(t for t, _ in options)
+    times = np.unique(
+        np.concatenate([np.linspace(0.0, t_max, n_steps + 1), [t for t, _ in options]])
+    )
+    rng = np.random.default_rng(np.random.Philox(seed))
+    x = np.full(n_paths, math.log(curves.spot))
+    carry_vals = curves.carry(times)
+    sums = np.zeros(len(options))
+    sq_sums = np.zeros(len(options))
+
+    def settle(time_value):
+        spot_now = np.exp(x)
+        for idx, (t_opt, strike) in enumerate(options):
+            if t_opt == float(time_value):
+                payoff = np.maximum(strike - spot_now, 0.0) * float(curves.discount(t_opt))
+                sums[idx] = payoff.sum()
+                sq_sums[idx] = (payoff * payoff).sum()
+
+    settle(times[0])
+    for i in range(times.size - 1):
+        dt = times[i + 1] - times[i]
+        step_carry = carry_vals[i + 1] - carry_vals[i]
+        k_coord = np.exp(x) * math.exp(-carry_vals[i])
+        sigma = searchsorted_lookup(lv, times[i], k_coord)
+        if antithetic:
+            draw = rng.standard_normal((n_paths + 1) // 2)
+            normals = np.concatenate([draw, -draw])[:n_paths]
+        else:
+            normals = rng.standard_normal(n_paths)
+        x = x + step_carry - 0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * normals
+        settle(times[i + 1])
+
+    prices = sums / n_paths
+    variances = np.maximum(sq_sums / n_paths - prices**2, 0.0)
+    return prices, np.sqrt(variances / n_paths)

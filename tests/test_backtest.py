@@ -27,7 +27,13 @@ from volsurf.market_data import (
     load_quotes,
 )
 
-from oracles import frame_rows, scalar_frame_points, scalar_report, scalar_synthetic_quotes
+from oracles import (
+    allocating_price_mc,
+    frame_rows,
+    scalar_frame_points,
+    scalar_report,
+    scalar_synthetic_quotes,
+)
 
 
 def market_prices(frame):
@@ -90,6 +96,22 @@ class TestPriceMc:
                         antithetic=True)
         assert abs(p[0] - put_price(SPOT, 100.0, 1.0, 0.2)) < 0.25
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_bitwise_the_allocating_loop(self, antithetic):
+        rng = np.random.default_rng(4)
+        t_axis = np.geomspace(0.05, 2.0, 9)
+        k_axis = np.linspace(70.0, 140.0, 12)
+        lv = LocalVolGrid(t_axis, k_axis, rng.uniform(0.1, 0.6, (9, 12)),
+                          rng.uniform(size=(9, 12)) > 0.2)
+        curves = make_curves(r=0.03, q=0.01)
+        options = [(0.37, 90.0), (0.37, 104.0), (1.0, 100.0), (1.55, 120.0), (1.8, 75.0)]
+        got = price_mc(lv, curves, options, n_paths=500, n_steps=10, seed=9,
+                       antithetic=antithetic)
+        want = allocating_price_mc(lv, curves, options, n_paths=500, n_steps=10, seed=9,
+                                   antithetic=antithetic)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     def test_nonzero_rates_priced_correctly(self):
         curves = make_curves(r=0.04, q=0.015)
         lv = flat_grid(0.25)
@@ -130,6 +152,19 @@ class TestPriceCn:
         solution = price_cn(lv, curves, t_max=2.0, n_t=80, n_k=90)
         assert np.min(np.diff(solution.reduced, axis=0)) >= -1e-8
         assert np.min(np.diff(solution.reduced, n=2, axis=1)) >= -1e-8
+
+    def test_one_lookup_per_time_level(self, monkeypatch):
+        lv = flat_grid(0.2)
+        times = []
+        real = LocalVolGrid.lookup
+
+        def spy(self, t, k, fill=True):
+            times.append(float(t))
+            return real(self, t, k, fill)
+
+        monkeypatch.setattr(LocalVolGrid, "lookup", spy)
+        solution = price_cn(lv, make_curves(), t_max=2.0, n_t=30, n_k=40)
+        assert times == solution.t_axis.tolist()
 
     def test_domain_error_outside_grid(self):
         curves = make_curves()

@@ -166,6 +166,7 @@ class TestCalibrate:
         assert model["version"] == "ssvi/1"
         report = json.loads((out / "report.json").read_text())
         assert report["no_arbitrage"]["butterfly_ok"]
+        assert report["ssvi_slices_at_max_iter"] in range(len(model["slices"]) + 1)
 
         lv_out = tmp_path / "ssvi_lv"
         code = run(
@@ -434,6 +435,25 @@ class TestModelFiles:
     def test_infinite_gp_node(self, name, model_files, tmp_path, synthetic_dir, capsys):
         doc = json.loads(model_files["gp"].read_text())
         message = self.expect_input_error(name, with_field(doc, ("map_nodes", 0), float("inf")),
+                                          tmp_path, synthetic_dir, capsys)
+        assert "finite" in message
+
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            pytest.param("ssvi", ("slices", 0, "omega"), id="ssvi-slice-omega"),
+            pytest.param("ssvi", ("slices", 1, "zeta"), id="ssvi-slice-zeta"),
+            pytest.param("ssvi", ("slices", 0, "delta"), id="ssvi-slice-delta"),
+            pytest.param("ssvi", ("eta",), id="ssvi-eta"),
+            pytest.param("ssvi", ("atm_curve", "values", 1), id="ssvi-atm-value"),
+            pytest.param("nn", ("sigma_hi",), id="nn-sigma-hi"),
+        ],
+    )
+    def test_nan_model_number(self, method, path, name, model_files, tmp_path, synthetic_dir,
+                              capsys):
+        doc = json.loads(model_files[method].read_text())
+        message = self.expect_input_error(name, with_field(doc, path, float("nan")),
                                           tmp_path, synthetic_dir, capsys)
         assert "finite" in message
 

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsurf.black_scholes import put_price
 from volsurf.local_vol import (
     DegenerateVarianceError,
     LocalVolGrid,
+    axis_cells,
+    bilinear,
     calendar_butterfly_terms,
     cap_and_report,
     dupire_fd,
@@ -17,6 +21,8 @@ from volsurf.local_vol import (
     write_grid_csv,
 )
 from volsurf.serialize import dump_json, load_json
+
+from oracles import searchsorted_bilinear
 
 S0 = 100.0
 
@@ -244,6 +250,93 @@ class TestGridOps:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "T,k,local_vol,valid"
         assert len(lines) == 1 + 20
+
+
+@st.composite
+def increasing_axes(draw):
+    """Strictly increasing axes of the four kinds a lookup meets, n >= 2."""
+    n = draw(st.integers(2, 60))
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 1e3))
+    kind = draw(st.sampled_from(["uniform", "affine", "geometric", "random"]))
+    if kind == "uniform":
+        axis = np.linspace(lo, lo + width, n)
+    elif kind == "affine":  # the GP's unit axis mapped back to maturity or strike
+        axis = lo + np.linspace(0.0, 1.0, n) * width
+    elif kind == "geometric":
+        axis = np.geomspace(abs(lo) + 1e-3, abs(lo) + 1e-3 + width, n)
+    else:
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True))
+        axis = np.sort(np.array(values))
+    assert np.all(np.diff(axis) > 0.0)
+    return axis
+
+
+def probe_points(axis, extra):
+    """Nodes, their float neighbours, midpoints, points beyond both ends and non-finite x."""
+    return np.concatenate([
+        axis, np.nextafter(axis, -np.inf), np.nextafter(axis, np.inf),
+        0.5 * (axis[:-1] + axis[1:]), [axis[0] - abs(axis[0]) - 1.0],
+        [axis[-1] + abs(axis[-1]) + 1.0, np.nan, np.inf, -np.inf], extra,
+    ])
+
+
+class TestAxisCells:
+    @settings(max_examples=300, deadline=None)
+    @given(increasing_axes(), st.lists(st.floats(-2e6, 2e6), max_size=20))
+    def test_equals_clipped_searchsorted(self, axis, extra):
+        x = probe_points(axis, extra)
+        # as given, and clamped to the edges as LocalVolGrid.lookup does
+        for points in (x, np.clip(x, axis[0], axis[-1])):
+            want = np.clip(np.searchsorted(axis, points) - 1, 0, axis.size - 2)
+            cell, lo, hi = axis_cells(axis, points)
+            assert cell.dtype == np.intp and np.array_equal(cell, want)
+            assert np.array_equal(lo, axis[want]) and np.array_equal(hi, axis[want + 1])
+        want = np.clip(np.searchsorted(axis, x) - 1, 0, axis.size - 2)
+        for point, expected in zip(x[::7].tolist(), want[::7].tolist()):
+            cell, lo, hi = axis_cells(axis, np.float64(point))
+            assert np.ndim(cell) == 0 and int(cell) == expected
+            assert lo == axis[expected] and hi == axis[expected + 1]
+
+    def test_uniform_axis_needs_no_search(self, monkeypatch):
+        axis = np.linspace(70.0, 130.0, 50)
+        x = np.clip(np.random.default_rng(3).normal(100.0, 20.0, 10_000), 70.0, 130.0)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searchsorted called")
+
+        monkeypatch.setattr(np, "searchsorted", no_search)
+        cell, _, _ = axis_cells(axis, x)
+        assert cell.min() == 0 and cell.max() == 48
+
+
+class TestBilinear:
+    @pytest.mark.parametrize("t_kind", ["scalar", "array"])
+    @pytest.mark.parametrize("k_kind", ["scalar", "array"])
+    def test_bitwise_the_searchsorted_kernel(self, t_kind, k_kind):
+        rng = np.random.default_rng(21)
+        t_axis = np.geomspace(0.05, 2.5, 13)
+        k_axis = np.linspace(60.0, 160.0, 17)
+        values = rng.uniform(0.1, 0.5, (13, 17))
+        t_pts = np.concatenate([rng.uniform(0.05, 2.5, 300), t_axis,
+                                np.nextafter(t_axis[1:], 0.0)])
+        k_pts = np.concatenate([rng.uniform(60.0, 160.0, 300), k_axis,
+                                np.nextafter(k_axis[1:], 0.0)])
+        if t_kind == "array" and k_kind == "array":
+            n = min(t_pts.size, k_pts.size)
+            cases = [(t_pts[:n], k_pts[:n]), (t_pts[:, None], k_pts[None, :40])]
+        elif t_kind == "array":
+            cases = [(t_pts, np.asarray(k)) for k in k_pts[::20]]
+        elif k_kind == "array":
+            cases = [(np.asarray(t), k_pts) for t in t_pts[::20]]
+        else:
+            cases = [(np.asarray(t), np.asarray(k)) for t, k in zip(t_pts[::5], k_pts[::5])]
+        for t, k in cases:
+            got = bilinear(t_axis, k_axis, values, t, k)
+            want = searchsorted_bilinear(t_axis, k_axis, values, t, k)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestCrossConsistency:

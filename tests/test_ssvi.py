@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -228,6 +229,22 @@ class TestCalibrate:
             want = svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev, 100.0)
             got = _slice_objective(x, t, np.concatenate([kappas, kappa_grid]), n, ivs, prev, 100.0)
             assert got == want
+
+    def test_slice_fits_at_max_iter_counted_and_logged(self, caplog):
+        frame, _ = ssvi_quotes(rho=-0.45, eta=0.9, slope=0.05)
+        with caplog.at_level(logging.WARNING, logger="volsurf.ssvi"):
+            params, capped = calibrate(frame, SsviFitConfig(max_iter=5))
+            n = len(capped.maturities)
+            assert capped.diagnostics == {"slices_at_max_iter": n}
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{n} of {n} SSVI slice fits stopped at max_iter=5 before converging"
+            ]
+            caplog.clear()
+            _, unrefined = calibrate(frame, SsviFitConfig(refine_slices=False))
+            assert unrefined.diagnostics == {"slices_at_max_iter": 0}
+            assert not caplog.records
+        # diagnostics stay out of the model document and of equality
+        assert model_from_json(model_to_json(SsviModel(params, capped, SPOT))).surface == capped
 
     def test_too_few_maturities(self):
         frame, _ = ssvi_quotes(maturities=np.array([1.0]))
