@@ -29,7 +29,7 @@ from scipy.linalg import solve_banded
 from .black_scholes import implied_vol, implied_vol_array, put_price  # noqa: F401
 from .local_vol import LocalVolGrid, bilinear
 from .market_data import CurveSet, MarketFrame, QuoteRecord
-from .ssvi import SsviParams, check_no_arbitrage, total_variance_at
+from .ssvi import SsviParams, check_no_arbitrage, svi_total_variance
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +84,6 @@ def price_mc(
     n_paths: int = 100_000,
     n_steps: int = 100,
     seed: int = 0,
-    antithetic: bool = False,
 ):
     """Price puts by Monte Carlo under the local-vol dynamics.
 
@@ -130,12 +129,7 @@ def price_mc(
         step_carry = carry_vals[i + 1] - carry_vals[i]
         spot_now *= math.exp(-carry_vals[i])  # the strike coordinate of each path
         sigma = lv.lookup(t0, spot_now)
-        if antithetic:
-            half = (n_paths + 1) // 2
-            draw = rng.standard_normal(half)
-            normals = np.concatenate([draw, -draw])[:n_paths]
-        else:
-            normals = rng.standard_normal(n_paths)
+        normals = rng.standard_normal(n_paths)
         # x + step_carry - 0.5 * sigma * sigma * dt + sigma * sqrt(dt) * normals,
         # in place and in that order, so every path gets the same bits
         drift = 0.5 * sigma
@@ -384,7 +378,12 @@ def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> list[QuoteRecor
         kappa = np.array(
             [math.log(k / curves.spot) for k in curves.reduced_strike(strike, t).tolist()]
         )
-        iv = np.sqrt(total_variance_at(params.slice_at, t, kappa) / t)
+        # one slice_at call per maturity: it takes phi(Theta) by Python's scalar power,
+        # which can differ from numpy's array power in the last bit
+        rows = kappa.reshape(maturities.size, strikes.size)
+        total = [svi_total_variance(params.slice_at(m), row)
+                 for m, row in zip(maturities.tolist(), rows)]
+        iv = np.sqrt(np.concatenate(total) / t)
         mid = put_price(forward, strike, t, iv, discount)
     else:
         mid = cn.price_at(t, curves.reduced_strike(strike, t))

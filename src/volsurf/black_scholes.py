@@ -60,15 +60,6 @@ def put_vega(forward, strike, maturity, vol, discount=1.0):
     return out
 
 
-def total_variance(iv: float, maturity: float) -> float:
-    """Implied total variance iv**2 * T."""
-    if iv < 0.0:
-        raise ValueError(f"implied vol must be nonnegative, got {iv}")
-    if maturity <= 0.0:
-        raise ValueError(f"maturity must be positive, got {maturity}")
-    return iv * iv * maturity
-
-
 def _band(forward, strike, discount):
     """The open no-arbitrage band (df*(K-F)+, df*K) of a put price."""
     return discount * np.maximum(strike - forward, 0.0), discount * strike

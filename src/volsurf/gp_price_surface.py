@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,7 +46,7 @@ from .constrained_sampling import (
     solve_qp,
 )
 from .market_data import AffineScaling, MarketFrame
-from .serialize import number_array
+from .serialize import number, number_array
 
 log = logging.getLogger(__name__)
 
@@ -590,11 +590,13 @@ def model_to_json(model: GpModel) -> dict:
 
 
 def model_from_json(doc: dict) -> GpModel:
+    """A ``gpmodel/1`` document as a model; every number in it must be finite."""
     if doc.get("version") != "gpmodel/1":
         raise ValueError(f"unsupported GP model version {doc.get('version')!r}")
-    params = KernelParams(**doc["params"])
+    params = KernelParams(**{f.name: number(doc["params"][f.name]) for f in fields(KernelParams)})
     grid = BasisGrid(n_t=operator.index(doc["grid"]["n_t"]), n_k=operator.index(doc["grid"]["n_k"]))
-    scaling = AffineScaling(**doc["scaling"])
+    scaling = AffineScaling(**{f.name: number(doc["scaling"][f.name])
+                               for f in fields(AffineScaling)})
     nodes = number_array(doc["map_nodes"])
     if nodes.size != grid.size:
         raise ValueError("node vector size does not match the grid")

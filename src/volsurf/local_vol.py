@@ -92,12 +92,11 @@ class LocalVolGrid:
         self._filled_cache = filled
         return filled
 
-    def lookup(self, t, k, fill: bool = True):
-        """Bilinear interpolation with nearest-edge clamping outside the grid."""
-        values = self.filled_values() if fill else self.values
+    def lookup(self, t, k):
+        """Bilinear interpolation of the filled values, clamped to the grid's edges."""
         t = np.clip(np.asarray(t, dtype=float), self.t_axis[0], self.t_axis[-1])
         k = np.clip(np.asarray(k, dtype=float), self.k_axis[0], self.k_axis[-1])
-        return bilinear(self.t_axis, self.k_axis, values, t, k)
+        return bilinear(self.t_axis, self.k_axis, self.filled_values(), t, k)
 
 
 def axis_cells(axis, x):

@@ -16,6 +16,9 @@ arbitrage, and a nondecreasing Theta_T curve rules out calendar arbitrage.
 Calibration is two-step: a global (rho, eta) fit under the butterfly bound,
 then a per-maturity natural-SVI refinement with a penalty against crossing
 the previous slice.
+
+Surfaces are evaluated on arrays: ``interpolate_slice`` takes every maturity
+at once, and ``_svi`` is the one copy of Theta(kappa) above.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class ExtrapolationError(ValueError):
 
 @dataclass(frozen=True)
 class NaturalSviParams:
-    """One maturity slice in the natural parameterization."""
+    """A natural-parameterization slice, or one slice per point when the fields are arrays."""
 
     delta: float
     mu: float
@@ -52,11 +55,11 @@ class NaturalSviParams:
     zeta: float
 
     def __post_init__(self):
-        if not -1.0 < self.rho < 1.0:
+        if not np.all((-1.0 < self.rho) & (self.rho < 1.0)):
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.omega < 0.0:
+        if np.any(self.omega < 0.0):
             raise ValueError(f"omega must be nonnegative, got {self.omega}")
-        if self.zeta <= 0.0:
+        if np.any(self.zeta <= 0.0):
             raise ValueError(f"zeta must be positive, got {self.zeta}")
 
 
@@ -87,16 +90,11 @@ class SsviParams:
         if len(self.theta_maturities) != len(self.theta_values):
             raise ValueError("theta curve knots and values must align")
 
-    def theta_at(self, t):
-        """Linearly interpolated ATM total variance (flat beyond the knots)."""
+    def slice_at(self, t) -> NaturalSviParams:
+        """The slice at maturity t; the ATM curve is linear between its knots, flat beyond."""
         if not self.theta_maturities:
             raise ValueError("no ATM curve attached")
-        return np.interp(
-            t, np.asarray(self.theta_maturities), np.asarray(self.theta_values)
-        )
-
-    def slice_at(self, t) -> NaturalSviParams:
-        theta = float(self.theta_at(t))
+        theta = float(np.interp(t, self.theta_maturities, self.theta_values))
         return NaturalSviParams(
             delta=0.0, mu=0.0, rho=self.rho, omega=theta,
             zeta=power_law_phi(theta, self.eta, self.gamma),
@@ -120,16 +118,28 @@ class SviSurface:
             self.atm_curve
         ):
             raise ValueError("maturities, slices and atm curve must align")
+        if len(self.maturities) < 2:
+            raise ValueError("a surface needs at least two slices to interpolate between")
         if np.any(np.diff(np.asarray(self.maturities)) <= 0.0):
             raise ValueError("slice maturities must be strictly increasing")
 
 
+def _svi(delta, mu, rho, omega, zeta, kappa, root=None):
+    """Natural-SVI total variance Theta(kappa), field by field.
+
+    ``svi_derivatives`` passes the root it sums as s^2 + (1 - rho^2), which
+    can round differently from the (s^2 + 1) - rho^2 summed here.
+    """
+    shifted = kappa - mu
+    if root is None:
+        s = zeta * shifted + rho
+        root = np.sqrt(s * s + 1.0 - rho * rho)
+    return delta + 0.5 * omega * (1.0 + rho * zeta * shifted + root)
+
+
 def svi_total_variance(p: NaturalSviParams, kappa):
     """Total variance of a natural-SVI slice at log-moneyness kappa."""
-    kappa = np.asarray(kappa, dtype=float)
-    s = p.zeta * (kappa - p.mu) + p.rho
-    root = np.sqrt(s * s + 1.0 - p.rho * p.rho)
-    out = p.delta + 0.5 * p.omega * (1.0 + p.rho * p.zeta * (kappa - p.mu) + root)
+    out = _svi(p.delta, p.mu, p.rho, p.omega, p.zeta, np.asarray(kappa, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -139,9 +149,9 @@ def svi_derivatives(p: NaturalSviParams, kappa):
     s = p.zeta * (kappa - p.mu) + p.rho
     one_m_rho2 = 1.0 - p.rho * p.rho
     root = np.sqrt(s * s + one_m_rho2)
-    theta = p.delta + 0.5 * p.omega * (1.0 + p.rho * p.zeta * (kappa - p.mu) + root)
+    theta = _svi(p.delta, p.mu, p.rho, p.omega, p.zeta, kappa, root)
     d1 = 0.5 * p.omega * p.zeta * (p.rho + s / root)
-    d2 = 0.5 * p.omega * p.zeta**2 * one_m_rho2 / root**3
+    d2 = 0.5 * p.omega * (p.zeta * p.zeta) * one_m_rho2 / root**3
     return theta, d1, d2
 
 
@@ -207,18 +217,12 @@ def _slice_objective(x, t, kappa_all, n_fit, ivs, prev_total, crossing_penalty):
 
     x = (delta, mu, rho, omega, zeta), clipped to a valid natural slice.
     kappa_all holds the slice's n_fit data points followed by the crossing
-    grid, so SVI runs once per evaluation; the arithmetic is
-    ``svi_total_variance``'s, operation for operation.  Any nonpositive
-    total variance scores 1e6.
+    grid, so SVI runs once per evaluation.  Any nonpositive total variance
+    scores 1e6.
     """
     delta, mu, rho, omega, zeta = x
     rho = min(max(rho, -0.999), 0.999)
-    omega = max(omega, 0.0)
-    zeta = max(zeta, 1e-6)
-    shifted = kappa_all - mu
-    s = zeta * shifted + rho
-    root = np.sqrt(s * s + 1.0 - rho * rho)
-    total = delta + 0.5 * omega * (1.0 + rho * zeta * shifted + root)
+    total = _svi(delta, mu, rho, max(omega, 0.0), max(zeta, 1e-6), kappa_all)
     if (total <= 0.0).any():
         return 1e6
     resid = np.sqrt(total[:n_fit] / t) - ivs
@@ -268,10 +272,7 @@ def calibrate(
     def objective(rho_eta):
         rho, eta = project(rho_eta)
         zeta = eta / (np.sqrt(all_theta) * np.sqrt(1.0 + all_theta))
-        s = zeta * all_kappa + rho
-        total = 0.5 * all_theta * (
-            1.0 + rho * zeta * all_kappa + np.sqrt(s * s + 1.0 - rho * rho)
-        )
+        total = _svi(0.0, 0.0, rho, all_theta, zeta, all_kappa)
         model_iv = np.sqrt(np.maximum(total, 1e-14) / all_t)
         return float(np.mean((model_iv - all_iv) ** 2))
 
@@ -341,89 +342,38 @@ def calibrate(
     return ssvi, surface
 
 
-def interpolate_slice(surface: SviSurface, t: float) -> NaturalSviParams:
-    """Parameter-wise average of the two bracketing slices.
+def interpolate_slice(surface: SviSurface, t) -> NaturalSviParams:
+    """Parameter-wise average of the two slices bracketing each maturity in t.
 
     The weight on the later slice is the ATM total-variance fraction
     (Theta(t) - Theta_lower) / (Theta_upper - Theta_lower); equal-variance
-    brackets fall back to time-linear weights.
+    brackets fall back to time-linear weights.  A maturity within 1e-12 of a
+    bracketing slice gets that slice, the earlier one if both are that close.
+    The fields have t's shape.
     """
-    maturities = np.asarray(surface.maturities)
-    if t < maturities[0] - 1e-12 or t > maturities[-1] + 1e-12:
-        raise ExtrapolationError(
-            f"maturity {t} outside calibrated range [{maturities[0]}, {maturities[-1]}]"
-        )
-    exact = np.nonzero(np.abs(maturities - t) <= 1e-12)[0]
-    if exact.size:
-        return surface.slices[int(exact[0])]
-    hi = int(np.searchsorted(maturities, t))
+    t = np.asarray(t, dtype=float)
+    maturities, atm = np.asarray(surface.maturities), np.asarray(surface.atm_curve)
+    outside = (t < maturities[0] - 1e-12) | (t > maturities[-1] + 1e-12)
+    if np.any(outside):
+        raise ExtrapolationError(f"maturity {t[outside][0]} outside calibrated range "
+                                 f"[{maturities[0]}, {maturities[-1]}]")
+    hi = np.clip(np.searchsorted(maturities, t), 1, maturities.size - 1)
     lo = hi - 1
-    theta_t = float(np.interp(t, maturities, np.asarray(surface.atm_curve)))
-    theta_lo = surface.atm_curve[lo]
-    theta_hi = surface.atm_curve[hi]
-    if theta_hi - theta_lo > 1e-14:
-        alpha = (theta_t - theta_lo) / (theta_hi - theta_lo)
-    else:
-        alpha = (t - maturities[lo]) / (maturities[hi] - maturities[lo])
-    p_lo, p_hi = surface.slices[lo], surface.slices[hi]
-    return NaturalSviParams(
-        delta=(1 - alpha) * p_lo.delta + alpha * p_hi.delta,
-        mu=(1 - alpha) * p_lo.mu + alpha * p_hi.mu,
-        rho=(1 - alpha) * p_lo.rho + alpha * p_hi.rho,
-        omega=(1 - alpha) * p_lo.omega + alpha * p_hi.omega,
-        zeta=(1 - alpha) * p_lo.zeta + alpha * p_hi.zeta,
-    )
+    gap = atm[hi] - atm[lo]
+    by_theta = gap > 1e-14
+    theta_frac = (np.interp(t, maturities, atm) - atm[lo]) / np.where(by_theta, gap, 1.0)
+    time_frac = (t - maturities[lo]) / (maturities[hi] - maturities[lo])
+    alpha = np.where(by_theta, theta_frac, time_frac)[..., None]
+    table = np.array([[getattr(p, name) for name in SLICE_FIELDS] for p in surface.slices])
+    mixed = (1 - alpha) * table[lo] + alpha * table[hi]
+    at_lo = np.abs(maturities[lo] - t) <= 1e-12
+    at_slice = at_lo | (np.abs(maturities[hi] - t) <= 1e-12)
+    fields = np.where(at_slice[..., None], table[np.where(at_lo, lo, hi)], mixed)
+    return NaturalSviParams(*(f[()] for f in np.moveaxis(fields, -1, 0)))
 
 
-def total_variance_at(slice_at, t_vals, kappa):
-    """Total variance at array (T, kappa) points, one slice_at(T) call per distinct T."""
-    flat_t = np.asarray(t_vals, dtype=float).ravel()
-    flat_k = np.asarray(kappa, dtype=float).ravel()
-    res = np.empty_like(flat_k)
-    for t in np.unique(flat_t):
-        sel = flat_t == t
-        res[sel] = svi_total_variance(slice_at(float(t)), flat_k[sel])
-    return res.reshape(np.shape(kappa))
-
-
-def _theta_fn(slice_at, t_lo: float, t_hi: float, step: float):
-    """(Theta, dT, dk, dkk) adapter over a slice source slice_at(t) valid on [t_lo, t_hi].
-
-    kappa-derivatives are analytic; the maturity derivative is a central
-    difference of the slice source, clamped inside [t_lo, t_hi] at the ends.
-    """
-
-    def fn(t_vals, kappa):
-        t_arr = np.asarray(t_vals, dtype=float)
-        kappa = np.asarray(kappa, dtype=float)
-        flat_t = t_arr.ravel()
-        flat_k = kappa.ravel()
-        th, dk, dkk = (np.empty_like(flat_k) for _ in range(3))
-        for t in np.unique(flat_t):
-            sel = flat_t == t
-            th[sel], dk[sel], dkk[sel] = svi_derivatives(slice_at(float(t)), flat_k[sel])
-        t_plus = np.minimum(t_arr + step, t_hi)
-        t_minus = np.maximum(t_arr - step, t_lo)
-        d_t = (
-            total_variance_at(slice_at, t_plus, kappa)
-            - total_variance_at(slice_at, t_minus, kappa)
-        ) / (t_plus - t_minus)
-        return th.reshape(kappa.shape), d_t, dk.reshape(kappa.shape), dkk.reshape(kappa.shape)
-
-    return fn
-
-
-def surface_theta_fn(surface: SviSurface, step: float = 1e-4):
-    """Theta adapter of a slice-interpolated surface over its calibrated range."""
-    # interpolate_slice is looked up at call time, so wrappers of it see every call
-    return _theta_fn(lambda t: interpolate_slice(surface, t),
-                     surface.maturities[0], surface.maturities[-1], step)
-
-
-def ssvi_theta_fn(params: SsviParams, step: float = 1e-4):
-    """Theta adapter of a pure SSVI surface over its ATM-curve knots."""
-    tm = np.asarray(params.theta_maturities)
-    return _theta_fn(params.slice_at, float(tm[0]), float(tm[-1]), step)
+# the maturity step of the central difference behind dT Theta
+MATURITY_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -440,14 +390,26 @@ class SsviModel:
         return self.surface.maturities[0], self.surface.maturities[-1]
 
     def forward_theta(self, t, kappa):
-        """(Theta, dT Theta, dk Theta, dkk Theta) of the slice-interpolated surface."""
-        return surface_theta_fn(self.surface)(t, kappa)
+        """(Theta, dT Theta, dk Theta, dkk Theta) of the slice-interpolated surface.
+
+        dT Theta is a central difference of step MATURITY_STEP, clamped to t_range.
+        """
+        t, kappa = np.broadcast_arrays(t, kappa)
+        t_lo, t_hi = self.t_range
+        t_plus = np.minimum(t + MATURITY_STEP, t_hi)
+        t_minus = np.maximum(t - MATURITY_STEP, t_lo)
+        # T, T+ and T- stacked on a leading axis; dT Theta differences svi_total_variance,
+        # whose root can round unlike the one svi_derivatives shares with its Theta
+        slices = interpolate_slice(self.surface, np.stack([t, t_plus, t_minus]))
+        theta, d_k, d_kk = svi_derivatives(slices, kappa)
+        total = svi_total_variance(slices, kappa)
+        d_t = (total[1] - total[2]) / (t_plus - t_minus)
+        return theta[0], d_t, d_k[0], d_kk[0]
 
     def put_prices(self, frame: MarketFrame):
-        """Currency put prices of the frame's quotes, one slice per distinct maturity."""
-        # interpolate_slice is looked up at call time, so wrappers of it see every call
-        total = total_variance_at(lambda t: interpolate_slice(self.surface, t),
-                                  frame.maturity, frame.log_moneyness)
+        """Currency put prices of the frame's quotes."""
+        total = svi_total_variance(interpolate_slice(self.surface, frame.maturity),
+                                   frame.log_moneyness)
         return frame.put_prices_at(np.sqrt(np.maximum(total, 1e-14) / frame.maturity))
 
 

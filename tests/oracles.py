@@ -245,6 +245,61 @@ def per_point_theta(slice_at, t_lo, t_hi, t_vals, kappa, step=1e-4):
     return tuple(row.reshape(np.shape(kappa)) for row in out)
 
 
+def scalar_interpolate_slice(surface, t):
+    """``ssvi.interpolate_slice`` at one maturity, by scalar arithmetic on slice objects."""
+    from volsurf.ssvi import SLICE_FIELDS, ExtrapolationError, NaturalSviParams
+
+    maturities = np.asarray(surface.maturities)
+    if t < maturities[0] - 1e-12 or t > maturities[-1] + 1e-12:
+        raise ExtrapolationError(f"maturity {t} outside calibrated range")
+    exact = np.nonzero(np.abs(maturities - t) <= 1e-12)[0]
+    if exact.size:
+        return surface.slices[int(exact[0])]
+    hi = int(np.searchsorted(maturities, t))
+    lo = hi - 1
+    theta_t = float(np.interp(t, maturities, np.asarray(surface.atm_curve)))
+    theta_lo, theta_hi = surface.atm_curve[lo], surface.atm_curve[hi]
+    if theta_hi - theta_lo > 1e-14:
+        alpha = (theta_t - theta_lo) / (theta_hi - theta_lo)
+    else:
+        alpha = (t - maturities[lo]) / (maturities[hi] - maturities[lo])
+    p_lo, p_hi = surface.slices[lo], surface.slices[hi]
+    return NaturalSviParams(**{
+        name: (1 - alpha) * getattr(p_lo, name) + alpha * getattr(p_hi, name)
+        for name in SLICE_FIELDS
+    })
+
+
+def ssvi_theta_fn(params, step=1e-4):
+    """(Theta, dT, dk, dkk) of a pure SSVI surface, one ``slice_at`` call per distinct T.
+
+    The reference surface of acceptance 09.  The maturity derivative is the
+    central difference over [T - step, T + step], clamped to the ATM-curve knots.
+    """
+    from volsurf.ssvi import svi_derivatives, svi_total_variance
+
+    t_lo, t_hi = params.theta_maturities[0], params.theta_maturities[-1]
+
+    def per_maturity(formula, n_out, t_vals, kappa):
+        flat_t, flat_k = t_vals.ravel(), kappa.ravel()
+        out = np.empty((n_out, flat_k.size))
+        for t in np.unique(flat_t):
+            sel = flat_t == t
+            out[:, sel] = formula(params.slice_at(float(t)), flat_k[sel])
+        return out.reshape((n_out, *kappa.shape))
+
+    def fn(t_vals, kappa):
+        t_vals, kappa = np.broadcast_arrays(np.asarray(t_vals, dtype=float),
+                                            np.asarray(kappa, dtype=float))
+        t_plus, t_minus = np.minimum(t_vals + step, t_hi), np.maximum(t_vals - step, t_lo)
+        theta, d_k, d_kk = per_maturity(svi_derivatives, 3, t_vals, kappa)
+        up, down = per_maturity(svi_total_variance, 1, np.stack([t_plus, t_minus]),
+                                np.stack([kappa, kappa]))[0]
+        return theta, (up - down) / (t_plus - t_minus), d_k, d_kk
+
+    return fn
+
+
 def all_walls_hit(f_a, f_b, g, min_time=1e-9):
     """First positive hit time of x(t) = a sin t + b cos t on any wall f.x + g = 0.
 
@@ -716,7 +771,7 @@ def searchsorted_lookup(lv, t, k):
     return searchsorted_bilinear(lv.t_axis, lv.k_axis, lv.filled_values(), t, k)
 
 
-def allocating_price_mc(lv, curves, options, n_paths, n_steps, seed=0, antithetic=False):
+def allocating_price_mc(lv, curves, options, n_paths, n_steps, seed=0):
     """``backtest.price_mc`` as a loop that allocates every step's arrays.
 
     Two exp(x) per step and a new x each step, with the local vol from
@@ -747,11 +802,7 @@ def allocating_price_mc(lv, curves, options, n_paths, n_steps, seed=0, antitheti
         step_carry = carry_vals[i + 1] - carry_vals[i]
         k_coord = np.exp(x) * math.exp(-carry_vals[i])
         sigma = searchsorted_lookup(lv, times[i], k_coord)
-        if antithetic:
-            draw = rng.standard_normal((n_paths + 1) // 2)
-            normals = np.concatenate([draw, -draw])[:n_paths]
-        else:
-            normals = rng.standard_normal(n_paths)
+        normals = rng.standard_normal(n_paths)
         x = x + step_carry - 0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * normals
         settle(times[i + 1])
 

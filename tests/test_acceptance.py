@@ -33,9 +33,14 @@ from volsurf.gp_price_surface import (
 from volsurf.local_vol import dupire_fd, dupire_iv
 from volsurf.market_data import Curve, CurveSet, build_frame
 from volsurf.nn_iv import NnIvModel, PenaltyConfig, TrainConfig, train
-from volsurf.ssvi import SsviParams, calibrate, check_no_arbitrage, ssvi_theta_fn, svi_total_variance
+from volsurf.ssvi import SsviParams, calibrate, check_no_arbitrage, svi_total_variance
 
-from oracles import brute_force_qp, random_feasible_qp, truncated_standard_normal_mean
+from oracles import (
+    brute_force_qp,
+    random_feasible_qp,
+    ssvi_theta_fn,
+    truncated_standard_normal_mean,
+)
 
 SPOT = 100.0
 

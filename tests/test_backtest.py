@@ -89,15 +89,7 @@ class TestPriceMc:
         p2, _ = price_mc(lv, curves, options, n_paths=5_000, n_steps=30, seed=11)
         assert np.array_equal(p1, p2)
 
-    def test_antithetic_runs(self):
-        curves = make_curves()
-        lv = flat_grid()
-        p, _ = price_mc(lv, curves, [(1.0, 100.0)], n_paths=20_000, n_steps=20, seed=5,
-                        antithetic=True)
-        assert abs(p[0] - put_price(SPOT, 100.0, 1.0, 0.2)) < 0.25
-
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_bitwise_the_allocating_loop(self, antithetic):
+    def test_bitwise_the_allocating_loop(self):
         rng = np.random.default_rng(4)
         t_axis = np.geomspace(0.05, 2.0, 9)
         k_axis = np.linspace(70.0, 140.0, 12)
@@ -105,10 +97,8 @@ class TestPriceMc:
                           rng.uniform(size=(9, 12)) > 0.2)
         curves = make_curves(r=0.03, q=0.01)
         options = [(0.37, 90.0), (0.37, 104.0), (1.0, 100.0), (1.55, 120.0), (1.8, 75.0)]
-        got = price_mc(lv, curves, options, n_paths=500, n_steps=10, seed=9,
-                       antithetic=antithetic)
-        want = allocating_price_mc(lv, curves, options, n_paths=500, n_steps=10, seed=9,
-                                   antithetic=antithetic)
+        got = price_mc(lv, curves, options, n_paths=500, n_steps=10, seed=9)
+        want = allocating_price_mc(lv, curves, options, n_paths=500, n_steps=10, seed=9)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -158,9 +148,9 @@ class TestPriceCn:
         times = []
         real = LocalVolGrid.lookup
 
-        def spy(self, t, k, fill=True):
+        def spy(self, t, k):
             times.append(float(t))
-            return real(self, t, k, fill)
+            return real(self, t, k)
 
         monkeypatch.setattr(LocalVolGrid, "lookup", spy)
         solution = price_cn(lv, make_curves(), t_max=2.0, n_t=30, n_k=40)

@@ -9,7 +9,6 @@ from volsurf.black_scholes import (
     implied_vol_array,
     put_price,
     put_vega,
-    total_variance,
 )
 
 from oracles import BsQuote, bs_put, scalar_implied_vol
@@ -170,13 +169,3 @@ def test_implied_vol_array_broadcasts_and_validates():
         implied_vol_array([5.0, 5.0], [100.0, -1.0], 100.0, 1.0)
     with pytest.raises(ValueError):
         implied_vol_array(5.0, 100.0, 100.0, 1.0, 1.2)
-
-
-def test_total_variance():
-    assert total_variance(0.2, 1.0) == pytest.approx(0.04)
-    assert total_variance(0.2, 4.0) == pytest.approx(0.16)
-    assert total_variance(0.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        total_variance(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        total_variance(0.2, 0.0)

@@ -301,21 +301,16 @@ class TestCheckArbitrage:
         assert chk["butterfly_violations"] == 0
 
     def test_t_range_for_ssvi(self, model_files, monkeypatch, capsys):
-        from volsurf import ssvi
+        from volsurf.ssvi import SsviModel
 
         seen = []
-        real = ssvi.surface_theta_fn
+        real = SsviModel.forward_theta
 
-        def spy(surface):
-            fn = real(surface)
+        def spy(self, t, kappa):
+            seen.append((float(np.min(t)), float(np.max(t))))
+            return real(self, t, kappa)
 
-            def theta(t, kappa):
-                seen.append((float(np.min(t)), float(np.max(t))))
-                return fn(t, kappa)
-
-            return theta
-
-        monkeypatch.setattr(ssvi, "surface_theta_fn", spy)
+        monkeypatch.setattr(SsviModel, "forward_theta", spy)
         slices = json.loads(model_files["ssvi"].read_text())["slices"]
         calibrated = (slices[0]["maturity"], slices[-1]["maturity"])
         capsys.readouterr()
@@ -448,6 +443,8 @@ class TestModelFiles:
             pytest.param("ssvi", ("eta",), id="ssvi-eta"),
             pytest.param("ssvi", ("atm_curve", "values", 1), id="ssvi-atm-value"),
             pytest.param("nn", ("sigma_hi",), id="nn-sigma-hi"),
+            pytest.param("gp", ("scaling", "t_min"), id="gp-scaling-t-min"),
+            pytest.param("gp", ("params", "theta_t"), id="gp-params-theta-t"),
         ],
     )
     def test_nan_model_number(self, method, path, name, model_files, tmp_path, synthetic_dir,
@@ -456,6 +453,15 @@ class TestModelFiles:
         message = self.expect_input_error(name, with_field(doc, path, float("nan")),
                                           tmp_path, synthetic_dir, capsys)
         assert "finite" in message
+
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    def test_one_slice_ssvi_model(self, name, model_files, tmp_path, synthetic_dir, capsys):
+        # one slice leaves no maturity range to interpolate or difference over
+        doc = json.loads(model_files["ssvi"].read_text())
+        doc["slices"] = doc["slices"][:1]
+        doc["atm_curve"] = {key: values[:1] for key, values in doc["atm_curve"].items()}
+        message = self.expect_input_error(name, doc, tmp_path, synthetic_dir, capsys)
+        assert "two slices" in message
 
     def test_every_mistyped_local_vol_field(self, tmp_path, synthetic_dir, capsys):
         from volsurf.local_vol import LocalVolGrid, grid_to_json

@@ -223,11 +223,10 @@ class TestGridOps:
         k = np.concatenate([rng.uniform(40.0, 180.0, 500), k_axis])
         times = [0.01, t_axis[0], 0.3, t_axis[6], float(np.nextafter(t_axis[6], 0.0)),
                  1.7, t_axis[-1], 4.0]
-        for fill in (True, False):
-            for t in times:
-                got = grid.lookup(t, k, fill=fill)
-                want = grid.lookup(np.full(k.size, t), k, fill=fill)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for t in times:
+            got = grid.lookup(t, k)
+            want = grid.lookup(np.full(k.size, t), k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_json_round_trip(self, tmp_path):
         grid = self.make_grid()

@@ -14,6 +14,7 @@ from volsurf.ssvi import (
     SsviFitConfig,
     SsviModel,
     _slice_objective,
+    SLICE_FIELDS,
     SsviParams,
     SviSurface,
     calibrate,
@@ -22,8 +23,6 @@ from volsurf.ssvi import (
     model_from_json,
     model_to_json,
     power_law_phi,
-    ssvi_theta_fn,
-    surface_theta_fn,
     svi_derivatives,
     svi_total_variance,
 )
@@ -31,6 +30,8 @@ from volsurf.ssvi import (
 from oracles import (
     per_point_put_prices,
     per_point_theta,
+    scalar_interpolate_slice,
+    ssvi_theta_fn,
     svi_slice_objective,
     term_structure_cev_frame,
 )
@@ -105,6 +106,19 @@ class TestTotalVariance:
         ) / h2**2
         assert d2 == pytest.approx(fd2, rel=1e-5, abs=1e-8)
 
+    def test_derivative_theta_sums_the_derivative_root(self):
+        # svi_derivatives sums its root as s^2 + (1 - rho^2), and its Theta (the
+        # one local vol and the arbitrage check use) comes from that root;
+        # svi_total_variance's (s^2 + 1) - rho^2 rounds differently at some kappa
+        p = NaturalSviParams(delta=0.003, mu=-0.07, rho=-0.37, omega=0.09, zeta=1.7)
+        kappa = np.random.default_rng(5).uniform(-1.0, 1.0, 2000)
+        s = p.zeta * (kappa - p.mu) + p.rho
+        root = np.sqrt(s * s + (1.0 - p.rho * p.rho))
+        want = p.delta + 0.5 * p.omega * (1.0 + p.rho * p.zeta * (kappa - p.mu) + root)
+        theta, _, _ = svi_derivatives(p, kappa)
+        assert theta.tobytes() == want.tobytes()
+        assert not np.array_equal(theta, svi_total_variance(p, kappa))
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             NaturalSviParams(delta=0.0, mu=0.0, rho=1.0, omega=0.1, zeta=1.0)
@@ -112,6 +126,14 @@ class TestTotalVariance:
             NaturalSviParams(delta=0.0, mu=0.0, rho=0.0, omega=-0.1, zeta=1.0)
         with pytest.raises(ValueError):
             NaturalSviParams(delta=0.0, mu=0.0, rho=0.0, omega=0.1, zeta=0.0)
+        # array fields: one bad point rejects the whole set
+        ok = np.array([0.1, 0.2, 0.3])
+        NaturalSviParams(delta=0.0 * ok, mu=0.0 * ok, rho=-ok, omega=ok, zeta=ok)
+        for bad in ({"rho": np.array([0.1, -1.0, 0.3])}, {"omega": np.array([0.1, -0.1, 0.3])},
+                    {"zeta": np.array([0.1, 0.0, 0.3])}):
+            with pytest.raises(ValueError):
+                NaturalSviParams(**{"delta": ok, "mu": ok, "rho": ok, "omega": ok, "zeta": ok,
+                                    **bad})
 
 
 class TestPowerLawPhi:
@@ -290,13 +312,32 @@ class TestInterpolateSlice:
             interpolate_slice(surface, 0.25)
         with pytest.raises(ExtrapolationError):
             interpolate_slice(surface, 2.0)
+        with pytest.raises(ExtrapolationError, match="2.0 outside"):
+            interpolate_slice(surface, np.array([[0.5, 1.0], [1.5, 2.0]]))
+
+    def test_array_bitwise_against_scalar_oracle(self):
+        # slice maturities, points within 1e-12 of them, an equal-variance bracket
+        # (1.5 to 2.0) and random interior points, in one 2-D array
+        s1, s2 = self.make_surface().slices
+        s3 = NaturalSviParams(delta=0.02, mu=-0.05, rho=-0.2, omega=0.04, zeta=0.9)
+        surface = SviSurface(maturities=(0.5, 1.5, 2.0), slices=(s1, s2, s3),
+                             atm_curve=(0.02, 0.06, 0.06))
+        edges = [0.5, 0.5 - 5e-13, 0.5 + 5e-13, 1.5 - 5e-13, 1.5, 1.5 + 1e-12, 2.0,
+                 2.0 + 5e-13, float(np.nextafter(1.5, 0.0)), float(np.nextafter(2.0, 0.0))]
+        t = np.concatenate([edges, np.random.default_rng(3).uniform(0.5, 2.0, 30)])
+        t = t.reshape(8, 5)
+        got = interpolate_slice(surface, t)
+        for name in SLICE_FIELDS:
+            want = [getattr(scalar_interpolate_slice(surface, x), name) for x in t.ravel()]
+            assert getattr(got, name).shape == t.shape
+            assert getattr(got, name).tobytes() == np.array(want).reshape(t.shape).tobytes()
 
 
 class TestThetaSurfaces:
     def test_surface_fn_matches_slice_values(self):
         frame, _ = ssvi_quotes()
-        _, surface = calibrate(frame, SsviFitConfig(refine_slices=False))
-        fn = surface_theta_fn(surface)
+        params, surface = calibrate(frame, SsviFitConfig(refine_slices=False))
+        fn = SsviModel(params, surface, SPOT).forward_theta
         t = np.full(5, surface.maturities[2])
         kappa = np.linspace(-0.2, 0.2, 5)
         theta, d_t, d_k, d_kk = fn(t, kappa)
@@ -331,7 +372,7 @@ class TestThetaSurfaces:
         frame, _ = ssvi_quotes()
         params, surface = calibrate(frame)
         if source == "surface":
-            fn = surface_theta_fn(surface)
+            fn = SsviModel(params, surface, SPOT).forward_theta
             t_lo, t_hi = surface.maturities[0], surface.maturities[-1]
 
             def slice_at(t):
