@@ -118,6 +118,8 @@ def cmd_calibrate(args) -> int:
             sample_posterior,
         )
 
+        if args.paths < 0:
+            raise CliInputError(f"--paths must be nonnegative, got {args.paths}")
         grid = BasisGrid(n_t=args.grid_t, n_k=args.grid_k)
         params = fit_hyperparameters(
             frame_train, grid, GpFitConfig(n_starts=args.starts, seed=args.seed)

@@ -16,15 +16,18 @@ observation weights are nearest-neighbor distances in the (T, kappa) plane,
 which stops dense quote clusters from drowning out isolated points.
 
 Each training run (one ``_train_once`` call) builds a ``_Workspace`` before
-its first epoch: the penalty grid and, for the data points and the grid,
-one block of (h, n) arrays that every epoch's forward and backward pass
-rewrites in place.  The run is scored by its best epoch's loss and
-components, computed on that workspace (or, with no epochs, by one pass
-over it).  It is dropped when the run returns; nothing is cached between
-runs.  The in-place passes keep the operation order of the plain
-array expressions, so the model bytes are those of fresh arrays.  Passes
-outside training (``sigma``, ``theta``, ``forward_theta``, ``loss``) build
-their own arrays per call.
+its first epoch: the penalty grid and one block of (h, n) arrays for each
+pass that every epoch rewrites in place, one over the data points and at
+most two over penalty-grid blocks ``BLOCK_WIDTH`` points wide.  An epoch
+runs the data pass, then the grid block by block, summing the penalty
+terms and gradients as it goes: each grid point's penalty adjoints depend
+on that point alone, and a block's arrays stay in cache.  The run is scored
+by its best epoch's loss and components, computed on that workspace (or,
+with no epochs, by one pass over it).  It is dropped when the run returns;
+nothing is cached between runs.  The in-place passes keep the operation
+order of the plain array expressions, so the model bytes are those of
+fresh arrays.  Passes outside training (``sigma``, ``theta``,
+``forward_theta``, ``loss``) build their own arrays per call.
 """
 
 from __future__ import annotations
@@ -186,6 +189,14 @@ class NnIvModel:
 # extended forward / backward passes
 # ---------------------------------------------------------------------------
 
+BLOCK_WIDTH = 512
+"""Penalty-grid points per training pass.  A (40, 512) float64 layer array
+is 160 KB, so the dozen arrays one hidden layer's forward or backward step
+touches stay in a 2 MB per-core L2 cache; over the whole 5,000-point default
+grid each would be 1.6 MB and every elementwise pass would stream from
+memory (on a 2-core Xeon VM a multiply costs about 1.1 ns per element there
+against 0.3 ns at this width)."""
+
 
 def _sigmoid(z, out=None):
     """0.5 (1 + tanh(z / 2)), written into out when given."""
@@ -196,6 +207,33 @@ def _sigmoid(z, out=None):
     return out
 
 
+def _softplus(z, out, tmp):
+    """log(1 + e^z) as max(z, 0) + log1p(e^-|z|), written into out.
+
+    One exp per element, where ``np.logaddexp(0, z)`` takes a scalar path
+    about six times slower.  e^-|z| never overflows, and where it underflows
+    (|z| > 708) log1p returns it unchanged, which is the softplus to double
+    precision, so the underflow is not flagged.  ``tmp`` is scratch of z's
+    shape.
+    """
+    np.abs(z, out=tmp)
+    np.negative(tmp, out=tmp)
+    with np.errstate(under="ignore"):
+        np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=out)
+    out += np.maximum(z, 0.0, out=tmp)
+    return out
+
+
+def _input_streams(w):
+    """(zp, zr) of the first layer as (h, 1) columns of its weights.
+
+    The input streams are constants: p = (0, 1), q = 0 and r = (1, 0), so
+    W p and W r are the columns of W and W q is zero.
+    """
+    return w[:, 1:2], w[:, 0:1]
+
+
 def _layer_sizes(model: NnIvModel) -> list:
     return [model.weights[0].shape[1], *(w.shape[0] for w in model.weights)]
 
@@ -203,38 +241,44 @@ def _layer_sizes(model: NnIvModel) -> list:
 class _Pass:
     """The arrays of one extended forward and backward pass over n points.
 
-    They are the four input streams; per hidden layer its pre-activation
+    They are the standardized inputs x; per hidden layer its pre-activation
     streams (zp, zq, zr), its sigmoid f1 = softplus'(z) and its output
     streams (a, p, q, r), all eight read by the backward pass; the output
     layer's four rows; a scratch array for z; and two backward temporaries.
-    The backward pass writes each layer's adjoints over the output streams
-    of the layer below, once its gradient has read them.  Every call
-    rewrites the arrays in place, in the operation order of the plain array
-    expressions, so a reused pass gives the same bits as a fresh one; only
-    the latest call's values are valid.
+    The first layer has no stream arrays: its inputs' derivative streams are
+    constant (``_input_streams``).  The backward pass writes each layer's
+    adjoints over the output streams of the layer below, once its gradient
+    has read them.  Every call rewrites the arrays in place, in the
+    operation order of the plain array expressions, so a reused pass gives
+    the same bits as a fresh one; only the latest call's values are valid.
 
-    A workspace pass, reused for a whole training run, takes its arrays as
-    views of one block (``block=True``) that the kernel can back with huge
-    pages.  A pass made for one evaluation (``_forward``) allocates them one
-    by one: a block of tens of MB freed after one use raises glibc's mmap
-    threshold to its size, and the heap then keeps later allocations of up
-    to that size resident.
+    A workspace pass, reused for a whole training run, is at most
+    ``BLOCK_WIDTH`` points wide and takes its arrays as views of one block
+    (``block=True``).  A pass made for one evaluation (``_forward``)
+    allocates them one by one over all its points: a block of tens of MB
+    freed after one use raises glibc's mmap threshold to its size, and the
+    heap then keeps later allocations of up to that size resident.
     """
 
     def __init__(self, sizes, n: int, block: bool = False):
-        width = max(sizes[1:])
-        rows = [2] * 4 + [h for h in sizes[1:-1] for _ in range(8)] + [1] * 4 + [width] * 3
+        # per hidden layer zp, zq, zr (none for the first), f1, a, p, q, r
+        counts = [8 if i else 5 for i in range(len(sizes) - 2)]
+        rows = ([sizes[0]] + [h for h, k in zip(sizes[1:-1], counts) for _ in range(k)]
+                + [1] * 4 + [max(sizes[1:])] * 3)
         if block:
             memory = np.empty(sum(rows) * n)
             offsets = np.cumsum([0, *rows]) * n
             views = [memory[lo:lo + h * n].reshape(h, n) for lo, h in zip(offsets, rows)]
         else:
             views = [np.empty((h, n)) for h in rows]
-        self.inputs = _, p, q, r = views[:4]    # a is written by each forward
-        p[0], p[1] = 0.0, 1.0
-        q[:] = 0.0
-        r[0], r[1] = 1.0, 0.0
-        self.layers = [tuple(views[4 + 8 * i: 12 + 8 * i]) for i in range(len(sizes) - 2)]
+        self.n = n
+        self.x = views[0]
+        self.layers = []
+        pos = 1
+        for k in counts:
+            arrays = tuple(views[pos:pos + k])
+            self.layers.append(arrays if k == 8 else (None, None, None, *arrays))
+            pos += k
         self.head = tuple(views[-7:-3])
         self.scratch, self.f2, self.f3 = views[-3:]
         self.t = None
@@ -245,25 +289,30 @@ class _Pass:
     def forward(self, model: NnIvModel, t, kappa) -> "_Pass":
         self.t = np.asarray(t, dtype=float).ravel()
         x0, x1 = model.standardized_inputs(self.t, np.asarray(kappa, dtype=float).ravel())
-        a, p, q, r = self.inputs
+        a = self.x
         a[0], a[1] = x0, x1
+        p = q = r = None
         for w, b, (zp, zq, zr, f1, a_out, p_out, q_out, r_out) in zip(
             model.weights, model.biases, self.layers
         ):
             z = self.scratch[: w.shape[0]]
             np.matmul(w, a, out=z)
             z += b[:, None]
-            np.matmul(w, p, out=zp)
-            np.matmul(w, q, out=zq)
-            np.matmul(w, r, out=zr)
             _sigmoid(z, out=f1)
-            np.logaddexp(0.0, z, out=a_out)    # softplus
-            np.multiply(f1, zp, out=p_out)
-            # q = f1 (1 - f1) zp^2 + f1 zq, z being free again
+            _softplus(z, out=a_out, tmp=p_out)
+            # q = f1 (1 - f1) zp^2 + f1 zq
             np.subtract(1.0, f1, out=q_out)
             q_out *= f1
-            q_out *= np.square(zp, out=z)
-            q_out += np.multiply(f1, zq, out=z)
+            if p is None:
+                zp, zr = _input_streams(w)
+                q_out *= np.square(zp)
+            else:
+                np.matmul(w, p, out=zp)
+                np.matmul(w, q, out=zq)
+                np.matmul(w, r, out=zr)
+                q_out *= np.square(zp, out=z)
+                q_out += np.multiply(f1, zq, out=z)
+            np.multiply(f1, zp, out=p_out)
             np.multiply(f1, zr, out=r_out)
             a, p, q, r = a_out, p_out, q_out, r_out
 
@@ -271,9 +320,13 @@ class _Pass:
         o, op, oq, orr = self.head
         np.matmul(w, a, out=o)
         o += b[:, None]
-        np.matmul(w, p, out=op)
-        np.matmul(w, q, out=oq)
-        np.matmul(w, r, out=orr)
+        if p is None:
+            op[:], orr[:] = _input_streams(w)
+            oq[:] = 0.0
+        else:
+            np.matmul(w, p, out=op)
+            np.matmul(w, q, out=oq)
+            np.matmul(w, r, out=orr)
 
         o, op, oq, orr = o[0], op[0], oq[0], orr[0]
         span = model.sigma_hi - model.sigma_lo
@@ -315,7 +368,6 @@ class _Pass:
         adjoints = (o_bar[None, :], op_bar[None, :], oq_bar[None, :], or_bar[None, :])
 
         n_layers = len(model.weights)
-        layer_inputs = [self.inputs] + [layer[4:] for layer in self.layers]
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
         for idx in range(n_layers - 1, -1, -1):
@@ -323,6 +375,8 @@ class _Pass:
             if idx < n_layers - 1:
                 # output adjoints become pre-activation adjoints in place
                 zp, zq, zr, f1 = self.layers[idx][:4]
+                if not idx:
+                    zp, zr = _input_streams(model.weights[0])
                 h = f1.shape[0]
                 f2, f3, tmp = self.f2[:h], self.f3[:h], self.scratch[:h]
                 np.subtract(1.0, f1, out=f2)
@@ -331,9 +385,12 @@ class _Pass:
                 np.subtract(1.0, f3, out=f3)
                 f3 *= f2
                 # z_bar = a_bar f1 + p_bar f2 zp + q_bar (f3 zp^2 + f2 zq) + r_bar f2 zr
-                np.square(zp, out=tmp)
-                tmp *= f3
-                tmp += np.multiply(f2, zq, out=f3)
+                if idx:
+                    np.square(zp, out=tmp)
+                    tmp *= f3
+                    tmp += np.multiply(f2, zq, out=f3)
+                else:
+                    np.multiply(f3, np.square(zp), out=tmp)
                 tmp *= zq_bar
                 za *= f1
                 np.multiply(zp_bar, f2, out=f3)
@@ -349,17 +406,23 @@ class _Pass:
                 tmp *= zp
                 zp_bar *= f1
                 zp_bar += tmp
-                zq_bar *= f1
+                if idx:
+                    zq_bar *= f1
                 zr_bar *= f1
 
-            a_in, p_in, q_in, r_in = layer_inputs[idx]
-            grads_w[idx] = za @ a_in.T + zp_bar @ p_in.T + zq_bar @ q_in.T + zr_bar @ r_in.T
             grads_b[idx] = za.sum(axis=1)
             if idx:
-                adjoints = layer_inputs[idx]
+                inputs = a_in, p_in, q_in, r_in = self.layers[idx - 1][4:]
+                grads_w[idx] = za @ a_in.T + zp_bar @ p_in.T + zq_bar @ q_in.T + zr_bar @ r_in.T
                 w_t = model.weights[idx].T
-                for src, dst in zip((za, zp_bar, zq_bar, zr_bar), adjoints):
+                for src, dst in zip((za, zp_bar, zq_bar, zr_bar), inputs):
                     np.matmul(w_t, src, out=dst)
+                adjoints = inputs
+            else:
+                # constant input streams: p and r pick a column, q adds nothing
+                grads_w[idx] = za @ self.x.T
+                grads_w[idx][:, 0] += zr_bar.sum(axis=1)
+                grads_w[idx][:, 1] += zp_bar.sum(axis=1)
         return grads_w, grads_b
 
 
@@ -422,14 +485,28 @@ class _Workspace:
     """Penalty grid and pass arrays of one training run, built once.
 
     Fixed by the network's layer sizes, the number of data points and the
-    penalty grid; the penalty strengths and band are read per call.
+    penalty grid; the penalty strengths and band are read per call.  The
+    grid is visited in blocks of ``BLOCK_WIDTH`` columns (all of it when it
+    is smaller), so it needs one pass of that width and, when the width
+    does not divide the grid, one for the remainder: about 4 MB each for
+    the default 40x40x40 net, whatever the grid size.
     """
 
     def __init__(self, model: NnIvModel, n_data: int, penalty: PenaltyConfig):
         sizes = _layer_sizes(model)
         self.grid_t, self.grid_kappa = penalty.grid()
+        m = self.grid_t.size
+        width = min(BLOCK_WIDTH, m)
         self.data = _Pass(sizes, n_data, block=True)
-        self.grid = _Pass(sizes, self.grid_t.size, block=True)
+        self.grid = _Pass(sizes, width, block=True)
+        self.tail = _Pass(sizes, m % width, block=True) if m % width else None
+
+    def blocks(self):
+        """(columns, pass) of each penalty-grid block in turn."""
+        m, width = self.grid_t.size, self.grid.n
+        for lo in range(0, m, width):
+            cols = slice(lo, min(lo + width, m))
+            yield cols, self.grid if cols.stop - lo == width else self.tail
 
 
 def loss(
@@ -470,6 +547,10 @@ class TrainConfig:
     search_epochs: int = 300
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0 or self.search_epochs < 0:
+            raise ValueError("epochs and search_epochs must be nonnegative")
+
 
 def _adam_step(params, grads, moments, lr, step, beta1=0.9, beta2=0.999, eps=1e-8):
     m, v = moments
@@ -489,27 +570,46 @@ def _loss_and_grads(
     """Total loss, components, and parameter gradients (weights then biases).
 
     ``workspace`` (a ``_Workspace`` for this model, data size and penalty
-    grid) is built for the call when not given.  Without ``with_grads`` the
-    backward passes are skipped and the gradients come back as None.
+    grid) is built for the call when not given.  The penalty terms and their
+    gradients are summed over the workspace's grid blocks in order; each
+    grid point's adjoints depend on that point alone.  Without
+    ``with_grads`` the backward passes are skipped and the gradients come
+    back as None.
     """
     ws = workspace or _Workspace(model, data_t.size, penalty)
     lam = penalty.lambdas
     mu_w = weights.mu_w
     n = data_t.size
 
-    # fit term
+    # fit term and, through the adjoint on Sigma, its gradients
     state = ws.data.forward(model, data_t, data_kappa)
     rel = (state.sigma - data_iv) / data_iv
     fit = math.sqrt(float(np.mean((weights.w * rel) ** 2)))
+    grads = None
+    if with_grads:
+        denom = max(fit, 1e-12)
+        bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
+        gw_data, gb_data = state.backward(model, bar_sigma_data)
+        grads = gw_data + gb_data
 
-    # penalty terms
-    grid_kappa = ws.grid_kappa
-    gstate = ws.grid.forward(model, ws.grid_t, grid_kappa)
-    theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
-    cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable = (
-        _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa, penalty.band)
-    )
-    means = [float(np.mean(v)) for v in (cal_neg, butt_neg, band_excess)]
+    # penalty terms, block by block
+    m_grid = ws.grid_t.size
+    scale = [mu_w * v / m_grid for v in lam]
+    sums = [0.0, 0.0, 0.0]
+    for cols, gpass in ws.blocks():
+        kappa = ws.grid_kappa[cols]
+        gstate = gpass.forward(model, ws.grid_t[cols], kappa)
+        theta_tuple = _theta_tuple(model, gstate)
+        pieces = _penalty_pieces(*theta_tuple, kappa, penalty.band)
+        _, _, cal_neg, butt_neg, _, _, _, band_excess, _ = pieces
+        for i, v in enumerate((cal_neg, butt_neg, band_excess)):
+            sums[i] += float(np.sum(v))
+        if with_grads:
+            block_grads = _penalty_backward(model, gstate, theta_tuple, pieces, kappa, scale)
+            for acc, g in zip(grads, block_grads):
+                acc += g
+
+    means = [s / m_grid for s in sums]
     comp = {
         "fit_rmse": fit,
         "calendar_penalty": mu_w * lam[0] * means[0],
@@ -520,29 +620,27 @@ def _loss_and_grads(
         "mean_band_excess": means[2],
     }
     total = fit + comp["calendar_penalty"] + comp["butterfly_penalty"] + comp["band_penalty"]
-    if not with_grads:
-        return total, comp, None
+    return total, comp, grads
 
-    # adjoint of the fit term on Sigma
-    denom = max(fit, 1e-12)
-    bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
-    gw_data, gb_data = state.backward(model, bar_sigma_data)
+
+def _penalty_backward(model, gstate, theta_tuple, pieces, kap, scale):
+    """Parameter gradients of the penalty terms on one grid block.
+
+    ``scale`` holds mu_w lambda_i / m for the three terms, m being the
+    whole grid's size.
+    """
+    theta, d_t, d_k, d_kk = theta_tuple
+    cal, butt, _, _, ratio, above, below, _, usable = pieces
 
     # adjoints of the penalty terms on (cal, butt)
-    m_grid = grid_kappa.size
-    bar_cal = np.where(cal < 0.0, -mu_w * lam[0] / m_grid, 0.0)
-    bar_butt = np.where(butt < 0.0, -mu_w * lam[1] / m_grid, 0.0)
+    bar_cal = np.where(cal < 0.0, -scale[0], 0.0)
+    bar_butt = np.where(butt < 0.0, -scale[1], 0.0)
     band_sign = np.where(above, 1.0, 0.0) - np.where(below, 1.0, 0.0)
     safe_butt = np.where(usable, butt, 1.0)
-    bar_cal = bar_cal + np.where(
-        usable, mu_w * lam[2] / m_grid * band_sign / safe_butt, 0.0
-    )
-    bar_butt = bar_butt + np.where(
-        usable, -mu_w * lam[2] / m_grid * band_sign * ratio / safe_butt, 0.0
-    )
+    bar_cal = bar_cal + np.where(usable, scale[2] * band_sign / safe_butt, 0.0)
+    bar_butt = bar_butt + np.where(usable, -scale[2] * band_sign * ratio / safe_butt, 0.0)
 
     # chain (cal, butt) adjoints into (Theta, dT, dk, dkk) adjoints
-    kap = grid_kappa
     bar_theta = bar_butt * (
         (kap / theta**2) * d_k + 0.25 * (1.0 / theta**2 - 2.0 * kap**2 / theta**3) * d_k**2
     )
@@ -564,15 +662,19 @@ def _loss_and_grads(
     bar_sp = bar_dk * 2.0 * t_arr * sig / s_k + bar_dkk * 4.0 * t_arr * sp / s_k**2
     bar_sq = bar_dkk * 2.0 * t_arr * sig / s_k**2
     bar_sr = bar_dt * 2.0 * sig / s_t
-    gw_pen, gb_pen = gstate.backward(model, bar_sig, (bar_sp, bar_sq, bar_sr))
-
-    grads = [a + b for a, b in zip(gw_data + gb_data, gw_pen + gb_pen)]
-    return total, comp, grads
+    gw, gb = gstate.backward(model, bar_sig, (bar_sp, bar_sq, bar_sr))
+    return gw + gb
 
 
 def _train_once(
     frame_t, frame_kappa, frame_iv, weights, penalty, cfg, seed, spot, epochs
 ):
+    """One training run: (model, history, (total, components), best epoch).
+
+    The model holds the parameters the best epoch scored, before its Adam
+    step.  With no epochs the best epoch is 0 and the initial network is
+    scored.
+    """
     start = float(np.clip(np.mean(frame_iv), 0.05, 1.5))
     model = NnIvModel.initialize(seed=seed, hidden=cfg.hidden, spot=spot, start_sigma=start)
     log_t = np.log(frame_t)
@@ -585,6 +687,7 @@ def _train_once(
     moments = ([np.zeros_like(p) for p in flat], [np.zeros_like(p) for p in flat])
     best_total = np.inf
     best_params = None
+    best_epoch = 0
     history = []
     workspace = _Workspace(model, frame_t.size, penalty)
 
@@ -597,6 +700,7 @@ def _train_once(
         if total < best_total:
             best_total = total
             best_score = (total, comp)
+            best_epoch = epoch
             best_params = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
 
         flat = model.weights + model.biases
@@ -617,7 +721,7 @@ def _train_once(
         best_score = (total, comp)
     else:
         model.weights, model.biases = best_params
-    return model, history, best_score
+    return model, history, best_score, best_epoch
 
 
 def _observations(frame: MarketFrame):
@@ -666,7 +770,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         ranked = []
         for idx, lam in enumerate(candidates):
             pen = replace(penalty, lambdas=tuple(lam))
-            _, _, (_, comp) = _train_once(
+            _, _, (_, comp), _ = _train_once(
                 data_t, data_kappa, data_iv, weights, pen, cfg,
                 seed=cfg.seed + idx, spot=spot, epochs=cfg.search_epochs,
             )
@@ -682,7 +786,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         ranked.sort()
         chosen = replace(penalty, lambdas=tuple(ranked[0][2]))
 
-    model, history, (total, comp) = _train_once(
+    model, history, (total, comp), best_epoch = _train_once(
         data_t, data_kappa, data_iv, weights, chosen, cfg,
         seed=cfg.seed, spot=spot, epochs=cfg.epochs,
     )
@@ -691,6 +795,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         "components": comp,
         "lambdas": list(chosen.lambdas),
         "epochs": cfg.epochs,
+        "best_epoch": best_epoch,
         "n_observations": int(data_t.size),
         "duplicates_collapsed": n_dupes,
         "lambda_search": search_summary,

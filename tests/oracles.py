@@ -452,6 +452,13 @@ def _nn_sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def nn_softplus(z):
+    """log(1 + e^z) as max(z, 0) + log1p(e^-|z|), e^-|z| allowed to underflow."""
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(e)
+
+
 class AllocatingNnState:
     """What allocating_nn_backward needs from one allocating_nn_forward call."""
 
@@ -464,7 +471,11 @@ class AllocatingNnState:
 
 
 def allocating_nn_forward(model, t, kappa):
-    """The NN's extended forward pass with fresh arrays for every temporary."""
+    """The NN's extended forward pass with fresh arrays for every temporary.
+
+    The input streams p = (0, 1), q = 0 and r = (1, 0) are constants, so the
+    first layer's zp and zr are columns of its weights and zq is zero.
+    """
     t_flat = np.asarray(t, dtype=float).ravel()
     kappa_flat = np.asarray(kappa, dtype=float).ravel()
     x0, x1 = model.standardized_inputs(t_flat, kappa_flat)
@@ -472,9 +483,7 @@ def allocating_nn_forward(model, t, kappa):
 
     state = AllocatingNnState(t_flat)
     a = np.vstack([x0, x1])
-    p = np.vstack([np.zeros(n), np.ones(n)])
-    q = np.zeros((2, n))
-    r = np.vstack([np.ones(n), np.zeros(n)])
+    p = q = r = None
 
     n_layers = len(model.weights)
     for idx, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -483,18 +492,23 @@ def allocating_nn_forward(model, t, kappa):
         state.q.append(q)
         state.r.append(r)
         z = w @ a + b[:, None]
-        zp = w @ p
-        zq = w @ q
-        zr = w @ r
+        if idx:
+            zp, zq, zr = w @ p, w @ q, w @ r
+        else:
+            zp, zq, zr = w[:, 1:2], None, w[:, 0:1]
         state.pre.append((z, zp, zq, zr))
         if idx < n_layers - 1:
             f1 = _nn_sigmoid(z)
-            a = np.logaddexp(0.0, z)
+            a = nn_softplus(z)
             p = f1 * zp
-            q = f1 * (1.0 - f1) * zp**2 + f1 * zq
+            q = f1 * (1.0 - f1) * zp**2
+            if idx:
+                q = q + f1 * zq
             r = f1 * zr
-        else:
+        elif idx:
             a, p, q, r = z, zp, zq, zr
+        else:
+            a, p, q, r = z, np.repeat(zp, n, axis=1), np.zeros((1, n)), np.repeat(zr, n, axis=1)
 
     o, op, oq, orr = a[0], p[0], q[0], r[0]
     state.out = (o, op, oq, orr)
@@ -542,10 +556,11 @@ def allocating_nn_backward(model, state, bar_sigma, bar_streams=None):
             f1 = _nn_sigmoid(z)
             f2 = f1 * (1.0 - f1)
             f3 = f2 * (1.0 - 2.0 * f1)
+            curv = f3 * zp**2 + f2 * zq if idx else f3 * zp**2
             z_bar = (
                 a_bar * f1
                 + p_bar * f2 * zp
-                + q_bar * (f3 * zp**2 + f2 * zq)
+                + q_bar * curv
                 + r_bar * f2 * zr
             )
             zp_bar = p_bar * f1 + q_bar * 2.0 * f2 * zp
@@ -553,12 +568,17 @@ def allocating_nn_backward(model, state, bar_sigma, bar_streams=None):
             zr_bar = r_bar * f1
         else:
             z_bar, zp_bar, zq_bar, zr_bar = a_bar, p_bar, q_bar, r_bar
-        grads_w[idx] = (
-            z_bar @ state.a[idx].T
-            + zp_bar @ state.p[idx].T
-            + zq_bar @ state.q[idx].T
-            + zr_bar @ state.r[idx].T
-        )
+        if idx:
+            grads_w[idx] = (
+                z_bar @ state.a[idx].T
+                + zp_bar @ state.p[idx].T
+                + zq_bar @ state.q[idx].T
+                + zr_bar @ state.r[idx].T
+            )
+        else:
+            grads_w[idx] = z_bar @ state.a[idx].T + np.column_stack(
+                [zr_bar.sum(axis=1), zp_bar.sum(axis=1)]
+            )
         grads_b[idx] = z_bar.sum(axis=1)
         w = model.weights[idx]
         a_bar = w.T @ z_bar
@@ -569,8 +589,12 @@ def allocating_nn_backward(model, state, bar_sigma, bar_streams=None):
 
 
 def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, penalty):
-    """(total, parameter gradients) of the NN training loss on allocating passes."""
-    from volsurf.nn_iv import _penalty_pieces, _theta_tuple
+    """(total, parameter gradients) of the NN training loss on allocating passes.
+
+    The penalty grid goes in ``nn_iv.BLOCK_WIDTH``-point blocks: the penalty
+    sums and gradients are added up block by block, after the fit term's.
+    """
+    from volsurf.nn_iv import BLOCK_WIDTH, _penalty_pieces, _theta_tuple
 
     lam = penalty.lambdas
     mu_w = weights.mu_w
@@ -582,49 +606,55 @@ def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, pe
     denom = max(fit, 1e-12)
     bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
     gw_data, gb_data = allocating_nn_backward(model, state, bar_sigma_data)
+    grads = gw_data + gb_data
 
-    grid_t, grid_kappa = penalty.grid()
-    m_grid = grid_t.size
-    gstate = allocating_nn_forward(model, grid_t, grid_kappa)
-    theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
-    cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable = (
-        _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa, penalty.band)
-    )
-    pen1 = mu_w * lam[0] * float(np.mean(cal_neg))
-    pen2 = mu_w * lam[1] * float(np.mean(butt_neg))
-    pen3 = mu_w * lam[2] * float(np.mean(band_excess))
-    total = fit + pen1 + pen2 + pen3
+    all_t, all_kappa = penalty.grid()
+    m_grid = all_t.size
+    scale = [mu_w * v / m_grid for v in lam]
+    sums = [0.0, 0.0, 0.0]
+    for lo in range(0, m_grid, BLOCK_WIDTH):
+        grid_t, grid_kappa = all_t[lo:lo + BLOCK_WIDTH], all_kappa[lo:lo + BLOCK_WIDTH]
+        gstate = allocating_nn_forward(model, grid_t, grid_kappa)
+        theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
+        cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable = (
+            _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa, penalty.band)
+        )
+        sums = [s + float(np.sum(v)) for s, v in zip(sums, (cal_neg, butt_neg, band_excess))]
 
-    bar_cal = np.where(cal < 0.0, -mu_w * lam[0] / m_grid, 0.0)
-    bar_butt = np.where(butt < 0.0, -mu_w * lam[1] / m_grid, 0.0)
-    band_sign = np.where(above, 1.0, 0.0) - np.where(below, 1.0, 0.0)
-    safe_butt = np.where(usable, butt, 1.0)
-    bar_cal = bar_cal + np.where(usable, mu_w * lam[2] / m_grid * band_sign / safe_butt, 0.0)
-    bar_butt = bar_butt + np.where(
-        usable, -mu_w * lam[2] / m_grid * band_sign * ratio / safe_butt, 0.0
-    )
-    kap = grid_kappa
-    bar_theta = bar_butt * (
-        (kap / theta**2) * d_k + 0.25 * (1.0 / theta**2 - 2.0 * kap**2 / theta**3) * d_k**2
-    )
-    bar_dt = bar_cal
-    bar_dk = bar_butt * (-kap / theta + 0.5 * (-0.25 - 1.0 / theta + kap**2 / theta**2) * d_k)
-    bar_dkk = bar_butt * 0.5
-    s_t, s_k = model.input_scale[0], model.input_scale[1]
-    sig = gstate.sigma
-    sp, sq, sr = gstate.sigma_streams
-    t_arr = gstate.t
-    bar_sig = (
-        bar_theta * 2.0 * sig * t_arr
-        + bar_dt * (2.0 * sig + 2.0 * sr / s_t)
-        + bar_dk * 2.0 * t_arr * sp / s_k
-        + bar_dkk * 2.0 * t_arr * sq / s_k**2
-    )
-    bar_sp = bar_dk * 2.0 * t_arr * sig / s_k + bar_dkk * 4.0 * t_arr * sp / s_k**2
-    bar_sq = bar_dkk * 2.0 * t_arr * sig / s_k**2
-    bar_sr = bar_dt * 2.0 * sig / s_t
-    gw_pen, gb_pen = allocating_nn_backward(model, gstate, bar_sig, (bar_sp, bar_sq, bar_sr))
-    return total, [a + b for a, b in zip(gw_data + gb_data, gw_pen + gb_pen)]
+        bar_cal = np.where(cal < 0.0, -scale[0], 0.0)
+        bar_butt = np.where(butt < 0.0, -scale[1], 0.0)
+        band_sign = np.where(above, 1.0, 0.0) - np.where(below, 1.0, 0.0)
+        safe_butt = np.where(usable, butt, 1.0)
+        bar_cal = bar_cal + np.where(usable, scale[2] * band_sign / safe_butt, 0.0)
+        bar_butt = bar_butt + np.where(usable, -scale[2] * band_sign * ratio / safe_butt, 0.0)
+        kap = grid_kappa
+        bar_theta = bar_butt * (
+            (kap / theta**2) * d_k + 0.25 * (1.0 / theta**2 - 2.0 * kap**2 / theta**3) * d_k**2
+        )
+        bar_dt = bar_cal
+        bar_dk = bar_butt * (-kap / theta + 0.5 * (-0.25 - 1.0 / theta + kap**2 / theta**2) * d_k)
+        bar_dkk = bar_butt * 0.5
+        s_t, s_k = model.input_scale[0], model.input_scale[1]
+        sig = gstate.sigma
+        sp, sq, sr = gstate.sigma_streams
+        t_arr = gstate.t
+        bar_sig = (
+            bar_theta * 2.0 * sig * t_arr
+            + bar_dt * (2.0 * sig + 2.0 * sr / s_t)
+            + bar_dk * 2.0 * t_arr * sp / s_k
+            + bar_dkk * 2.0 * t_arr * sq / s_k**2
+        )
+        bar_sp = bar_dk * 2.0 * t_arr * sig / s_k + bar_dkk * 4.0 * t_arr * sp / s_k**2
+        bar_sq = bar_dkk * 2.0 * t_arr * sig / s_k**2
+        bar_sr = bar_dt * 2.0 * sig / s_t
+        gw_pen, gb_pen = allocating_nn_backward(
+            model, gstate, bar_sig, (bar_sp, bar_sq, bar_sr)
+        )
+        grads = [a + b for a, b in zip(grads, gw_pen + gb_pen)]
+
+    pen = [mu_w * v * (s / m_grid) for v, s in zip(lam, sums)]
+    total = fit + pen[0] + pen[1] + pen[2]
+    return total, grads
 
 
 def grouped_nn_observations(frame):

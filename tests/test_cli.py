@@ -143,7 +143,11 @@ class TestCalibrate:
         assert code == 0
         model = json.loads((out / "model.json").read_text())
         assert model["version"] == "nnivmodel/1"
-        assert (out / "training_history.json").exists()
+        totals = [h["total"] for h in
+                  json.loads((out / "training_history.json").read_text())["history"]]
+        report = json.loads((out / "report.json").read_text())
+        assert report["best_epoch"] == 1 + totals.index(min(totals))
+        assert "best_epoch" not in json.dumps(model)
 
         lv_out = tmp_path / "nn_lv"
         code = run(
@@ -157,6 +161,22 @@ class TestCalibrate:
         assert code == 0
         chk = json.loads(capsys.readouterr().out)
         assert "butterfly_violations" in chk
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["nn", "--epochs", -5, "--penalty-t", 3, "--penalty-k", 3],
+                         id="nn-epochs"),
+            pytest.param(["gp", "--paths", -3, "--grid-t", 3, "--grid-k", 5, "--starts", 1],
+                         id="gp-paths"),
+        ],
+    )
+    def test_negative_count_exits_2(self, argv, synthetic_dir, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = run(["calibrate", argv[0], *market_args(synthetic_dir), "--out", out, *argv[1:]])
+        assert code == 2
+        assert "nonnegative" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "model.json").exists()
 
     def test_ssvi_pipeline(self, synthetic_dir, tmp_path):
         out = tmp_path / "ssvi"

@@ -308,7 +308,9 @@ class TestWorkspace:
     @pytest.mark.parametrize(
         "hidden, grid",
         [((8, 8, 8), (5, 7)), ((40, 40, 40), (12, 25)), ((5,), (1, 9)),
-         ((12, 7, 3), (6, 1)), ((), (4, 4)), ((16, 9), (17, 23))],
+         ((12, 7, 3), (6, 1)), ((), (4, 4)), ((16, 9), (17, 23)),
+         # several BLOCK_WIDTH blocks: with a remainder, and without one
+         ((16, 9), (23, 31)), ((8, 8, 8), (40, 40)), ((6, 5), (16, 64))],
     )
     def test_bitwise_against_allocating_oracle(self, hidden, grid):
         rng = np.random.default_rng(grid[0] * 31 + len(hidden))
@@ -345,9 +347,22 @@ class TestWorkspace:
         for got, ref in zip(model.forward_theta(t, kappa), _theta_tuple(model, want)):
             assert got.shape == t.shape and got.tobytes() == ref.tobytes()
 
+    def test_workspace_block_independent_of_grid_size(self):
+        model = lively_model(3, (40, 40, 40))
+        small, large = (_Workspace(model, 30, PenaltyConfig(n_maturity=n_t, n_moneyness=100))
+                        for n_t in (20, 50))
+        assert small.grid.n == large.grid.n == nn_iv.BLOCK_WIDTH
+        block_bytes = [ws.grid.x.base.nbytes for ws in (small, large)]
+        assert block_bytes[0] == block_bytes[1] < 5e6
+        for ws in (small, large):
+            assert ws.tail.n == ws.grid_t.size % nn_iv.BLOCK_WIDTH
+            assert ws.tail.x.base.nbytes < block_bytes[0]
+            assert [cols.stop - cols.start for cols, _ in ws.blocks()][-1] == ws.tail.n
+            assert sum(p.n for _, p in ws.blocks()) == ws.grid_t.size
+
     def test_warm_workspace_allocates_no_layer_arrays(self):
         rng = np.random.default_rng(5)
-        hidden, n_grid = (40, 40, 40), 20 * 100
+        hidden = (40, 40, 40)
         model = lively_model(3, hidden)
         t, kappa, iv, weights = random_data(rng, 30)
         pen = PenaltyConfig(n_maturity=20, n_moneyness=100)
@@ -360,8 +375,22 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        layer_array = 40 * n_grid * 8
+        layer_array = 40 * nn_iv.BLOCK_WIDTH * 8
         assert peak - before < 2 * layer_array
+
+
+class TestSoftplus:
+    def test_matches_logaddexp(self):
+        z = np.concatenate([
+            np.linspace(-1e3, 1e3, 20001), [0.0, -0.0, 5e-324, -5e-324, -745.2, 709.8],
+            np.random.default_rng(0).normal(scale=5.0, size=20000),
+        ])
+        with np.errstate(under="ignore"):
+            want = np.logaddexp(0.0, z)
+        with np.errstate(all="raise"):
+            got = nn_iv._softplus(z, np.empty_like(z), np.empty_like(z))
+        assert set(got[z == 0.0].tolist()) == {math.log(2.0)}
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 class TestTraining:
@@ -402,8 +431,16 @@ class TestTraining:
             penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=3,
         )
         _, report = train(frame, cfg)
-        best = np.minimum.accumulate([h["total"] for h in report["history"]])
+        totals = [h["total"] for h in report["history"]]
+        best = np.minimum.accumulate(totals)
         assert np.all(np.diff(best) <= 0.0)
+        assert report["best_epoch"] == 1 + totals.index(min(totals))
+
+    @pytest.mark.parametrize("field", ["epochs", "search_epochs"])
+    def test_negative_epochs_rejected(self, field):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TrainConfig(**{field: -1})
+        assert getattr(TrainConfig(**{field: 0}), field) == 0
 
     def test_divergent_loss_raises(self):
         t = np.array([0.5, 1.0])
@@ -484,6 +521,8 @@ class TestTraining:
             )
             if cfg.epochs:
                 assert min(h["total"] for h in report["history"]) == report["final_total"]
+            else:
+                assert report["best_epoch"] == 0
 
 
 class TestPutPrices:
