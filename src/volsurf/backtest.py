@@ -91,8 +91,11 @@ def price_mc(
     in currency.  The time grid is the union of a uniform n_steps grid and
     the option maturities, so each payoff is read at its exact expiry; the
     normals are drawn per step from a counter-based generator, making the
-    result a function of (seed, n_paths, n_steps) only.
+    result a function of (seed, n_paths, n_steps) only.  Raises ValueError
+    for fewer than one path.
     """
+    if n_paths < 1:
+        raise ValueError(f"need at least one Monte Carlo path, got {n_paths}")
     options = [(float(t), float(k)) for t, k in options]
     if not options:
         return np.zeros(0), np.zeros(0)
@@ -182,19 +185,20 @@ def price_cn(
     t_max: float,
     n_t: int = 100,
     n_k: int = 100,
-    k_max: float | None = None,
 ) -> CnSolution:
     """Solve the forward Dupire equation by Crank-Nicolson.
 
     Initial condition p(0, k) = (k - S0)+, boundaries p(T, 0) = 0 and
-    p(T, k_max) = k_max - S0; the strike grid extends to roughly twice the
-    spot (or beyond the local-vol grid) so the upper boundary is effectively
-    at its asymptote.  Negative values produced by the scheme around the
-    payoff kink are counted and clamped at zero.
+    p(T, k_max) = k_max - S0; the strike grid extends to k_max, twice the
+    spot or 1.2 times the local-vol grid's last strike if that is further,
+    so the upper boundary is effectively at its asymptote.  Negative values
+    produced by the scheme around the payoff kink are counted and clamped at
+    zero.  Raises ValueError for fewer than 2 time or 3 strike nodes.
     """
+    if n_t < 2 or n_k < 3:
+        raise ValueError(f"CN grid needs at least 2 time and 3 strike nodes, got {n_t} x {n_k}")
     spot = curves.spot
-    if k_max is None:
-        k_max = max(2.0 * spot, 1.2 * float(lv.k_axis[-1]))
+    k_max = max(2.0 * spot, 1.2 * float(lv.k_axis[-1]))
     t_axis = np.linspace(0.0, t_max, n_t)
     k_axis = np.linspace(0.0, k_max, n_k)
     dk = k_axis[1] - k_axis[0]

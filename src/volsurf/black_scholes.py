@@ -16,6 +16,12 @@ import numpy as np
 from scipy.special import ndtr
 
 
+# the Newton stopping rule |price(vol) - price| <= PRICE_TOL (1 + |price|), and
+# the cap on the doubled upper bracket
+PRICE_TOL = 1e-12
+MAX_VOL = 20.0
+
+
 class InversionDomainError(ValueError):
     """Raised when a price lies outside the no-arbitrage band (df*(K-F)+, df*K)."""
 
@@ -65,23 +71,16 @@ def _band(forward, strike, discount):
     return discount * np.maximum(strike - forward, 0.0), discount * strike
 
 
-def implied_vol_array(
-    price,
-    forward,
-    strike,
-    maturity,
-    discount=1.0,
-    price_tol: float = 1e-12,
-    max_vol: float = 20.0,
-) -> np.ndarray:
+def implied_vol_array(price, forward, strike, maturity, discount=1.0) -> np.ndarray:
     """Invert put prices to Black-Scholes volatilities, element by element.
 
     Each element follows the same steps: double the upper bracket from 1.0
-    until it prices above the target (capped at max_vol), bisect from 1e-9
+    until it prices above the target (capped at MAX_VOL), bisect from 1e-9
     down to a 1e-4 vol interval, then take at most 60 Newton steps with the
-    analytic vega, falling back to bisection whenever Newton leaves the
-    bracket.  Elements that have finished are masked out of later steps, so
-    every element gets exactly the arithmetic a lone quote would get.  The
+    analytic vega until the price is within PRICE_TOL, falling back to
+    bisection whenever Newton leaves the bracket.  Elements that have
+    finished are masked out of later steps, so every element gets exactly
+    the arithmetic a lone quote would get.  The
     round-tripped price agrees with the input within 1e-10 absolute for
     prices safely inside the arbitrage band.
 
@@ -118,8 +117,8 @@ def implied_vol_array(
     while act.size:
         act = act[gap(hi[act], act) < 0.0]
         hi[act] *= 2.0
-        capped = hi[act] > max_vol
-        hi[act[capped]] = max_vol
+        capped = hi[act] > MAX_VOL
+        hi[act[capped]] = MAX_VOL
         act = act[~capped]
 
     # bisect to a 1e-4 wide bracket
@@ -135,7 +134,7 @@ def implied_vol_array(
         act = act[hi[act] - lo[act] > 1e-4]
 
     vol = 0.5 * (lo + hi)
-    tol = price_tol * (1.0 + np.abs(price))
+    tol = PRICE_TOL * (1.0 + np.abs(price))
     act = np.arange(live.size)
     for _ in range(60):
         if not act.size:
@@ -160,19 +159,13 @@ def implied_vol_array(
 
 
 def implied_vol(
-    price: float,
-    forward: float,
-    strike: float,
-    maturity: float,
-    discount: float = 1.0,
-    price_tol: float = 1e-12,
-    max_vol: float = 20.0,
+    price: float, forward: float, strike: float, maturity: float, discount: float = 1.0
 ) -> float:
     """Invert one put price to a Black-Scholes volatility (see implied_vol_array).
 
     Raises InversionDomainError when price is outside (df*(K-F)+, df*K).
     """
-    vol = float(implied_vol_array(price, forward, strike, maturity, discount, price_tol, max_vol))
+    vol = float(implied_vol_array(price, forward, strike, maturity, discount))
     if math.isnan(vol):
         lower, upper = _band(forward, strike, discount)
         raise InversionDomainError(

@@ -341,6 +341,9 @@ def cmd_check_arbitrage(args) -> int:
     else:
         from .local_vol import calendar_butterfly_terms
 
+        if args.grid_t < 1 or args.grid_k < 1:
+            raise CliInputError(f"--grid-t and --grid-k must be positive, got "
+                                f"{args.grid_t} and {args.grid_k}")
         t_lo, t_hi = args.t_range or model.t_range or (0.1, 2.5)
         t_axis = np.linspace(t_lo, t_hi, args.grid_t)
         kappa_axis = np.linspace(args.kappa_min, args.kappa_max, args.grid_k)

@@ -43,6 +43,12 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
+# solve_qp stops once every scaled KKT residual is at most QP_TOL, and raises
+# after QP_MAX_ITER iterations
+QP_TOL = 1e-8
+QP_MAX_ITER = 100
+
+
 class QpError(RuntimeError):
     """Base class for QP failures; carries the last iterate diagnostics."""
 
@@ -65,8 +71,8 @@ class QuadProgram:
 
     q: np.ndarray
     c: np.ndarray
-    a_ineq: np.ndarray | None = None
-    b_ineq: np.ndarray | None = None
+    a_ineq: np.ndarray
+    b_ineq: np.ndarray
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -77,7 +83,7 @@ class QuadProgram:
         sym_gap = np.max(np.abs(self.q - self.q.T)) if d else 0.0
         if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(self.q)))):
             raise ValueError(f"Q must be symmetric, asymmetry {sym_gap:.2e}")
-        if self.a_ineq is None or self.b_ineq is None or np.size(self.b_ineq) == 0:
+        if np.size(self.b_ineq) == 0:
             raise ValueError("QP needs at least one inequality row")
         self.a_ineq = np.atleast_2d(np.asarray(self.a_ineq, dtype=float))
         self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
@@ -114,13 +120,13 @@ def _kkt_residuals(p: QuadProgram, grad, slack, z) -> dict:
     }
 
 
-def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult:
-    """Solve a convex QP to the requested KKT tolerance.
+def solve_qp(p: QuadProgram) -> QpResult:
+    """Solve a convex QP to the KKT tolerance QP_TOL.
 
     Implements an infeasible-start Mehrotra predictor-corrector method on the
     normal-equation form: each iteration factors Q + A' (Z/S) A.  Raises
     QpInfeasibleError when the iterates certify an empty feasible region,
-    QpConvergenceError on an iteration-limit hit; both carry residual
+    QpConvergenceError after QP_MAX_ITER iterations; both carry residual
     diagnostics.
     """
     d, m = p.dim, p.b_ineq.size
@@ -165,7 +171,7 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
         return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
     res = {}
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, QP_MAX_ITER + 1):
         # + 0.0 turns -0.0 entries into +0.0: zero signs here can reach the
         # iterates' bytes
         ax = a @ x
@@ -175,9 +181,9 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
 
         res = _kkt_residuals(p, rd, ax - p.b_ineq, z)
         if (
-            res["stationarity"] <= tol
-            and res["primal"] <= tol
-            and res["complementarity"] <= tol
+            res["stationarity"] <= QP_TOL
+            and res["primal"] <= QP_TOL
+            and res["complementarity"] <= QP_TOL
         ):
             return QpResult(x=x, z=z, iterations=iteration - 1, kkt=res)
 
@@ -202,19 +208,19 @@ def solve_qp(p: QuadProgram, tol: float = 1e-8, max_iter: int = 100) -> QpResult
 
         # divergence of the duals with a stubborn primal residual certifies
         # (numerically) that no feasible point exists
-        if res["primal"] > np.sqrt(tol) and float(np.max(z)) > 1e10 * (1.0 + mu):
+        if res["primal"] > np.sqrt(QP_TOL) and float(np.max(z)) > 1e10 * (1.0 + mu):
             raise QpInfeasibleError(
                 "dual iterates diverge while primal residual stalls",
                 {"iterations": iteration, **res},
             )
 
-    if res.get("primal", 1.0) > np.sqrt(tol) and float(np.max(z)) > 1e6:
+    if res.get("primal", 1.0) > np.sqrt(QP_TOL) and float(np.max(z)) > 1e6:
         raise QpInfeasibleError(
-            "no feasible point found", {"iterations": max_iter, **res}
+            "no feasible point found", {"iterations": QP_MAX_ITER, **res}
         )
     raise QpConvergenceError(
-        f"KKT tolerances not met in {max_iter} iterations",
-        {"iterations": max_iter, **res},
+        f"KKT tolerances not met in {QP_MAX_ITER} iterations",
+        {"iterations": QP_MAX_ITER, **res},
     )
 
 
@@ -283,6 +289,9 @@ def chol_with_jitter(matrix: np.ndarray, label: str = "matrix") -> tuple[np.ndar
 
 
 _MIN_HIT_TIME = 1e-9
+
+# wall bounces one trajectory may take before it is restarted
+MAX_BOUNCES = 50_000
 
 # consecutive trajectories restarted (knife edge, bounce limit, roundoff
 # rejection) before the sampler gives up instead of looping forever
@@ -379,13 +388,13 @@ def sample_truncated(
     n_samples: int,
     seed: int = 0,
     burn_in: int = 100,
-    max_bounces: int = 50_000,
 ) -> np.ndarray:
     """Draw samples from a linearly constrained Gaussian by exact HMC.
 
     Every returned sample satisfies a @ x >= b; trajectories are reflected
     analytically at the walls and a move is rejected (momentum redrawn)
-    in the rare event roundoff lands it outside the support.  After
+    in the rare event roundoff lands it outside the support, or after
+    MAX_BOUNCES bounces.  After
     MAX_CONSECUTIVE_RESTARTS restarts in a row it raises SamplerStallError.
     Fixed seed gives a bitwise-identical sample stream.
     """
@@ -421,7 +430,7 @@ def sample_truncated(
         # exact products at the start; closed-form updates per bounce
         f_a = walls.products(a_vec)
         f_b = f_z
-        for _ in range(max_bounces):
+        for _ in range(MAX_BOUNCES):
             t_hit, wall = _wall_hit(f_a, f_b, g)
             if t_hit >= remaining:
                 break

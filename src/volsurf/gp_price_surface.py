@@ -327,14 +327,20 @@ _FAILED = 1e12
 # fewer bid/ask values than this log a weak-identification warning
 LOW_DATA_THRESHOLD = 10
 
+# L-BFGS-B iterations per hyperparameter start
+FIT_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class GpFitConfig:
     """Multi-start optimizer settings for hyperparameter fitting."""
 
     n_starts: int = 5
-    max_iter: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_starts < 1:
+            raise ValueError(f"need at least one optimizer start, got {self.n_starts}")
 
 
 def fit_hyperparameters(
@@ -344,7 +350,7 @@ def fit_hyperparameters(
 
     L-BFGS-B on LikelihoodEvaluator's exact gradient, from cfg.n_starts
     starts (a fixed center and seeded normal draws around it, clipped into
-    the box), at most cfg.max_iter iterations each.  The box keeps sigma
+    the box), at most FIT_MAX_ITER iterations each.  The box keeps sigma
     within a factor e^7 (LOG_SIGMA_HALF_WIDTH) of std(y) for the stacked
     bid/ask values y, theta_t and theta_k between 1% and ten times the
     unit-square width (LENGTH_SCALE_BOUNDS), and noise_sd between 0.1 and
@@ -397,7 +403,7 @@ def fit_hyperparameters(
             jac=True,
             method="L-BFGS-B",
             bounds=sopt.Bounds(lower, upper),
-            options={"maxiter": cfg.max_iter},
+            options={"maxiter": FIT_MAX_ITER},
         )
         per_start.append({"start": start.tolist(), "fun": float(result.fun),
                           "nit": int(result.nit), "nfev": int(result.nfev)})
@@ -448,12 +454,7 @@ class GpModel:
         return build_constraints(self.grid) @ self.map_nodes
 
 
-def fit_map(
-    frame: MarketFrame,
-    grid: BasisGrid,
-    params: KernelParams,
-    qp_tol: float = 1e-8,
-) -> GpModel:
+def fit_map(frame: MarketFrame, grid: BasisGrid, params: KernelParams) -> GpModel:
     """Most probable constrained surface: a convex QP over the node values.
 
     Eliminating the noise e = y - Phi rho of the bid and ask rows turns the
@@ -490,7 +491,7 @@ def fit_map(
 
     a_white = build_constraints(grid) @ root
     problem = QuadProgram(q=q, c=c, a_ineq=a_white, b_ineq=np.zeros(a_white.shape[0]))
-    result = solve_qp(problem, tol=qp_tol)
+    result = solve_qp(problem)
 
     map_nodes = root @ result.x
     fitted = np.asarray(phi @ map_nodes).ravel()

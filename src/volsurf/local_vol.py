@@ -29,6 +29,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .serialize import number_array
 
+# a Dupire denominator at or below this is masked (the NN penalties skip it too)
 DENOM_FLOOR = 1e-8
 
 
@@ -41,7 +42,11 @@ class DegenerateVarianceError(ArithmeticError):
 
 @dataclass
 class LocalVolGrid:
-    """Rectangular (T, k) grid of local volatilities with a validity mask."""
+    """Rectangular (T, k) grid of local volatilities with a validity mask.
+
+    Each axis needs at least two nodes, so every point has a cell to
+    interpolate in.
+    """
 
     t_axis: np.ndarray
     k_axis: np.ndarray
@@ -56,6 +61,9 @@ class LocalVolGrid:
         self.k_axis = np.asarray(self.k_axis, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.mask = np.asarray(self.mask, dtype=bool)
+        if self.t_axis.size < 2 or self.k_axis.size < 2:
+            raise ValueError("grid axes need at least 2 nodes each, got "
+                             f"{self.t_axis.size} x {self.k_axis.size}")
         if np.any(np.diff(self.t_axis) <= 0) or np.any(np.diff(self.k_axis) <= 0):
             raise ValueError("grid axes must be strictly increasing")
         shape = (self.t_axis.size, self.k_axis.size)
@@ -162,18 +170,13 @@ def calendar_butterfly_terms(theta, d_t, d_k, d_kk, kappa):
     return cal, butt
 
 
-def dupire_fd(
-    price_surface,
-    t_axis,
-    k_axis,
-    denom_floor: float = DENOM_FLOOR,
-) -> LocalVolGrid:
+def dupire_fd(price_surface, t_axis, k_axis) -> LocalVolGrid:
     """Extract local vol from a reduced-price surface by finite differences.
 
     ``price_surface(t, k)`` must accept array arguments over the evaluation
     grid.  dT uses central differences (one-sided at the first/last row),
     dkk the standard three-point second difference.  Cells where the
-    curvature drops below ``denom_floor``, or the calendar numerator is
+    curvature is at most DENOM_FLOOR, or the calendar numerator is
     negative, are masked.
     """
     t_axis = np.asarray(t_axis, dtype=float)
@@ -205,30 +208,24 @@ def dupire_fd(
     with np.errstate(divide="ignore", invalid="ignore"):
         dup = d_t / denom
     # the floor is applied to the curvature itself, in reduced-price units
-    valid = np.isfinite(dup) & (d_kk > denom_floor) & (d_t >= 0.0)
+    valid = np.isfinite(dup) & (d_kk > DENOM_FLOOR) & (d_t >= 0.0)
     valid[:, 0] = False
     valid[:, -1] = False
     values = np.where(valid, np.sqrt(np.clip(2.0 * dup, 0.0, None)), 0.0)
     diagnostics = {
         "negative_numerator_cells": int(np.sum((d_t < 0.0) & np.isfinite(d_kk))),
-        "floored_denominator_cells": int(np.sum(np.nan_to_num(d_kk, nan=0.0) <= denom_floor)),
+        "floored_denominator_cells": int(np.sum(np.nan_to_num(d_kk, nan=0.0) <= DENOM_FLOOR)),
     }
     return LocalVolGrid(t_axis, k_axis, values, valid, diagnostics=diagnostics)
 
 
-def dupire_iv(
-    theta_surface,
-    t_axis,
-    k_axis,
-    spot: float,
-    denom_floor: float = DENOM_FLOOR,
-) -> LocalVolGrid:
+def dupire_iv(theta_surface, t_axis, k_axis, spot: float) -> LocalVolGrid:
     """Extract local vol from a total-variance surface via cal_T / butt_k.
 
     ``theta_surface(t, kappa)`` must return the tuple
     (theta, dT theta, dk theta, dkk theta) for array inputs, in the
     log-moneyness coordinate kappa = log(k / spot).  Cells with
-    butt_k <= denom_floor or cal_T < 0 are masked.
+    butt_k <= DENOM_FLOOR or cal_T < 0 are masked.
     """
     t_axis = np.asarray(t_axis, dtype=float)
     k_axis = np.asarray(k_axis, dtype=float)
@@ -242,13 +239,13 @@ def dupire_iv(
         raise DegenerateVarianceError("total variance vanishes on the evaluation grid")
     cal, butt = calendar_butterfly_terms(theta, d_t, d_k, d_kk, kappa)
 
-    valid = (butt > denom_floor) & (cal >= 0.0)
+    valid = (butt > DENOM_FLOOR) & (cal >= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(valid, cal / np.where(valid, butt, 1.0), 0.0)
     values = np.sqrt(np.clip(ratio, 0.0, None))
     diagnostics = {
         "negative_calendar_cells": int(np.sum(cal < 0.0)),
-        "nonpositive_butterfly_cells": int(np.sum(butt <= denom_floor)),
+        "nonpositive_butterfly_cells": int(np.sum(butt <= DENOM_FLOOR)),
     }
     return LocalVolGrid(t_axis, k_axis, values, valid, diagnostics=diagnostics)
 

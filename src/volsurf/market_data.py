@@ -28,13 +28,13 @@ from .black_scholes import implied_vol, implied_vol_array  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-DEFAULT_COLUMNS = {
-    "maturity": "maturity",
-    "strike": "strike",
-    "bid": "bid",
-    "ask": "ask",
-    "iv": "iv",
-}
+# build_frame drops quotes shorter than MIN_MATURITY, and quotes whose listed
+# iv differs from the mid-price iv by more than IV_GAP_TOL of the listed iv
+MIN_MATURITY = 0.055
+IV_GAP_TOL = 0.05
+
+# the last knot of a flat curve, which is flat beyond it anyway
+FLAT_CURVE_HORIZON = 50.0
 
 
 class SchemaError(ValueError):
@@ -90,8 +90,8 @@ class Curve:
         self.values = values
 
     @classmethod
-    def flat(cls, value: float, horizon: float = 50.0) -> "Curve":
-        return cls([0.0, horizon], [value, value])
+    def flat(cls, value: float) -> "Curve":
+        return cls([0.0, FLAT_CURVE_HORIZON], [value, value])
 
     def value(self, t):
         return np.interp(t, self.tenors, self.values)
@@ -148,14 +148,6 @@ class CurveSet:
     def reduced_strike(self, strike, t):
         """k = K * exp(-int (r - q))."""
         return strike * np.exp(-self.carry(t))
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Filtering rules applied when building a frame."""
-
-    min_maturity: float = 0.055
-    iv_gap_tol: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -230,41 +222,34 @@ class MarketFrame:
         )
 
 
-def load_quotes(path, columns: dict[str, str] | None = None) -> list[QuoteRecord]:
-    """Read quotes from a CSV file.
+def load_quotes(path) -> list[QuoteRecord]:
+    """Read quotes from a CSV file with header maturity,strike,bid,ask[,iv].
 
     Rows with non-numeric or non-positive maturity/strike, negative bids or
     crossed quotes are rejected; each rejection is logged with its row index.
     A missing required column raises SchemaError, an entirely empty file
     raises EmptyInputError, a header-only file returns [] with a warning.
     """
-    colmap = dict(DEFAULT_COLUMNS)
-    if columns:
-        colmap.update(columns)
-
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise EmptyInputError(f"{path}: file is empty")
-        required = [colmap["maturity"], colmap["strike"], colmap["bid"], colmap["ask"]]
+        required = ["maturity", "strike", "bid", "ask"]
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        has_iv = colmap["iv"] in reader.fieldnames
+        has_iv = "iv" in reader.fieldnames
 
         quotes: list[QuoteRecord] = []
         for index, row in enumerate(reader):
             try:
-                maturity = float(row[colmap["maturity"]])
-                strike = float(row[colmap["strike"]])
-                bid = float(row[colmap["bid"]])
-                ask = float(row[colmap["ask"]])
+                maturity, strike, bid, ask = (float(row[c]) for c in required)
             except (TypeError, ValueError):
                 log.warning("row %d rejected: non-numeric field", index)
                 continue
             listed_iv = None
             if has_iv:
-                raw = (row[colmap["iv"]] or "").strip()
+                raw = (row["iv"] or "").strip()
                 if raw:
                     try:
                         listed_iv = float(raw)
@@ -302,20 +287,15 @@ def load_curve(path) -> Curve:
     return Curve(tenors, values)
 
 
-def build_frame(
-    quotes: list[QuoteRecord],
-    curves: CurveSet,
-    filters: PreprocessConfig | None = None,
-) -> MarketFrame:
+def build_frame(quotes: list[QuoteRecord], curves: CurveSet) -> MarketFrame:
     """Preprocess quotes into a MarketFrame.
 
-    Drops quotes below the minimum maturity, and quotes whose listed implied
+    Drops quotes below MIN_MATURITY, and quotes whose listed implied
     volatility differs from the mid-price implied volatility (computed with
-    these curves) by more than the relative gap tolerance.  Computes reduced
+    these curves) by more than IV_GAP_TOL relative.  Computes reduced
     prices, reduced strikes and log-moneyness for the survivors and fits the
     unit-square scaling to their bounding box.
     """
-    cfg = filters or PreprocessConfig()
     max_t = max((q.maturity for q in quotes), default=0.0)
     if quotes and min(curves.rate_curve.max_tenor, curves.dividend_curve.max_tenor) < max_t:
         raise ValueError("curves do not cover the longest quote maturity")
@@ -328,17 +308,17 @@ def build_frame(
         [math.nan if q.listed_iv is None else q.listed_iv for q in quotes], dtype=float
     )
     reasons: dict[int, str] = {}
-    for index in np.flatnonzero(maturity < cfg.min_maturity).tolist():
+    for index in np.flatnonzero(maturity < MIN_MATURITY).tolist():
         reasons[index] = "below minimum maturity"
 
-    idx = np.flatnonzero(maturity >= cfg.min_maturity)
+    idx = np.flatnonzero(maturity >= MIN_MATURITY)
     t, strike, bid, ask, listed_iv = (a[idx] for a in (maturity, strike, bid, ask, listed_iv))
     mid = 0.5 * (bid + ask)
     mid_iv = implied_vol_array(mid, curves.forward(t), strike, t, curves.discount(t))
     for index in idx[np.isnan(mid_iv)].tolist():
         reasons[index] = "mid price outside arbitrage band"
     with np.errstate(invalid="ignore"):
-        inconsistent = np.abs(listed_iv - mid_iv) / listed_iv > cfg.iv_gap_tol
+        inconsistent = np.abs(listed_iv - mid_iv) / listed_iv > IV_GAP_TOL
     for index in idx[inconsistent].tolist():
         reasons[index] = "listed iv inconsistent with mid price"
     rejected = tuple(sorted(reasons.items()))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .local_vol import calendar_butterfly_terms
+from . import local_vol
 from .market_data import MarketFrame
 from .serialize import number, number_array
 
@@ -46,6 +46,18 @@ log = logging.getLogger(__name__)
 
 SIGMA_LO = 0.01
 SIGMA_HI = 2.0
+
+# the hidden layer widths, Adam's step size, and the epochs each candidate
+# of a lambda search trains for
+HIDDEN = (40, 40, 40)
+LEARNING_RATE = 1e-3
+SEARCH_EPOCHS = 300
+
+# the local-variance band the third penalty keeps the surface inside, and the
+# maturity and moneyness (K / S0) spans of the log-spaced penalty grid
+VARIANCE_BAND = (1e-4, 4.0)
+PENALTY_MATURITY_RANGE = (0.005, 10.0)
+PENALTY_MONEYNESS_RANGE = (0.5, 2.0)
 
 
 class TrainingError(RuntimeError):
@@ -66,29 +78,24 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Arbitrage penalty strengths, local-variance band, and penalty grid."""
+    """Arbitrage penalty strengths and the penalty grid's node counts."""
 
     lambdas: tuple = (1.0, 1.0, 1.0)
-    band: tuple = (1e-4, 4.0)
     n_maturity: int = 50
     n_moneyness: int = 100
-    maturity_range: tuple = (0.005, 10.0)
-    moneyness_range: tuple = (0.5, 2.0)
 
     def __post_init__(self):
         if any(l < 0 for l in self.lambdas) or len(self.lambdas) != 3:
             raise ValueError("lambdas must be three nonnegative numbers")
-        lo, hi = self.band
-        if not 0.0 < lo < hi:
-            raise ValueError("variance band must satisfy 0 < lower < upper")
         if self.n_maturity * self.n_moneyness < 1:
             raise ValueError("penalty grid needs at least one node")
 
     def grid(self):
-        """(T, kappa) arrays of the penalty grid, log-spaced in both axes."""
-        t = np.geomspace(self.maturity_range[0], self.maturity_range[1], self.n_maturity)
+        """(T, kappa) arrays of the penalty grid, log-spaced in both axes
+        over PENALTY_MATURITY_RANGE and PENALTY_MONEYNESS_RANGE."""
+        t = np.geomspace(PENALTY_MATURITY_RANGE[0], PENALTY_MATURITY_RANGE[1], self.n_maturity)
         money = np.geomspace(
-            self.moneyness_range[0], self.moneyness_range[1], self.n_moneyness
+            PENALTY_MONEYNESS_RANGE[0], PENALTY_MONEYNESS_RANGE[1], self.n_moneyness
         )
         kappa = np.log(money)
         tt, kk = np.meshgrid(t, kappa, indexing="ij")
@@ -110,10 +117,7 @@ class NnIvModel:
     t_range = None    # no calibrated maturity range: callers pick one
 
     @classmethod
-    def initialize(
-        cls, seed: int, hidden: tuple = (40, 40, 40), spot: float = 100.0,
-        start_sigma: float = 0.2,
-    ):
+    def initialize(cls, seed: int, hidden: tuple, spot: float = 100.0, start_sigma: float = 0.2):
         """He-scaled hidden layers; the output layer starts small and biased
         so the initial surface sits near ``start_sigma`` with the bounded
         output map far from saturation (saturated sigmoids kill gradients).
@@ -466,18 +470,21 @@ def compute_weights(points: np.ndarray) -> LossWeights:
     return LossWeights(w=w, mu_w=float(np.mean(w)))
 
 
-def _penalty_pieces(theta, d_t, d_k, d_kk, kappa, band, denom_floor=1e-8):
-    """Raw penalty integrands and the indicator sets the gradient needs."""
-    cal, butt = calendar_butterfly_terms(theta, d_t, d_k, d_kk, kappa)
+def _penalty_pieces(theta, d_t, d_k, d_kk, kappa):
+    """Raw penalty integrands and the indicator sets the gradient needs.
+
+    The band term measures the Dupire ratio outside VARIANCE_BAND where the
+    denominator exceeds local_vol.DENOM_FLOOR.
+    """
+    lo, hi = VARIANCE_BAND
+    cal, butt = local_vol.calendar_butterfly_terms(theta, d_t, d_k, d_kk, kappa)
     cal_neg = np.maximum(-cal, 0.0)
     butt_neg = np.maximum(-butt, 0.0)
-    usable = butt > denom_floor
+    usable = butt > local_vol.DENOM_FLOOR
     ratio = np.where(usable, cal / np.where(usable, butt, 1.0), 0.0)
-    above = usable & (ratio > band[1])
-    below = usable & (ratio < band[0])
-    band_excess = np.where(above, ratio - band[1], 0.0) + np.where(
-        below, band[0] - ratio, 0.0
-    )
+    above = usable & (ratio > hi)
+    below = usable & (ratio < lo)
+    band_excess = np.where(above, ratio - hi, 0.0) + np.where(below, lo - ratio, 0.0)
     return cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable
 
 
@@ -485,7 +492,7 @@ class _Workspace:
     """Penalty grid and pass arrays of one training run, built once.
 
     Fixed by the network's layer sizes, the number of data points and the
-    penalty grid; the penalty strengths and band are read per call.  The
+    penalty grid; the penalty strengths are read per call.  The
     grid is visited in blocks of ``BLOCK_WIDTH`` columns (all of it when it
     is smaller), so it needs one pass of that width and, when the width
     does not divide the grid, one for the remainder: about 4 MB each for
@@ -537,19 +544,16 @@ def loss(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Architecture, optimizer and penalty settings for a training run."""
+    """Epoch budget, penalty settings and seed of a training run."""
 
-    hidden: tuple = (40, 40, 40)
     epochs: int = 3000
-    learning_rate: float = 1e-3
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     lambda_candidates: tuple | None = None   # None: train once with penalty.lambdas
-    search_epochs: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.search_epochs < 0:
-            raise ValueError("epochs and search_epochs must be nonnegative")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
 
 
 def _adam_step(params, grads, moments, lr, step, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -600,7 +604,7 @@ def _loss_and_grads(
         kappa = ws.grid_kappa[cols]
         gstate = gpass.forward(model, ws.grid_t[cols], kappa)
         theta_tuple = _theta_tuple(model, gstate)
-        pieces = _penalty_pieces(*theta_tuple, kappa, penalty.band)
+        pieces = _penalty_pieces(*theta_tuple, kappa)
         _, _, cal_neg, butt_neg, _, _, _, band_excess, _ = pieces
         for i, v in enumerate((cal_neg, butt_neg, band_excess)):
             sums[i] += float(np.sum(v))
@@ -666,17 +670,15 @@ def _penalty_backward(model, gstate, theta_tuple, pieces, kap, scale):
     return gw + gb
 
 
-def _train_once(
-    frame_t, frame_kappa, frame_iv, weights, penalty, cfg, seed, spot, epochs
-):
+def _train_once(frame_t, frame_kappa, frame_iv, weights, penalty, seed, spot, epochs):
     """One training run: (model, history, (total, components), best epoch).
 
-    The model holds the parameters the best epoch scored, before its Adam
-    step.  With no epochs the best epoch is 0 and the initial network is
-    scored.
+    The network has HIDDEN layers and Adam takes LEARNING_RATE steps.  The
+    model holds the parameters the best epoch scored, before its Adam step.
+    With no epochs the best epoch is 0 and the initial network is scored.
     """
     start = float(np.clip(np.mean(frame_iv), 0.05, 1.5))
-    model = NnIvModel.initialize(seed=seed, hidden=cfg.hidden, spot=spot, start_sigma=start)
+    model = NnIvModel.initialize(seed=seed, hidden=HIDDEN, spot=spot, start_sigma=start)
     log_t = np.log(frame_t)
     model.input_mean = np.array([float(np.mean(log_t)), float(np.mean(frame_kappa))])
     model.input_scale = np.array(
@@ -704,7 +706,7 @@ def _train_once(
             best_params = ([w.copy() for w in model.weights], [b.copy() for b in model.biases])
 
         flat = model.weights + model.biases
-        flat = _adam_step(flat, grads, moments, cfg.learning_rate, epoch)
+        flat = _adam_step(flat, grads, moments, LEARNING_RATE, epoch)
         n_w = len(model.weights)
         model.weights = flat[:n_w]
         model.biases = flat[n_w:]
@@ -748,7 +750,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
     """Train the IV network on a frame's mid implied volatilities.
 
     Duplicate (T, kappa) observations are collapsed to their mean IV.  When
-    ``lambda_candidates`` is set, each candidate trains for ``search_epochs``,
+    ``lambda_candidates`` is set, each candidate trains for SEARCH_EPOCHS,
     candidates whose arbitrage penalties vanish on the grid are ranked by fit
     RMSE (falling back to total loss when none are clean), and the winner is
     retrained for the full budget.  Returns (model, report).
@@ -771,8 +773,8 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         for idx, lam in enumerate(candidates):
             pen = replace(penalty, lambdas=tuple(lam))
             _, _, (_, comp), _ = _train_once(
-                data_t, data_kappa, data_iv, weights, pen, cfg,
-                seed=cfg.seed + idx, spot=spot, epochs=cfg.search_epochs,
+                data_t, data_kappa, data_iv, weights, pen,
+                seed=cfg.seed + idx, spot=spot, epochs=SEARCH_EPOCHS,
             )
             clean = (
                 comp["mean_calendar_negative"] <= 1e-12
@@ -787,7 +789,7 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
         chosen = replace(penalty, lambdas=tuple(ranked[0][2]))
 
     model, history, (total, comp), best_epoch = _train_once(
-        data_t, data_kappa, data_iv, weights, chosen, cfg,
+        data_t, data_kappa, data_iv, weights, chosen,
         seed=cfg.seed, spot=spot, epochs=cfg.epochs,
     )
     report = {

@@ -187,12 +187,12 @@ def check_no_arbitrage(params: SsviParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SsviFitConfig:
-    refine_slices: bool = True
-    crossing_penalty: float = 100.0
-    kappa_grid_size: int = 41
-    max_iter: int = 400
+# the weight of the squared calendar-crossing gaps in a slice's objective,
+# the points of the kappa grid they are measured on, and the Nelder-Mead
+# iteration cap of both calibration steps
+CROSSING_PENALTY = 100.0
+KAPPA_GRID_SIZE = 41
+MAX_ITER = 400
 
 
 def _atm_total_variance(frame: MarketFrame):
@@ -212,7 +212,7 @@ def _atm_total_variance(frame: MarketFrame):
     return np.asarray(maturities), np.asarray(thetas)
 
 
-def _slice_objective(x, t, kappa_all, n_fit, ivs, prev_total, crossing_penalty):
+def _slice_objective(x, t, kappa_all, n_fit, ivs, prev_total):
     """Step-2 objective of one slice: IV RMSE plus the calendar-crossing penalty.
 
     x = (delta, mu, rho, omega, zeta), clipped to a valid natural slice.
@@ -230,23 +230,23 @@ def _slice_objective(x, t, kappa_all, n_fit, ivs, prev_total, crossing_penalty):
     if prev_total is None:
         return fit
     gaps = np.minimum(total[n_fit:] - prev_total, 0.0)
-    return fit + crossing_penalty * float(np.add.reduce(gaps * gaps))
+    return fit + CROSSING_PENALTY * float(np.add.reduce(gaps * gaps))
 
 
-def calibrate(
-    frame: MarketFrame, config: SsviFitConfig | None = None
-) -> tuple[SsviParams, SviSurface]:
+def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
     """Two-step surface calibration on mid implied volatilities.
 
     Step 1 estimates the ATM total-variance curve (running maximum keeps it
     nondecreasing) and fits (rho, eta) by least squares under the butterfly
     bound, imposed by projecting eta onto eta <= 2 / (1 + |rho|).  Step 2
     refines each maturity as a free natural-SVI slice, starting from the
-    SSVI values, with a squared penalty on crossing the previous slice from
-    below.  Slices are only refined when that improves their objective.  The
-    surface's diagnostics count the slice fits stopped by ``max_iter``.
+    SSVI values, with a squared penalty (CROSSING_PENALTY) on crossing the
+    previous slice from below on a KAPPA_GRID_SIZE-point grid.  Slices are
+    only refined when that improves their objective.  Both steps run
+    Nelder-Mead for at most MAX_ITER iterations; the surface's diagnostics
+    count the slice fits stopped there.  Returns the step-1 parameters and
+    the refined surface.
     """
-    cfg = config or SsviFitConfig()
     maturities, raw_theta = _atm_total_variance(frame)
     if maturities.size < 2:
         raise CalibrationScopeError(
@@ -281,7 +281,7 @@ def calibrate(
         for eta0 in (0.5, 1.5):
             res = sopt.minimize(
                 objective, np.array([rho0, eta0]), method="Nelder-Mead",
-                options={"maxiter": cfg.max_iter, "xatol": 1e-6, "fatol": 1e-12},
+                options={"maxiter": MAX_ITER, "xatol": 1e-6, "fatol": 1e-12},
             )
             if best is None or res.fun < best.fun:
                 best = res
@@ -295,43 +295,41 @@ def calibrate(
     # step 2: per-maturity natural refinement with a calendar-crossing penalty
     kappa_lo = float(np.min(all_kappa)) - 0.1
     kappa_hi = float(np.max(all_kappa)) + 0.1
-    kappa_grid = np.linspace(kappa_lo, kappa_hi, cfg.kappa_grid_size)
+    kappa_grid = np.linspace(kappa_lo, kappa_hi, KAPPA_GRID_SIZE)
 
     slices: list[NaturalSviParams] = []
     prev_total: np.ndarray | None = None
     at_max_iter = 0
     theta_max = float(theta_curve[-1])
+    bounds = [
+        (-0.5 * theta_max - 1e-6, 0.5 * theta_max + 1e-6),
+        (-1.0, 1.0),
+        (-0.999, 0.999),
+        (0.0, 4.0 * theta_max + 1e-6),
+        (1e-6, 50.0),
+    ]
     for t in maturities:
         refined = start = ssvi.slice_at(t)
-        if cfg.refine_slices:
-            x0 = np.array([start.delta, start.mu, start.rho, start.omega, start.zeta])
-            kappas = slice_kappas[t]
-            args = (t, np.concatenate([kappas, kappa_grid]), kappas.size, slice_ivs[t],
-                    prev_total, cfg.crossing_penalty)
-            bounds = [
-                (-0.5 * theta_max - 1e-6, 0.5 * theta_max + 1e-6),
-                (-1.0, 1.0),
-                (-0.999, 0.999),
-                (0.0, 4.0 * theta_max + 1e-6),
-                (1e-6, 50.0),
-            ]
-            res = sopt.minimize(
-                _slice_objective, x0, args=args, method="Nelder-Mead", bounds=bounds,
-                options={"maxiter": cfg.max_iter, "xatol": 1e-8, "fatol": 1e-12},
+        x0 = np.array([start.delta, start.mu, start.rho, start.omega, start.zeta])
+        kappas = slice_kappas[t]
+        args = (t, np.concatenate([kappas, kappa_grid]), kappas.size, slice_ivs[t], prev_total)
+        res = sopt.minimize(
+            _slice_objective, x0, args=args, method="Nelder-Mead", bounds=bounds,
+            options={"maxiter": MAX_ITER, "xatol": 1e-8, "fatol": 1e-12},
+        )
+        at_max_iter += res.nit >= MAX_ITER
+        if res.fun <= _slice_objective(x0, *args):
+            delta, mu, rho_s, omega, zeta = res.x
+            refined = NaturalSviParams(
+                delta=float(delta), mu=float(mu),
+                rho=float(np.clip(rho_s, -0.999, 0.999)),
+                omega=float(max(omega, 0.0)), zeta=float(max(zeta, 1e-6)),
             )
-            at_max_iter += res.nit >= cfg.max_iter
-            if res.fun <= _slice_objective(x0, *args):
-                delta, mu, rho_s, omega, zeta = res.x
-                refined = NaturalSviParams(
-                    delta=float(delta), mu=float(mu),
-                    rho=float(np.clip(rho_s, -0.999, 0.999)),
-                    omega=float(max(omega, 0.0)), zeta=float(max(zeta, 1e-6)),
-                )
         slices.append(refined)
         prev_total = svi_total_variance(refined, kappa_grid)
     if at_max_iter:
         log.warning("%d of %d SSVI slice fits stopped at max_iter=%d before converging",
-                    at_max_iter, maturities.size, cfg.max_iter)
+                    at_max_iter, maturities.size, MAX_ITER)
 
     surface = SviSurface(
         maturities=tuple(float(t) for t in maturities),

@@ -617,7 +617,7 @@ def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, pe
         gstate = allocating_nn_forward(model, grid_t, grid_kappa)
         theta, d_t, d_k, d_kk = _theta_tuple(model, gstate)
         cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable = (
-            _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa, penalty.band)
+            _penalty_pieces(theta, d_t, d_k, d_kk, grid_kappa)
         )
         sums = [s + float(np.sum(v)) for s, v in zip(sums, (cal_neg, butt_neg, band_excess))]
 

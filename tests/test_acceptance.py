@@ -16,6 +16,7 @@ from scipy.special import ndtr
 from volsurf.backtest import SyntheticSpec, generate_synthetic, run_backtest
 from volsurf.black_scholes import put_price
 from volsurf.cli import main as cli_main
+from volsurf import gp_price_surface
 from volsurf.constrained_sampling import (
     QuadProgram,
     TruncatedGaussian,
@@ -118,9 +119,7 @@ def test_02_flat_vol_mc_baseline(baseline_frame, flat_lv_grid):
 def test_03_gp_round_trip(calibration_frame):
     started = time.perf_counter()
     grid = BasisGrid(n_t=15, n_k=40)  # 40 strike x 15 maturity nodes
-    params = fit_hyperparameters(
-        calibration_frame, grid, GpFitConfig(n_starts=5, max_iter=200, seed=0)
-    )
+    params = fit_hyperparameters(calibration_frame, grid, GpFitConfig(n_starts=5, seed=0))
     model = fit_map(calibration_frame, grid, params)
     slack = float(model.constraint_slacks().min())
 
@@ -194,7 +193,7 @@ def test_05_ssvi_round_trip(curves):
     )
 
 
-def test_06_sampler_correctness(calibration_frame):
+def test_06_sampler_correctness(calibration_frame, monkeypatch):
     # half-line truncated standard normal
     tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
     samples = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
@@ -204,9 +203,8 @@ def test_06_sampler_correctness(calibration_frame):
 
     # every GP posterior path honors the constraint system
     grid = BasisGrid(n_t=5, n_k=8)
-    params = fit_hyperparameters(
-        calibration_frame, grid, GpFitConfig(n_starts=2, max_iter=120, seed=1)
-    )
+    monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 120)
+    params = fit_hyperparameters(calibration_frame, grid, GpFitConfig(n_starts=2, seed=1))
     model = fit_map(calibration_frame, grid, params)
     paths = sample_posterior(model, n_paths=100, seed=3)
     min_slack = float(np.min(build_constraints(grid) @ paths.T))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import volsurf
-from volsurf import cli, gp_price_surface, nn_iv
+from volsurf import cli, constrained_sampling, gp_price_surface, nn_iv
 from volsurf.cli import main
 from volsurf.constrained_sampling import QpConvergenceError
 from volsurf.gp_price_surface import HyperparameterFitError
@@ -506,11 +506,9 @@ class TestFailureContract:
 
     def test_sampler_stall_exits_3(self, synthetic_dir, tmp_path, monkeypatch, capsys):
         import faulthandler
-        import functools
 
         # no bounce budget: every HMC trajectory that meets a wall restarts
-        stalling = functools.partial(gp_price_surface.sample_truncated, max_bounces=0)
-        monkeypatch.setattr(gp_price_surface, "sample_truncated", stalling)
+        monkeypatch.setattr(constrained_sampling, "MAX_BOUNCES", 0)
         faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
         try:
             code = run(["calibrate", "gp", *market_args(synthetic_dir), "--out", tmp_path,
@@ -572,6 +570,47 @@ class TestFailureContract:
                     "--grid-t", 3, "--grid-k", 4, "--starts", 1])
         assert code == 3
         assert self.one_json_line(capsys) == {"error": "numerical", "message": str(error)}
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["calibrate", "gp", "MARKET", "--grid-t", 3, "--grid-k", 5, "--starts", 0],
+                     id="gp-starts-0"),
+        pytest.param(["calibrate", "gp", "MARKET", "--grid-t", 3, "--grid-k", 5, "--starts", -2],
+                     id="gp-starts-negative"),
+        pytest.param(["localvol", "--model", "NN", "--grid-t", 1, "--grid-k", 6],
+                     id="localvol-nn-grid-t-1"),
+        pytest.param(["localvol", "--model", "SSVI", "--grid-t", 6, "--grid-k", 1],
+                     id="localvol-ssvi-grid-k-1"),
+        pytest.param(["backtest", "mc", "--localvol", "LV", "MARKET", "--paths", 0, "--steps", 5],
+                     id="backtest-mc-paths-0"),
+        pytest.param(["backtest", "cn", "--localvol", "LV", "MARKET", "--cn-t", 1],
+                     id="backtest-cn-t-1"),
+        pytest.param(["backtest", "cn", "--localvol", "LV", "MARKET", "--cn-k", 2],
+                     id="backtest-cn-k-2"),
+        pytest.param(["backtest", "cn", "--localvol", "LV1", "MARKET"],
+                     id="backtest-one-node-localvol"),
+        pytest.param(["check-arbitrage", "--model", "NN", "--grid-t", 0],
+                     id="check-arbitrage-nn-grid-t-0"),
+        pytest.param(["check-arbitrage", "--model", "SSVI", "--grid-k", 0],
+                     id="check-arbitrage-ssvi-grid-k-0"),
+    ])
+    def test_bad_count_exits_2(self, argv, model_files, synthetic_dir, tmp_path, capsys):
+        lv = tmp_path / "lv"
+        assert run(["localvol", "--model", model_files["ssvi"], "--out", lv,
+                    "--grid-t", 4, "--grid-k", 6]) == 0
+        # a one-maturity grid, as localvol --grid-t 1 used to write
+        one_node = json.loads((lv / "localvol.json").read_text())
+        one_node.update(t_axis=one_node["t_axis"][:1], values=one_node["values"][:1],
+                        mask=one_node["mask"][:1])
+        (lv / "one_node.json").write_text(json.dumps(one_node))
+        stand_in = {"MARKET": market_args(synthetic_dir), "NN": [model_files["nn"]],
+                    "SSVI": [model_files["ssvi"]], "LV": [lv / "localvol.json"],
+                    "LV1": [lv / "one_node.json"]}
+        argv = [x for arg in argv for x in stand_in.get(arg, [arg])]
+        if argv[0] != "check-arbitrage":
+            argv += ["--out", tmp_path / "out"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert self.one_json_line(capsys)["error"] == "input"
 
     def test_maturity_beyond_calibrated_range_exits_2(self, model_files, tmp_path, capsys):
         capsys.readouterr()

@@ -37,12 +37,15 @@ from oracles import (
 class TestQuadProgram:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(ValueError, match="symmetric"):
-            QuadProgram(q=np.array([[1.0, 0.5], [0.0, 1.0]]), c=np.zeros(2))
+            QuadProgram(q=np.array([[1.0, 0.5], [0.0, 1.0]]), c=np.zeros(2),
+                        a_ineq=np.ones((1, 2)), b_ineq=[0.0])
 
-    @pytest.mark.parametrize("rows", [{}, {"a_ineq": np.zeros((0, 2)), "b_ineq": []}],
-                             ids=["none", "empty"])
-    def test_requires_inequality_rows(self, rows):
-        with pytest.raises(ValueError, match="inequality row"):
+    @pytest.mark.parametrize("rows, error, message", [
+        ({}, TypeError, "a_ineq"),
+        ({"a_ineq": np.zeros((0, 2)), "b_ineq": []}, ValueError, "inequality row"),
+    ], ids=["none", "empty"])
+    def test_requires_inequality_rows(self, rows, error, message):
+        with pytest.raises(error, match=message):
             QuadProgram(q=np.eye(2), c=np.zeros(2), **rows)
 
     def test_rejects_bad_dimensions(self):
@@ -93,9 +96,10 @@ class TestSolveQp:
         res = solve_qp(p)
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-7)
 
-    def test_kkt_residuals_reported(self):
+    def test_kkt_residuals_reported(self, monkeypatch):
         p = QuadProgram(q=[[2.0]], c=[0.0], a_ineq=[[1.0]], b_ineq=[1.0])
-        res = solve_qp(p, tol=1e-10)
+        monkeypatch.setattr(constrained_sampling, "QP_TOL", 1e-10)
+        res = solve_qp(p)
         for key in ("stationarity", "primal", "dual", "complementarity"):
             assert res.kkt[key] <= 1e-10
 
@@ -156,13 +160,14 @@ class TestSolveQp:
         assert res.iterations >= 3
         assert len(factored) == res.iterations
 
-    def test_infeasible_detected(self):
+    def test_infeasible_detected(self, monkeypatch):
         # x >= 1 and -x >= 0 cannot both hold
         p = QuadProgram(
             q=[[2.0]], c=[0.0], a_ineq=[[1.0], [-1.0]], b_ineq=[1.0, 0.0]
         )
+        monkeypatch.setattr(constrained_sampling, "QP_MAX_ITER", 60)
         with pytest.raises((QpInfeasibleError, QpConvergenceError)) as err:
-            solve_qp(p, max_iter=60)
+            solve_qp(p)
         assert "iterations" in err.value.diagnostics
 
 
@@ -326,10 +331,11 @@ class TestSamplerStall:
         yield
         faulthandler.cancel_dump_traceback_later()
 
-    def test_no_bounce_budget_stalls_instead_of_looping(self, hang_guard):
+    def test_no_bounce_budget_stalls_instead_of_looping(self, hang_guard, monkeypatch):
         tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
+        monkeypatch.setattr(constrained_sampling, "MAX_BOUNCES", 0)
         with pytest.raises(SamplerStallError, match="consecutive"):
-            sample_truncated(tg, init=np.array([0.5]), n_samples=5, seed=0, max_bounces=0)
+            sample_truncated(tg, init=np.array([0.5]), n_samples=5, seed=0)
 
     def test_restart_count_resets_after_a_draw(self, monkeypatch, hang_guard):
         # four forced knife edges, never three in a row: sampling completes

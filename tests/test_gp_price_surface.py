@@ -27,7 +27,7 @@ from volsurf.gp_price_surface import (
     quote_observations,
     sample_posterior,
 )
-from volsurf import gp_price_surface
+from volsurf import constrained_sampling, gp_price_surface
 from volsurf.market_data import (
     AffineScaling,
     Curve,
@@ -371,7 +371,8 @@ class TestLikelihoodEvaluator:
 
         monkeypatch.setattr(gp_price_surface, "chol_with_jitter", counting)
         monkeypatch.setattr(gp_price_surface.sopt, "minimize", recording)
-        fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2, max_iter=20))
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 20)
+        fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2))
         assert len(results) == 2
         assert len(calls) == sum(r.nfev for r in results)
         assert set(calls) == {"observation gram"}
@@ -388,7 +389,8 @@ class TestLikelihoodEvaluator:
 
 
 class TestFitHyperparameters:
-    def test_recovers_simulated_lengthscales(self):
+    def test_recovers_simulated_lengthscales(self, monkeypatch):
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 150)
         grid = BasisGrid(n_t=10, n_k=10)
         true = KernelParams(sigma=1.0, theta_t=0.3, theta_k=0.3, noise_sd=0.05)
         c_t = matern52(grid.t_nodes[:, None] - grid.t_nodes[None, :], true.theta_t)
@@ -416,33 +418,36 @@ class TestFitHyperparameters:
                 frame, scaling=AffineScaling(t_min=0.1, t_max=2.1, k_min=50.0, k_max=150.0)
             )
             fitted = fit_hyperparameters(
-                frame, grid, GpFitConfig(n_starts=3, max_iter=150, seed=seed)
+                frame, grid, GpFitConfig(n_starts=3, seed=seed)
             )
             ok_t = 0.5 * true.theta_t <= fitted.theta_t <= 2.0 * true.theta_t
             ok_k = 0.5 * true.theta_k <= fitted.theta_k <= 2.0 * true.theta_k
             hits += ok_t and ok_k
         assert hits >= n_seeds - 1
 
-    def test_two_observations_warns_but_completes(self, caplog):
+    def test_two_observations_warns_but_completes(self, caplog, monkeypatch):
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 60)
         frame = make_frame([0.5], [100.0], [4.0], [4.2])
         grid = BasisGrid(n_t=2, n_k=3)
         with caplog.at_level("WARNING"):
-            params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2, max_iter=60))
+            params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2))
         assert params.sigma > 0
         assert any("observations" in r.message for r in caplog.records)
 
-    def test_all_starts_failing_reports_diagnostics(self):
+    def test_all_starts_failing_reports_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 30)
         # non-finite observations poison every likelihood evaluation
         frame = make_frame([0.5, 1.0], [90.0, 110.0], [np.nan, 1.0], [np.nan, 1.0])
         grid = BasisGrid(n_t=2, n_k=3)
         from volsurf.gp_price_surface import HyperparameterFitError
 
         with pytest.raises(HyperparameterFitError) as err:
-            fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2, max_iter=30))
+            fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2))
         assert len(err.value.per_start) == 2
 
 
-    def test_degenerate_region_stays_out_of_reach(self, caplog):
+    def test_degenerate_region_stays_out_of_reach(self, caplog, monkeypatch):
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 100)
         # a short search on the README book's train half used to end at
         # thousands of unit-square widths, maximizing a jittered likelihood
         curves = CurveSet(spot=100.0, rate_curve=Curve.flat(0.02),
@@ -451,32 +456,34 @@ class TestFitHyperparameters:
         train = frame.subset(np.lexsort((frame.strike, frame.maturity))[0::2])
         with caplog.at_level("WARNING"):
             params = fit_hyperparameters(train, BasisGrid(n_t=15, n_k=40),
-                                         GpFitConfig(n_starts=2, max_iter=100, seed=0))
+                                         GpFitConfig(n_starts=2, seed=0))
         lo, hi = gp_price_surface.LENGTH_SCALE_BOUNDS
         assert lo <= params.theta_t <= hi and lo <= params.theta_k <= hi
         assert not any("observation gram required jitter" in r.message for r in caplog.records)
 
-    def test_zero_spread_book_fits_inside_the_noise_floor(self):
+    def test_zero_spread_book_fits_inside_the_noise_floor(self, monkeypatch):
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 50)
         # every bid equals its ask: the noise floor falls back to a fraction
         # of the spread of the values instead of collapsing to zero
         frame = flat_vol_frame(n_t=4, n_k=5, spread=0.0)
         assert np.array_equal(frame.reduced_bid, frame.reduced_ask)
         params = fit_hyperparameters(frame, BasisGrid(n_t=3, n_k=4),
-                                     GpFitConfig(n_starts=2, max_iter=50))
+                                     GpFitConfig(n_starts=2))
         unit = gp_price_surface.ZERO_SPREAD_NOISE * float(np.std(frame.reduced_bid))
         lo, hi = gp_price_surface.NOISE_BOUNDS
         assert lo * unit * (1 - 1e-12) <= params.noise_sd <= hi * unit * (1 + 1e-12)
 
 
 class TestFitMap:
-    def test_zero_data_gives_zero_map(self):
+    def test_zero_data_gives_zero_map(self, monkeypatch):
         # the optimum sits on every nonnegativity wall at once, so interior
         # point iterates approach it at sqrt(complementarity) scale; a tight
         # tolerance pins it down
         frame = make_frame([0.5, 1.0, 1.5], [90.0, 100.0, 110.0], [0, 0, 0], [0, 0, 0])
         grid = BasisGrid(n_t=3, n_k=4)
         p = KernelParams(sigma=2.0, theta_t=0.3, theta_k=0.3, noise_sd=0.1)
-        model = fit_map(frame, grid, p, qp_tol=1e-12)
+        monkeypatch.setattr(constrained_sampling, "QP_TOL", 1e-12)
+        model = fit_map(frame, grid, p)
         assert np.max(np.abs(model.map_nodes)) < 1e-5
         assert np.max(np.abs(model.map_noise)) < 1e-5
 
@@ -532,10 +539,11 @@ class TestFitMap:
         model = fit_map(frame, BasisGrid(n_t=2, n_k=100), p)
         assert model.prior_jitter == ridges
 
-    def test_flat_vol_map_tracks_mid_prices(self):
+    def test_flat_vol_map_tracks_mid_prices(self, monkeypatch):
+        monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 150)
         frame = flat_vol_frame(n_t=8, n_k=10, spread=0.002)
         grid = BasisGrid(n_t=5, n_k=8)
-        params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=3, max_iter=150))
+        params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=3))
         model = fit_map(frame, grid, params)
         fit = model.price(frame.maturity, frame.reduced_strike)
         rel = np.abs(fit - frame.reduced_mid) / np.maximum(frame.reduced_mid, 0.5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from volsurf.black_scholes import put_price
+from volsurf import market_data
 from volsurf.gp_price_surface import quote_observations
 from volsurf.market_data import (
     AffineScaling,
@@ -12,7 +13,6 @@ from volsurf.market_data import (
     CurveSet,
     EmptyInputError,
     MarketFrame,
-    PreprocessConfig,
     QuoteRecord,
     SchemaError,
     build_frame,
@@ -127,12 +127,6 @@ class TestLoadQuotes:
         assert len(quotes) == 1
         assert quotes[0].listed_iv is None
 
-    def test_custom_column_names(self, tmp_path):
-        f = tmp_path / "q.csv"
-        f.write_text("T,K,b,a\n0.5,90,1.0,1.2\n")
-        quotes = load_quotes(f, columns={"maturity": "T", "strike": "K", "bid": "b", "ask": "a"})
-        assert len(quotes) == 1
-
 
 class TestLoadCurve:
     def test_round_trip(self, tmp_path):
@@ -162,7 +156,7 @@ class TestBuildFrame:
         frame = build_frame(quotes, curves)
         assert frame.reduced_strike == pytest.approx(frame.strike, rel=1e-14)
 
-    def test_iv_gap_filter(self):
+    def test_iv_gap_filter(self, monkeypatch):
         curves = make_curves()
         quotes = synthetic_quotes(curves, [1.0], [0.9, 1.0, 1.1], vol=0.212)
         # listed iv says 0.20 while the prices imply 0.212: 6% relative gap
@@ -171,7 +165,8 @@ class TestBuildFrame:
         ]
         with pytest.raises(EmptyInputError):
             build_frame(quotes, curves)
-        frame = build_frame(quotes, curves, PreprocessConfig(iv_gap_tol=0.10))
+        monkeypatch.setattr(market_data, "IV_GAP_TOL", 0.10)
+        frame = build_frame(quotes, curves)
         assert len(frame) == 3
 
     def test_reduced_price_transform(self):

@@ -228,10 +228,11 @@ class TestLoss:
         total, comp = loss(model, t, kappa, iv, weights, pen)
         assert comp["fit_rmse"] == pytest.approx(0.0, abs=1e-14)
 
-    def test_band_violation_penalized(self):
+    def test_band_violation_penalized(self, monkeypatch):
         t, kappa, iv, weights = self.setup_data()
         model = NnIvModel.constant(0.5)  # local variance 0.25 above a 0.04 cap
-        pen = PenaltyConfig(lambdas=(0.0, 0.0, 1.0), band=(1e-4, 0.04), n_maturity=5, n_moneyness=5)
+        monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (1e-4, 0.04))
+        pen = PenaltyConfig(lambdas=(0.0, 0.0, 1.0), n_maturity=5, n_moneyness=5)
         _, comp = loss(model, t, kappa, iv, weights, pen)
         assert comp["band_penalty"] > 0.0
 
@@ -247,14 +248,15 @@ class TestLoss:
 
 
 class TestGradients:
-    def test_parameter_gradient_matches_fd(self):
+    def test_parameter_gradient_matches_fd(self, monkeypatch):
         rng = np.random.default_rng(9)
         model = small_model(seed=11)
         t = rng.uniform(0.2, 2.5, 12)
         kappa = rng.uniform(-0.4, 0.4, 12)
         iv = rng.uniform(0.15, 0.3, 12)
         weights = compute_weights(np.column_stack([t, kappa]))
-        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), band=(0.01, 0.09), n_maturity=6, n_moneyness=7)
+        monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (0.01, 0.09))
+        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), n_maturity=6, n_moneyness=7)
 
         def total_at(params_flat):
             probe = NnIvModel(
@@ -312,12 +314,12 @@ class TestWorkspace:
          # several BLOCK_WIDTH blocks: with a remainder, and without one
          ((16, 9), (23, 31)), ((8, 8, 8), (40, 40)), ((6, 5), (16, 64))],
     )
-    def test_bitwise_against_allocating_oracle(self, hidden, grid):
+    def test_bitwise_against_allocating_oracle(self, hidden, grid, monkeypatch):
         rng = np.random.default_rng(grid[0] * 31 + len(hidden))
         model = lively_model(grid[1], hidden)
         t, kappa, iv, weights = random_data(rng, 13)
-        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), band=(0.01, 0.09),
-                            n_maturity=grid[0], n_moneyness=grid[1])
+        monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (0.01, 0.09))
+        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), n_maturity=grid[0], n_moneyness=grid[1])
         workspace = _Workspace(model, t.size, pen)
         n_w = len(model.weights)
         for _ in range(3):
@@ -394,10 +396,10 @@ class TestSoftplus:
 
 
 class TestTraining:
-    def test_flat_synthetic_recovery(self):
+    def test_flat_synthetic_recovery(self, monkeypatch):
         frame = flat_frame(sigma=0.2)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (20, 20, 20))
         cfg = TrainConfig(
-            hidden=(20, 20, 20),
             epochs=1500,
             penalty=PenaltyConfig(lambdas=(1.0, 1.0, 1.0), n_maturity=15, n_moneyness=20),
             seed=1,
@@ -413,10 +415,11 @@ class TestTraining:
         assert report["components"]["mean_calendar_negative"] <= 1e-12
         assert report["components"]["mean_butterfly_negative"] <= 1e-12
 
-    def test_training_deterministic(self):
+    def test_training_deterministic(self, monkeypatch):
         frame = flat_frame(n_t=4, n_k=5)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
         cfg = TrainConfig(
-            hidden=(8, 8), epochs=50,
+            epochs=50,
             penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=3,
         )
         m1, _ = train(frame, cfg)
@@ -424,10 +427,11 @@ class TestTraining:
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
-    def test_best_so_far_monotone(self):
+    def test_best_so_far_monotone(self, monkeypatch):
         frame = flat_frame(n_t=4, n_k=5)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
         cfg = TrainConfig(
-            hidden=(8, 8), epochs=120,
+            epochs=120,
             penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=3,
         )
         _, report = train(frame, cfg)
@@ -436,26 +440,26 @@ class TestTraining:
         assert np.all(np.diff(best) <= 0.0)
         assert report["best_epoch"] == 1 + totals.index(min(totals))
 
-    @pytest.mark.parametrize("field", ["epochs", "search_epochs"])
+    @pytest.mark.parametrize("field", ["epochs"])
     def test_negative_epochs_rejected(self, field):
         with pytest.raises(ValueError, match="nonnegative"):
             TrainConfig(**{field: -1})
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
-    def test_divergent_loss_raises(self):
+    def test_divergent_loss_raises(self, monkeypatch):
         t = np.array([0.5, 1.0])
         kappa = np.array([0.0, 0.1])
         iv = np.array([0.2, np.nan])
         weights = LossWeights(w=np.array([0.5, 0.5]), mu_w=0.5)
-        cfg = TrainConfig(hidden=(4,), epochs=5)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (4,))
         with pytest.raises(TrainingError) as err:
             _train_once(
                 t, kappa, iv, weights, PenaltyConfig(n_maturity=3, n_moneyness=3),
-                cfg, seed=0, spot=SPOT, epochs=5,
+                seed=0, spot=SPOT, epochs=5,
             )
         assert err.value.epoch == 1
 
-    def test_unpenalized_run_on_arbitrable_data_reports_positive_stats(self):
+    def test_unpenalized_run_on_arbitrable_data_reports_positive_stats(self, monkeypatch):
         # total variance decreasing in maturity: calendar-arbitrageable IVs
         curves = CurveSet(
             spot=SPOT, rate_curve=Curve.flat(0.0), dividend_curve=Curve.flat(0.0)
@@ -468,10 +472,12 @@ class TestTraining:
                 mid = put_price(SPOT, strike, t, iv)
                 quotes.append(QuoteRecord(t, strike, mid, mid, listed_iv=iv))
         frame = build_frame(quotes, curves)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (12, 12))
+        monkeypatch.setattr(nn_iv, "PENALTY_MATURITY_RANGE", (0.3, 2.2))
+        monkeypatch.setattr(nn_iv, "PENALTY_MONEYNESS_RANGE", (0.9, 1.1))
         cfg = TrainConfig(
-            hidden=(12, 12), epochs=400,
-            penalty=PenaltyConfig(lambdas=(0.0, 0.0, 0.0), n_maturity=8, n_moneyness=10,
-                                  maturity_range=(0.3, 2.2), moneyness_range=(0.9, 1.1)),
+            epochs=400,
+            penalty=PenaltyConfig(lambdas=(0.0, 0.0, 0.0), n_maturity=8, n_moneyness=10),
             seed=4,
         )
         model, report = train(frame, cfg)
@@ -481,10 +487,12 @@ class TestTraining:
         assert comp["mean_calendar_negative"] > 0.0
         assert comp["calendar_penalty"] == 0.0
 
-    def test_lambda_search_selects_and_reports(self):
+    def test_lambda_search_selects_and_reports(self, monkeypatch):
         frame = flat_frame(n_t=4, n_k=5)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
+        monkeypatch.setattr(nn_iv, "SEARCH_EPOCHS", 30)
         cfg = TrainConfig(
-            hidden=(8, 8), epochs=60, search_epochs=30,
+            epochs=60,
             penalty=PenaltyConfig(n_maturity=5, n_moneyness=6),
             lambda_candidates=((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)),
             seed=2,
@@ -504,11 +512,13 @@ class TestTraining:
                 super().__init__(*args)
 
         monkeypatch.setattr(nn_iv, "_Workspace", CountingWorkspace)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
+        monkeypatch.setattr(nn_iv, "SEARCH_EPOCHS", 3)
         frame = flat_frame(n_t=4, n_k=5)
         t, kappa, iv, _ = _observations(frame)
         weights = compute_weights(np.column_stack([t, kappa]))
-        common = dict(hidden=(8, 8), penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=2)
-        search = dict(search_epochs=3, lambda_candidates=((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)))
+        common = dict(penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=2)
+        search = dict(lambda_candidates=((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)))
         for cfg, runs in ((TrainConfig(epochs=7, **common), 1),
                           (TrainConfig(epochs=0, **common), 1),
                           (TrainConfig(epochs=6, **search, **common), 3)):

@@ -6,12 +6,12 @@ import pytest
 
 from volsurf.black_scholes import put_price
 from volsurf.local_vol import calendar_butterfly_terms
+from volsurf import ssvi
 from volsurf.market_data import Curve, CurveSet, QuoteRecord, build_frame
 from volsurf.ssvi import (
     CalibrationScopeError,
     ExtrapolationError,
     NaturalSviParams,
-    SsviFitConfig,
     SsviModel,
     _slice_objective,
     SLICE_FIELDS,
@@ -223,8 +223,7 @@ class TestCalibrate:
 
     def test_refinement_does_not_worsen_objective(self):
         frame, _ = ssvi_quotes(rho=-0.45, eta=0.9, slope=0.05)
-        ssvi_only, _ = calibrate(frame, SsviFitConfig(refine_slices=False))
-        _, surface = calibrate(frame)
+        ssvi_only, surface = calibrate(frame)   # step 1's parameters, step 2's slices
         mids = {}
         for t, kappa, iv in zip(frame.maturity.tolist(), frame.log_moneyness.tolist(),
                                 frame.mid_iv.tolist()):
@@ -248,23 +247,20 @@ class TestCalibrate:
             x = np.array([rng.normal(0.0, 0.05), rng.normal(0.0, 0.2), rng.uniform(-1.2, 1.2),
                           rng.uniform(-0.05, 0.3), rng.uniform(-0.5, 5.0)])
             prev = None if case % 3 == 0 else rng.uniform(0.0, 0.3, kappa_grid.size)
-            want = svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev, 100.0)
-            got = _slice_objective(x, t, np.concatenate([kappas, kappa_grid]), n, ivs, prev, 100.0)
+            want = svi_slice_objective(x, t, kappas, ivs, kappa_grid, prev, ssvi.CROSSING_PENALTY)
+            got = _slice_objective(x, t, np.concatenate([kappas, kappa_grid]), n, ivs, prev)
             assert got == want
 
-    def test_slice_fits_at_max_iter_counted_and_logged(self, caplog):
+    def test_slice_fits_at_max_iter_counted_and_logged(self, caplog, monkeypatch):
         frame, _ = ssvi_quotes(rho=-0.45, eta=0.9, slope=0.05)
+        monkeypatch.setattr(ssvi, "MAX_ITER", 5)
         with caplog.at_level(logging.WARNING, logger="volsurf.ssvi"):
-            params, capped = calibrate(frame, SsviFitConfig(max_iter=5))
+            params, capped = calibrate(frame)
             n = len(capped.maturities)
             assert capped.diagnostics == {"slices_at_max_iter": n}
             assert [r.getMessage() for r in caplog.records] == [
                 f"{n} of {n} SSVI slice fits stopped at max_iter=5 before converging"
             ]
-            caplog.clear()
-            _, unrefined = calibrate(frame, SsviFitConfig(refine_slices=False))
-            assert unrefined.diagnostics == {"slices_at_max_iter": 0}
-            assert not caplog.records
         # diagnostics stay out of the model document and of equality
         assert model_from_json(model_to_json(SsviModel(params, capped, SPOT))).surface == capped
 
@@ -336,7 +332,7 @@ class TestInterpolateSlice:
 class TestThetaSurfaces:
     def test_surface_fn_matches_slice_values(self):
         frame, _ = ssvi_quotes()
-        params, surface = calibrate(frame, SsviFitConfig(refine_slices=False))
+        params, surface = calibrate(frame)
         fn = SsviModel(params, surface, SPOT).forward_theta
         t = np.full(5, surface.maturities[2])
         kappa = np.linspace(-0.2, 0.2, 5)
