@@ -344,6 +344,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.sigma <= 0 or self.spread < 0:
             raise ValueError("sigma must be positive and spread nonnegative")
+        if not (self.maturities and self.moneyness):
+            raise ValueError("need at least one maturity and one moneyness")
 
 
 def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> list[QuoteRecord]:

@@ -24,6 +24,7 @@ import argparse
 import importlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -111,7 +112,6 @@ def cmd_calibrate(args) -> int:
     if args.method == "gp":
         from .gp_price_surface import (
             BasisGrid,
-            GpFitConfig,
             fit_hyperparameters,
             fit_map,
             model_to_json,
@@ -121,9 +121,7 @@ def cmd_calibrate(args) -> int:
         if args.paths < 0:
             raise CliInputError(f"--paths must be nonnegative, got {args.paths}")
         grid = BasisGrid(n_t=args.grid_t, n_k=args.grid_k)
-        params = fit_hyperparameters(
-            frame_train, grid, GpFitConfig(n_starts=args.starts, seed=args.seed)
-        )
+        params = fit_hyperparameters(frame_train, grid, n_starts=args.starts, seed=args.seed)
         model = fit_map(frame_train, grid, params)
         dump_json(model_to_json(model), out / "model.json")
         report = {
@@ -144,21 +142,14 @@ def cmd_calibrate(args) -> int:
             report["posterior_paths"] = args.paths
 
     elif args.method == "nn":
-        from .nn_iv import PenaltyConfig, TrainConfig, model_to_json, train
+        from .nn_iv import model_to_json, train
 
-        lambdas = tuple(float(v) for v in args.lam.split(","))
-        penalty = PenaltyConfig(
-            lambdas=lambdas, n_maturity=args.penalty_t, n_moneyness=args.penalty_k
+        model, train_report = train(
+            frame_train, epochs=args.epochs,
+            lambdas=tuple(float(v) for v in args.lam.split(",")),
+            penalty_grid=(args.penalty_t, args.penalty_k),
+            lambda_search=args.lambda_search, seed=args.seed,
         )
-        candidates = None
-        if args.lambda_search:
-            levels = (0.1, 1.0, 10.0)
-            candidates = tuple((a, b, c) for a in levels for b in levels for c in levels)
-        cfg = TrainConfig(
-            epochs=args.epochs, penalty=penalty, seed=args.seed,
-            lambda_candidates=candidates,
-        )
-        model, train_report = train(frame_train, cfg)
         dump_json(model_to_json(model), out / "model.json")
         history = train_report.pop("history")
         report = {"method": "nn", **train_report}
@@ -233,9 +224,8 @@ def cmd_localvol(args) -> int:
     version, model = _load_model(args.model)
 
     if version == "gpmodel/1":
-        basis_spacing = model.grid.h_k
-        eval_spacing = 1.0 / (args.grid_k - 1)
-        if eval_spacing < 2.0 * basis_spacing - 1e-12:
+        # under 2 nodes there is no spacing: dupire_fd rejects the count
+        if args.grid_k >= 2 and 1.0 / (args.grid_k - 1) < 2.0 * model.grid.h_k - 1e-12:
             raise CliInputError(
                 f"evaluation grid too fine in strike: {args.grid_k} nodes against "
                 f"{model.grid.n_k} basis nodes (need spacing ratio >= 2)"
@@ -472,6 +462,11 @@ def main(argv=None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, (list, tuple)) else [value])):
+            return _fail(EXIT_INPUT, "input",
+                         f"--{name.replace('_', '-')} must be finite, got {value}")
     try:
         return args.handler(args)
     except CliInputError as exc:

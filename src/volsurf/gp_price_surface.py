@@ -331,25 +331,13 @@ LOW_DATA_THRESHOLD = 10
 FIT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class GpFitConfig:
-    """Multi-start optimizer settings for hyperparameter fitting."""
-
-    n_starts: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError(f"need at least one optimizer start, got {self.n_starts}")
-
-
 def fit_hyperparameters(
-    frame: MarketFrame, grid: BasisGrid, config: GpFitConfig | None = None
+    frame: MarketFrame, grid: BasisGrid, n_starts: int = 5, seed: int = 0
 ) -> KernelParams:
     """Minimize the negative marginal log likelihood over a box of log-parameters.
 
-    L-BFGS-B on LikelihoodEvaluator's exact gradient, from cfg.n_starts
-    starts (a fixed center and seeded normal draws around it, clipped into
+    L-BFGS-B on LikelihoodEvaluator's exact gradient, from n_starts starts
+    (a fixed center and normal draws seeded by seed around it, clipped into
     the box), at most FIT_MAX_ITER iterations each.  The box keeps sigma
     within a factor e^7 (LOG_SIGMA_HALF_WIDTH) of std(y) for the stacked
     bid/ask values y, theta_t and theta_k between 1% and ten times the
@@ -360,7 +348,8 @@ def fit_hyperparameters(
     jitter fails; if every start fails, HyperparameterFitError carries the
     per-start diagnostics.
     """
-    cfg = config or GpFitConfig()
+    if n_starts < 1:
+        raise ValueError(f"need at least one optimizer start, got {n_starts}")
     evaluate = LikelihoodEvaluator(frame, grid)
     y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
     if y.size < LOW_DATA_THRESHOLD:
@@ -379,9 +368,9 @@ def fit_hyperparameters(
     upper = np.array([log_spread + LOG_SIGMA_HALF_WIDTH, theta_hi, theta_hi, noise_hi])
 
     center = np.log([spread, 0.3, 0.3, 0.1 * spread])
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     starts = [center]
-    for _ in range(cfg.n_starts - 1):
+    for _ in range(n_starts - 1):
         starts.append(center + rng.normal(scale=[1.0, 0.7, 0.7, 1.0]))
 
     def objective(logp):

@@ -16,25 +16,27 @@ observation weights are nearest-neighbor distances in the (T, kappa) plane,
 which stops dense quote clusters from drowning out isolated points.
 
 Each training run (one ``_train_once`` call) builds a ``_Workspace`` before
-its first epoch: the penalty grid and one block of (h, n) arrays for each
-pass that every epoch rewrites in place, one over the data points and at
-most two over penalty-grid blocks ``BLOCK_WIDTH`` points wide.  An epoch
-runs the data pass, then the grid block by block, summing the penalty
-terms and gradients as it goes: each grid point's penalty adjoints depend
-on that point alone, and a block's arrays stay in cache.  The run is scored
+its first epoch, on the penalty grid ``train`` built once for all its runs:
+one block of (h, n) arrays for each pass that every epoch rewrites in
+place, one over the data points and at most two over penalty-grid blocks
+``BLOCK_WIDTH`` points wide.  An epoch runs the data pass, then the grid
+block by block, summing the penalty terms and gradients as it goes: each
+grid point's penalty adjoints depend on that point alone, and a block's
+arrays stay in cache.  The run is scored
 by its best epoch's loss and components, computed on that workspace (or,
 with no epochs, by one pass over it).  It is dropped when the run returns;
 nothing is cached between runs.  The in-place passes keep the operation
 order of the plain array expressions, so the model bytes are those of
-fresh arrays.  Passes outside training (``sigma``, ``theta``,
-``forward_theta``, ``loss``) build their own arrays per call.
+fresh arrays.  Passes outside training (``sigma``, ``forward_theta``,
+``loss``) build their own arrays per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +61,10 @@ VARIANCE_BAND = (1e-4, 4.0)
 PENALTY_MATURITY_RANGE = (0.005, 10.0)
 PENALTY_MONEYNESS_RANGE = (0.5, 2.0)
 
+# the (lambda1, lambda2, lambda3) triples a lambda search trains: every
+# combination of 0.1, 1 and 10, the last strength varying fastest
+LAMBDA_CANDIDATES = tuple(itertools.product((0.1, 1.0, 10.0), repeat=3))
+
 
 class TrainingError(RuntimeError):
     """Loss became non-finite; carries the epoch where it happened."""
@@ -66,40 +72,6 @@ class TrainingError(RuntimeError):
     def __init__(self, message, epoch: int):
         super().__init__(message)
         self.epoch = epoch
-
-
-@dataclass
-class LossWeights:
-    """Per-observation nearest-neighbor distances and their mean."""
-
-    w: np.ndarray
-    mu_w: float
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Arbitrage penalty strengths and the penalty grid's node counts."""
-
-    lambdas: tuple = (1.0, 1.0, 1.0)
-    n_maturity: int = 50
-    n_moneyness: int = 100
-
-    def __post_init__(self):
-        if any(l < 0 for l in self.lambdas) or len(self.lambdas) != 3:
-            raise ValueError("lambdas must be three nonnegative numbers")
-        if self.n_maturity * self.n_moneyness < 1:
-            raise ValueError("penalty grid needs at least one node")
-
-    def grid(self):
-        """(T, kappa) arrays of the penalty grid, log-spaced in both axes
-        over PENALTY_MATURITY_RANGE and PENALTY_MONEYNESS_RANGE."""
-        t = np.geomspace(PENALTY_MATURITY_RANGE[0], PENALTY_MATURITY_RANGE[1], self.n_maturity)
-        money = np.geomspace(
-            PENALTY_MONEYNESS_RANGE[0], PENALTY_MONEYNESS_RANGE[1], self.n_moneyness
-        )
-        kappa = np.log(money)
-        tt, kk = np.meshgrid(t, kappa, indexing="ij")
-        return tt.ravel(), kk.ravel()
 
 
 @dataclass
@@ -164,11 +136,6 @@ class NnIvModel:
         out = state.sigma
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
-    def theta(self, t, kappa):
-        state = _forward(self, t, kappa)
-        out = state.sigma**2 * np.asarray(t, dtype=float).ravel()
-        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
-
     def forward_theta(self, t, kappa):
         """(Theta, dT Theta, dk Theta, dkk Theta) with analytic derivatives."""
         shape = np.shape(t)
@@ -182,11 +149,8 @@ class NnIvModel:
         )
 
     def put_prices(self, frame: MarketFrame):
-        """Currency put prices of the frame's quotes."""
-        # one point at a time: a batched forward pass can round differently
-        iv = [self.sigma(t, kappa)
-              for t, kappa in zip(frame.maturity.tolist(), frame.log_moneyness.tolist())]
-        return frame.put_prices_at(np.array(iv, dtype=float))
+        """Currency put prices of the frame's quotes, from one forward pass over them."""
+        return frame.put_prices_at(self.sigma(frame.maturity, frame.log_moneyness))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +417,7 @@ def _theta_tuple(model: NnIvModel, state: _Pass):
 # ---------------------------------------------------------------------------
 
 
-def compute_weights(points: np.ndarray) -> LossWeights:
+def compute_weights(points: np.ndarray) -> np.ndarray:
     """Nearest-neighbor distance of every (T, kappa) observation point."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -467,7 +431,19 @@ def compute_weights(points: np.ndarray) -> LossWeights:
     w = dist.min(axis=1)
     if np.any(w == 0.0):
         log.warning("duplicate observation points produce zero weights")
-    return LossWeights(w=w, mu_w=float(np.mean(w)))
+    return w
+
+
+def build_penalty_grid(n_maturity: int, n_moneyness: int):
+    """(T, kappa) arrays of the penalty grid, log-spaced in both axes over
+    PENALTY_MATURITY_RANGE and PENALTY_MONEYNESS_RANGE, maturity-major."""
+    if min(n_maturity, n_moneyness) < 1:
+        raise ValueError("penalty grid needs at least one node")
+    t = np.geomspace(PENALTY_MATURITY_RANGE[0], PENALTY_MATURITY_RANGE[1], n_maturity)
+    kappa = np.log(np.geomspace(PENALTY_MONEYNESS_RANGE[0], PENALTY_MONEYNESS_RANGE[1],
+                                n_moneyness))
+    tt, kk = np.meshgrid(t, kappa, indexing="ij")
+    return tt.ravel(), kk.ravel()
 
 
 def _penalty_pieces(theta, d_t, d_k, d_kk, kappa):
@@ -492,16 +468,16 @@ class _Workspace:
     """Penalty grid and pass arrays of one training run, built once.
 
     Fixed by the network's layer sizes, the number of data points and the
-    penalty grid; the penalty strengths are read per call.  The
-    grid is visited in blocks of ``BLOCK_WIDTH`` columns (all of it when it
-    is smaller), so it needs one pass of that width and, when the width
-    does not divide the grid, one for the remainder: about 4 MB each for
-    the default 40x40x40 net, whatever the grid size.
+    penalty grid's (T, kappa) arrays; the penalty strengths are read per
+    call.  The grid is visited in blocks of ``BLOCK_WIDTH`` columns (all of
+    it when it is smaller), so it needs one pass of that width and, when the
+    width does not divide the grid, one for the remainder: about 4 MB each
+    for the default 40x40x40 net, whatever the grid size.
     """
 
-    def __init__(self, model: NnIvModel, n_data: int, penalty: PenaltyConfig):
+    def __init__(self, model: NnIvModel, n_data: int, grid):
         sizes = _layer_sizes(model)
-        self.grid_t, self.grid_kappa = penalty.grid()
+        self.grid_t, self.grid_kappa = grid
         m = self.grid_t.size
         width = min(BLOCK_WIDTH, m)
         self.data = _Pass(sizes, n_data, block=True)
@@ -521,18 +497,22 @@ def loss(
     data_t: np.ndarray,
     data_kappa: np.ndarray,
     data_iv: np.ndarray,
-    weights: LossWeights,
-    penalty: PenaltyConfig,
+    w: np.ndarray,
+    lambdas: tuple,
+    grid: tuple,
 ):
     """Penalized training loss and its components.
 
     total = sqrt(mean((w_i (Sigma_i - iv_i) / iv_i)^2))
             + mu_w * mean(lambda1 cal^- + lambda2 butt^- + lambda3 band_excess)
 
-    Returns (total, components) with the fit term and each lambda term.
+    with w the observations' weights (``compute_weights``), mu_w their mean
+    and the means taken over the (T, kappa) arrays of ``grid``
+    (``build_penalty_grid``).  Returns (total, components) with the fit term
+    and each lambda term.
     """
     total, comp, _ = _loss_and_grads(
-        model, data_t, data_kappa, data_iv, weights, penalty, with_grads=False
+        model, data_t, data_kappa, data_iv, w, lambdas, grid, with_grads=False
     )
     return total, comp
 
@@ -540,20 +520,6 @@ def loss(
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Epoch budget, penalty settings and seed of a training run."""
-
-    epochs: int = 3000
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    lambda_candidates: tuple | None = None   # None: train once with penalty.lambdas
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
 
 
 def _adam_step(params, grads, moments, lr, step, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -569,7 +535,7 @@ def _adam_step(params, grads, moments, lr, step, beta1=0.9, beta2=0.999, eps=1e-
 
 
 def _loss_and_grads(
-    model, data_t, data_kappa, data_iv, weights, penalty, workspace=None, with_grads=True
+    model, data_t, data_kappa, data_iv, w, lambdas, grid, workspace=None, with_grads=True
 ):
     """Total loss, components, and parameter gradients (weights then biases).
 
@@ -580,25 +546,24 @@ def _loss_and_grads(
     ``with_grads`` the backward passes are skipped and the gradients come
     back as None.
     """
-    ws = workspace or _Workspace(model, data_t.size, penalty)
-    lam = penalty.lambdas
-    mu_w = weights.mu_w
+    ws = workspace or _Workspace(model, data_t.size, grid)
+    mu_w = float(np.mean(w))
     n = data_t.size
 
     # fit term and, through the adjoint on Sigma, its gradients
     state = ws.data.forward(model, data_t, data_kappa)
     rel = (state.sigma - data_iv) / data_iv
-    fit = math.sqrt(float(np.mean((weights.w * rel) ** 2)))
+    fit = math.sqrt(float(np.mean((w * rel) ** 2)))
     grads = None
     if with_grads:
         denom = max(fit, 1e-12)
-        bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
+        bar_sigma_data = (w**2 * rel) / (data_iv * n * denom)
         gw_data, gb_data = state.backward(model, bar_sigma_data)
         grads = gw_data + gb_data
 
     # penalty terms, block by block
     m_grid = ws.grid_t.size
-    scale = [mu_w * v / m_grid for v in lam]
+    scale = [mu_w * v / m_grid for v in lambdas]
     sums = [0.0, 0.0, 0.0]
     for cols, gpass in ws.blocks():
         kappa = ws.grid_kappa[cols]
@@ -616,9 +581,9 @@ def _loss_and_grads(
     means = [s / m_grid for s in sums]
     comp = {
         "fit_rmse": fit,
-        "calendar_penalty": mu_w * lam[0] * means[0],
-        "butterfly_penalty": mu_w * lam[1] * means[1],
-        "band_penalty": mu_w * lam[2] * means[2],
+        "calendar_penalty": mu_w * lambdas[0] * means[0],
+        "butterfly_penalty": mu_w * lambdas[1] * means[1],
+        "band_penalty": mu_w * lambdas[2] * means[2],
         "mean_calendar_negative": means[0],
         "mean_butterfly_negative": means[1],
         "mean_band_excess": means[2],
@@ -670,7 +635,7 @@ def _penalty_backward(model, gstate, theta_tuple, pieces, kap, scale):
     return gw + gb
 
 
-def _train_once(frame_t, frame_kappa, frame_iv, weights, penalty, seed, spot, epochs):
+def _train_once(frame_t, frame_kappa, frame_iv, w, lambdas, grid, seed, spot, epochs):
     """One training run: (model, history, (total, components), best epoch).
 
     The network has HIDDEN layers and Adam takes LEARNING_RATE steps.  The
@@ -691,11 +656,11 @@ def _train_once(frame_t, frame_kappa, frame_iv, weights, penalty, seed, spot, ep
     best_params = None
     best_epoch = 0
     history = []
-    workspace = _Workspace(model, frame_t.size, penalty)
+    workspace = _Workspace(model, frame_t.size, grid)
 
     for epoch in range(1, epochs + 1):
         total, comp, grads = _loss_and_grads(
-            model, frame_t, frame_kappa, frame_iv, weights, penalty, workspace
+            model, frame_t, frame_kappa, frame_iv, w, lambdas, grid, workspace
         )
         if not np.isfinite(total):
             raise TrainingError(f"loss diverged at epoch {epoch}", epoch)
@@ -718,7 +683,7 @@ def _train_once(frame_t, frame_kappa, frame_iv, weights, penalty, seed, spot, ep
 
     if best_params is None:
         total, comp, _ = _loss_and_grads(
-            model, frame_t, frame_kappa, frame_iv, weights, penalty, workspace, with_grads=False
+            model, frame_t, frame_kappa, frame_iv, w, lambdas, grid, workspace, with_grads=False
         )
         best_score = (total, comp)
     else:
@@ -746,35 +711,45 @@ def _observations(frame: MarketFrame):
     return t[starts], kappa[starts], mean_iv, int(t.size - starts.size)
 
 
-def train(frame: MarketFrame, config: TrainConfig | None = None):
+def train(
+    frame: MarketFrame,
+    epochs: int = 3000,
+    lambdas: tuple = (1.0, 1.0, 1.0),
+    penalty_grid: tuple = (50, 100),
+    lambda_search: bool = False,
+    seed: int = 0,
+):
     """Train the IV network on a frame's mid implied volatilities.
 
-    Duplicate (T, kappa) observations are collapsed to their mean IV.  When
-    ``lambda_candidates`` is set, each candidate trains for SEARCH_EPOCHS,
+    ``lambdas`` are the three penalty strengths and ``penalty_grid`` the
+    (maturity, moneyness) node counts of the penalty grid, which is built
+    once for every run of the call.  Duplicate (T, kappa) observations are
+    collapsed to their mean IV.  With ``lambda_search``, each triple of
+    LAMBDA_CANDIDATES trains for SEARCH_EPOCHS with seed + its index,
     candidates whose arbitrage penalties vanish on the grid are ranked by fit
-    RMSE (falling back to total loss when none are clean), and the winner is
-    retrained for the full budget.  Returns (model, report).
+    RMSE (falling back to total loss when none are clean), and the winner
+    replaces ``lambdas`` for the full budget.  Returns (model, report).
     """
-    cfg = config or TrainConfig()
+    if epochs < 0:
+        raise ValueError("epochs must be nonnegative")
+    if len(lambdas) != 3 or not all(np.isfinite(v) and v >= 0 for v in lambdas):
+        raise ValueError("lambdas must be three finite nonnegative numbers")
+    grid = build_penalty_grid(*penalty_grid)
     data_t, data_kappa, data_iv, n_dupes = _observations(frame)
     if n_dupes:
         log.warning("collapsed %d duplicate observation points to mean IV", n_dupes)
     if data_t.size < 2:
         raise ValueError("need at least two distinct observation points")
-    weights = compute_weights(np.column_stack([data_t, data_kappa]))
+    w = compute_weights(np.column_stack([data_t, data_kappa]))
     spot = frame.curves.spot
 
-    candidates = cfg.lambda_candidates
-    penalty = cfg.penalty
-    chosen = penalty
     search_summary = []
-    if candidates:
+    if lambda_search:
         ranked = []
-        for idx, lam in enumerate(candidates):
-            pen = replace(penalty, lambdas=tuple(lam))
+        for idx, lam in enumerate(LAMBDA_CANDIDATES):
             _, _, (_, comp), _ = _train_once(
-                data_t, data_kappa, data_iv, weights, pen,
-                seed=cfg.seed + idx, spot=spot, epochs=SEARCH_EPOCHS,
+                data_t, data_kappa, data_iv, w, lam, grid,
+                seed=seed + idx, spot=spot, epochs=SEARCH_EPOCHS,
             )
             clean = (
                 comp["mean_calendar_negative"] <= 1e-12
@@ -786,17 +761,16 @@ def train(frame: MarketFrame, config: TrainConfig | None = None):
                 {"lambdas": list(lam), "clean": clean, "fit_rmse": comp["fit_rmse"]}
             )
         ranked.sort()
-        chosen = replace(penalty, lambdas=tuple(ranked[0][2]))
+        lambdas = ranked[0][2]
 
     model, history, (total, comp), best_epoch = _train_once(
-        data_t, data_kappa, data_iv, weights, chosen,
-        seed=cfg.seed, spot=spot, epochs=cfg.epochs,
+        data_t, data_kappa, data_iv, w, lambdas, grid, seed=seed, spot=spot, epochs=epochs,
     )
     report = {
         "final_total": total,
         "components": comp,
-        "lambdas": list(chosen.lambdas),
-        "epochs": cfg.epochs,
+        "lambdas": list(lambdas),
+        "epochs": epochs,
         "best_epoch": best_epoch,
         "n_observations": int(data_t.size),
         "duplicates_collapsed": n_dupes,

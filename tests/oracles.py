@@ -588,7 +588,7 @@ def allocating_nn_backward(model, state, bar_sigma, bar_streams=None):
     return grads_w, grads_b
 
 
-def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, penalty):
+def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, w, lambdas, grid):
     """(total, parameter gradients) of the NN training loss on allocating passes.
 
     The penalty grid goes in ``nn_iv.BLOCK_WIDTH``-point blocks: the penalty
@@ -596,21 +596,20 @@ def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, pe
     """
     from volsurf.nn_iv import BLOCK_WIDTH, _penalty_pieces, _theta_tuple
 
-    lam = penalty.lambdas
-    mu_w = weights.mu_w
+    mu_w = float(np.mean(w))
     n = data_t.size
 
     state = allocating_nn_forward(model, data_t, data_kappa)
     rel = (state.sigma - data_iv) / data_iv
-    fit = math.sqrt(float(np.mean((weights.w * rel) ** 2)))
+    fit = math.sqrt(float(np.mean((w * rel) ** 2)))
     denom = max(fit, 1e-12)
-    bar_sigma_data = (weights.w**2 * rel) / (data_iv * n * denom)
+    bar_sigma_data = (w**2 * rel) / (data_iv * n * denom)
     gw_data, gb_data = allocating_nn_backward(model, state, bar_sigma_data)
     grads = gw_data + gb_data
 
-    all_t, all_kappa = penalty.grid()
+    all_t, all_kappa = grid
     m_grid = all_t.size
-    scale = [mu_w * v / m_grid for v in lam]
+    scale = [mu_w * v / m_grid for v in lambdas]
     sums = [0.0, 0.0, 0.0]
     for lo in range(0, m_grid, BLOCK_WIDTH):
         grid_t, grid_kappa = all_t[lo:lo + BLOCK_WIDTH], all_kappa[lo:lo + BLOCK_WIDTH]
@@ -652,7 +651,7 @@ def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, weights, pe
         )
         grads = [a + b for a, b in zip(grads, gw_pen + gb_pen)]
 
-    pen = [mu_w * v * (s / m_grid) for v, s in zip(lam, sums)]
+    pen = [mu_w * v * (s / m_grid) for v, s in zip(lambdas, sums)]
     total = fit + pen[0] + pen[1] + pen[2]
     return total, grads
 

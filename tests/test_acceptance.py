@@ -25,7 +25,6 @@ from volsurf.constrained_sampling import (
 )
 from volsurf.gp_price_surface import (
     BasisGrid,
-    GpFitConfig,
     build_constraints,
     fit_hyperparameters,
     fit_map,
@@ -33,7 +32,7 @@ from volsurf.gp_price_surface import (
 )
 from volsurf.local_vol import dupire_fd, dupire_iv
 from volsurf.market_data import Curve, CurveSet, build_frame
-from volsurf.nn_iv import NnIvModel, PenaltyConfig, TrainConfig, train
+from volsurf.nn_iv import NnIvModel, train
 from volsurf.ssvi import SsviParams, calibrate, check_no_arbitrage, svi_total_variance
 
 from oracles import (
@@ -119,7 +118,7 @@ def test_02_flat_vol_mc_baseline(baseline_frame, flat_lv_grid):
 def test_03_gp_round_trip(calibration_frame):
     started = time.perf_counter()
     grid = BasisGrid(n_t=15, n_k=40)  # 40 strike x 15 maturity nodes
-    params = fit_hyperparameters(calibration_frame, grid, GpFitConfig(n_starts=5, seed=0))
+    params = fit_hyperparameters(calibration_frame, grid, n_starts=5, seed=0)
     model = fit_map(calibration_frame, grid, params)
     slack = float(model.constraint_slacks().min())
 
@@ -146,9 +145,9 @@ def test_03_gp_round_trip(calibration_frame):
 
 def test_04_nn_round_trip(calibration_frame):
     started = time.perf_counter()
-    penalty = PenaltyConfig(lambdas=(1.0, 1.0, 1.0), n_maturity=40, n_moneyness=60)
-    cfg = TrainConfig(epochs=1500, penalty=penalty, seed=11)
-    model, report = train(calibration_frame, cfg)
+    model, report = train(
+        calibration_frame, epochs=1500, lambdas=(1.0, 1.0, 1.0), penalty_grid=(40, 60), seed=11
+    )
     comp = report["components"]
 
     k_lo = float(calibration_frame.reduced_strike.min())
@@ -204,7 +203,7 @@ def test_06_sampler_correctness(calibration_frame, monkeypatch):
     # every GP posterior path honors the constraint system
     grid = BasisGrid(n_t=5, n_k=8)
     monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 120)
-    params = fit_hyperparameters(calibration_frame, grid, GpFitConfig(n_starts=2, seed=1))
+    params = fit_hyperparameters(calibration_frame, grid, n_starts=2, seed=1)
     model = fit_map(calibration_frame, grid, params)
     paths = sample_posterior(model, n_paths=100, seed=3)
     min_slack = float(np.min(build_constraints(grid) @ paths.T))
@@ -228,15 +227,19 @@ def test_07_nn_derivative_correctness():
         t = float(rng.uniform(0.1, 3.0))
         kappa = float(rng.uniform(-0.4, 0.4))
         _, d_t, d_k, d_kk = model.forward_theta(t, kappa)
+
+        def theta_at(t, kappa):
+            return model.forward_theta(t, kappa)[0]
+
         h_k = 1e-4 * model.input_scale[1]
-        fd_k = (model.theta(t, kappa + h_k) - model.theta(t, kappa - h_k)) / (2 * h_k)
+        fd_k = (theta_at(t, kappa + h_k) - theta_at(t, kappa - h_k)) / (2 * h_k)
         fd_kk = (
-            model.theta(t, kappa + h_k)
-            - 2 * model.theta(t, kappa)
-            + model.theta(t, kappa - h_k)
+            theta_at(t, kappa + h_k)
+            - 2 * theta_at(t, kappa)
+            + theta_at(t, kappa - h_k)
         ) / h_k**2
         h_t = 1e-5 * t
-        fd_t = (model.theta(t + h_t, kappa) - model.theta(t - h_t, kappa)) / (2 * h_t)
+        fd_t = (theta_at(t + h_t, kappa) - theta_at(t - h_t, kappa)) / (2 * h_t)
         for got, want in ((d_t, fd_t), (d_k, fd_k), (d_kk, fd_kk)):
             worst = max(worst, abs(got - want) / max(abs(want), 1e-3))
     ok = worst <= 1e-4

@@ -592,8 +592,25 @@ class TestFailureContract:
                      id="check-arbitrage-nn-grid-t-0"),
         pytest.param(["check-arbitrage", "--model", "SSVI", "--grid-k", 0],
                      id="check-arbitrage-ssvi-grid-k-0"),
+        pytest.param(["localvol", "--model", "GP", "--grid-k", 1], id="localvol-gp-grid-k-1"),
+        pytest.param(["gen-synthetic", "--n-maturities", 0], id="gen-synthetic-n-maturities-0"),
+        pytest.param(["gen-synthetic", "--n-strikes", 0], id="gen-synthetic-n-strikes-0"),
+        # non-finite floats
+        pytest.param(["localvol", "--model", "SSVI", "--cap", "nan"], id="localvol-cap-nan"),
+        pytest.param(["localvol", "--model", "NN", "--t-range", "nan", 2],
+                     id="localvol-t-range-nan"),
+        pytest.param(["check-arbitrage", "--model", "NN", "--kappa-min", "nan"],
+                     id="check-arbitrage-kappa-min-nan"),
+        pytest.param(["gen-synthetic", "--sigma", "nan"], id="gen-synthetic-sigma-nan"),
+        pytest.param(["gen-synthetic", "--spread", "nan"], id="gen-synthetic-spread-nan"),
+        pytest.param(["gen-synthetic", "--spot", "nan"], id="gen-synthetic-spot-nan"),
+        pytest.param(["calibrate", "nn", "MARKET", "--lambda", "nan,1,1", "--epochs", 2,
+                      "--penalty-t", 3, "--penalty-k", 3], id="nn-lambda-nan"),
+        pytest.param(["calibrate", "nn", "MARKET", "--lambda", "nan,1,1", "--epochs", 0,
+                      "--penalty-t", 3, "--penalty-k", 3], id="nn-lambda-nan-epochs-0"),
     ])
     def test_bad_count_exits_2(self, argv, model_files, synthetic_dir, tmp_path, capsys):
+        # counts a command cannot work with, and non-finite float values
         lv = tmp_path / "lv"
         assert run(["localvol", "--model", model_files["ssvi"], "--out", lv,
                     "--grid-t", 4, "--grid-k", 6]) == 0
@@ -603,6 +620,7 @@ class TestFailureContract:
                         mask=one_node["mask"][:1])
         (lv / "one_node.json").write_text(json.dumps(one_node))
         stand_in = {"MARKET": market_args(synthetic_dir), "NN": [model_files["nn"]],
+                    "GP": [model_files["gp"]],
                     "SSVI": [model_files["ssvi"]], "LV": [lv / "localvol.json"],
                     "LV1": [lv / "one_node.json"]}
         argv = [x for arg in argv for x in stand_in.get(arg, [arg])]

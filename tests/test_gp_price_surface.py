@@ -11,7 +11,6 @@ from volsurf.backtest import SyntheticSpec, generate_synthetic
 from volsurf.black_scholes import put_price
 from volsurf.gp_price_surface import (
     BasisGrid,
-    GpFitConfig,
     GpModel,
     KernelParams,
     LikelihoodEvaluator,
@@ -372,7 +371,7 @@ class TestLikelihoodEvaluator:
         monkeypatch.setattr(gp_price_surface, "chol_with_jitter", counting)
         monkeypatch.setattr(gp_price_surface.sopt, "minimize", recording)
         monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 20)
-        fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2))
+        fit_hyperparameters(frame, grid, n_starts=2)
         assert len(results) == 2
         assert len(calls) == sum(r.nfev for r in results)
         assert set(calls) == {"observation gram"}
@@ -385,7 +384,7 @@ class TestLikelihoodEvaluator:
         with pytest.raises(ValueError, match="empty"):
             marginal_log_likelihood(p, empty, BasisGrid(n_t=2, n_k=3))
         with pytest.raises(ValueError, match="empty"):
-            fit_hyperparameters(empty, BasisGrid(n_t=2, n_k=3), GpFitConfig(n_starts=1))
+            fit_hyperparameters(empty, BasisGrid(n_t=2, n_k=3), n_starts=1)
 
 
 class TestFitHyperparameters:
@@ -418,7 +417,7 @@ class TestFitHyperparameters:
                 frame, scaling=AffineScaling(t_min=0.1, t_max=2.1, k_min=50.0, k_max=150.0)
             )
             fitted = fit_hyperparameters(
-                frame, grid, GpFitConfig(n_starts=3, seed=seed)
+                frame, grid, n_starts=3, seed=seed
             )
             ok_t = 0.5 * true.theta_t <= fitted.theta_t <= 2.0 * true.theta_t
             ok_k = 0.5 * true.theta_k <= fitted.theta_k <= 2.0 * true.theta_k
@@ -430,7 +429,7 @@ class TestFitHyperparameters:
         frame = make_frame([0.5], [100.0], [4.0], [4.2])
         grid = BasisGrid(n_t=2, n_k=3)
         with caplog.at_level("WARNING"):
-            params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2))
+            params = fit_hyperparameters(frame, grid, n_starts=2)
         assert params.sigma > 0
         assert any("observations" in r.message for r in caplog.records)
 
@@ -442,7 +441,7 @@ class TestFitHyperparameters:
         from volsurf.gp_price_surface import HyperparameterFitError
 
         with pytest.raises(HyperparameterFitError) as err:
-            fit_hyperparameters(frame, grid, GpFitConfig(n_starts=2))
+            fit_hyperparameters(frame, grid, n_starts=2)
         assert len(err.value.per_start) == 2
 
 
@@ -456,7 +455,7 @@ class TestFitHyperparameters:
         train = frame.subset(np.lexsort((frame.strike, frame.maturity))[0::2])
         with caplog.at_level("WARNING"):
             params = fit_hyperparameters(train, BasisGrid(n_t=15, n_k=40),
-                                         GpFitConfig(n_starts=2, seed=0))
+                                         n_starts=2, seed=0)
         lo, hi = gp_price_surface.LENGTH_SCALE_BOUNDS
         assert lo <= params.theta_t <= hi and lo <= params.theta_k <= hi
         assert not any("observation gram required jitter" in r.message for r in caplog.records)
@@ -468,7 +467,7 @@ class TestFitHyperparameters:
         frame = flat_vol_frame(n_t=4, n_k=5, spread=0.0)
         assert np.array_equal(frame.reduced_bid, frame.reduced_ask)
         params = fit_hyperparameters(frame, BasisGrid(n_t=3, n_k=4),
-                                     GpFitConfig(n_starts=2))
+                                     n_starts=2)
         unit = gp_price_surface.ZERO_SPREAD_NOISE * float(np.std(frame.reduced_bid))
         lo, hi = gp_price_surface.NOISE_BOUNDS
         assert lo * unit * (1 - 1e-12) <= params.noise_sd <= hi * unit * (1 + 1e-12)
@@ -543,7 +542,7 @@ class TestFitMap:
         monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 150)
         frame = flat_vol_frame(n_t=8, n_k=10, spread=0.002)
         grid = BasisGrid(n_t=5, n_k=8)
-        params = fit_hyperparameters(frame, grid, GpFitConfig(n_starts=3))
+        params = fit_hyperparameters(frame, grid, n_starts=3)
         model = fit_map(frame, grid, params)
         fit = model.price(frame.maturity, frame.reduced_strike)
         rel = np.abs(fit - frame.reduced_mid) / np.maximum(frame.reduced_mid, 0.5)

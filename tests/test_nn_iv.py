@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,16 +23,14 @@ from volsurf.market_data import (
 )
 from volsurf import nn_iv
 from volsurf.nn_iv import (
-    LossWeights,
     NnIvModel,
-    PenaltyConfig,
-    TrainConfig,
     TrainingError,
     _loss_and_grads,
     _observations,
     _theta_tuple,
     _train_once,
     _Workspace,
+    build_penalty_grid,
     compute_weights,
     loss,
     model_from_json,
@@ -79,8 +76,8 @@ class TestConstantNetwork:
 
     def test_theta_linear_in_maturity(self):
         model = NnIvModel.constant(0.2)
-        t1 = model.theta(1.0, 0.1)
-        t4 = model.theta(4.0, 0.1)
+        t1 = model.forward_theta(1.0, 0.1)[0]
+        t4 = model.forward_theta(4.0, 0.1)[0]
         assert t4 == pytest.approx(4.0 * t1, rel=1e-12)
 
     def test_constant_rejects_out_of_band(self):
@@ -103,15 +100,19 @@ class TestDerivatives:
             t = float(rng.uniform(0.1, 3.0))
             kappa = float(rng.uniform(-0.5, 0.5))
             theta, d_t, d_k, d_kk = model.forward_theta(t, kappa)
+
+            def theta_at(t, kappa):
+                return model.forward_theta(t, kappa)[0]
+
             h_k = 1e-4 * model.input_scale[1]
-            fd_k = (model.theta(t, kappa + h_k) - model.theta(t, kappa - h_k)) / (2 * h_k)
+            fd_k = (theta_at(t, kappa + h_k) - theta_at(t, kappa - h_k)) / (2 * h_k)
             fd_kk = (
-                model.theta(t, kappa + h_k)
-                - 2 * model.theta(t, kappa)
-                + model.theta(t, kappa - h_k)
+                theta_at(t, kappa + h_k)
+                - 2 * theta_at(t, kappa)
+                + theta_at(t, kappa - h_k)
             ) / h_k**2
             h_t = 1e-5 * t
-            fd_t = (model.theta(t + h_t, kappa) - model.theta(t - h_t, kappa)) / (2 * h_t)
+            fd_t = (theta_at(t + h_t, kappa) - theta_at(t - h_t, kappa)) / (2 * h_t)
             for got, want in ((d_t, fd_t), (d_k, fd_k), (d_kk, fd_kk)):
                 # denominator floored at 1e-3: below that the central
                 # difference's own roundoff (~1e-8) dominates any comparison
@@ -153,23 +154,23 @@ class TestDerivatives:
 class TestWeights:
     def test_three_point_example(self):
         w = compute_weights(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]]))
-        assert w.w == pytest.approx([1.0, 1.0, 2.0])
-        assert w.mu_w == pytest.approx(4.0 / 3.0)
+        assert w == pytest.approx([1.0, 1.0, 2.0])
+        assert float(np.mean(w)) == pytest.approx(4.0 / 3.0)   # the loss's mu_w
 
     def test_two_points_symmetric(self):
         w = compute_weights(np.array([[0.0, 0.0], [0.3, 0.4]]))
-        assert w.w == pytest.approx([0.5, 0.5])
+        assert w == pytest.approx([0.5, 0.5])
 
     def test_uniform_lattice(self):
         pts = np.array([[t, k] for t in np.arange(4) for k in np.arange(5)], dtype=float)
         w = compute_weights(pts * 0.25)
-        assert w.w == pytest.approx(np.full(20, 0.25))
+        assert w == pytest.approx(np.full(20, 0.25))
 
     def test_duplicates_warn(self, caplog):
         with caplog.at_level("WARNING"):
             w = compute_weights(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
         assert any("duplicate" in r.message for r in caplog.records)
-        assert w.w[0] == 0.0
+        assert w[0] == 0.0
 
         # train's observations: sorted (T, kappa), each duplicate group
         # collapsed to its mean IV, bit for bit as a per-point dict gives them
@@ -204,8 +205,8 @@ class TestLoss:
     def test_zero_lambda_is_pure_fit(self):
         t, kappa, iv, weights = self.setup_data()
         model = small_model()
-        pen = PenaltyConfig(lambdas=(0.0, 0.0, 0.0), n_maturity=5, n_moneyness=6)
-        total, comp = loss(model, t, kappa, iv, weights, pen)
+        pen = (0.0, 0.0, 0.0), build_penalty_grid(5, 6)
+        total, comp = loss(model, t, kappa, iv, weights, *pen)
         assert total == pytest.approx(comp["fit_rmse"])
         assert comp["calendar_penalty"] == 0.0
         assert comp["butterfly_penalty"] == 0.0
@@ -214,8 +215,8 @@ class TestLoss:
     def test_flat_model_in_band_has_zero_penalty(self):
         t, kappa, iv, weights = self.setup_data()
         model = NnIvModel.constant(0.2)
-        pen = PenaltyConfig(lambdas=(5.0, 5.0, 5.0), n_maturity=6, n_moneyness=7)
-        total, comp = loss(model, t, kappa, iv, weights, pen)
+        pen = (5.0, 5.0, 5.0), build_penalty_grid(6, 7)
+        total, comp = loss(model, t, kappa, iv, weights, *pen)
         assert comp["calendar_penalty"] == 0.0
         assert comp["butterfly_penalty"] == 0.0
         assert comp["band_penalty"] == 0.0
@@ -224,24 +225,24 @@ class TestLoss:
         t, kappa, _, weights = self.setup_data()
         model = NnIvModel.constant(0.2)
         iv = np.full(4, 0.2)
-        pen = PenaltyConfig(lambdas=(1.0, 1.0, 1.0), n_maturity=5, n_moneyness=5)
-        total, comp = loss(model, t, kappa, iv, weights, pen)
+        pen = (1.0, 1.0, 1.0), build_penalty_grid(5, 5)
+        total, comp = loss(model, t, kappa, iv, weights, *pen)
         assert comp["fit_rmse"] == pytest.approx(0.0, abs=1e-14)
 
     def test_band_violation_penalized(self, monkeypatch):
         t, kappa, iv, weights = self.setup_data()
         model = NnIvModel.constant(0.5)  # local variance 0.25 above a 0.04 cap
         monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (1e-4, 0.04))
-        pen = PenaltyConfig(lambdas=(0.0, 0.0, 1.0), n_maturity=5, n_moneyness=5)
-        _, comp = loss(model, t, kappa, iv, weights, pen)
+        pen = (0.0, 0.0, 1.0), build_penalty_grid(5, 5)
+        _, comp = loss(model, t, kappa, iv, weights, *pen)
         assert comp["band_penalty"] > 0.0
 
     def test_penalty_components_nonnegative(self):
         t, kappa, iv, weights = self.setup_data()
         for seed in range(5):
             model = small_model(seed)
-            pen = PenaltyConfig(lambdas=(1.0, 2.0, 3.0), n_maturity=6, n_moneyness=6)
-            _, comp = loss(model, t, kappa, iv, weights, pen)
+            pen = (1.0, 2.0, 3.0), build_penalty_grid(6, 6)
+            _, comp = loss(model, t, kappa, iv, weights, *pen)
             assert comp["calendar_penalty"] >= 0.0
             assert comp["butterfly_penalty"] >= 0.0
             assert comp["band_penalty"] >= 0.0
@@ -256,7 +257,7 @@ class TestGradients:
         iv = rng.uniform(0.15, 0.3, 12)
         weights = compute_weights(np.column_stack([t, kappa]))
         monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (0.01, 0.09))
-        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), n_maturity=6, n_moneyness=7)
+        pen = (0.7, 1.3, 2.1), build_penalty_grid(6, 7)
 
         def total_at(params_flat):
             probe = NnIvModel(
@@ -266,10 +267,10 @@ class TestGradients:
                 input_scale=model.input_scale,
                 spot=model.spot,
             )
-            tot, _, _ = _loss_and_grads(probe, t, kappa, iv, weights, pen)
+            tot, _, _ = _loss_and_grads(probe, t, kappa, iv, weights, *pen)
             return tot
 
-        total, _, grads = _loss_and_grads(model, t, kappa, iv, weights, pen)
+        total, _, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen)
         flat = model.weights + model.biases
         rng2 = np.random.default_rng(3)
         checked = 0
@@ -319,16 +320,16 @@ class TestWorkspace:
         model = lively_model(grid[1], hidden)
         t, kappa, iv, weights = random_data(rng, 13)
         monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (0.01, 0.09))
-        pen = PenaltyConfig(lambdas=(0.7, 1.3, 2.1), n_maturity=grid[0], n_moneyness=grid[1])
-        workspace = _Workspace(model, t.size, pen)
+        pen = (0.7, 1.3, 2.1), build_penalty_grid(grid[0], grid[1])
+        workspace = _Workspace(model, t.size, pen[1])
         n_w = len(model.weights)
         for _ in range(3):
             want_total, want_grads = allocating_nn_loss_and_grads(
-                model, t, kappa, iv, weights, pen
+                model, t, kappa, iv, weights, *pen
             )
-            total, comp, grads = _loss_and_grads(model, t, kappa, iv, weights, pen, workspace)
+            total, comp, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
             assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
-            assert loss(model, t, kappa, iv, weights, pen) == (total, comp)
+            assert loss(model, t, kappa, iv, weights, *pen) == (total, comp)
             assert len(grads) == len(want_grads)
             for got, want in zip(grads, want_grads):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -351,7 +352,7 @@ class TestWorkspace:
 
     def test_workspace_block_independent_of_grid_size(self):
         model = lively_model(3, (40, 40, 40))
-        small, large = (_Workspace(model, 30, PenaltyConfig(n_maturity=n_t, n_moneyness=100))
+        small, large = (_Workspace(model, 30, build_penalty_grid(n_t, 100))
                         for n_t in (20, 50))
         assert small.grid.n == large.grid.n == nn_iv.BLOCK_WIDTH
         block_bytes = [ws.grid.x.base.nbytes for ws in (small, large)]
@@ -367,13 +368,13 @@ class TestWorkspace:
         hidden = (40, 40, 40)
         model = lively_model(3, hidden)
         t, kappa, iv, weights = random_data(rng, 30)
-        pen = PenaltyConfig(n_maturity=20, n_moneyness=100)
-        workspace = _Workspace(model, t.size, pen)
-        _loss_and_grads(model, t, kappa, iv, weights, pen, workspace)
+        pen = (1.0, 1.0, 1.0), build_penalty_grid(20, 100)
+        workspace = _Workspace(model, t.size, pen[1])
+        _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _loss_and_grads(model, t, kappa, iv, weights, pen, workspace)
+            _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,12 +400,9 @@ class TestTraining:
     def test_flat_synthetic_recovery(self, monkeypatch):
         frame = flat_frame(sigma=0.2)
         monkeypatch.setattr(nn_iv, "HIDDEN", (20, 20, 20))
-        cfg = TrainConfig(
-            epochs=1500,
-            penalty=PenaltyConfig(lambdas=(1.0, 1.0, 1.0), n_maturity=15, n_moneyness=20),
-            seed=1,
+        model, report = train(
+            frame, epochs=1500, lambdas=(1.0, 1.0, 1.0), penalty_grid=(15, 20), seed=1
         )
-        model, report = train(frame, cfg)
         # Sigma within half a vol point of 20% on the data hull
         t = np.linspace(0.3, 1.9, 9)
         kappa = np.linspace(-0.14, 0.2, 9)
@@ -418,43 +416,45 @@ class TestTraining:
     def test_training_deterministic(self, monkeypatch):
         frame = flat_frame(n_t=4, n_k=5)
         monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
-        cfg = TrainConfig(
-            epochs=50,
-            penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=3,
-        )
-        m1, _ = train(frame, cfg)
-        m2, _ = train(frame, cfg)
+        m1, _ = train(frame, epochs=50, penalty_grid=(5, 6), seed=3)
+        m2, _ = train(frame, epochs=50, penalty_grid=(5, 6), seed=3)
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
     def test_best_so_far_monotone(self, monkeypatch):
         frame = flat_frame(n_t=4, n_k=5)
         monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
-        cfg = TrainConfig(
-            epochs=120,
-            penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=3,
-        )
-        _, report = train(frame, cfg)
+        _, report = train(frame, epochs=120, penalty_grid=(5, 6), seed=3)
         totals = [h["total"] for h in report["history"]]
         best = np.minimum.accumulate(totals)
         assert np.all(np.diff(best) <= 0.0)
         assert report["best_epoch"] == 1 + totals.index(min(totals))
 
     @pytest.mark.parametrize("field", ["epochs"])
-    def test_negative_epochs_rejected(self, field):
+    def test_negative_epochs_rejected(self, field, monkeypatch):
+        frame = flat_frame(n_t=2, n_k=2)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (4,))
         with pytest.raises(ValueError, match="nonnegative"):
-            TrainConfig(**{field: -1})
-        assert getattr(TrainConfig(**{field: 0}), field) == 0
+            train(frame, penalty_grid=(2, 2), **{field: -1})
+        assert train(frame, penalty_grid=(2, 2), **{field: 0})[1][field] == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lambdas": (-1.0, 1.0, 1.0)}, {"lambdas": (1.0, 1.0)},
+        {"lambdas": (math.nan, 1.0, 1.0)}, {"lambdas": (1.0, math.inf, 1.0)},
+        {"penalty_grid": (0, 5)}, {"penalty_grid": (5, 0)},
+    ], ids=["negative", "two", "nan", "inf", "no-maturities", "no-moneyness"])
+    def test_bad_penalty_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            train(flat_frame(n_t=2, n_k=2), epochs=0, **kwargs)
 
     def test_divergent_loss_raises(self, monkeypatch):
         t = np.array([0.5, 1.0])
         kappa = np.array([0.0, 0.1])
         iv = np.array([0.2, np.nan])
-        weights = LossWeights(w=np.array([0.5, 0.5]), mu_w=0.5)
         monkeypatch.setattr(nn_iv, "HIDDEN", (4,))
         with pytest.raises(TrainingError) as err:
             _train_once(
-                t, kappa, iv, weights, PenaltyConfig(n_maturity=3, n_moneyness=3),
+                t, kappa, iv, np.array([0.5, 0.5]), (1.0, 1.0, 1.0), build_penalty_grid(3, 3),
                 seed=0, spot=SPOT, epochs=5,
             )
         assert err.value.epoch == 1
@@ -475,12 +475,9 @@ class TestTraining:
         monkeypatch.setattr(nn_iv, "HIDDEN", (12, 12))
         monkeypatch.setattr(nn_iv, "PENALTY_MATURITY_RANGE", (0.3, 2.2))
         monkeypatch.setattr(nn_iv, "PENALTY_MONEYNESS_RANGE", (0.9, 1.1))
-        cfg = TrainConfig(
-            epochs=400,
-            penalty=PenaltyConfig(lambdas=(0.0, 0.0, 0.0), n_maturity=8, n_moneyness=10),
-            seed=4,
+        model, report = train(
+            frame, epochs=400, lambdas=(0.0, 0.0, 0.0), penalty_grid=(8, 10), seed=4
         )
-        model, report = train(frame, cfg)
         comp = report["components"]
         # the unpenalized fit reproduces the decreasing term structure, so the
         # raw calendar statistic is strictly positive even though lambda = 0
@@ -491,13 +488,8 @@ class TestTraining:
         frame = flat_frame(n_t=4, n_k=5)
         monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
         monkeypatch.setattr(nn_iv, "SEARCH_EPOCHS", 30)
-        cfg = TrainConfig(
-            epochs=60,
-            penalty=PenaltyConfig(n_maturity=5, n_moneyness=6),
-            lambda_candidates=((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)),
-            seed=2,
-        )
-        model, report = train(frame, cfg)
+        monkeypatch.setattr(nn_iv, "LAMBDA_CANDIDATES", ((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)))
+        model, report = train(frame, epochs=60, penalty_grid=(5, 6), lambda_search=True, seed=2)
         assert len(report["lambda_search"]) == 2
         assert report["lambdas"] in ([0.1, 0.1, 0.1], [1.0, 1.0, 1.0])
 
@@ -514,22 +506,19 @@ class TestTraining:
         monkeypatch.setattr(nn_iv, "_Workspace", CountingWorkspace)
         monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
         monkeypatch.setattr(nn_iv, "SEARCH_EPOCHS", 3)
+        monkeypatch.setattr(nn_iv, "LAMBDA_CANDIDATES", ((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)))
         frame = flat_frame(n_t=4, n_k=5)
         t, kappa, iv, _ = _observations(frame)
         weights = compute_weights(np.column_stack([t, kappa]))
-        common = dict(penalty=PenaltyConfig(n_maturity=5, n_moneyness=6), seed=2)
-        search = dict(lambda_candidates=((0.1, 0.1, 0.1), (1.0, 1.0, 1.0)))
-        for cfg, runs in ((TrainConfig(epochs=7, **common), 1),
-                          (TrainConfig(epochs=0, **common), 1),
-                          (TrainConfig(epochs=6, **search, **common), 3)):
+        for epochs, search, runs in ((7, False, 1), (0, False, 1), (6, True, 3)):
             built.clear()
-            model, report = train(frame, cfg)
+            model, report = train(frame, epochs=epochs, penalty_grid=(5, 6),
+                                  lambda_search=search, seed=2)
             assert len(built) == runs
-            pen = replace(cfg.penalty, lambdas=tuple(report["lambdas"]))
             assert (report["final_total"], report["components"]) == loss(
-                model, t, kappa, iv, weights, pen
+                model, t, kappa, iv, weights, tuple(report["lambdas"]), build_penalty_grid(5, 6)
             )
-            if cfg.epochs:
+            if epochs:
                 assert min(h["total"] for h in report["history"]) == report["final_total"]
             else:
                 assert report["best_epoch"] == 0
@@ -540,8 +529,13 @@ class TestPutPrices:
         frame = term_structure_cev_frame()
         model = NnIvModel.initialize(seed=3, hidden=(6, 6))
         for part in (frame, frame.subset(np.arange(len(frame) - 1, -1, -2))):
-            want = per_point_put_prices(part, model.sigma)
-            assert model.put_prices(part).tobytes() == want.tobytes()
+            # each quote priced alone from its value in one batched sigma call
+            batched = iter(model.sigma(part.maturity, part.log_moneyness).tolist())
+            want = per_point_put_prices(part, lambda t, kappa: next(batched))
+            got = model.put_prices(part)
+            assert got.tobytes() == want.tobytes()
+            # and within round-off of a forward pass per quote
+            assert got == pytest.approx(per_point_put_prices(part, model.sigma), rel=1e-12)
 
 
 class TestSerialization:
