@@ -10,7 +10,11 @@ Submodules:
 * ``ssvi``                SSVI / natural-SVI surfaces and two-step calibration
 * ``local_vol``           Dupire local-vol extraction (finite-difference and analytic)
 * ``backtest``            Monte Carlo and Crank-Nicolson repricing backtests
+* ``serialize``           JSON output and checked reading of model numbers
 * ``cli``                 the ``volsurf`` command-line front end
+
+Importing the package loads no submodule: each is imported where it is used,
+so a command loads only the modules, and the scipy subpackages, it runs.
 """
 
 __version__ = "0.1.0"
@@ -21,8 +25,8 @@ import os as _os
 def _apply_thread_cap() -> None:
     """Let VOLSURF_THREADS cap BLAS/OpenMP threads unless a cap is already set.
 
-    This runs before any submodule imports numpy, because the BLAS libraries
-    read these variables once, when they load.
+    Importing any submodule runs this module first, so the cap is set before
+    numpy loads; the BLAS libraries read these variables once, when they load.
     """
     cap = _os.environ.get("VOLSURF_THREADS")
     if cap:
@@ -31,14 +35,3 @@ def _apply_thread_cap() -> None:
 
 
 _apply_thread_cap()
-
-from . import (  # noqa: E402,F401  (after the thread cap)
-    backtest,
-    black_scholes,
-    constrained_sampling,
-    gp_price_surface,
-    local_vol,
-    market_data,
-    nn_iv,
-    ssvi,
-)

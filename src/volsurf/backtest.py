@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 # implied_vol stays a public name of this module for callers that import it from here
 from .black_scholes import implied_vol, implied_vol_array, put_price  # noqa: F401
@@ -195,6 +194,8 @@ def price_cn(
     produced by the scheme around the payoff kink are counted and clamped at
     zero.  Raises ValueError for fewer than 2 time or 3 strike nodes.
     """
+    from scipy.linalg import solve_banded
+
     if n_t < 2 or n_k < 3:
         raise ValueError(f"CN grid needs at least 2 time and 3 strike nodes, got {n_t} x {n_k}")
     spot = curves.spot

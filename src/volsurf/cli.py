@@ -11,11 +11,12 @@ maps its version to the parsing module (MODEL_MODULES).  A model or local-vol
 document that is missing, not a JSON object, or has a missing or mistyped
 field is an input problem.  Without ``--t-range``, both commands use an SSVI
 model's calibrated maturity range (``t_range``), or a fixed range for an NN
-model.  Every model prices a frame itself (``put_prices``) for the
-train/test report.
+model; a ``--t-range`` must start above 0 and increase.  Every model prices a
+frame itself (``put_prices``) for the train/test report.
 
-Model-specific imports happen inside the handlers.  The VOLSURF_THREADS cap
-is applied by the package itself, before numpy loads (see volsurf/__init__).
+numpy loads when ``main`` runs, and each volsurf module inside the handler that
+uses it, so a command loads only the scipy it runs; the package applies the
+VOLSURF_THREADS cap before any submodule loads numpy (see volsurf/__init__).
 """
 
 from __future__ import annotations
@@ -467,6 +468,9 @@ def main(argv=None) -> int:
                for v in (value if isinstance(value, (list, tuple)) else [value])):
             return _fail(EXIT_INPUT, "input",
                          f"--{name.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "t_range", None) and not 0.0 < args.t_range[0] < args.t_range[1]:
+        return _fail(EXIT_INPUT, "input",
+                     f"--t-range must start above 0 and increase, got {args.t_range}")
     try:
         return args.handler(args)
     except CliInputError as exc:

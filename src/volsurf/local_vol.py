@@ -25,7 +25,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .serialize import number_array
 
@@ -95,6 +94,8 @@ class LocalVolGrid:
         elif not self.mask.any():
             raise ValueError("cannot fill a fully masked grid")
         else:
+            from scipy.ndimage import distance_transform_edt
+
             _, (ti, ki) = distance_transform_edt(~self.mask, return_indices=True)
             filled = self.values[ti, ki]
         self._filled_cache = filled

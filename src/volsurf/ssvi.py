@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize as sopt
 
 from .market_data import MarketFrame
 from .serialize import number
@@ -247,6 +246,8 @@ def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
     count the slice fits stopped there.  Returns the step-1 parameters and
     the refined surface.
     """
+    import scipy.optimize as sopt
+
     maturities, raw_theta = _atm_total_variance(frame)
     if maturities.size < 2:
         raise CalibrationScopeError(

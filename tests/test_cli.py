@@ -40,6 +40,17 @@ def market_args(base):
     ]
 
 
+def fresh_interpreter(code, *args, env=None):
+    """Stdout of code run by a new interpreter that imports volsurf from this checkout."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(volsurf.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "argv",
@@ -601,6 +612,16 @@ class TestFailureContract:
                      id="localvol-t-range-nan"),
         pytest.param(["check-arbitrage", "--model", "NN", "--kappa-min", "nan"],
                      id="check-arbitrage-kappa-min-nan"),
+        # maturity ranges that are not positive, reversed or empty
+        pytest.param(["localvol", "--model", "NN", "--t-range", 0, 2], id="localvol-nn-t-range-0"),
+        pytest.param(["localvol", "--model", "NN", "--t-range", -1, 2],
+                     id="localvol-nn-t-range-negative"),
+        pytest.param(["check-arbitrage", "--model", "NN", "--t-range", 0, 1],
+                     id="check-arbitrage-nn-t-range-0"),
+        pytest.param(["check-arbitrage", "--model", "NN", "--t-range", 2, 1],
+                     id="check-arbitrage-nn-t-range-reversed"),
+        pytest.param(["check-arbitrage", "--model", "SSVI", "--t-range", 1, 1],
+                     id="check-arbitrage-ssvi-t-range-empty"),
         pytest.param(["gen-synthetic", "--sigma", "nan"], id="gen-synthetic-sigma-nan"),
         pytest.param(["gen-synthetic", "--spread", "nan"], id="gen-synthetic-spread-nan"),
         pytest.param(["gen-synthetic", "--spot", "nan"], id="gen-synthetic-spot-nan"),
@@ -640,8 +661,9 @@ class TestFailureContract:
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_thread_cap_set_before_numpy_loads(self, preset, expected):
-        probe = textwrap.dedent(
-            """
+        # volsurf.cli loads no numpy; the first volsurf module that does is
+        # imported after it, as a command's handler would
+        probe = """
             import os, sys
             seen = []
             class Probe:
@@ -650,17 +672,72 @@ class TestFailureContract:
                         seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
             sys.meta_path.insert(0, Probe())
             import volsurf.cli
+            assert not seen, "importing volsurf.cli loaded numpy"
+            import volsurf.market_data
             print(seen)
             """
-        )
         env = {k: v for k, v in os.environ.items()
                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         env["VOLSURF_THREADS"] = "1"
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        src = str(Path(volsurf.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120, check=False)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr([expected])
+        assert fresh_interpreter(probe, env=env).strip() == repr([expected])
+
+
+@pytest.fixture(scope="module")
+def cold_start_inputs(tmp_path_factory):
+    """A 4x8 SSVI book, NN and SSVI models fitted to it, and a local-vol grid."""
+    out = tmp_path_factory.mktemp("cold_start")
+    market = market_args(out / "book")
+    for argv in (
+        ["gen-synthetic", "--kind", "ssvi", "--n-maturities", 4, "--n-strikes", 8,
+         "--out", out / "book"],
+        ["calibrate", "nn", *market, "--epochs", 2, "--penalty-t", 3, "--penalty-k", 3,
+         "--out", out / "nn"],
+        ["calibrate", "ssvi", *market, "--out", out / "ssvi"],
+        ["localvol", "--model", out / "ssvi" / "model.json", "--grid-t", 5, "--grid-k", 5,
+         "--out", out / "lv"],
+    ):
+        assert run(argv) == 0
+    # filling masked cells would load scipy.ndimage; this grid has none
+    assert json.loads((out / "lv" / "summary.json").read_text())["masked_fraction"] == 0.0
+    return {"MARKET": market, "NN": [out / "nn" / "model.json"],
+            "SSVI": [out / "ssvi" / "model.json"], "LV": [out / "lv" / "localvol.json"]}
+
+
+class TestColdStart:
+    BOOK = ["--n-maturities", 4, "--n-strikes", 8]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        pytest.param(["gen-synthetic", "--kind", "flat", *BOOK], [], id="gen-synthetic-flat"),
+        pytest.param(["gen-synthetic", "--kind", "ssvi", *BOOK], [], id="gen-synthetic-ssvi"),
+        # the CEV oracle prices its quotes by Crank-Nicolson
+        pytest.param(["gen-synthetic", "--kind", "cev", *BOOK], ["linalg"],
+                     id="gen-synthetic-cev"),
+        pytest.param(["calibrate", "nn", "MARKET", "--epochs", 2, "--penalty-t", 3,
+                      "--penalty-k", 3], [], id="calibrate-nn"),
+        pytest.param(["localvol", "--model", "NN", "--grid-t", 5, "--grid-k", 5], [],
+                     id="localvol-nn"),
+        pytest.param(["localvol", "--model", "SSVI", "--grid-t", 5, "--grid-k", 5], [],
+                     id="localvol-ssvi"),
+        pytest.param(["check-arbitrage", "--model", "NN"], [], id="check-arbitrage-nn"),
+        pytest.param(["check-arbitrage", "--model", "SSVI"], [], id="check-arbitrage-ssvi"),
+        pytest.param(["backtest", "mc", "--localvol", "LV", "MARKET", "--paths", 200,
+                      "--steps", 5], [], id="backtest-mc"),
+        pytest.param(["backtest", "cn", "--localvol", "LV", "MARKET", "--cn-t", 10,
+                      "--cn-k", 20], ["linalg"], id="backtest-cn"),
+    ])
+    def test_command_loads_only_the_scipy_it_runs(self, argv, loaded, cold_start_inputs,
+                                                 tmp_path):
+        argv = [str(x) for arg in argv for x in cold_start_inputs.get(arg, [arg])]
+        if argv[0] != "check-arbitrage":
+            argv += ["--out", str(tmp_path / "out")]
+        probe = """
+            import json, sys
+            from volsurf import cli
+            code = cli.main(json.loads(sys.argv[1]))
+            heavy = ("optimize", "linalg", "sparse", "ndimage")
+            print(json.dumps([code, [name for name in heavy if "scipy." + name in sys.modules]]))
+            """
+        last_line = fresh_interpreter(probe, json.dumps(argv)).splitlines()[-1]
+        assert json.loads(last_line) == [0, loaded]
