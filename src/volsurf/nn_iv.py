@@ -22,13 +22,14 @@ place, one over the data points and at most two over penalty-grid blocks
 ``BLOCK_WIDTH`` points wide.  An epoch runs the data pass, then the grid
 block by block, summing the penalty terms and gradients as it goes: each
 grid point's penalty adjoints depend on that point alone, and a block's
-arrays stay in cache.  The run is scored
-by its best epoch's loss and components, computed on that workspace (or,
-with no epochs, by one pass over it).  It is dropped when the run returns;
-nothing is cached between runs.  The in-place passes keep the operation
-order of the plain array expressions, so the model bytes are those of
-fresh arrays.  Passes outside training (``sigma``, ``forward_theta``,
-``loss``) build their own arrays per call.
+arrays stay in cache.  Every penalty is a hinge, so a block whose three
+hinge sums are zero has no active point and a zero penalty gradient: it
+skips its backward pass.  The run is scored by its best epoch's loss and
+components, computed on that workspace (or, with no epochs, by one pass over
+it).  It is dropped when the run returns; nothing is cached between runs.
+The in-place passes keep the operation order of the plain array expressions,
+so the model bytes are those of fresh arrays.  Passes outside training
+(``sigma``, ``forward_theta``, ``loss``) build their own arrays per call.
 """
 
 from __future__ import annotations
@@ -483,6 +484,7 @@ class _Workspace:
         self.data = _Pass(sizes, n_data, block=True)
         self.grid = _Pass(sizes, width, block=True)
         self.tail = _Pass(sizes, m % width, block=True) if m % width else None
+        self.penalty_blocks = self.penalty_blocks_backpropagated = 0
 
     def blocks(self):
         """(columns, pass) of each penalty-grid block in turn."""
@@ -571,9 +573,14 @@ def _loss_and_grads(
         theta_tuple = _theta_tuple(model, gstate)
         pieces = _penalty_pieces(*theta_tuple, kappa)
         _, _, cal_neg, butt_neg, _, _, _, band_excess, _ = pieces
-        for i, v in enumerate((cal_neg, butt_neg, band_excess)):
-            sums[i] += float(np.sum(v))
-        if with_grads:
+        block_sums = [float(np.sum(v)) for v in (cal_neg, butt_neg, band_excess)]
+        sums = [s + b for s, b in zip(sums, block_sums)]
+        if not with_grads:
+            continue
+        ws.penalty_blocks += 1
+        # zero hinge sums: no active point; a NaN sum is truthy and backpropagates
+        if any(block_sums):
+            ws.penalty_blocks_backpropagated += 1
             block_grads = _penalty_backward(model, gstate, theta_tuple, pieces, kappa, scale)
             for acc, g in zip(grads, block_grads):
                 acc += g
@@ -636,7 +643,8 @@ def _penalty_backward(model, gstate, theta_tuple, pieces, kap, scale):
 
 
 def _train_once(frame_t, frame_kappa, frame_iv, w, lambdas, grid, seed, spot, epochs):
-    """One training run: (model, history, (total, components), best epoch).
+    """One training run: (model, history, (total, components), best epoch,
+    (penalty-grid blocks the epochs visited, blocks they backpropagated)).
 
     The network has HIDDEN layers and Adam takes LEARNING_RATE steps.  The
     model holds the parameters the best epoch scored, before its Adam step.
@@ -688,7 +696,8 @@ def _train_once(frame_t, frame_kappa, frame_iv, w, lambdas, grid, seed, spot, ep
         best_score = (total, comp)
     else:
         model.weights, model.biases = best_params
-    return model, history, best_score, best_epoch
+    blocks = (workspace.penalty_blocks, workspace.penalty_blocks_backpropagated)
+    return model, history, best_score, best_epoch, blocks
 
 
 def _observations(frame: MarketFrame):
@@ -747,7 +756,7 @@ def train(
     if lambda_search:
         ranked = []
         for idx, lam in enumerate(LAMBDA_CANDIDATES):
-            _, _, (_, comp), _ = _train_once(
+            _, _, (_, comp), _, _ = _train_once(
                 data_t, data_kappa, data_iv, w, lam, grid,
                 seed=seed + idx, spot=spot, epochs=SEARCH_EPOCHS,
             )
@@ -763,7 +772,7 @@ def train(
         ranked.sort()
         lambdas = ranked[0][2]
 
-    model, history, (total, comp), best_epoch = _train_once(
+    model, history, (total, comp), best_epoch, blocks = _train_once(
         data_t, data_kappa, data_iv, w, lambdas, grid, seed=seed, spot=spot, epochs=epochs,
     )
     report = {
@@ -772,6 +781,8 @@ def train(
         "lambdas": list(lambdas),
         "epochs": epochs,
         "best_epoch": best_epoch,
+        "penalty_blocks": blocks[0],
+        "penalty_blocks_backpropagated": blocks[1],
         "n_observations": int(data_t.size),
         "duplicates_collapsed": n_dupes,
         "lambda_search": search_summary,

@@ -127,6 +127,16 @@ class TestSolveQp:
         assert qp_objective(q, c, res.x) == pytest.approx(val_ref, abs=1e-6 * (1.0 + abs(val_ref)))
         assert np.min(a @ res.x - b) >= -1e-7
 
+    @pytest.mark.xfail(
+        strict=True, raises=QpConvergenceError,
+        reason="ROADMAP item 2a: separate primal and dual step lengths cycle on this QP",
+    )
+    def test_cycling_qp_converges(self):
+        # min 1.375 x^2 s.t. x >= -0.1 and, twice, -2x >= -0.1  ->  x* = 0
+        p = QuadProgram(q=[[2.75]], c=[0.0], a_ineq=[[1.0], [-2.0], [-2.0]], b_ineq=[-0.1] * 3)
+        res = solve_qp(p)
+        assert res.x[0] == pytest.approx(0.0, abs=1e-7)
+
     def test_solution_beats_random_feasible_points(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

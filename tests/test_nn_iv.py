@@ -337,6 +337,76 @@ class TestWorkspace:
             model.weights = [w - 0.5 * g for w, g in zip(model.weights, grads[:n_w])]
             model.biases = [b - 0.5 * g for b, g in zip(model.biases, grads[n_w:])]
 
+    @pytest.mark.parametrize(
+        "hidden, grid, band",
+        [((6, 5), (16, 64), (0.01, 0.09)), ((16, 9), (23, 31), nn_iv.VARIANCE_BAND),
+         ((8, 8, 8), (40, 40), nn_iv.VARIANCE_BAND)],
+    )
+    def test_skipped_blocks_bitwise_against_allocating_oracle(self, hidden, grid, band,
+                                                              monkeypatch):
+        # blocks with no active hinge skip the backward pass, the others run it
+        rng = np.random.default_rng(grid[0] * 31 + len(hidden))
+        model = lively_model(grid[1], hidden)
+        t, kappa, iv, weights = random_data(rng, 13)
+        monkeypatch.setattr(nn_iv, "VARIANCE_BAND", band)
+        pen = (0.7, 1.3, 2.1), build_penalty_grid(grid[0], grid[1])
+        workspace = _Workspace(model, t.size, pen[1])
+        n_w = len(model.weights)
+        for _ in range(3):
+            _, want_grads = allocating_nn_loss_and_grads(model, t, kappa, iv, weights, *pen)
+            _, _, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
+            for got, want in zip(grads, want_grads):
+                assert got.tobytes() == want.tobytes()
+            model.weights = [w - 0.5 * g for w, g in zip(model.weights, grads[:n_w])]
+            model.biases = [b - 0.5 * g for b, g in zip(model.biases, grads[n_w:])]
+        assert workspace.penalty_blocks == 3 * len(list(workspace.blocks()))
+        assert 0 < workspace.penalty_blocks_backpropagated < workspace.penalty_blocks
+
+    def test_constant_surface_runs_no_penalty_backward(self, monkeypatch):
+        def no_backward(*args):
+            raise AssertionError("penalty backward pass on a block with no active hinge")
+
+        monkeypatch.setattr(nn_iv, "_penalty_backward", no_backward)
+        rng = np.random.default_rng(4)
+        model = NnIvModel.constant(0.2)
+        t, kappa, iv, weights = random_data(rng, 9)
+        pen = (1.0, 1.0, 1.0), build_penalty_grid(12, 100)
+        workspace = _Workspace(model, t.size, pen[1])
+        _, want_grads = allocating_nn_loss_and_grads(model, t, kappa, iv, weights, *pen)
+        _, _, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+        assert (workspace.penalty_blocks, workspace.penalty_blocks_backpropagated) == (3, 0)
+
+    def test_non_finite_block_runs_penalty_backward(self, monkeypatch):
+        # a NaN grid point makes its block's hinge sums NaN, not zero: that
+        # block's backward pass spreads the NaN into the gradients, as the
+        # full backward pass does, while the data-only gradients are finite
+        rng = np.random.default_rng(6)
+        model = lively_model(2, (8, 8))
+        t, kappa, iv, weights = random_data(rng, 11)
+        grid_t, grid_kappa = build_penalty_grid(12, 100)
+        grid_kappa = grid_kappa.copy()
+        grid_kappa[700] = np.nan
+        pen = (1.0, 1.0, 1.0), (grid_t, grid_kappa)
+        workspace = _Workspace(model, t.size, pen[1])
+        _, want_grads = allocating_nn_loss_and_grads(model, t, kappa, iv, weights, *pen)
+        total, _, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
+        assert math.isnan(total)
+        assert any(np.isnan(g).any() for g in want_grads)
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+        assert workspace.penalty_blocks_backpropagated >= 1
+        _, _, data_grads = _loss_and_grads(model, t, kappa, iv, weights, (0.0, 0.0, 0.0),
+                                           build_penalty_grid(1, 1))
+        assert all(np.isfinite(g).all() for g in data_grads)
+        monkeypatch.setattr(nn_iv, "HIDDEN", (8, 8))
+        with pytest.raises(TrainingError) as err:
+            _train_once(t, kappa, iv, weights, (1.0, 1.0, 1.0), pen[1],
+                        seed=0, spot=SPOT, epochs=5)
+        assert err.value.epoch == 1
+
     @pytest.mark.parametrize("hidden", [(8, 8, 8), (6,), (), (9, 4)])
     def test_one_off_forwards_bitwise(self, hidden):
         rng = np.random.default_rng(len(hidden))
