@@ -51,6 +51,7 @@ class BacktestReport:
     iv_rmse: float
     n_iv_failures: int
     runtime: float
+    diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -60,6 +61,7 @@ class BacktestReport:
             "n_iv_failures": self.n_iv_failures,
             "n_options": len(self.rows),
             "runtime_seconds": self.runtime,
+            "diagnostics": self.diagnostics,
             "rows": self.rows,
         }
 
@@ -76,6 +78,11 @@ class BacktestReport:
 # ---------------------------------------------------------------------------
 
 
+def mc_time_grid(maturities, n_steps: int) -> np.ndarray:
+    """A uniform n_steps grid from 0 to the last maturity, joined with the maturities."""
+    return np.unique(np.concatenate([np.linspace(0.0, max(maturities), n_steps + 1), maturities]))
+
+
 def price_mc(
     lv: LocalVolGrid,
     curves: CurveSet,
@@ -87,24 +94,24 @@ def price_mc(
     """Price puts by Monte Carlo under the local-vol dynamics.
 
     options is a sequence of (maturity, strike).  Returns (prices, stderrs)
-    in currency.  The time grid is the union of a uniform n_steps grid and
-    the option maturities, so each payoff is read at its exact expiry; the
-    normals are drawn per step from a counter-based generator, making the
+    in currency.  On the ``mc_time_grid`` each payoff is read and discounted
+    at its exact expiry, and each step makes one ``lv.lookup`` for all paths;
+    the normals are drawn per step from a counter-based generator, making the
     result a function of (seed, n_paths, n_steps) only.  Raises ValueError
-    for fewer than one path.
+    for fewer than one path or one step.
     """
     if n_paths < 1:
         raise ValueError(f"need at least one Monte Carlo path, got {n_paths}")
+    if n_steps < 1:
+        raise ValueError(f"need at least one Monte Carlo time step, got {n_steps}")
     options = [(float(t), float(k)) for t, k in options]
     if not options:
         return np.zeros(0), np.zeros(0)
-    t_max = max(t for t, _ in options)
-    times = np.unique(
-        np.concatenate([np.linspace(0.0, t_max, n_steps + 1), [t for t, _ in options]])
-    )
+    times = mc_time_grid([t for t, _ in options], n_steps)
     by_time = {}
     for idx, (t, k) in enumerate(options):
         by_time.setdefault(float(t), []).append(idx)
+    discounts = {t: float(curves.discount(t)) for t in by_time}
 
     rng = np.random.default_rng(np.random.Philox(seed))
     log_spot = math.log(curves.spot)
@@ -119,7 +126,7 @@ def price_mc(
         spot_now = np.exp(x)
         for opt_idx in by_time.get(float(time_value), []):
             t_opt, strike = options[opt_idx]
-            payoff = np.maximum(strike - spot_now, 0.0) * float(curves.discount(t_opt))
+            payoff = np.maximum(strike - spot_now, 0.0) * discounts[t_opt]
             sums[opt_idx] = payoff.sum()
             sq_sums[opt_idx] = (payoff * payoff).sum()
         return spot_now
@@ -302,22 +309,28 @@ def run_backtest(
     seed: int = 0,
     cn_grid: tuple = (100, 100),
 ) -> BacktestReport:
-    """Reprice every frame quote under the local-vol grid and report errors."""
+    """Reprice every frame quote under the local-vol grid; report errors and diagnostics."""
     options = list(zip(frame.maturity.tolist(), frame.strike.tolist()))
     start = time.perf_counter()
     if method == "mc":
-        prices, _ = price_mc(
+        prices, stderrs = price_mc(
             lv, frame.curves, options, n_paths=n_paths, n_steps=n_steps, seed=seed
         )
+        diagnostics = {"paths": n_paths, "time_levels": mc_time_grid(frame.maturity, n_steps).size,
+                       "max_price_stderr": stderrs.max(), "mean_price_stderr": stderrs.mean()}
     elif method == "cn":
         solution = price_cn(
             lv, frame.curves, t_max=max(t for t, _ in options),
             n_t=cn_grid[0], n_k=cn_grid[1],
         )
         prices = cn_option_prices(solution, frame.curves, options)
+        diagnostics = {"time_levels": cn_grid[0], "strike_nodes": cn_grid[1],
+                       "negative_values_clamped": solution.diagnostics["negative_values_clamped"]}
     else:
         raise ValueError(f"unknown backtest method {method!r}")
-    return report(prices, frame, method, runtime=time.perf_counter() - start)
+    rep = report(prices, frame, method, runtime=time.perf_counter() - start)
+    rep.diagnostics = diagnostics
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ class LocalVolGrid:
     cap: float | None = None
     diagnostics: dict = field(default_factory=dict)
     _filled_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _k_step: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t_axis = np.asarray(self.t_axis, dtype=float)
@@ -70,6 +71,10 @@ class LocalVolGrid:
             raise ValueError(f"values/mask must have shape {shape}")
         if np.any(self.values[self.mask] < 0.0):
             raise ValueError("masked-valid local vol values must be nonnegative")
+        # a strike axis within 8 ulps of k0 + j h finds its cells by arithmetic
+        step = (self.k_axis[-1] - self.k_axis[0]) / (self.k_axis.size - 1)
+        drift = np.abs(self.k_axis - (self.k_axis[0] + step * np.arange(self.k_axis.size)))
+        self._k_step = step if drift.max() <= 8.0 * np.spacing(np.abs(self.k_axis).max()) else None
 
     @classmethod
     def flat(cls, sigma, t_axis, k_axis):
@@ -102,10 +107,33 @@ class LocalVolGrid:
         return filled
 
     def lookup(self, t, k):
-        """Bilinear interpolation of the filled values, clamped to the grid's edges."""
-        t = np.clip(np.asarray(t, dtype=float), self.t_axis[0], self.t_axis[-1])
-        k = np.clip(np.asarray(k, dtype=float), self.k_axis[0], self.k_axis[-1])
-        return bilinear(self.t_axis, self.k_axis, self.filled_values(), t, k)
+        """Local vols at one time t (a float) and strikes k, clamped to the grid's edges.
+
+        The two filled rows bracketing t make one row, read linearly in k as
+        row[j] + w (row[j + 1] - row[j]), w clipped to [0, 1].  The cell j is
+        floor((k - k0) / h) on a uniform strike axis, else from ``axis_cells``.
+        NaN strikes give NaN, infinite ones the edge value.
+        """
+        t_axis, k_axis, n_k = self.t_axis, self.k_axis, self.k_axis.size
+        t = float(np.clip(t, t_axis[0], t_axis[-1]))
+        i = min(max(int(np.searchsorted(t_axis, t)) - 1, 0), t_axis.size - 2)
+        w_t = (t - t_axis[i]) / (t_axis[i + 1] - t_axis[i])
+        values = self.filled_values()
+        row = (1 - w_t) * values[i] + w_t * values[i + 1]
+        k = np.asarray(k, dtype=float)
+        if self._k_step is not None:
+            w = np.asarray(k - k_axis[0])
+            w /= self._k_step
+            # fmax/fmin send NaN to cell 0, where it stays NaN through w
+            cell = np.fmin(np.fmax(w, 0.0), n_k - 2).astype(np.intp)
+            w -= cell
+        else:
+            cell, k_lo, k_hi = axis_cells(k_axis, k)
+            w = np.asarray((k - k_lo) / (k_hi - k_lo))
+        np.clip(w, 0.0, 1.0, out=w)
+        w *= np.diff(row).take(cell)
+        w += row.take(cell)
+        return float(w) if w.ndim == 0 else w
 
 
 def axis_cells(axis, x):
@@ -134,8 +162,7 @@ def bilinear(t_axis, k_axis, values, t, k):
     """Bilinear interpolation of values on the (t_axis, k_axis) grid at (t, k).
 
     Points must lie inside the grid: callers clamp or reject the others.  The
-    four corners are gathered from the flattened values, so a scalar t with
-    an array k costs the same as 1-D gathers along one row pair.
+    four corners are gathered from the flattened values.
     """
     it, t_lo, t_hi = axis_cells(t_axis, t)
     ik, k_lo, k_hi = axis_cells(k_axis, k)

@@ -800,11 +800,43 @@ def searchsorted_lookup(lv, t, k):
     return searchsorted_bilinear(lv.t_axis, lv.k_axis, lv.filled_values(), t, k)
 
 
+def row_first_lookup(lv, t, k):
+    """``LocalVolGrid.lookup`` with fresh arrays at every operation.
+
+    The filled rows bracketing the one time t make one row, which is read
+    linearly in k as row[j] + w (row[j + 1] - row[j]), w clipped to [0, 1].
+    On a strike axis whose every node is within 8 ulps of k0 + j h, j is
+    floor((k - k0) / h) clipped to [0, n - 2] and w = (k - k0) / h - j;
+    on any other axis j comes from np.searchsorted and w from the cell's
+    ends.
+    """
+    t_axis, k_axis = lv.t_axis, lv.k_axis
+    values = lv.filled_values()
+    t = float(np.clip(t, t_axis[0], t_axis[-1]))
+    i = int(np.clip(np.searchsorted(t_axis, t) - 1, 0, t_axis.size - 2))
+    w_t = (t - t_axis[i]) / (t_axis[i + 1] - t_axis[i])
+    row = (1 - w_t) * values[i] + w_t * values[i + 1]
+    k = np.asarray(k, dtype=float)
+    n = k_axis.size
+    h = (k_axis[-1] - k_axis[0]) / (n - 1)
+    nodes = k_axis[0] + h * np.arange(n)
+    if np.all(np.abs(k_axis - nodes) <= 8.0 * np.spacing(np.max(np.abs(k_axis)))):
+        g = (k - k_axis[0]) / h
+        j = np.clip(np.floor(np.nan_to_num(g, nan=0.0)), 0, n - 2).astype(int)
+        w = g - j
+    else:
+        j = np.clip(np.searchsorted(k_axis, k) - 1, 0, n - 2)
+        w = (k - k_axis[j]) / (k_axis[j + 1] - k_axis[j])
+    out = row[j] + np.clip(w, 0.0, 1.0) * (row[1:] - row[:-1])[j]
+    return float(out) if out.ndim == 0 else out
+
+
 def allocating_price_mc(lv, curves, options, n_paths, n_steps, seed=0):
     """``backtest.price_mc`` as a loop that allocates every step's arrays.
 
     Two exp(x) per step and a new x each step, with the local vol from
-    ``searchsorted_lookup``; the same draws and the same operation order.
+    ``row_first_lookup`` and a discount factor per option; the same draws
+    and the same operation order.
     """
     options = [(float(t), float(k)) for t, k in options]
     t_max = max(t for t, _ in options)
@@ -830,7 +862,7 @@ def allocating_price_mc(lv, curves, options, n_paths, n_steps, seed=0):
         dt = times[i + 1] - times[i]
         step_carry = carry_vals[i + 1] - carry_vals[i]
         k_coord = np.exp(x) * math.exp(-carry_vals[i])
-        sigma = searchsorted_lookup(lv, times[i], k_coord)
+        sigma = row_first_lookup(lv, times[i], k_coord)
         normals = rng.standard_normal(n_paths)
         x = x + step_carry - 0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * normals
         settle(times[i + 1])

@@ -89,6 +89,11 @@ class TestPriceMc:
         p2, _ = price_mc(lv, curves, options, n_paths=5_000, n_steps=30, seed=11)
         assert np.array_equal(p1, p2)
 
+    @pytest.mark.parametrize("n_steps", [0, -1, -3])
+    def test_fewer_than_one_step_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="time step"):
+            price_mc(flat_grid(), make_curves(), [(1.0, 100.0)], n_paths=10, n_steps=n_steps)
+
     def test_bitwise_the_allocating_loop(self):
         rng = np.random.default_rng(4)
         t_axis = np.geomspace(0.05, 2.0, 9)
@@ -239,6 +244,9 @@ class TestRunBacktest:
         rep = run_backtest(flat_grid(0.2), frame, "cn")
         assert rep.iv_rmse < 0.012
         assert rep.method == "cn"
+        assert rep.diagnostics == {"time_levels": 100, "strike_nodes": 100,
+                                   "negative_values_clamped": 0}
+        assert rep.to_json()["diagnostics"] == rep.diagnostics
 
     def test_mc_deterministic_reports(self):
         curves = make_curves()
@@ -255,6 +263,33 @@ class TestRunBacktest:
         rep2 = run_backtest(flat_grid(0.2), frame, "mc", n_paths=10_000, n_steps=25, seed=9)
         assert rep1.price_rmse == rep2.price_rmse
         assert rep1.iv_rmse == rep2.iv_rmse
+        assert rep1.diagnostics == rep2.diagnostics
+
+    def test_mc_diagnostics(self, monkeypatch):
+        curves = make_curves()
+        quotes = generate_synthetic(
+            SyntheticSpec(kind="flat", maturities=(0.5, 1.0), moneyness=(0.95, 1.0, 1.05)),
+            curves,
+        )
+        frame = build_frame(quotes, curves)
+        lookups = []
+        real = LocalVolGrid.lookup
+
+        def spy(self, t, k):
+            lookups.append(t)
+            return real(self, t, k)
+
+        monkeypatch.setattr(LocalVolGrid, "lookup", spy)
+        rep = run_backtest(flat_grid(0.2), frame, "mc", n_paths=2_000, n_steps=25, seed=9)
+        # 0.04 steps to 1.0, and 0.5 between two of them
+        diagnostics = rep.diagnostics
+        assert diagnostics["time_levels"] == len(lookups) + 1 == 27
+        assert diagnostics["paths"] == 2_000
+        _, stderrs = price_mc(flat_grid(0.2), curves,
+                              list(zip(frame.maturity.tolist(), frame.strike.tolist())),
+                              n_paths=2_000, n_steps=25, seed=9)
+        assert diagnostics["max_price_stderr"] == stderrs.max()
+        assert diagnostics["mean_price_stderr"] == stderrs.mean()
 
     def test_unknown_method(self):
         curves = make_curves()

@@ -123,6 +123,10 @@ class TestCalibrate:
         rep = json.loads((bt_out / "report.json").read_text())
         assert rep["method"] == "cn"
         assert rep["iv_rmse"] < 0.05
+        diagnostics = rep["diagnostics"]
+        assert diagnostics["time_levels"] == 60 and diagnostics["strike_nodes"] == 60
+        assert type(diagnostics["negative_values_clamped"]) is int
+        assert diagnostics["negative_values_clamped"] >= 0
 
         capsys.readouterr()
         code = run(["check-arbitrage", "--model", out / "model.json"])
@@ -269,6 +273,10 @@ class TestBacktestCommand:
             rows.append((out / "rows.csv").read_bytes())
             reports.append(json.loads((out / "report.json").read_text()))
         assert rows[0] == rows[1]
+        diagnostics = reports[0]["diagnostics"]
+        assert diagnostics["paths"] == 4000 and diagnostics["time_levels"] >= 26
+        assert 0.0 < diagnostics["mean_price_stderr"] <= diagnostics["max_price_stderr"]
+        assert np.isfinite(diagnostics["max_price_stderr"])
         # identical up to the wall-clock runtime field
         for doc in reports:
             doc.pop("runtime_seconds")
@@ -593,6 +601,10 @@ class TestFailureContract:
                      id="localvol-ssvi-grid-k-1"),
         pytest.param(["backtest", "mc", "--localvol", "LV", "MARKET", "--paths", 0, "--steps", 5],
                      id="backtest-mc-paths-0"),
+        pytest.param(["backtest", "mc", "--localvol", "LV", "MARKET", "--paths", 50, "--steps", 0],
+                     id="backtest-mc-steps-0"),
+        pytest.param(["backtest", "mc", "--localvol", "LV", "MARKET", "--paths", 50, "--steps", -1],
+                     id="backtest-mc-steps-negative"),
         pytest.param(["backtest", "cn", "--localvol", "LV", "MARKET", "--cn-t", 1],
                      id="backtest-cn-t-1"),
         pytest.param(["backtest", "cn", "--localvol", "LV", "MARKET", "--cn-k", 2],

@@ -22,9 +22,18 @@ from volsurf.local_vol import (
 )
 from volsurf.serialize import dump_json, load_json
 
-from oracles import searchsorted_bilinear
+from oracles import row_first_lookup, searchsorted_bilinear, searchsorted_lookup
 
 S0 = 100.0
+
+# the strike axes a lookup meets: localvol's linspace, the GP's unit axis
+# mapped back to strike, any other increasing axis, and the two-node minimum
+STRIKE_AXES = {
+    "uniform": np.linspace(60.0, 160.0, 17),
+    "affine": 60.0 + np.linspace(0.0, 1.0, 17) * 100.0,
+    "non-uniform": np.geomspace(60.0, 160.0, 17),
+    "two-node": np.array([60.0, 160.0]),
+}
 
 
 def bs_reduced_price(sigma):
@@ -215,18 +224,26 @@ class TestGridOps:
         assert grid.lookup(5.0, 500.0) == pytest.approx(0.5)
 
     def test_lookup_scalar_time_bitwise(self):
+        # every strike axis kind, against the row-first oracle, array and scalar k
         rng = np.random.default_rng(8)
         t_axis = np.geomspace(0.05, 2.5, 13)
-        k_axis = np.linspace(60.0, 160.0, 17)
-        grid = LocalVolGrid(t_axis, k_axis, rng.uniform(0.1, 0.5, (13, 17)),
-                            rng.uniform(size=(13, 17)) > 0.3)
-        k = np.concatenate([rng.uniform(40.0, 180.0, 500), k_axis])
-        times = [0.01, t_axis[0], 0.3, t_axis[6], float(np.nextafter(t_axis[6], 0.0)),
-                 1.7, t_axis[-1], 4.0]
-        for t in times:
-            got = grid.lookup(t, k)
-            want = grid.lookup(np.full(k.size, t), k)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for k_axis in STRIKE_AXES.values():
+            n_k = k_axis.size
+            grid = LocalVolGrid(t_axis, k_axis, rng.uniform(0.1, 0.5, (13, n_k)),
+                                rng.uniform(size=(13, n_k)) > 0.3)
+            grid.mask[0, 0] = True
+            k = np.concatenate([rng.uniform(40.0, 180.0, 500), k_axis,
+                                np.nextafter(k_axis, -np.inf), np.nextafter(k_axis, np.inf)])
+            times = [0.01, t_axis[0], 0.3, t_axis[6], float(np.nextafter(t_axis[6], 0.0)),
+                     1.7, t_axis[-1], 4.0]
+            for t in times:
+                got = grid.lookup(t, k)
+                want = row_first_lookup(grid, t, k)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                for point in k[::37].tolist():
+                    got = grid.lookup(t, point)
+                    want = row_first_lookup(grid, t, point)
+                    assert type(got) is float and got == want
 
     def test_json_round_trip(self, tmp_path):
         grid = self.make_grid()
@@ -307,6 +324,87 @@ class TestAxisCells:
         monkeypatch.setattr(np, "searchsorted", no_search)
         cell, _, _ = axis_cells(axis, x)
         assert cell.min() == 0 and cell.max() == 48
+
+
+class TestLookup:
+    def make_grid(self, k_axis, seed=5):
+        rng = np.random.default_rng(seed)
+        t_axis = np.linspace(0.1, 2.0, 7)
+        values = rng.uniform(0.1, 0.5, (t_axis.size, k_axis.size))
+        return LocalVolGrid(t_axis, k_axis, values, np.ones(values.shape, bool))
+
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_axes(), increasing_axes(), st.lists(st.floats(-2e6, 2e6), max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_matches_searchsorted_bilinear(self, t_axis, k_axis, extra, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, (t_axis.size, k_axis.size))
+        grid = LocalVolGrid(t_axis, k_axis, values, np.ones(values.shape, bool))
+        k = probe_points(k_axis, extra)
+        k = k[~np.isnan(k)]
+        # a few ulps of the largest value, plus what a few ulps of a strike,
+        # on the scale of the mean cell width, make of the steepest cell
+        mean_step = (k_axis[-1] - k_axis[0]) / (k_axis.size - 1)
+        k_scale = np.max(np.abs(k_axis)) / mean_step + k_axis.size
+        steepest = np.max(np.abs(np.diff(values, axis=1)))
+        tol = 8.0 * (np.spacing(values.max()) + np.finfo(float).eps * k_scale * steepest)
+        for t in probe_points(t_axis, [])[:-3].tolist():
+            got = grid.lookup(t, k)
+            want = searchsorted_lookup(grid, np.full(k.size, t), k)
+            assert np.max(np.abs(got - want)) <= tol
+
+    @pytest.mark.parametrize("kind", STRIKE_AXES)
+    def test_clamped_to_the_edges(self, kind):
+        grid = self.make_grid(STRIKE_AXES[kind])
+        t_axis, k_axis = grid.t_axis, grid.k_axis
+        k = np.linspace(30.0, 200.0, 41)
+        k_in = np.clip(k, k_axis[0], k_axis[-1])
+        for t, t_edge in [(-1.0, t_axis[0]), (0.0, t_axis[0]), (9.0, t_axis[-1])]:
+            got = grid.lookup(t, k)
+            assert got.tobytes() == grid.lookup(t_edge, k).tobytes()
+            assert got.tobytes() == row_first_lookup(grid, t, k).tobytes()
+            assert np.allclose(got, searchsorted_lookup(grid, np.full(k.size, t), k_in),
+                               rtol=1e-14, atol=0.0)
+        row = grid.filled_values()[-1]
+        assert grid.lookup(9.0, k_axis[0] - 5.0) == row[0]
+        assert grid.lookup(9.0, k_axis[-1] + 5.0) == pytest.approx(row[-1], rel=1e-15)
+
+    @pytest.mark.parametrize("kind", STRIKE_AXES)
+    def test_nonfinite_strikes(self, kind):
+        grid = self.make_grid(STRIKE_AXES[kind])
+        k_axis = grid.k_axis
+        left, right = grid.lookup(0.7, k_axis[0] - 1.0), grid.lookup(0.7, k_axis[-1] + 1.0)
+        assert math.isnan(grid.lookup(0.7, np.nan))
+        assert grid.lookup(0.7, -np.inf) == left
+        assert grid.lookup(0.7, np.inf) == right
+        k = np.array([np.nan, -np.inf, 100.0, np.inf, np.nan])
+        got = grid.lookup(0.7, k)
+        assert np.isnan(got[[0, 4]]).all()
+        assert got[1] == left and got[3] == right
+        assert got[2] == grid.lookup(0.7, 100.0)
+        assert got.tobytes() == row_first_lookup(grid, 0.7, k).tobytes()
+
+    @pytest.mark.parametrize("k_axis, searched", [
+        (STRIKE_AXES["uniform"], False),
+        (STRIKE_AXES["affine"], False),
+        (STRIKE_AXES["two-node"], False),
+        # the strike axis of gen-synthetic's CEV grid
+        (np.linspace(0.2 * S0, 2.2 * S0, 80), False),
+        (STRIKE_AXES["non-uniform"], True),
+    ])
+    def test_uniform_axes_find_cells_by_arithmetic(self, monkeypatch, k_axis, searched):
+        import volsurf.local_vol as local_vol
+
+        calls = []
+
+        def spy(axis, x):
+            calls.append(x)
+            return axis_cells(axis, x)
+
+        monkeypatch.setattr(local_vol, "axis_cells", spy)
+        grid = self.make_grid(k_axis)
+        grid.lookup(0.7, np.linspace(50.0, 250.0, 100))
+        assert bool(calls) is searched
 
 
 class TestBilinear:
