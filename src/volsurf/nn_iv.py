@@ -24,12 +24,17 @@ block by block, summing the penalty terms and gradients as it goes: each
 grid point's penalty adjoints depend on that point alone, and a block's
 arrays stay in cache.  Every penalty is a hinge, so a block whose three
 hinge sums are zero has no active point and a zero penalty gradient: it
-skips its backward pass.  The run is scored by its best epoch's loss and
+skips its backward pass.  Each block is first screened in float32, on
+float32 copies of the network that every call refreshes in place: when
+every point clears every hinge by SCREEN_MARGIN (1 + |x|), far more than the
+float32 pass drifts from the float64 one, the float64 sums are 0.0 too and
+the block is skipped.  Any other block, a non-finite one included, takes
+the float64 pass.  The run is scored by its best epoch's loss and
 components, computed on that workspace (or, with no epochs, by one pass over
 it).  It is dropped when the run returns; nothing is cached between runs.
 The in-place passes keep the operation order of the plain array expressions,
 so the model bytes are those of fresh arrays.  Passes outside training
-(``sigma``, ``forward_theta``, ``loss``) build their own arrays per call.
+(``sigma``, ``forward_theta``) build their own arrays per call.
 """
 
 from __future__ import annotations
@@ -227,19 +232,24 @@ class _Pass:
     allocates them one by one over all its points: a block of tens of MB
     freed after one use raises glibc's mmap threshold to its size, and the
     heap then keeps later allocations of up to that size resident.
+
+    The arrays are float64 unless ``dtype`` says otherwise.  The training
+    screen runs float32 passes on a network whose parameters and input
+    transform are float32 too (``_Workspace.model32``), so no step promotes
+    to float64.
     """
 
-    def __init__(self, sizes, n: int, block: bool = False):
+    def __init__(self, sizes, n: int, block: bool = False, dtype=np.float64):
         # per hidden layer zp, zq, zr (none for the first), f1, a, p, q, r
         counts = [8 if i else 5 for i in range(len(sizes) - 2)]
         rows = ([sizes[0]] + [h for h, k in zip(sizes[1:-1], counts) for _ in range(k)]
                 + [1] * 4 + [max(sizes[1:])] * 3)
         if block:
-            memory = np.empty(sum(rows) * n)
+            memory = np.empty(sum(rows) * n, dtype)
             offsets = np.cumsum([0, *rows]) * n
             views = [memory[lo:lo + h * n].reshape(h, n) for lo, h in zip(offsets, rows)]
         else:
-            views = [np.empty((h, n)) for h in rows]
+            views = [np.empty((h, n), dtype) for h in rows]
         self.n = n
         self.x = views[0]
         self.layers = []
@@ -256,7 +266,7 @@ class _Pass:
         self._s = self._g1 = self._g2 = None
 
     def forward(self, model: NnIvModel, t, kappa) -> "_Pass":
-        self.t = np.asarray(t, dtype=float).ravel()
+        self.t = np.asarray(t, dtype=self.x.dtype).ravel()
         x0, x1 = model.standardized_inputs(self.t, np.asarray(kappa, dtype=float).ravel())
         a = self.x
         a[0], a[1] = x0, x1
@@ -465,6 +475,36 @@ def _penalty_pieces(theta, d_t, d_k, d_kk, kappa):
     return cal, butt, cal_neg, butt_neg, ratio, above, below, band_excess, usable
 
 
+SCREEN_MARGIN = 1e-4
+"""delta of the float32 screen: a grid block is skipped only when every
+point clears every hinge by delta (1 + |x|).  Over every epoch of 300 on the
+README flat and SSVI-skew books, and of nn_skew's 15, the float32 pass moved
+cal, butt and the band differences by at most 3.4e-6 of that scale, a
+thirtieth of this margin."""
+
+
+def _clears_every_hinge(cal, butt) -> bool:
+    """Whether every point of a block clears every hinge by SCREEN_MARGIN.
+
+    The hinges are cal > 0, butt > 0, butt > local_vol.DENOM_FLOOR (a usable
+    Dupire ratio; this test covers butt > 0 too) and the ratio cal / butt
+    strictly inside VARIANCE_BAND.  The band is tested as cal - lo butt > 0
+    and hi butt - cal > 0, each clearing delta (1 + |cal| + |band edge|
+    |butt|): the ratio itself drifts by far more than delta (1 + |ratio|)
+    where butt is small, these differences do not.  A NaN or infinity fails
+    every comparison.
+    """
+    lo, hi = VARIANCE_BAND
+    d = SCREEN_MARGIN
+    cal_abs, butt_abs = np.abs(cal), np.abs(butt)
+    return bool(
+        np.all(cal > d * (1.0 + cal_abs))
+        and np.all(butt > local_vol.DENOM_FLOOR + d * (1.0 + butt_abs))
+        and np.all(cal - lo * butt > d * (1.0 + cal_abs + abs(lo) * butt_abs))
+        and np.all(hi * butt - cal > d * (1.0 + cal_abs + abs(hi) * butt_abs))
+    )
+
+
 class _Workspace:
     """Penalty grid and pass arrays of one training run, built once.
 
@@ -473,7 +513,10 @@ class _Workspace:
     call.  The grid is visited in blocks of ``BLOCK_WIDTH`` columns (all of
     it when it is smaller), so it needs one pass of that width and, when the
     width does not divide the grid, one for the remainder: about 4 MB each
-    for the default 40x40x40 net, whatever the grid size.
+    for the default 40x40x40 net, whatever the grid size.  The float32
+    screen has its own pair of passes, half that size, and float32 copies
+    of the grid's maturities and of the network (``model32``), which
+    ``refresh`` rewrites in place.
     """
 
     def __init__(self, model: NnIvModel, n_data: int, grid):
@@ -482,9 +525,19 @@ class _Workspace:
         m = self.grid_t.size
         width = min(BLOCK_WIDTH, m)
         self.data = _Pass(sizes, n_data, block=True)
-        self.grid = _Pass(sizes, width, block=True)
-        self.tail = _Pass(sizes, m % width, block=True) if m % width else None
+        self.grid, self.tail, self.grid32, self.tail32 = (
+            _Pass(sizes, n, block=True, dtype=dtype) if n else None
+            for dtype in (np.float64, np.float32) for n in (width, m % width)
+        )
+        self.grid_t32 = self.grid_t.astype(np.float32)
+        self.model32 = NnIvModel(
+            weights=[w.astype(np.float32) for w in model.weights],
+            biases=[b.astype(np.float32) for b in model.biases],
+            input_mean=model.input_mean.astype(np.float32),
+            input_scale=model.input_scale.astype(np.float32),
+        )
         self.penalty_blocks = self.penalty_blocks_backpropagated = 0
+        self.penalty_blocks_screened = 0
 
     def blocks(self):
         """(columns, pass) of each penalty-grid block in turn."""
@@ -493,30 +546,25 @@ class _Workspace:
             cols = slice(lo, min(lo + width, m))
             yield cols, self.grid if cols.stop - lo == width else self.tail
 
+    def refresh(self, model: NnIvModel):
+        """Copy the network's parameters into ``model32``, rounded to float32."""
+        m32 = self.model32
+        for dst, src in zip(
+            [*m32.weights, *m32.biases, m32.input_mean, m32.input_scale],
+            [*model.weights, *model.biases, model.input_mean, model.input_scale],
+        ):
+            np.copyto(dst, src)
+        m32.sigma_lo, m32.sigma_hi = np.float32(model.sigma_lo), np.float32(model.sigma_hi)
 
-def loss(
-    model: NnIvModel,
-    data_t: np.ndarray,
-    data_kappa: np.ndarray,
-    data_iv: np.ndarray,
-    w: np.ndarray,
-    lambdas: tuple,
-    grid: tuple,
-):
-    """Penalized training loss and its components.
-
-    total = sqrt(mean((w_i (Sigma_i - iv_i) / iv_i)^2))
-            + mu_w * mean(lambda1 cal^- + lambda2 butt^- + lambda3 band_excess)
-
-    with w the observations' weights (``compute_weights``), mu_w their mean
-    and the means taken over the (T, kappa) arrays of ``grid``
-    (``build_penalty_grid``).  Returns (total, components) with the fit term
-    and each lambda term.
-    """
-    total, comp, _ = _loss_and_grads(
-        model, data_t, data_kappa, data_iv, w, lambdas, grid, with_grads=False
-    )
-    return total, comp
+    def screen(self, cols) -> bool:
+        """Whether the float32 pass over the block at ``cols`` clears every
+        hinge (``_clears_every_hinge``), for the network of the latest
+        ``refresh``."""
+        spass = self.grid32 if cols.stop - cols.start == self.grid32.n else self.tail32
+        kappa = self.grid_kappa[cols]
+        state = spass.forward(self.model32, self.grid_t32[cols], kappa)
+        theta_tuple = _theta_tuple(self.model32, state)
+        return _clears_every_hinge(*local_vol.calendar_butterfly_terms(*theta_tuple, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +611,19 @@ def _loss_and_grads(
         gw_data, gb_data = state.backward(model, bar_sigma_data)
         grads = gw_data + gb_data
 
-    # penalty terms, block by block
+    # penalty terms, block by block; a block the float32 screen clears has
+    # three zero hinge sums, in float64 too, and is skipped
     m_grid = ws.grid_t.size
     scale = [mu_w * v / m_grid for v in lambdas]
     sums = [0.0, 0.0, 0.0]
+    ws.refresh(model)
     for cols, gpass in ws.blocks():
+        screened = ws.screen(cols)
+        if with_grads:
+            ws.penalty_blocks += 1
+            ws.penalty_blocks_screened += screened
+        if screened:
+            continue
         kappa = ws.grid_kappa[cols]
         gstate = gpass.forward(model, ws.grid_t[cols], kappa)
         theta_tuple = _theta_tuple(model, gstate)
@@ -577,7 +633,6 @@ def _loss_and_grads(
         sums = [s + b for s, b in zip(sums, block_sums)]
         if not with_grads:
             continue
-        ws.penalty_blocks += 1
         # zero hinge sums: no active point; a NaN sum is truthy and backpropagates
         if any(block_sums):
             ws.penalty_blocks_backpropagated += 1
@@ -644,7 +699,8 @@ def _penalty_backward(model, gstate, theta_tuple, pieces, kap, scale):
 
 def _train_once(frame_t, frame_kappa, frame_iv, w, lambdas, grid, seed, spot, epochs):
     """One training run: (model, history, (total, components), best epoch,
-    (penalty-grid blocks the epochs visited, blocks they backpropagated)).
+    (penalty-grid blocks the epochs visited, blocks they backpropagated,
+    blocks the float32 screen cleared)).
 
     The network has HIDDEN layers and Adam takes LEARNING_RATE steps.  The
     model holds the parameters the best epoch scored, before its Adam step.
@@ -696,7 +752,8 @@ def _train_once(frame_t, frame_kappa, frame_iv, w, lambdas, grid, seed, spot, ep
         best_score = (total, comp)
     else:
         model.weights, model.biases = best_params
-    blocks = (workspace.penalty_blocks, workspace.penalty_blocks_backpropagated)
+    blocks = (workspace.penalty_blocks, workspace.penalty_blocks_backpropagated,
+              workspace.penalty_blocks_screened)
     return model, history, best_score, best_epoch, blocks
 
 
@@ -783,6 +840,7 @@ def train(
         "best_epoch": best_epoch,
         "penalty_blocks": blocks[0],
         "penalty_blocks_backpropagated": blocks[1],
+        "penalty_blocks_screened": blocks[2],
         "n_observations": int(data_t.size),
         "duplicates_collapsed": n_dupes,
         "lambda_search": search_summary,

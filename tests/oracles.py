@@ -1,7 +1,10 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Nothing in here calls the solvers under test; the point is to compute the
-same answers by a method slow enough to be obviously correct.
+same answers by a method slow enough to be obviously correct.  The two
+exceptions drive the NN training code itself: ``nn_loss`` scores a model as
+training does, and ``DualPrecisionWorkspace`` checks its float32 screen
+against float64 passes.
 """
 
 import math
@@ -10,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from volsurf import local_vol, nn_iv
 from volsurf.black_scholes import put_price, put_vega
 
 
@@ -654,6 +658,69 @@ def allocating_nn_loss_and_grads(model, data_t, data_kappa, data_iv, w, lambdas,
     pen = [mu_w * v * (s / m_grid) for v, s in zip(lambdas, sums)]
     total = fit + pen[0] + pen[1] + pen[2]
     return total, grads
+
+
+def nn_loss(model, data_t, data_kappa, data_iv, w, lambdas, grid):
+    """Penalized training loss and its components, as training scores a model.
+
+    total = sqrt(mean((w_i (Sigma_i - iv_i) / iv_i)^2))
+            + mu_w * mean(lambda1 cal^- + lambda2 butt^- + lambda3 band_excess)
+
+    with w the observations' weights (``compute_weights``), mu_w their mean
+    and the means taken over the (T, kappa) arrays of ``grid``
+    (``build_penalty_grid``).  Returns (total, components).
+    """
+    total, comp, _ = nn_iv._loss_and_grads(
+        model, data_t, data_kappa, data_iv, w, lambdas, grid, with_grads=False
+    )
+    return total, comp
+
+
+class DualPrecisionWorkspace(nn_iv._Workspace):
+    """A training workspace that runs every penalty-grid block in both precisions.
+
+    Each ``screen`` call records (cleared, float64 hinge sums, drift): the
+    float32 screen's verdict, the three sums the float64 pass gives the
+    block, and over its points the largest |x32 - x64| / (1 + |x64|) of cal,
+    butt and the ratio cal / butt (where both butts exceed the ratio's
+    floor), then of edge butt - cal at each band edge, relative to
+    1 + |cal| + |edge| |butt| as the screen's margin is.  A conservative
+    screen clears no block with a non-zero sum.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.audit = []
+
+    def refresh(self, model):
+        super().refresh(model)
+        self.model64 = model
+
+    def screen(self, cols):
+        cleared = super().screen(cols)
+        t, kappa = self.grid_t[cols], self.grid_kappa[cols]
+        x64 = nn_iv._penalty_pieces(
+            *nn_iv._theta_tuple(self.model64, nn_iv._forward(self.model64, t, kappa)), kappa
+        )
+        sums = [float(np.sum(x64[i])) for i in (2, 3, 7)]
+        pass32 = nn_iv._Pass(nn_iv._layer_sizes(self.model32), t.size, dtype=np.float32)
+        pass32.forward(self.model32, t.astype(np.float32), kappa)
+        with np.errstate(all="ignore"):
+            cal, butt = local_vol.calendar_butterfly_terms(
+                *nn_iv._theta_tuple(self.model32, pass32), kappa
+            )
+            usable = (butt > local_vol.DENOM_FLOOR) & x64[8]
+            ratio = cal[usable] / butt[usable]
+            pairs = [(a, b, 1.0 + np.abs(b))
+                     for a, b in ((cal, x64[0]), (butt, x64[1]), (ratio, x64[4][usable]))]
+            # the band as the screen tests it: edge butt - cal, against its
+            # margin's 1 + |cal| + |edge| |butt|
+            pairs += [(edge * butt - cal, edge * x64[1] - x64[0],
+                       1.0 + np.abs(x64[0]) + abs(edge) * np.abs(x64[1]))
+                      for edge in nn_iv.VARIANCE_BAND]
+            drift = [float(np.max(np.abs(a - b) / scale, initial=0.0)) for a, b, scale in pairs]
+        self.audit.append((cleared, sums, drift))
+        return cleared
 
 
 def grouped_nn_observations(frame):

@@ -1,13 +1,18 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    DualPrecisionWorkspace,
     allocating_nn_forward,
     allocating_nn_loss_and_grads,
     dupire_terms,
     grouped_nn_observations,
+    nn_loss,
     per_point_put_prices,
     term_structure_cev_frame,
 )
@@ -21,7 +26,7 @@ from volsurf.market_data import (
     QuoteRecord,
     build_frame,
 )
-from volsurf import nn_iv
+from volsurf import cli, local_vol, nn_iv
 from volsurf.nn_iv import (
     NnIvModel,
     TrainingError,
@@ -32,7 +37,6 @@ from volsurf.nn_iv import (
     _Workspace,
     build_penalty_grid,
     compute_weights,
-    loss,
     model_from_json,
     model_to_json,
     train,
@@ -206,7 +210,7 @@ class TestLoss:
         t, kappa, iv, weights = self.setup_data()
         model = small_model()
         pen = (0.0, 0.0, 0.0), build_penalty_grid(5, 6)
-        total, comp = loss(model, t, kappa, iv, weights, *pen)
+        total, comp = nn_loss(model, t, kappa, iv, weights, *pen)
         assert total == pytest.approx(comp["fit_rmse"])
         assert comp["calendar_penalty"] == 0.0
         assert comp["butterfly_penalty"] == 0.0
@@ -216,7 +220,7 @@ class TestLoss:
         t, kappa, iv, weights = self.setup_data()
         model = NnIvModel.constant(0.2)
         pen = (5.0, 5.0, 5.0), build_penalty_grid(6, 7)
-        total, comp = loss(model, t, kappa, iv, weights, *pen)
+        total, comp = nn_loss(model, t, kappa, iv, weights, *pen)
         assert comp["calendar_penalty"] == 0.0
         assert comp["butterfly_penalty"] == 0.0
         assert comp["band_penalty"] == 0.0
@@ -226,7 +230,7 @@ class TestLoss:
         model = NnIvModel.constant(0.2)
         iv = np.full(4, 0.2)
         pen = (1.0, 1.0, 1.0), build_penalty_grid(5, 5)
-        total, comp = loss(model, t, kappa, iv, weights, *pen)
+        total, comp = nn_loss(model, t, kappa, iv, weights, *pen)
         assert comp["fit_rmse"] == pytest.approx(0.0, abs=1e-14)
 
     def test_band_violation_penalized(self, monkeypatch):
@@ -234,7 +238,7 @@ class TestLoss:
         model = NnIvModel.constant(0.5)  # local variance 0.25 above a 0.04 cap
         monkeypatch.setattr(nn_iv, "VARIANCE_BAND", (1e-4, 0.04))
         pen = (0.0, 0.0, 1.0), build_penalty_grid(5, 5)
-        _, comp = loss(model, t, kappa, iv, weights, *pen)
+        _, comp = nn_loss(model, t, kappa, iv, weights, *pen)
         assert comp["band_penalty"] > 0.0
 
     def test_penalty_components_nonnegative(self):
@@ -242,7 +246,7 @@ class TestLoss:
         for seed in range(5):
             model = small_model(seed)
             pen = (1.0, 2.0, 3.0), build_penalty_grid(6, 6)
-            _, comp = loss(model, t, kappa, iv, weights, *pen)
+            _, comp = nn_loss(model, t, kappa, iv, weights, *pen)
             assert comp["calendar_penalty"] >= 0.0
             assert comp["butterfly_penalty"] >= 0.0
             assert comp["band_penalty"] >= 0.0
@@ -329,7 +333,7 @@ class TestWorkspace:
             )
             total, comp, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
             assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
-            assert loss(model, t, kappa, iv, weights, *pen) == (total, comp)
+            assert nn_loss(model, t, kappa, iv, weights, *pen) == (total, comp)
             assert len(grads) == len(want_grads)
             for got, want in zip(grads, want_grads):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -366,6 +370,9 @@ class TestWorkspace:
         def no_backward(*args):
             raise AssertionError("penalty backward pass on a block with no active hinge")
 
+        def no_pieces(*args):
+            raise AssertionError("float64 penalty pass on a block the screen cleared")
+
         monkeypatch.setattr(nn_iv, "_penalty_backward", no_backward)
         rng = np.random.default_rng(4)
         model = NnIvModel.constant(0.2)
@@ -373,10 +380,13 @@ class TestWorkspace:
         pen = (1.0, 1.0, 1.0), build_penalty_grid(12, 100)
         workspace = _Workspace(model, t.size, pen[1])
         _, want_grads = allocating_nn_loss_and_grads(model, t, kappa, iv, weights, *pen)
+        # a flat surface clears the float32 screen on every block
+        monkeypatch.setattr(nn_iv, "_penalty_pieces", no_pieces)
         _, _, grads = _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
         for got, want in zip(grads, want_grads):
             assert got.tobytes() == want.tobytes()
         assert (workspace.penalty_blocks, workspace.penalty_blocks_backpropagated) == (3, 0)
+        assert workspace.penalty_blocks_screened == 3
 
     def test_non_finite_block_runs_penalty_backward(self, monkeypatch):
         # a NaN grid point makes its block's hinge sums NaN, not zero: that
@@ -441,6 +451,13 @@ class TestWorkspace:
         pen = (1.0, 1.0, 1.0), build_penalty_grid(20, 100)
         workspace = _Workspace(model, t.size, pen[1])
         _loss_and_grads(model, t, kappa, iv, weights, *pen, workspace)
+        # the float32 screen's passes and parameter copies, rewritten in place
+        m32 = workspace.model32
+        screen_arrays = [workspace.grid32.x.base, workspace.tail32.x.base, workspace.grid_t32,
+                         *m32.weights, *m32.biases, m32.input_mean, m32.input_scale]
+        addresses = [a.ctypes.data for a in screen_arrays]
+        model.weights = [w * 1.01 for w in model.weights]
+        model.input_mean = model.input_mean + 0.1
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -450,6 +467,109 @@ class TestWorkspace:
             tracemalloc.stop()
         layer_array = 40 * nn_iv.BLOCK_WIDTH * 8
         assert peak - before < 2 * layer_array
+        assert [a.ctypes.data for a in screen_arrays] == addresses
+        assert all(a.dtype == np.float32 for a in screen_arrays)
+        for got, want in zip([*m32.weights, m32.input_mean], [*model.weights, model.input_mean]):
+            assert got.tobytes() == want.astype(np.float32).tobytes()
+        assert workspace.penalty_blocks == 2 * len(list(workspace.blocks()))
+
+
+def screened_cli_training(tmp_path, monkeypatch, kind, *calibrate_args):
+    """calibrate nn on a 4 x 10 synthetic book with every block audited in
+    both precisions: (report.json, every block visit's audit record)."""
+    built = []
+
+    class Audited(DualPrecisionWorkspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(nn_iv, "_Workspace", Audited)
+    market = tmp_path / "market"
+    assert cli.main(["gen-synthetic", "--kind", kind, "--n-maturities", "4",
+                     "--n-strikes", "10", "--out", str(market)]) == 0
+    assert cli.main(["calibrate", "nn", "--quotes", str(market / "quotes.csv"),
+                     "--rates", str(market / "rates.csv"), "--divs", str(market / "divs.csv"),
+                     "--spot", "100", "--epochs", "5", *calibrate_args,
+                     "--out", str(tmp_path / "nn")]) == 0
+    with open(tmp_path / "nn" / "report.json") as fh:
+        report = json.load(fh)
+    return report, [record for ws in built for record in ws.audit]
+
+
+def hinge_points(*points):
+    cal, butt = np.array(points, dtype=float).T
+    return cal, butt
+
+
+class TestScreen:
+    """The float32 screen clears a block only where float64 finds every hinge sum 0.0."""
+
+    @pytest.mark.parametrize("kind, grid_args, all_cleared", [
+        ("ssvi", (), False), ("flat", (), True),
+        ("ssvi", ("--penalty-t", "7", "--penalty-k", "93"), False),
+    ], ids=["ssvi", "flat", "ssvi-remainder"])
+    def test_ci_books_in_both_precisions(self, kind, grid_args, all_cleared, tmp_path,
+                                         monkeypatch):
+        report, audit = screened_cli_training(tmp_path, monkeypatch, kind, *grid_args)
+        cleared = [sums for ok, sums, _ in audit if ok]
+        assert len(audit) == report["penalty_blocks"] > 0
+        assert len(cleared) == report["penalty_blocks_screened"] > 0
+        assert not [sums for sums in cleared if any(sums)]
+        if all_cleared:
+            assert len(cleared) == len(audit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 10), max_size=3),
+        seed=st.integers(0, 2**16),
+        gain=st.floats(1.0, 40.0),
+        grid=st.tuples(st.integers(1, 8), st.integers(1, 80)),
+        band=st.sampled_from([nn_iv.VARIANCE_BAND, (0.01, 0.09), (0.03, 0.05)]),
+    )
+    def test_random_nets_in_both_precisions(self, hidden, seed, gain, grid, band):
+        model = NnIvModel.initialize(seed=seed, hidden=tuple(hidden), spot=SPOT)
+        rng = np.random.default_rng(seed)
+        model.input_mean = rng.normal(scale=0.3, size=2)
+        model.input_scale = rng.uniform(0.2, 1.0, 2)
+        model.weights[-1] = model.weights[-1] * gain
+        model.biases[-1] = model.biases[-1] + rng.normal(scale=0.5, size=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn_iv, "VARIANCE_BAND", band)
+            ws = DualPrecisionWorkspace(model, 1, build_penalty_grid(*grid))
+            ws.refresh(model)
+            for cols, _ in ws.blocks():
+                ws.screen(cols)
+        assert len(ws.audit) == len(list(ws.blocks()))
+        assert not [sums for ok, sums, _ in ws.audit if ok and any(sums)]
+
+    def test_clear_points_clear(self):
+        # cal 0.04 on butt 1, and the band ratios 0.05 and 2 on smaller butts
+        assert nn_iv._clears_every_hinge(*hinge_points((0.04, 1.0), (0.005, 0.1), (0.2, 0.1)))
+        assert nn_iv._clears_every_hinge(*hinge_points((0.04, 1.0)))
+
+    @pytest.mark.parametrize("point, band", [
+        ((1e-7, 1.0), (0.0, 4.0)),                           # cal just above 0
+        ((-0.01, 1.0), nn_iv.VARIANCE_BAND),                 # cal below 0
+        ((4e-10, local_vol.DENOM_FLOOR + 1e-9), nn_iv.VARIANCE_BAND),   # butt at its floor
+        ((0.04 * 5e-5, 5e-5), nn_iv.VARIANCE_BAND),          # butt under the margin
+        ((-0.04, -1.0), nn_iv.VARIANCE_BAND),                # butt below 0
+        ((1e-4 + 1e-6, 1.0), nn_iv.VARIANCE_BAND),           # ratio 1e-6 inside lo
+        ((4.0 - 1e-6, 1.0), nn_iv.VARIANCE_BAND),            # ratio 1e-6 inside hi
+        ((0.09 - 1e-6, 1.0), (0.01, 0.09)),                  # ... of a patched band
+        ((0.01 * (0.01 + 1e-6), 0.01), (0.01, 0.09)),        # ... on a small butt
+        ((5.0, 1.0), nn_iv.VARIANCE_BAND),                   # ratio above the band
+        ((0.2, 1.0), (0.01, 0.09)),
+        ((math.nan, 1.0), nn_iv.VARIANCE_BAND), ((0.04, math.nan), nn_iv.VARIANCE_BAND),
+        ((math.inf, 1.0), nn_iv.VARIANCE_BAND), ((0.04, math.inf), nn_iv.VARIANCE_BAND),
+    ], ids=["cal-near-0", "cal-negative", "butt-at-floor", "butt-under-margin", "butt-negative",
+            "inside-lo", "inside-hi", "inside-patched-hi", "inside-lo-small-butt", "above",
+            "above-patched", "cal-nan", "butt-nan", "cal-inf", "butt-inf"])
+    def test_points_near_or_past_a_hinge_do_not_clear(self, point, band, monkeypatch):
+        monkeypatch.setattr(nn_iv, "VARIANCE_BAND", band)
+        assert not nn_iv._clears_every_hinge(*hinge_points(point))
+        # one such point keeps a whole block of clear points from clearing
+        assert not nn_iv._clears_every_hinge(*hinge_points(*[(0.05, 1.0)] * 7, point))
 
 
 class TestSoftplus:
@@ -585,13 +705,20 @@ class TestTraining:
             model, report = train(frame, epochs=epochs, penalty_grid=(5, 6),
                                   lambda_search=search, seed=2)
             assert len(built) == runs
-            assert (report["final_total"], report["components"]) == loss(
+            assert (report["final_total"], report["components"]) == nn_loss(
                 model, t, kappa, iv, weights, tuple(report["lambdas"]), build_penalty_grid(5, 6)
             )
+            # the 30-point grid is one block an epoch, on the last run's workspace
+            blocks = [report[k] for k in ("penalty_blocks", "penalty_blocks_backpropagated",
+                                          "penalty_blocks_screened")]
+            assert blocks[0] == epochs
+            assert blocks[1] + blocks[2] <= epochs
             if epochs:
                 assert min(h["total"] for h in report["history"]) == report["final_total"]
+                assert blocks[2] > 0
             else:
                 assert report["best_epoch"] == 0
+                assert blocks == [0, 0, 0]
 
 
 class TestPutPrices:
