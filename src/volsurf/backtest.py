@@ -9,9 +9,11 @@ independent ways and comparing against the market:
   reduced coordinates, dT p = (sigma^2 / 2) k^2 dkk p, which prices every
   (T, k) in one sweep.
 
-``generate_synthetic`` fabricates quote files from closed-form ground truths
-(flat Black-Scholes, an SSVI surface, or a CEV local-vol model priced by the
-CN engine itself), which doubles as the acceptance oracle.
+``generate_synthetic`` fabricates a quote table (``market_data.QUOTE_COLUMNS``)
+from closed-form ground truths (flat Black-Scholes, an SSVI surface, or a CEV
+local-vol model priced by the CN engine itself), which doubles as the
+acceptance oracle; ``write_quotes_csv`` writes it in the CSV format
+``market_data.load_quotes`` reads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 # implied_vol stays a public name of this module for callers that import it from here
 from .black_scholes import implied_vol, implied_vol_array, put_price  # noqa: F401
 from .local_vol import LocalVolGrid, bilinear
-from .market_data import CurveSet, MarketFrame, QuoteRecord
+from .market_data import QUOTE_COLUMNS, CurveSet, MarketFrame
 from .ssvi import SsviParams, check_no_arbitrage, svi_total_variance
 
 log = logging.getLogger(__name__)
@@ -181,8 +183,7 @@ class CnSolution:
 
     def price_at(self, t, k):
         """Currency put price: undo the reduced-price growth factor."""
-        growth = np.exp(self.curves.dividend_curve.integral(t))
-        return self.reduced_at(t, k) / growth
+        return self.reduced_at(t, k) / self.curves.growth(t)
 
 
 def price_cn(
@@ -356,14 +357,18 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("flat", "ssvi", "cev"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.sigma <= 0 or self.spread < 0:
-            raise ValueError("sigma must be positive and spread nonnegative")
+        if self.sigma <= 0 or not 0.0 <= self.spread <= 1.0:
+            raise ValueError(f"sigma must be positive and spread in [0, 1], got sigma "
+                             f"{self.sigma} and spread {self.spread}")
         if not (self.maturities and self.moneyness):
             raise ValueError("need at least one maturity and one moneyness")
+        if min(self.maturities) <= 0.0 or min(self.moneyness) <= 0.0:
+            raise ValueError(f"maturities and moneyness must be positive, got minima "
+                             f"{min(self.maturities)} and {min(self.moneyness)}")
 
 
-def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> list[QuoteRecord]:
-    """Quotes priced by the requested closed-form (or CN-priced CEV) oracle."""
+def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> dict[str, np.ndarray]:
+    """The quote table priced by the requested closed-form (or CN-priced CEV) oracle."""
     maturities = np.asarray(spec.maturities, dtype=float)
     strikes = np.asarray(spec.moneyness, dtype=float) * curves.spot
 
@@ -413,26 +418,18 @@ def generate_synthetic(spec: SyntheticSpec, curves: CurveSet) -> list[QuoteRecor
             log.warning("CEV price at (%.3f, %.1f) not invertible; skipped", ti, ki)
         t, strike, mid, iv = (a[~skipped] for a in (t, strike, mid, iv))
 
-    return [
-        QuoteRecord(
-            maturity=ti, strike=ki, bid=m * (1.0 - spec.spread), ask=m * (1.0 + spec.spread),
-            listed_iv=v,
-        )
-        for ti, ki, m, v in zip(t.tolist(), strike.tolist(), mid.tolist(), iv.tolist())
-    ]
+    bid, ask = mid * (1.0 - spec.spread), mid * (1.0 + spec.spread)
+    return dict(zip(QUOTE_COLUMNS, (t, strike, bid, ask, iv)))
 
 
 def write_quotes_csv(quotes, path) -> None:
+    """Write a quote table as CSV, floats by repr so they read back exactly; a NaN iv is blank."""
+    columns = [np.asarray(quotes[name], dtype=float).tolist() for name in QUOTE_COLUMNS]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["maturity", "strike", "bid", "ask", "iv"])
-        for q in quotes:
-            writer.writerow(
-                [
-                    repr(q.maturity), repr(q.strike), repr(q.bid), repr(q.ask),
-                    "" if q.listed_iv is None else repr(q.listed_iv),
-                ]
-            )
+        writer.writerow(QUOTE_COLUMNS)
+        for *fields, iv in zip(*columns):
+            writer.writerow([*map(repr, fields), "" if math.isnan(iv) else repr(iv)])
 
 
 def write_curve_csv(tenors, values, path) -> None:

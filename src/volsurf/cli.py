@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,8 +67,12 @@ def _load_market(args):
         rate_curve=load_curve(args.rates),
         dividend_curve=load_curve(args.divs),
     )
-    frame = build_frame(quotes, curves)
-    return frame, curves
+    return build_frame(quotes, curves)
+
+
+def _rejected_quotes(frame) -> dict:
+    """The frame's rejected quote rows, counted by reason, for report.json."""
+    return dict(Counter(reason for _, reason in frame.rejected))
 
 
 def _split_frame(frame, holdout: bool):
@@ -106,7 +111,7 @@ def cmd_calibrate(args) -> int:
         filename=str(out / "run.log"), level=logging.INFO, force=True,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    frame, curves = _load_market(args)
+    frame = _load_market(args)
     frame_train, frame_test = _split_frame(frame, not args.no_holdout)
     started = time.perf_counter()
 
@@ -160,7 +165,7 @@ def cmd_calibrate(args) -> int:
         from .ssvi import SsviModel, calibrate, check_no_arbitrage, model_to_json
 
         params, surface = calibrate(frame_train)
-        model = SsviModel(params=params, surface=surface, spot=curves.spot)
+        model = SsviModel(params=params, surface=surface, spot=frame.curves.spot)
         dump_json(model_to_json(model), out / "model.json")
         report = {
             "method": "ssvi",
@@ -176,6 +181,7 @@ def cmd_calibrate(args) -> int:
     report["runtime_seconds"] = time.perf_counter() - started
     report["seed"] = args.seed
     report["n_quotes"] = len(frame)
+    report["rejected_quotes"] = _rejected_quotes(frame)
     dump_json(report, out / "report.json")
     print(json.dumps({"out": str(out), "method": args.method,
                       "train_iv_rmse": report.get("train_iv_rmse"),
@@ -257,7 +263,7 @@ def cmd_backtest(args) -> int:
 
     out = _outdir(args.out)
     lv = _read_document(args.localvol, "local-vol", grid_from_json)
-    frame, _ = _load_market(args)
+    frame = _load_market(args)
     k_needed = frame.reduced_strike
     margin = 0.25 * (lv.k_axis[-1] - lv.k_axis[0])
     if k_needed.min() < lv.k_axis[0] - margin or k_needed.max() > lv.k_axis[-1] + margin:
@@ -266,7 +272,7 @@ def cmd_backtest(args) -> int:
         lv, frame, args.method, n_paths=args.paths, n_steps=args.steps, seed=args.seed,
         cn_grid=(args.cn_t, args.cn_k),
     )
-    dump_json(rep.to_json(), out / "report.json")
+    dump_json({**rep.to_json(), "rejected_quotes": _rejected_quotes(frame)}, out / "report.json")
     rep.write_csv(out / "rows.csv")
     print(json.dumps({"method": args.method, "iv_rmse": rep.iv_rmse,
                       "price_rmse": rep.price_rmse, "out": str(out)}))
@@ -299,16 +305,17 @@ def cmd_gen_synthetic(args) -> int:
         spread=args.spread,
     )
     quotes = generate_synthetic(spec, curves)
+    n_quotes = len(quotes["maturity"])
     write_quotes_csv(quotes, out / "quotes.csv")
     horizon = max(50.0, args.t_max * 2)
     write_curve_csv([0.0, horizon], [args.rate, args.rate], out / "rates.csv")
     write_curve_csv([0.0, horizon], [args.div, args.div], out / "divs.csv")
     dump_json(
         {"kind": args.kind, "spot": args.spot, "rate": args.rate, "div": args.div,
-         "n_quotes": len(quotes)},
+         "n_quotes": n_quotes},
         out / "meta.json",
     )
-    print(json.dumps({"out": str(out), "n_quotes": len(quotes)}))
+    print(json.dumps({"out": str(out), "n_quotes": n_quotes}))
     return EXIT_OK
 
 

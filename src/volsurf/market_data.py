@@ -6,9 +6,12 @@ The calibration methods all work on "reduced" put prices
 
 which strips the drift terms out of the Dupire equation, and on inputs
 rescaled to the unit square so neither coordinate dominates a fit.
-``build_frame`` turns quotes into a ``MarketFrame``: one read-only float
-column per quote field, plus the unit-square scaling, the curves and the
-rejected rows.  Each model's ``put_prices(frame)`` reads those columns.
+``load_quotes`` reads a quote table, a dict of float arrays keyed by
+QUOTE_COLUMNS, and ``backtest.generate_synthetic`` makes one.  ``build_frame``
+is the one place a quote is checked: it drops bad rows by row and reason and
+turns the rest into a ``MarketFrame``: one read-only float column per quote
+field, plus the unit-square scaling, the curves and the rejected rows.  Each
+model's ``put_prices(frame)`` reads those columns.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .black_scholes import implied_vol, implied_vol_array  # noqa: F401
 
 log = logging.getLogger(__name__)
 
+# the quote table's columns, named as in the CSV header; iv is optional there
+QUOTE_COLUMNS = ("maturity", "strike", "bid", "ask", "iv")
+
 # build_frame drops quotes shorter than MIN_MATURITY, and quotes whose listed
 # iv differs from the mid-price iv by more than IV_GAP_TOL of the listed iv
 MIN_MATURITY = 0.055
@@ -43,33 +49,6 @@ class SchemaError(ValueError):
 
 class EmptyInputError(ValueError):
     """No usable rows survived loading or filtering."""
-
-
-@dataclass(frozen=True)
-class QuoteRecord:
-    """One market put quote."""
-
-    maturity: float
-    strike: float
-    bid: float
-    ask: float
-    listed_iv: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.maturity <= 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.bid < 0.0:
-            raise ValueError(f"bid must be nonnegative, got {self.bid}")
-        if self.ask < self.bid:
-            raise ValueError(f"crossed quote: bid {self.bid} > ask {self.ask}")
-        if self.listed_iv is not None and self.listed_iv <= 0.0:
-            raise ValueError(f"listed iv must be positive, got {self.listed_iv}")
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.bid + self.ask)
 
 
 class Curve:
@@ -181,7 +160,10 @@ class MarketFrame:
     One read-only float column per quote field (COLUMNS), all of one length:
     maturity T, strike K, reduced strike k, log-moneyness log(k / spot),
     reduced bid, ask and mid prices, and the mid implied volatility.  The
-    frame copies the columns it is given.  Frames compare by identity.
+    frame copies the columns it is given.  ``rejected`` holds the
+    (quote-table row index from 0, reason) pairs of the rows build_frame
+    dropped; for a table read by load_quotes the index counts CSV data rows.
+    Frames compare by identity.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]] = (
@@ -222,54 +204,35 @@ class MarketFrame:
         )
 
 
-def load_quotes(path) -> list[QuoteRecord]:
-    """Read quotes from a CSV file with header maturity,strike,bid,ask[,iv].
+def load_quotes(path) -> dict[str, np.ndarray]:
+    """Read the quote table from a CSV file with header maturity,strike,bid,ask[,iv].
 
-    Rows with non-numeric or non-positive maturity/strike, negative bids or
-    crossed quotes are rejected; each rejection is logged with its row index.
-    A missing required column raises SchemaError, an entirely empty file
-    raises EmptyInputError, a header-only file returns [] with a warning.
+    Only the file's shape is checked here: a missing required column raises
+    SchemaError, an entirely empty file raises EmptyInputError, and a
+    header-only file gives zero-length columns with a warning.  A blank or
+    unreadable field reads as NaN, and so does the whole iv column of a file
+    without one; ``build_frame`` rejects or ignores such rows.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise EmptyInputError(f"{path}: file is empty")
-        required = ["maturity", "strike", "bid", "ask"]
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in QUOTE_COLUMNS[:4] if c not in reader.fieldnames]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        has_iv = "iv" in reader.fieldnames
+        rows = [[_float_or_nan(row.get(c)) for c in QUOTE_COLUMNS] for row in reader]
 
-        quotes: list[QuoteRecord] = []
-        for index, row in enumerate(reader):
-            try:
-                maturity, strike, bid, ask = (float(row[c]) for c in required)
-            except (TypeError, ValueError):
-                log.warning("row %d rejected: non-numeric field", index)
-                continue
-            listed_iv = None
-            if has_iv:
-                raw = (row["iv"] or "").strip()
-                if raw:
-                    try:
-                        listed_iv = float(raw)
-                    except ValueError:
-                        log.warning("row %d: unreadable iv ignored", index)
-                    if listed_iv is not None and listed_iv <= 0.0:
-                        listed_iv = None
-            try:
-                quotes.append(
-                    QuoteRecord(
-                        maturity=maturity, strike=strike, bid=bid, ask=ask, listed_iv=listed_iv
-                    )
-                )
-            except ValueError as exc:
-                reason = "crossed quote" if bid > ask else str(exc)
-                log.warning("row %d rejected: %s", index, reason)
-
-    if not quotes:
+    if not rows:
         log.warning("%s: no quote rows found", path)
-    return quotes
+    columns = np.array(rows, dtype=float).reshape(-1, len(QUOTE_COLUMNS)).T.copy()
+    return dict(zip(QUOTE_COLUMNS, columns))
+
+
+def _float_or_nan(text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def load_curve(path) -> Curve:
@@ -287,46 +250,62 @@ def load_curve(path) -> Curve:
     return Curve(tenors, values)
 
 
-def build_frame(quotes: list[QuoteRecord], curves: CurveSet) -> MarketFrame:
-    """Preprocess quotes into a MarketFrame.
+def build_frame(quotes: dict[str, np.ndarray], curves: CurveSet) -> MarketFrame:
+    """Check a quote table (QUOTE_COLUMNS) and preprocess its good rows into a MarketFrame.
 
-    Drops quotes below MIN_MATURITY, and quotes whose listed implied
-    volatility differs from the mid-price implied volatility (computed with
-    these curves) by more than IV_GAP_TOL relative.  Computes reduced
-    prices, reduced strikes and log-moneyness for the survivors and fits the
-    unit-square scaling to their bounding box.
+    Each rejected row gets one reason, the first of these that applies:
+    a non-finite maturity, strike, bid or ask; maturity or strike not
+    positive; a negative bid; a crossed quote (ask below bid); a maturity
+    below MIN_MATURITY; a mid price outside the no-arbitrage band (no
+    implied volatility under these curves); a listed iv more than
+    IV_GAP_TOL relative from the mid-price iv.  A listed iv that is NaN,
+    infinite or not positive counts as no listed iv.  ``rejected`` holds
+    (row index from 0, reason) pairs, and each is logged once.  Computes
+    reduced prices, reduced strikes and log-moneyness for the survivors and
+    fits the unit-square scaling to their bounding box.  Raises ValueError
+    if the curves end before the longest maturity that passes the first
+    four checks, and EmptyInputError if no row survives.
     """
-    max_t = max((q.maturity for q in quotes), default=0.0)
-    if quotes and min(curves.rate_curve.max_tenor, curves.dividend_curve.max_tenor) < max_t:
-        raise ValueError("curves do not cover the longest quote maturity")
-
-    maturity, strike, bid, ask = (
-        np.array([getattr(q, name) for q in quotes], dtype=float)
-        for name in ("maturity", "strike", "bid", "ask")
-    )
-    listed_iv = np.array(
-        [math.nan if q.listed_iv is None else q.listed_iv for q in quotes], dtype=float
+    maturity, strike, bid, ask, listed_iv = (
+        np.asarray(quotes[name], dtype=float) for name in QUOTE_COLUMNS
     )
     reasons: dict[int, str] = {}
-    for index in np.flatnonzero(maturity < MIN_MATURITY).tolist():
-        reasons[index] = "below minimum maturity"
+    keep = np.ones(maturity.size, dtype=bool)
 
-    idx = np.flatnonzero(maturity >= MIN_MATURITY)
-    t, strike, bid, ask, listed_iv = (a[idx] for a in (maturity, strike, bid, ask, listed_iv))
-    mid = 0.5 * (bid + ask)
-    mid_iv = implied_vol_array(mid, curves.forward(t), strike, t, curves.discount(t))
-    for index in idx[np.isnan(mid_iv)].tolist():
-        reasons[index] = "mid price outside arbitrage band"
-    with np.errstate(invalid="ignore"):
-        inconsistent = np.abs(listed_iv - mid_iv) / listed_iv > IV_GAP_TOL
-    for index in idx[inconsistent].tolist():
-        reasons[index] = "listed iv inconsistent with mid price"
+    def reject(mask, reason: str) -> None:
+        for index in np.flatnonzero(keep & mask).tolist():
+            reasons[index] = reason
+        keep[mask] = False
+
+    reject(~(np.isfinite(maturity) & np.isfinite(strike) & np.isfinite(bid) & np.isfinite(ask)),
+           "non-numeric field")
+    reject((maturity <= 0.0) | (strike <= 0.0), "maturity or strike not positive")
+    reject(bid < 0.0, "negative bid")
+    reject(ask < bid, "crossed quote")
+    max_t = maturity[keep].max(initial=0.0)
+    if min(curves.rate_curve.max_tenor, curves.dividend_curve.max_tenor) < max_t:
+        raise ValueError("curves do not cover the longest quote maturity")
+    reject(maturity < MIN_MATURITY, "below minimum maturity")
+
+    idx = np.flatnonzero(keep)
+    t = maturity[idx]
+    with np.errstate(invalid="ignore"):  # inf - inf in a row rejected above
+        mid = 0.5 * (bid + ask)
+    mid_iv = np.full(maturity.size, math.nan)
+    mid_iv[idx] = implied_vol_array(mid[idx], curves.forward(t), strike[idx], t,
+                                    curves.discount(t))
+    reject(np.isnan(mid_iv), "mid price outside arbitrage band")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(listed_iv - mid_iv) / listed_iv
+    reject(np.isfinite(listed_iv) & (listed_iv > 0.0) & (gap > IV_GAP_TOL),
+           "listed iv inconsistent with mid price")
     rejected = tuple(sorted(reasons.items()))
+    for index, reason in rejected:
+        log.warning("row %d rejected: %s", index, reason)
 
-    keep = ~np.isnan(mid_iv) & ~inconsistent
     if not keep.any():
         raise EmptyInputError("all quotes were filtered out")
-    t, strike, mid_iv = t[keep], strike[keep], mid_iv[keep]
+    t, strike, mid_iv = maturity[keep], strike[keep], mid_iv[keep]
     growth = curves.growth(t)
     ks = curves.reduced_strike(strike, t)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from volsurf import local_vol, nn_iv
 from volsurf.black_scholes import put_price, put_vega
+from volsurf.market_data import QUOTE_COLUMNS
 
 
 def brute_force_qp(q, c, a, b, feas_tol=1e-9):
@@ -376,26 +377,61 @@ def scalar_implied_vol(price, forward, strike, maturity, discount=1.0,
     return float(vol)
 
 
+def quote_table(rows):
+    """A quote table (market_data.QUOTE_COLUMNS) from (T, K, bid, ask, iv) rows.
+
+    An iv of None is NaN, as a blank CSV field reads.
+    """
+    values = [[math.nan if v is None else float(v) for v in row] for row in rows]
+    columns = np.array(values, dtype=float).reshape(-1, len(QUOTE_COLUMNS)).T
+    return {name: column.copy() for name, column in zip(QUOTE_COLUMNS, columns)}
+
+
+def quote_rows(quotes):
+    """A quote table's rows as (T, K, bid, ask, iv) tuples of Python floats."""
+    return list(zip(*(np.asarray(quotes[name], dtype=float).tolist() for name in QUOTE_COLUMNS)))
+
+
 def scalar_frame_points(quotes, curves, min_maturity=0.055, iv_gap_tol=0.05):
-    """build_frame's points and rejections, one quote and one curve call at a time."""
+    """build_frame's points and rejections, one quote and one curve call at a time.
+
+    Each rejected row gets the first reason of build_frame's ordered list.
+    """
+    cover = min(curves.rate_curve.max_tenor, curves.dividend_curve.max_tenor)
     points, rejected = [], []
-    for index, q in enumerate(quotes):
-        if q.maturity < min_maturity:
+    for index, (t, strike, bid, ask, listed_iv) in enumerate(quote_rows(quotes)):
+        if not all(math.isfinite(x) for x in (t, strike, bid, ask)):
+            rejected.append((index, "non-numeric field"))
+            continue
+        if t <= 0.0 or strike <= 0.0:
+            rejected.append((index, "maturity or strike not positive"))
+            continue
+        if bid < 0.0:
+            rejected.append((index, "negative bid"))
+            continue
+        if ask < bid:
+            rejected.append((index, "crossed quote"))
+            continue
+        if t > cover:
+            raise ValueError("curves do not cover the longest quote maturity")
+        if t < min_maturity:
             rejected.append((index, "below minimum maturity"))
             continue
-        growth = float(curves.growth(q.maturity))
-        k = float(curves.reduced_strike(q.strike, q.maturity))
-        forward = float(curves.forward(q.maturity))
-        discount = float(curves.discount(q.maturity))
-        mid_iv = scalar_implied_vol(q.mid, forward, q.strike, q.maturity, discount)
+        mid = 0.5 * (bid + ask)
+        growth = float(curves.growth(t))
+        k = float(curves.reduced_strike(strike, t))
+        forward = float(curves.forward(t))
+        discount = float(curves.discount(t))
+        mid_iv = scalar_implied_vol(mid, forward, strike, t, discount)
         if mid_iv is None:
             rejected.append((index, "mid price outside arbitrage band"))
             continue
-        if q.listed_iv is not None and abs(q.listed_iv - mid_iv) / q.listed_iv > iv_gap_tol:
+        if (math.isfinite(listed_iv) and listed_iv > 0.0
+                and abs(listed_iv - mid_iv) / listed_iv > iv_gap_tol):
             rejected.append((index, "listed iv inconsistent with mid price"))
             continue
-        points.append((q.maturity, q.strike, k, math.log(k / curves.spot), growth * q.bid,
-                       growth * q.ask, growth * q.mid, mid_iv))
+        points.append((t, strike, k, math.log(k / curves.spot), growth * bid,
+                       growth * ask, growth * mid, mid_iv))
     return points, rejected
 
 

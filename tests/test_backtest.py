@@ -21,7 +21,6 @@ from volsurf.local_vol import LocalVolGrid
 from volsurf.market_data import (
     Curve,
     CurveSet,
-    QuoteRecord,
     build_frame,
     load_curve,
     load_quotes,
@@ -30,6 +29,8 @@ from volsurf.market_data import (
 from oracles import (
     allocating_price_mc,
     frame_rows,
+    quote_rows,
+    quote_table,
     scalar_frame_points,
     scalar_report,
     scalar_synthetic_quotes,
@@ -319,19 +320,19 @@ class TestGenerateSynthetic:
             SyntheticSpec(kind="flat", sigma=0.2, maturities=(0.5, 1.0), moneyness=(0.9, 1.0)),
             curves,
         )
-        for q in quotes:
-            fwd = float(curves.forward(q.maturity))
-            df = float(curves.discount(q.maturity))
-            iv = implied_vol(q.mid, fwd, q.strike, q.maturity, df)
+        for t, strike, bid, ask, listed_iv in quote_rows(quotes):
+            fwd = float(curves.forward(t))
+            df = float(curves.discount(t))
+            iv = implied_vol(0.5 * (bid + ask), fwd, strike, t, df)
             assert iv == pytest.approx(0.2, abs=1e-9)
-            assert q.listed_iv == 0.2
+            assert listed_iv == 0.2
 
     def test_zero_spread_bid_equals_ask(self):
         curves = make_curves()
         quotes = generate_synthetic(
             SyntheticSpec(kind="flat", spread=0.0, maturities=(1.0,), moneyness=(1.0,)), curves
         )
-        assert quotes[0].bid == quotes[0].ask
+        assert quotes["bid"][0] == quotes["ask"][0]
 
     def test_ssvi_passes_arbitrage_check(self):
         curves = make_curves()
@@ -340,8 +341,8 @@ class TestGenerateSynthetic:
                           moneyness=(0.9, 1.0, 1.1)),
             curves,
         )
-        assert len(quotes) == 9
-        assert all(q.listed_iv > 0 for q in quotes)
+        assert len(quotes["maturity"]) == 9
+        assert np.all(quotes["iv"] > 0)
 
     def test_invalid_ssvi_rejected(self):
         curves = make_curves()
@@ -359,11 +360,11 @@ class TestGenerateSynthetic:
                           moneyness=(0.9, 1.0, 1.1)),
             curves,
         )
-        assert len(quotes) == 9
+        assert len(quotes["maturity"]) == 9
         # CEV with beta < 1 has a downward skew in strike
         ivs_by_t = {}
-        for q in quotes:
-            ivs_by_t.setdefault(q.maturity, []).append((q.strike, q.listed_iv))
+        for t, strike, _, _, listed_iv in quote_rows(quotes):
+            ivs_by_t.setdefault(t, []).append((strike, listed_iv))
         for rows in ivs_by_t.values():
             rows.sort()
             ivs = [iv for _, iv in rows]
@@ -373,6 +374,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="kind"):
             SyntheticSpec(kind="heston")
 
+    @pytest.mark.parametrize("kind", ["flat", "ssvi", "cev"])
+    @pytest.mark.parametrize("bad", [
+        {"maturities": (0.0, 1.0)}, {"maturities": (-0.5, 1.0)}, {"moneyness": (0.0, 1.0)},
+        {"spread": 2.0}, {"spread": -0.1},
+    ])
+    def test_bad_ranges_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="positive|spread"):
+            SyntheticSpec(kind=kind, **bad)
+
     def test_quote_csv_round_trip(self, tmp_path):
         curves = make_curves()
         quotes = generate_synthetic(
@@ -380,9 +390,7 @@ class TestGenerateSynthetic:
         )
         path = tmp_path / "quotes.csv"
         write_quotes_csv(quotes, path)
-        back = load_quotes(path)
-        assert len(back) == len(quotes)
-        assert back[0].bid == quotes[0].bid
+        assert quote_rows(load_quotes(path)) == quote_rows(quotes)
 
     def test_curve_csv_round_trip(self, tmp_path):
         path = tmp_path / "rates.csv"
@@ -414,21 +422,26 @@ class TestScalarReference:
     def test_build_frame_and_report(self, monkeypatch):
         curves = self.curves()
         _, quotes, _ = self.cev_book(curves, monkeypatch)
-        # one quote per rejection reason, and one without a listed iv
-        q = quotes[40]
-        quotes += [
-            QuoteRecord(maturity=q.maturity, strike=q.strike, bid=q.bid, ask=q.ask),
-            QuoteRecord(maturity=q.maturity, strike=q.strike, bid=q.strike, ask=q.strike * 2),
-            QuoteRecord(maturity=q.maturity, strike=q.strike, bid=q.bid, ask=q.ask,
-                        listed_iv=q.listed_iv * 1.5),
+        # one quote per rejection reason, and ones with no usable listed iv
+        rows = quote_rows(quotes)
+        t, strike, bid, ask, iv = rows[40]
+        inf, nan = math.inf, math.nan
+        rows += [
+            (nan, strike, bid, ask, iv), (t, strike, inf, ask, iv),
+            (t, 0.0, bid, ask, iv), (-t, strike, -bid, ask, iv),
+            (t, strike, -bid, ask, iv), (0.01, strike, ask, bid, iv),
+            (t, strike, strike, strike * 2, iv), (t, strike, bid, ask, iv * 1.5),
+            (t, strike, bid, ask, nan), (t, strike, bid, ask, 0.0), (t, strike, bid, ask, inf),
         ]
+        quotes = quote_table(rows)
         frame = build_frame(quotes, curves)
         points, rejected = scalar_frame_points(quotes, curves)
         assert frame_rows(frame) == points
         assert np.array(frame_rows(frame)).tobytes() == np.array(points).tobytes()
         assert list(frame.rejected) == rejected
         assert {reason for _, reason in rejected} == {
-            "below minimum maturity", "mid price outside arbitrage band",
+            "non-numeric field", "maturity or strike not positive", "negative bid",
+            "crossed quote", "below minimum maturity", "mid price outside arbitrage band",
             "listed iv inconsistent with mid price",
         }
 
@@ -444,7 +457,7 @@ class TestScalarReference:
     def test_cn_option_prices(self, monkeypatch):
         curves = self.curves()
         _, quotes, cn = self.cev_book(curves, monkeypatch)
-        options = [(q.maturity, q.strike) for q in quotes]
+        options = [(t, k) for t, k, *_ in quote_rows(quotes)]
         want = np.array([cn.price_at(t, float(curves.reduced_strike(k, t))) for t, k in options])
         assert cn_option_prices(cn, curves, options).tobytes() == want.tobytes()
 
@@ -457,8 +470,7 @@ class TestScalarReference:
             spec = SyntheticSpec(kind=kind, maturities=tuple(np.linspace(0.1, 2.5, 7).tolist()),
                                  moneyness=tuple(np.linspace(0.7, 1.4, 15).tolist()))
             quotes, cn = generate_synthetic(spec, curves), None
-        reference = [QuoteRecord(*row[:4], listed_iv=row[4])
-                     for row in scalar_synthetic_quotes(spec, curves, cn)]
+        reference = quote_table(scalar_synthetic_quotes(spec, curves, cn))
         write_quotes_csv(quotes, tmp_path / "got.csv")
         write_quotes_csv(reference, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

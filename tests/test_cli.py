@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,24 @@ class TestGenSynthetic:
             assert (synthetic_dir / name).exists()
         meta = json.loads((synthetic_dir / "meta.json").read_text())
         assert meta["n_quotes"] == 48
+
+    @pytest.mark.parametrize("argv, fragment", [
+        pytest.param(["--t-min", 0], "maturities and moneyness", id="t-min-0"),
+        pytest.param(["--t-min", -0.5], "maturities and moneyness", id="t-min-negative"),
+        pytest.param(["--m-min", 0], "maturities and moneyness", id="m-min-0"),
+        pytest.param(["--spread", 2], "spread in [0, 1]", id="spread-2"),
+        pytest.param(["--kind", "cev", "--t-min", 0], "maturities and moneyness",
+                     id="cev-t-min-0"),
+    ])
+    def test_bad_range_exits_2_before_pricing(self, argv, fragment, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gen-synthetic", *argv, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "input"
+        assert fragment in json.loads(err[0])["message"]
+        assert not (tmp_path / "quotes.csv").exists()
 
 
 class TestCalibrate:
@@ -291,6 +310,43 @@ class TestBacktestCommand:
         )
         assert code == 2
         assert "domain" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestRejectedQuotes:
+    def test_reports_count_rejections_by_reason(self, synthetic_dir, tmp_path):
+        market = tmp_path / "market"
+        market.mkdir()
+        for name in ("rates.csv", "divs.csv"):
+            (market / name).write_bytes((synthetic_dir / name).read_bytes())
+        lines = (synthetic_dir / "quotes.csv").read_text().splitlines()
+        t, strike, bid, ask, _ = lines[1].split(",")
+        bad = ["nan,100,1,2,", "inf,100,1,2,", "1.0,nan,1,2,", "1.0,100,inf,2,",
+               "1.0,0,1,2,", "1.0,100,-1,2,", "1.0,100,5,4,", "0.02,100,1,2,",
+               "1.0,100,200,200,", f"{t},{strike},{bid},{ask},0.5"]
+        (market / "quotes.csv").write_text("\n".join(lines + bad) + "\n")
+        want = {"non-numeric field": 4, "maturity or strike not positive": 1,
+                "negative bid": 1, "crossed quote": 1, "below minimum maturity": 1,
+                "mid price outside arbitrage band": 1,
+                "listed iv inconsistent with mid price": 1}
+
+        for base, tag in ((synthetic_dir, "clean"), (market, "dirty")):
+            assert run(["calibrate", "ssvi", *market_args(base), "--out", tmp_path / tag]) == 0
+        report = json.loads((tmp_path / "dirty" / "report.json").read_text())
+        assert report["rejected_quotes"] == want
+        clean = json.loads((tmp_path / "clean" / "report.json").read_text())
+        assert clean["rejected_quotes"] == {} and clean["n_quotes"] == report["n_quotes"]
+        # the rejected rows leave the fitted problem, and so the model, unchanged
+        model = (tmp_path / "dirty" / "model.json").read_bytes()
+        assert model == (tmp_path / "clean" / "model.json").read_bytes()
+        assert b"rejected_quotes" not in model
+
+        assert run(["localvol", "--model", tmp_path / "dirty" / "model.json",
+                    "--out", tmp_path / "lv", "--grid-t", 6, "--grid-k", 6]) == 0
+        assert run(["backtest", "cn", "--localvol", tmp_path / "lv" / "localvol.json",
+                    *market_args(market), "--out", tmp_path / "bt",
+                    "--cn-t", 20, "--cn-k", 40]) == 0
+        report = json.loads((tmp_path / "bt" / "report.json").read_text())
+        assert report["rejected_quotes"] == want
 
 
 @pytest.fixture(scope="module")

@@ -129,13 +129,18 @@ class TestSolveQp:
 
     @pytest.mark.xfail(
         strict=True, raises=QpConvergenceError,
-        reason="ROADMAP item 2a: separate primal and dual step lengths cycle on this QP",
+        reason="ROADMAP item 1a: separate primal and dual step lengths cycle on these QPs",
     )
-    def test_cycling_qp_converges(self):
+    @pytest.mark.parametrize("q, c, a, b, x_star", [
         # min 1.375 x^2 s.t. x >= -0.1 and, twice, -2x >= -0.1  ->  x* = 0
-        p = QuadProgram(q=[[2.75]], c=[0.0], a_ineq=[[1.0], [-2.0], [-2.0]], b_ineq=[-0.1] * 3)
-        res = solve_qp(p)
-        assert res.x[0] == pytest.approx(0.0, abs=1e-7)
+        pytest.param([[2.75]], [0.0], [[1.0], [-2.0], [-2.0]], [-0.1] * 3, 0.0, id="qp-one"),
+        # min 0.75 x^2 - 3x s.t. x >= 1.9, -2.5x >= -5.1, 0.5x >= 0.5  ->  x* = 2
+        pytest.param([[1.5]], [-3.0], [[1.0], [-2.5], [0.5]], [1.9, -5.1, 0.5], 2.0,
+                     id="qp-two"),
+    ])
+    def test_cycling_qp_converges(self, q, c, a, b, x_star):
+        res = solve_qp(QuadProgram(q=q, c=c, a_ineq=a, b_ineq=b))
+        assert res.x[0] == pytest.approx(x_star, abs=1e-7)
 
     def test_solution_beats_random_feasible_points(self):
         rng = np.random.default_rng(7)

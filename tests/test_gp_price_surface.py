@@ -32,7 +32,6 @@ from volsurf.market_data import (
     Curve,
     CurveSet,
     MarketFrame,
-    QuoteRecord,
     build_frame,
 )
 
@@ -43,6 +42,7 @@ from oracles import (
     kernel,
     marginal_log_likelihood,
     per_point_gp_put_prices,
+    quote_table,
     shape_rows,
     sparse_negative_log_likelihood,
 )
@@ -81,10 +81,8 @@ def flat_vol_frame(sigma=0.2, spread=0.005, n_t=10, n_k=15, spot=100.0, r=0.02, 
         for m in np.linspace(0.85, 1.3, n_k):
             strike = m * spot
             mid = put_price(fwd, strike, t, sigma, df)
-            quotes.append(
-                QuoteRecord(t, strike, mid * (1 - spread), mid * (1 + spread), listed_iv=None)
-            )
-    return build_frame(quotes, curves)
+            quotes.append((t, strike, mid * (1 - spread), mid * (1 + spread), None))
+    return build_frame(quote_table(quotes), curves)
 
 
 class TestMatern:

@@ -8,17 +8,19 @@ from volsurf.black_scholes import put_price
 from volsurf import market_data
 from volsurf.gp_price_surface import quote_observations
 from volsurf.market_data import (
+    QUOTE_COLUMNS,
     AffineScaling,
     Curve,
     CurveSet,
     EmptyInputError,
     MarketFrame,
-    QuoteRecord,
     SchemaError,
     build_frame,
     load_curve,
     load_quotes,
 )
+
+from oracles import quote_rows, quote_table
 
 
 def make_curves(spot=100.0, r=0.02, q=0.01):
@@ -26,37 +28,21 @@ def make_curves(spot=100.0, r=0.02, q=0.01):
 
 
 def synthetic_quotes(curves, maturities, moneyness, vol=0.2, spread=0.01):
-    quotes = []
+    rows = []
     for t in maturities:
         forward = float(curves.forward(t))
         discount = float(curves.discount(t))
         for m in moneyness:
             strike = m * curves.spot
             mid = put_price(forward, strike, t, vol, discount)
-            quotes.append(
-                QuoteRecord(
-                    maturity=t,
-                    strike=strike,
-                    bid=mid * (1 - spread),
-                    ask=mid * (1 + spread),
-                    listed_iv=vol,
-                )
-            )
-    return quotes
+            rows.append((t, strike, mid * (1 - spread), mid * (1 + spread), vol))
+    return quote_table(rows)
 
 
-class TestQuoteRecord:
-    def test_invariants(self):
-        with pytest.raises(ValueError, match="crossed"):
-            QuoteRecord(maturity=1.0, strike=100.0, bid=5.0, ask=4.0)
-        with pytest.raises(ValueError):
-            QuoteRecord(maturity=-1.0, strike=100.0, bid=1.0, ask=2.0)
-        with pytest.raises(ValueError):
-            QuoteRecord(maturity=1.0, strike=0.0, bid=1.0, ask=2.0)
-
-    def test_mid(self):
-        q = QuoteRecord(maturity=1.0, strike=100.0, bid=4.0, ask=6.0)
-        assert q.mid == 5.0
+def write_quotes(path, rows):
+    """A quotes CSV with one line per row of CSV field texts."""
+    path.write_text("maturity,strike,bid,ask,iv\n" + "".join(",".join(r) + "\n" for r in rows))
+    return path
 
 
 class TestCurve:
@@ -83,24 +69,26 @@ class TestLoadQuotes:
         f = tmp_path / "q.csv"
         f.write_text("maturity,strike,bid,ask,iv\n1.0,2800,57.2,58.0,0.182\n")
         quotes = load_quotes(f)
-        assert len(quotes) == 1
-        q = quotes[0]
-        assert (q.maturity, q.strike, q.bid, q.ask, q.listed_iv) == (1.0, 2800.0, 57.2, 58.0, 0.182)
+        assert quote_rows(quotes) == [(1.0, 2800.0, 57.2, 58.0, 0.182)]
+        assert all(quotes[name].dtype == np.float64 for name in QUOTE_COLUMNS)
 
     def test_crossed_quote_rejected(self, tmp_path, caplog):
         f = tmp_path / "q.csv"
-        f.write_text("maturity,strike,bid,ask,iv\n1.0,100,5.0,4.0,0.2\n1.0,100,4.0,5.0,0.2\n")
+        f.write_text("maturity,strike,bid,ask,iv\n1.0,100,5.0,4.0,0.2\n1.0,100,4.0,5.0,\n")
+        quotes = load_quotes(f)
+        assert len(quotes["maturity"]) == 2
         with caplog.at_level("WARNING"):
-            quotes = load_quotes(f)
-        assert len(quotes) == 1
-        assert any("crossed quote" in r.message for r in caplog.records)
+            frame = build_frame(quotes, make_curves())
+        assert len(frame) == 1 and frame.rejected == ((0, "crossed quote"),)
+        assert [r.message for r in caplog.records] == ["row 0 rejected: crossed quote"]
 
     def test_header_only_returns_empty_with_warning(self, tmp_path, caplog):
         f = tmp_path / "q.csv"
         f.write_text("maturity,strike,bid,ask,iv\n")
         with caplog.at_level("WARNING"):
             quotes = load_quotes(f)
-        assert quotes == []
+        assert sorted(quotes) == sorted(QUOTE_COLUMNS)
+        assert all(column.shape == (0,) for column in quotes.values())
         assert any("no quote rows" in r.message for r in caplog.records)
 
     def test_missing_column_raises_schema_error(self, tmp_path):
@@ -122,10 +110,22 @@ class TestLoadQuotes:
             "abc,100,1,2,0.2\n"
             "-1.0,100,1,2,0.2\n"
             "1.0,100,1,2,\n"
+            "1.0,100,1,,0.2\n"
         )
         quotes = load_quotes(f)
-        assert len(quotes) == 1
-        assert quotes[0].listed_iv is None
+        # unreadable and blank fields read as NaN; build_frame rejects the rows
+        assert np.isnan(quotes["maturity"][0]) and np.isnan(quotes["ask"][3])
+        assert np.isnan(quotes["iv"][2])
+        frame = build_frame(quotes, make_curves())
+        assert len(frame) == 1 and frame.maturity[0] == 1.0
+        assert frame.rejected == ((0, "non-numeric field"), (1, "maturity or strike not positive"),
+                                  (3, "non-numeric field"))
+
+    def test_file_without_iv_column_has_nan_iv(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text("maturity,strike,bid,ask\n1.0,100,1,2\n0.5,90,0.5,0.6\n")
+        quotes = load_quotes(f)
+        assert np.isnan(quotes["iv"]).all() and quotes["iv"].shape == (2,)
 
 
 class TestLoadCurve:
@@ -160,9 +160,7 @@ class TestBuildFrame:
         curves = make_curves()
         quotes = synthetic_quotes(curves, [1.0], [0.9, 1.0, 1.1], vol=0.212)
         # listed iv says 0.20 while the prices imply 0.212: 6% relative gap
-        quotes = [
-            QuoteRecord(q.maturity, q.strike, q.bid, q.ask, listed_iv=0.20) for q in quotes
-        ]
+        quotes["iv"][:] = 0.20
         with pytest.raises(EmptyInputError):
             build_frame(quotes, curves)
         monkeypatch.setattr(market_data, "IV_GAP_TOL", 0.10)
@@ -174,13 +172,20 @@ class TestBuildFrame:
         quotes = synthetic_quotes(curves, [1.5], [1.0], spread=0.0)
         frame = build_frame(quotes, curves)
         growth = math.exp(curves.dividend_curve.integral(1.5))
-        assert frame.reduced_mid[0] == pytest.approx(growth * quotes[0].mid, rel=1e-14)
+        assert frame.reduced_mid[0] == pytest.approx(growth * quotes["bid"][0], rel=1e-14)
         assert frame.reduced_strike[0] == pytest.approx(
-            quotes[0].strike * math.exp(-(curves.carry(1.5))), rel=1e-14
+            quotes["strike"][0] * math.exp(-(curves.carry(1.5))), rel=1e-14
         )
         assert frame.log_moneyness[0] == pytest.approx(
             math.log(frame.reduced_strike[0] / 100.0)
         )
+
+    def test_mid_is_bid_ask_average(self):
+        curves = make_curves()
+        quotes = synthetic_quotes(curves, [1.0], [1.0], spread=0.2)
+        frame = build_frame(quotes, curves)
+        mid = 0.5 * (quotes["bid"][0] + quotes["ask"][0])
+        assert frame.reduced_mid[0] == float(curves.growth(1.0)) * mid
 
     def test_bid_mid_ask_ordering(self):
         curves = make_curves()
@@ -194,7 +199,8 @@ class TestBuildFrame:
         quotes = synthetic_quotes(curves, [0.02, 0.5, 1.0, 2.0], [0.9, 1.0, 1.1])
         frame = build_frame(quotes, curves)
         # re-feed the raw (unreduced) quotes of the survivors
-        survivors = [q for q in quotes if q.maturity >= 0.055]
+        survivors = {name: column[quotes["maturity"] >= 0.055]
+                     for name, column in quotes.items()}
         frame2 = build_frame(survivors, curves)
         assert len(frame2) == len(frame)
         assert frame2.rejected == ()
@@ -222,6 +228,78 @@ class TestBuildFrame:
         assert u.shape == v.shape == m.shape == d.shape == (len(frame),)
         assert m[0] == 0.5 * (frame.reduced_bid[0] + frame.reduced_ask[0])
         assert d[0] == frame.reduced_bid[0] - frame.reduced_ask[0]
+
+
+def csv_fields(quotes):
+    """A quote table's rows as CSV field texts, as write_quotes_csv writes them."""
+    return [["" if math.isnan(v) else repr(v) for v in row] for row in quote_rows(quotes)]
+
+
+class TestBuildFrameRejections:
+    """build_frame is the one place a quote is checked; rows are CSV data rows from 0."""
+
+    @staticmethod
+    def good_rows():
+        return csv_fields(synthetic_quotes(make_curves(), [0.5, 1.0], [0.9, 1.0, 1.1]))
+
+    @pytest.mark.parametrize("field, text", [
+        ("maturity", "nan"), ("maturity", "inf"), ("strike", "nan"), ("bid", "inf"),
+    ])
+    def test_non_finite_field_rejected(self, tmp_path, caplog, field, text):
+        rows = self.good_rows()
+        bad = list(rows[1])
+        bad[QUOTE_COLUMNS.index(field)] = text
+        rows.insert(2, bad)
+        with caplog.at_level("WARNING"):
+            frame = build_frame(load_quotes(write_quotes(tmp_path / "q.csv", rows)), make_curves())
+        assert frame.rejected == ((2, "non-numeric field"),)
+        assert len(frame) == len(rows) - 1
+        assert [r.message for r in caplog.records] == ["row 2 rejected: non-numeric field"]
+
+    def test_quote_invariants_rejected(self):
+        good = quote_rows(synthetic_quotes(make_curves(), [1.0], [1.0]))[0]
+        quotes = quote_table([
+            good,
+            (1.0, 100.0, 5.0, 4.0, None),
+            (-1.0, 100.0, 1.0, 2.0, None),
+            (1.0, 0.0, 1.0, 2.0, None),
+        ])
+        frame = build_frame(quotes, make_curves())
+        assert len(frame) == 1
+        assert frame.rejected == ((1, "crossed quote"), (2, "maturity or strike not positive"),
+                                  (3, "maturity or strike not positive"))
+
+    def test_one_row_per_reason_first_reason_wins(self, tmp_path, caplog):
+        curves = make_curves()
+        rows = self.good_rows()
+        t, strike, bid, ask, iv = rows[4]
+        short = csv_fields(synthetic_quotes(curves, [0.02], [1.0]))[0]
+        bad = [
+            ("", strike, bid, ask, iv),                     # non-numeric field
+            ("-1.0", "abc", "5", "4", iv),                  # non-numeric beats the rest
+            (t, "0", bid, ask, iv),                         # maturity or strike not positive
+            ("-0.5", strike, "-1", "-2", iv),               # not positive beats negative bid
+            (t, strike, "-0.5", ask, iv),                   # negative bid
+            ("0.02", strike, "5", "4", iv),                 # crossed beats short maturity
+            ("100.0", strike, "5", "4", iv),                # crossed, beyond the curves' cover
+            (short[0], short[1], short[2], short[3], iv),   # below minimum maturity
+            (t, strike, "200", "200", iv),                  # mid outside the arbitrage band
+            (t, strike, bid, ask, "0.3"),                   # listed iv inconsistent
+        ]
+        ignored_ivs = [(t, strike, bid, ask, v) for v in ("0", "-0.2", "nan", "inf", "abc")]
+        with caplog.at_level("WARNING"):
+            frame = build_frame(load_quotes(write_quotes(tmp_path / "q.csv",
+                                                         rows + bad + ignored_ivs)), curves)
+        n = len(rows)
+        reasons = ["non-numeric field", "non-numeric field", "maturity or strike not positive",
+                   "maturity or strike not positive", "negative bid", "crossed quote",
+                   "crossed quote", "below minimum maturity", "mid price outside arbitrage band",
+                   "listed iv inconsistent with mid price"]
+        assert frame.rejected == tuple(enumerate(reasons, start=n))
+        assert [r.message for r in caplog.records] == [
+            f"row {index} rejected: {reason}" for index, reason in frame.rejected
+        ]
+        assert len(frame) == n + len(ignored_ivs)
 
 
 class TestFrameColumns:

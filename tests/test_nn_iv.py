@@ -14,6 +14,7 @@ from oracles import (
     grouped_nn_observations,
     nn_loss,
     per_point_put_prices,
+    quote_table,
     term_structure_cev_frame,
 )
 
@@ -23,7 +24,6 @@ from volsurf.market_data import (
     Curve,
     CurveSet,
     MarketFrame,
-    QuoteRecord,
     build_frame,
 )
 from volsurf import cli, local_vol, nn_iv
@@ -65,8 +65,8 @@ def flat_frame(sigma=0.2, n_t=8, n_k=11):
         for m in np.linspace(0.85, 1.25, n_k):
             strike = m * SPOT
             mid = put_price(fwd, strike, t, sigma, df)
-            quotes.append(QuoteRecord(t, strike, mid, mid, listed_iv=sigma))
-    return build_frame(quotes, curves)
+            quotes.append((t, strike, mid, mid, sigma))
+    return build_frame(quote_table(quotes), curves)
 
 
 class TestConstantNetwork:
@@ -660,8 +660,8 @@ class TestTraining:
             for m in (0.9, 0.95, 1.0, 1.05, 1.1):
                 strike = m * SPOT
                 mid = put_price(SPOT, strike, t, iv)
-                quotes.append(QuoteRecord(t, strike, mid, mid, listed_iv=iv))
-        frame = build_frame(quotes, curves)
+                quotes.append((t, strike, mid, mid, iv))
+        frame = build_frame(quote_table(quotes), curves)
         monkeypatch.setattr(nn_iv, "HIDDEN", (12, 12))
         monkeypatch.setattr(nn_iv, "PENALTY_MATURITY_RANGE", (0.3, 2.2))
         monkeypatch.setattr(nn_iv, "PENALTY_MONEYNESS_RANGE", (0.9, 1.1))

@@ -7,7 +7,7 @@ import pytest
 from volsurf.black_scholes import put_price
 from volsurf.local_vol import calendar_butterfly_terms
 from volsurf import ssvi
-from volsurf.market_data import Curve, CurveSet, QuoteRecord, build_frame
+from volsurf.market_data import Curve, CurveSet, build_frame
 from volsurf.ssvi import (
     CalibrationScopeError,
     ExtrapolationError,
@@ -30,6 +30,7 @@ from volsurf.ssvi import (
 from oracles import (
     per_point_put_prices,
     per_point_theta,
+    quote_table,
     scalar_interpolate_slice,
     ssvi_theta_fn,
     svi_slice_objective,
@@ -60,8 +61,8 @@ def ssvi_quotes(rho=-0.3, eta=1.2, slope=0.04, maturities=None, moneyness=None, 
             kappa = math.log(k / SPOT)
             iv = math.sqrt(svi_total_variance(p, kappa) / t)
             mid = put_price(fwd, strike, t, iv, df)
-            quotes.append(QuoteRecord(t, strike, mid, mid, listed_iv=iv))
-    return build_frame(quotes, curves), params
+            quotes.append((t, strike, mid, mid, iv))
+    return build_frame(quote_table(quotes), curves), params
 
 
 class TestTotalVariance:
@@ -208,8 +209,8 @@ class TestCalibrate:
             for m in np.linspace(0.85, 1.2, 9):
                 strike = m * SPOT
                 mid = put_price(SPOT, strike, t, 0.2)
-                quotes.append(QuoteRecord(t, strike, mid, mid, listed_iv=0.2))
-        frame = build_frame(quotes, curves)
+                quotes.append((t, strike, mid, mid, 0.2))
+        frame = build_frame(quote_table(quotes), curves)
         fitted, surface = calibrate(frame)
         want = 0.04 * np.asarray(fitted.theta_maturities)
         got = np.asarray(fitted.theta_values)
