@@ -4,7 +4,8 @@ Subcommands cover the full pipelines: synthetic data generation,
 calibration of the three surface models, local-volatility extraction,
 repricing backtests, and arbitrage checks.  Exit codes: 0 success,
 2 input problem, 3 numerical failure; failures also emit a one-line
-machine-readable JSON error on stderr.
+machine-readable JSON error on stderr, and every command that takes
+``--out`` sends its log records to ``run.log`` there, not to stderr.
 
 ``localvol`` and ``check-arbitrage`` read a model through one loader that
 maps its version to the parsing module (MODEL_MODULES).  A model or local-vol
@@ -48,10 +49,15 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def _outdir(path):
+    """The output directory, made if missing; the command's log records go to its run.log."""
     from pathlib import Path
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    logging.basicConfig(
+        filename=str(out / "run.log"), level=logging.INFO, force=True,
+        format="%(asctime)s %(name)s %(levelname)s %(message)s",
+    )
     return out
 
 
@@ -107,10 +113,6 @@ def cmd_calibrate(args) -> int:
     from .serialize import dump_json
 
     out = _outdir(args.out)
-    logging.basicConfig(
-        filename=str(out / "run.log"), level=logging.INFO, force=True,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
     frame = _load_market(args)
     frame_train, frame_test = _split_frame(frame, not args.no_holdout)
     started = time.perf_counter()

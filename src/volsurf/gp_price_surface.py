@@ -6,7 +6,9 @@ grid of bilinear hat functions.  On that finite basis the no-arbitrage
 requirements (prices nondecreasing in maturity, convex and nonnegative
 in strike) are exactly a finite set of linear inequalities between node
 values: the Kronecker rows of build_constraints.  Points reach the basis
-through one unit-square check, in the hat-cell lookup.  So:
+through one hat axis per coordinate (_HatAxis), which holds the one
+unit-square check; the likelihood, the MAP and every surface read use that
+pair.  So:
 
 * hyperparameters come from maximizing the (unconstrained) marginal
   log likelihood of the observations, by L-BFGS-B on its exact gradient
@@ -28,6 +30,7 @@ variance, and a closed-form term for the differences.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -124,38 +127,77 @@ def matern52(d, theta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _cells_and_fracs(coords, n_nodes: int):
-    """Hat cell and position inside it of each unit-interval coordinate; raises outside it."""
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    if np.any(coords < -1e-9) or np.any(coords > 1.0 + 1e-9):
-        raise ValueError("point outside the scaled unit square")
-    coords = np.clip(coords, 0.0, 1.0)
-    cell = np.minimum((coords * (n_nodes - 1)).astype(int), n_nodes - 2)
-    frac = coords * (n_nodes - 1) - cell
-    return cell, frac
+class _HatAxis:
+    """One axis of the observation basis: node distances, hat cells and weights.
 
-
-def basis_matrix(grid: BasisGrid, t_scaled, k_scaled) -> sp.csr_matrix:
-    """Rows of hat-basis weights for points in scaled coordinates.
-
-    Each row holds the four bilinear weights of the cell containing the point;
-    rows sum to one (partition of unity inside the hull).
+    A unit coordinate x sits in cell c = min(floor(x (n - 1)), n - 2), with
+    weight lower = 1 - f on node c and upper = f on node c + 1, where
+    f = x (n - 1) - c; a coordinate outside [0, 1] (beyond 1e-9) raises,
+    which makes this the basis's one unit-square check.  W @ C for a
+    per-axis correlation C is formed by gathering the two hat rows of every
+    point, which is exactly the sparse product's arithmetic (two weights
+    >= 0, summed in cell order).
     """
-    t_cell, t_frac = _cells_and_fracs(t_scaled, grid.n_t)
-    k_cell, k_frac = _cells_and_fracs(k_scaled, grid.n_k)
-    n = t_cell.size
-    rows, cols, vals = [], [], []
-    for di in (0, 1):
-        wt = t_frac if di else 1.0 - t_frac
-        for dj in (0, 1):
-            wk = k_frac if dj else 1.0 - k_frac
-            rows.append(np.arange(n))
-            cols.append((t_cell + di) * grid.n_k + (k_cell + dj))
-            vals.append(wt * wk)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, grid.size),
-    )
+
+    def __init__(self, coords: np.ndarray, nodes: np.ndarray):
+        coords = np.atleast_1d(np.asarray(coords, dtype=float))
+        if np.any(coords < -1e-9) or np.any(coords > 1.0 + 1e-9):
+            raise ValueError("point outside the scaled unit square")
+        scaled = np.clip(coords, 0.0, 1.0) * (nodes.size - 1)
+        self.n_nodes = nodes.size
+        self.cell = np.minimum(scaled.astype(int), nodes.size - 2)
+        frac = scaled - self.cell
+        self.lower = (1.0 - frac)[:, None]
+        self.upper = frac[:, None]
+        self.distances = nodes[:, None] - nodes[None, :]
+
+    @functools.cached_property
+    def weights_t(self) -> np.ndarray:
+        """W', shape (n_nodes, n_points), built on first use (only sandwich() needs it)."""
+        # filled (n_points, n_nodes) and returned transposed, F-contiguous: a
+        # C-ordered (n_nodes, n_points) operand takes another BLAS path in
+        # sandwich() and moves the gram's last bits
+        weights = np.zeros((self.cell.size, self.n_nodes))
+        points = np.arange(self.cell.size)
+        weights[points, self.cell] = self.lower[:, 0]
+        weights[points, self.cell + 1] = self.upper[:, 0]
+        return weights.T
+
+    def correlations(self, theta: float) -> np.ndarray:
+        return matern52(self.distances, theta)
+
+    def log_theta_derivative(self, theta: float) -> np.ndarray:
+        """d/d(log theta) of the Matern correlations: (r^2/3)(1 + r) e^-r."""
+        r = SQRT5 * np.abs(self.distances) / theta
+        return r * r / 3.0 * (1.0 + r) * np.exp(-r)
+
+    def rows(self, c: np.ndarray) -> np.ndarray:
+        """W @ C, shape (n_points, n_nodes)."""
+        return self.lower * c[self.cell] + self.upper * c[self.cell + 1]
+
+    def sandwich(self, c: np.ndarray) -> np.ndarray:
+        """W C W', shape (n_points, n_points)."""
+        return self.rows(c) @ self.weights_t
+
+
+def _basis_rows(axis_t: _HatAxis, axis_k: _HatAxis, values) -> np.ndarray:
+    """Phi @ values, for node values (M,) or node rows (M, r), Phi the points' hat basis.
+
+    A point's row of Phi is the product of its maturity and strike hat rows:
+    four bilinear weights on the corners of its cell.  They are gathered and
+    summed from zero in the corner order (0, 0), (0, 1), (1, 0), (1, 1),
+    with weight lower/upper_t * lower/upper_k, which is the arithmetic of
+    the CSR product with those rows.
+    """
+    values = np.asarray(values, dtype=float)
+    node_rows = values.reshape(values.shape[0], -1)
+    n_k = axis_k.n_nodes
+    corner = axis_t.cell * n_k + axis_k.cell
+    out = np.zeros((corner.size, node_rows.shape[1]))
+    for w_t, step_t in ((axis_t.lower, 0), (axis_t.upper, n_k)):
+        for w_k, step_k in ((axis_k.lower, 0), (axis_k.upper, 1)):
+            out += (w_t * w_k) * node_rows[corner + (step_t + step_k)]
+    return out.reshape((corner.size,) + values.shape[1:])
 
 
 def build_constraints(grid: BasisGrid) -> sp.csr_matrix:
@@ -176,8 +218,9 @@ def build_constraints(grid: BasisGrid) -> sp.csr_matrix:
 
 def evaluate_surface(node_values, grid: BasisGrid, t_scaled, k_scaled):
     """Bilinear interpolation of node values at scaled points inside the hull."""
-    phi = basis_matrix(grid, np.ravel(t_scaled), np.ravel(k_scaled))
-    out = phi @ np.asarray(node_values, dtype=float)
+    axis_t = _HatAxis(np.ravel(t_scaled), grid.t_nodes)
+    axis_k = _HatAxis(np.ravel(k_scaled), grid.k_nodes)
+    out = _basis_rows(axis_t, axis_k, node_values)
     if np.ndim(t_scaled) == 0:
         return float(out[0])
     return out.reshape(np.shape(t_scaled))
@@ -201,51 +244,6 @@ def quote_observations(frame: MarketFrame):
     u, v = frame.scaling.to_unit(frame.maturity, frame.reduced_strike)
     bid, ask = frame.reduced_bid, frame.reduced_ask
     return u, v, 0.5 * (bid + ask), bid - ask
-
-
-def _axis_correlations(grid: BasisGrid, params: KernelParams):
-    c_t = matern52(grid.t_nodes[:, None] - grid.t_nodes[None, :], params.theta_t)
-    c_k = matern52(grid.k_nodes[:, None] - grid.k_nodes[None, :], params.theta_k)
-    return c_t, c_k
-
-
-class _HatAxis:
-    """One axis of the observation basis: node distances, hat cells and weights.
-
-    W @ C for a per-axis correlation C is formed by gathering the two hat
-    rows of every point, which is exactly the sparse product's arithmetic
-    (two weights >= 0, summed in cell order).
-    """
-
-    def __init__(self, coords: np.ndarray, nodes: np.ndarray):
-        self.cell, frac = _cells_and_fracs(coords, nodes.size)
-        # filled (n_points, n_nodes) and stored transposed, F-contiguous: a
-        # C-ordered (n_nodes, n_points) operand takes another BLAS path in
-        # sandwich() and moves the gram's last bits
-        weights = np.zeros((self.cell.size, nodes.size))
-        points = np.arange(self.cell.size)
-        weights[points, self.cell] = 1.0 - frac
-        weights[points, self.cell + 1] = frac
-        self.weights_t = weights.T
-        self.lower = (1.0 - frac)[:, None]
-        self.upper = frac[:, None]
-        self.distances = nodes[:, None] - nodes[None, :]
-
-    def correlations(self, theta: float) -> np.ndarray:
-        return matern52(self.distances, theta)
-
-    def log_theta_derivative(self, theta: float) -> np.ndarray:
-        """d/d(log theta) of the Matern correlations: (r^2/3)(1 + r) e^-r."""
-        r = SQRT5 * np.abs(self.distances) / theta
-        return r * r / 3.0 * (1.0 + r) * np.exp(-r)
-
-    def rows(self, c: np.ndarray) -> np.ndarray:
-        """W @ C, shape (n_points, n_nodes)."""
-        return self.lower * c[self.cell] + self.upper * c[self.cell + 1]
-
-    def sandwich(self, c: np.ndarray) -> np.ndarray:
-        """W C W', shape (n_points, n_points)."""
-        return self.rows(c) @ self.weights_t
 
 
 class LikelihoodEvaluator:
@@ -420,7 +418,6 @@ class GpModel:
     grid: BasisGrid
     scaling: AffineScaling
     map_nodes: np.ndarray
-    map_noise: np.ndarray | None = None
     qp_diagnostics: dict = field(default_factory=dict)
     # diagonal ridge chol_with_jitter added to the (maturity, strike) prior
     # correlations in fit_map; 0.0 where the correlation factored as given
@@ -460,20 +457,20 @@ def fit_map(frame: MarketFrame, grid: BasisGrid, params: KernelParams) -> GpMode
     rho = L z with L the (Kronecker) Cholesky factor of Gamma, which turns
     the prior term into |z|^2: inv(Gamma) is never formed and the smooth
     kernel's near-singularity never reaches the KKT systems.  rho = 0 (noise
-    absorbs everything) is always feasible.  map_noise holds the bid and
-    ask residuals of every quote, bid then ask, and prior_jitter the ridge
+    absorbs everything) is always feasible.  prior_jitter holds the ridge
     each axis correlation needed to factor (a fit at the top of the
     length-scale box can need one).
     """
     u, v, mean, _ = quote_observations(frame)
-    phi = basis_matrix(grid, u, v)
-    c_t, c_k = _axis_correlations(grid, params)
-    root_t, jitter_t = chol_with_jitter(c_t, "maturity correlation")
-    root_k, jitter_k = chol_with_jitter(c_k, "strike correlation")
+    axis_t, axis_k = _HatAxis(u, grid.t_nodes), _HatAxis(v, grid.k_nodes)
+    root_t, jitter_t = chol_with_jitter(axis_t.correlations(params.theta_t),
+                                        "maturity correlation")
+    root_k, jitter_k = chol_with_jitter(axis_k.correlations(params.theta_k),
+                                        "strike correlation")
     root = params.sigma * np.kron(root_t, root_k)
 
     noise_var = params.noise_sd**2
-    basis_white = SQRT2 * np.asarray(phi @ root)
+    basis_white = SQRT2 * _basis_rows(axis_t, axis_k, root)
     q = 2.0 * (np.eye(grid.size) + basis_white.T @ basis_white / noise_var)
     q = 0.5 * (q + q.T)
     c = -2.0 * basis_white.T @ (SQRT2 * mean) / noise_var
@@ -482,15 +479,11 @@ def fit_map(frame: MarketFrame, grid: BasisGrid, params: KernelParams) -> GpMode
     problem = QuadProgram(q=q, c=c, a_ineq=a_white, b_ineq=np.zeros(a_white.shape[0]))
     result = solve_qp(problem)
 
-    map_nodes = root @ result.x
-    fitted = np.asarray(phi @ map_nodes).ravel()
-    map_noise = np.stack([frame.reduced_bid - fitted, frame.reduced_ask - fitted], axis=1).ravel()
     return GpModel(
         params=params,
         grid=grid,
         scaling=frame.scaling,
-        map_nodes=map_nodes,
-        map_noise=map_noise,
+        map_nodes=root @ result.x,
         qp_diagnostics=result.diagnostics,
         prior_jitter=(jitter_t, jitter_k),
         _whitened=(root, q, c),

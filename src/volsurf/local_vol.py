@@ -139,23 +139,11 @@ class LocalVolGrid:
 def axis_cells(axis, x):
     """(cell, axis[cell], axis[cell + 1]) of each x on a strictly increasing axis.
 
-    cell equals clip(searchsorted(axis, x) - 1, 0, n - 2) for every x, NaN
-    and +-inf included.  It is guessed from the axis's mean spacing, which is
-    exact on the uniform axes ``localvol`` writes, and checked against both
-    ends of the cell; only the points the guess misses are searched.
+    cell = clip(searchsorted(axis, x) - 1, 0, n - 2) for every x, NaN and
+    +-inf included.
     """
-    n = axis.size
-    guess = (x - axis[0]) * ((n - 1) / (axis[-1] - axis[0]))
-    # fmax/fmin send NaN to cell 0, where the check below fails it
-    cell = np.fmin(np.fmax(guess, 0.0), n - 2).astype(np.intp)
-    lo, hi = axis.take(cell), axis[1:].take(cell)
-    hit = ((lo < x) | (cell == 0)) & ((x <= hi) | (cell == n - 2))
-    if not hit.all():
-        cell = np.array(cell)  # an array even for a scalar x, so misses can be set
-        miss = ~hit
-        cell[miss] = np.clip(np.searchsorted(axis, np.asarray(x)[miss]) - 1, 0, n - 2)
-        lo, hi = axis.take(cell), axis[1:].take(cell)
-    return cell, lo, hi
+    cell = np.clip(np.searchsorted(axis, x) - 1, 0, axis.size - 2)
+    return cell, axis.take(cell), axis[1:].take(cell)
 
 
 def bilinear(t_axis, k_axis, values, t, k):

@@ -162,8 +162,8 @@ class MarketFrame:
     reduced bid, ask and mid prices, and the mid implied volatility.  The
     frame copies the columns it is given.  ``rejected`` holds the
     (quote-table row index from 0, reason) pairs of the rows build_frame
-    dropped; for a table read by load_quotes the index counts CSV data rows.
-    Frames compare by identity.
+    dropped; for a table read by load_quotes the index counts CSV data rows,
+    blank lines not included.  Frames compare by identity.
     """
 
     COLUMNS: ClassVar[tuple[str, ...]] = (
@@ -211,7 +211,9 @@ def load_quotes(path) -> dict[str, np.ndarray]:
     SchemaError, an entirely empty file raises EmptyInputError, and a
     header-only file gives zero-length columns with a warning.  A blank or
     unreadable field reads as NaN, and so does the whole iv column of a file
-    without one; ``build_frame`` rejects or ignores such rows.
+    without one; ``build_frame`` rejects or ignores such rows.  A blank line
+    is skipped (csv.DictReader does), so row i of the table is the file's
+    i-th non-blank data line.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -260,7 +262,8 @@ def build_frame(quotes: dict[str, np.ndarray], curves: CurveSet) -> MarketFrame:
     implied volatility under these curves); a listed iv more than
     IV_GAP_TOL relative from the mid-price iv.  A listed iv that is NaN,
     infinite or not positive counts as no listed iv.  ``rejected`` holds
-    (row index from 0, reason) pairs, and each is logged once.  Computes
+    (row index from 0, reason) pairs, and each is logged once; on a table
+    from load_quotes the index counts non-blank CSV data rows.  Computes
     reduced prices, reduced strikes and log-moneyness for the survivors and
     fits the unit-square scaling to their bounding box.  Raises ValueError
     if the curves end before the longest maturity that passes the first

@@ -150,6 +150,19 @@ def hat_weights(coords, n_nodes):
     return sp.csr_matrix((weights, (rows, cols)), shape=(coords.size, n_nodes))
 
 
+def hat_basis_csr(u, v, n_t, n_k):
+    """The observation basis Phi of points (u, v) as CSR, one point at a time.
+
+    Row p is the Kronecker product of row p of the maturity and of the strike
+    hat_weights, so its four weights sit on node columns in ascending order.
+    """
+    import scipy.sparse as sp
+
+    w_t, w_k = hat_weights(u, n_t), hat_weights(v, n_k)
+    return sp.vstack([sp.kron(w_t[p], w_k[p], format="csr") for p in range(w_t.shape[0])],
+                     format="csr")
+
+
 def sparse_negative_log_likelihood(params, frame, grid) -> float:
     """GP negative marginal log likelihood with the per-axis hat weights as sparse matrices.
 

@@ -719,6 +719,35 @@ class TestFailureContract:
         assert run(argv) == 2
         assert self.one_json_line(capsys)["error"] == "input"
 
+    def test_backtest_with_every_row_rejected_logs_to_run_log(self, model_files, synthetic_dir,
+                                                              tmp_path):
+        # a crossed row and a nan row: build_frame logs both, then finds no quote left;
+        # a fresh interpreter, because pytest's own log handlers would hide a stray line
+        assert run(["localvol", "--model", model_files["ssvi"], "--out", tmp_path / "lv",
+                    "--grid-t", 4, "--grid-k", 6]) == 0
+        book = tmp_path / "book"
+        book.mkdir()
+        (book / "quotes.csv").write_text("maturity,strike,bid,ask,iv\n1.0,100,5,4,\nnan,100,1,2,\n")
+        for name in ("rates.csv", "divs.csv"):
+            (book / name).write_text((synthetic_dir / name).read_text())
+        argv = ["backtest", "cn", "--localvol", tmp_path / "lv" / "localvol.json",
+                *market_args(book), "--out", tmp_path / "bt"]
+        probe = """
+            import contextlib, io, json, sys
+            from volsurf import cli
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(json.loads(sys.argv[1]))
+            print(json.dumps([code, err.getvalue().splitlines()]))
+            """
+        stdout = fresh_interpreter(probe, json.dumps([str(a) for a in argv]))
+        code, err = json.loads(stdout.splitlines()[-1])
+        assert code == 2
+        assert len(err) == 1 and json.loads(err[0])["error"] == "input", err
+        logged = (tmp_path / "bt" / "run.log").read_text().splitlines()
+        assert [line.split(" WARNING ", 1)[1] for line in logged if " WARNING " in line] == [
+            "row 0 rejected: crossed quote", "row 1 rejected: non-numeric field"]
+
     def test_maturity_beyond_calibrated_range_exits_2(self, model_files, tmp_path, capsys):
         capsys.readouterr()
         code = run(["localvol", "--model", model_files["ssvi"], "--out", tmp_path / "lv",

@@ -14,7 +14,8 @@ from volsurf.gp_price_surface import (
     GpModel,
     KernelParams,
     LikelihoodEvaluator,
-    basis_matrix,
+    _basis_rows,
+    _HatAxis,
     build_constraints,
     evaluate_surface,
     fit_hyperparameters,
@@ -39,6 +40,7 @@ from oracles import (
     collapsed_negative_log_likelihood,
     dense_gp_posterior,
     hat_basis,
+    hat_basis_csr,
     kernel,
     marginal_log_likelihood,
     per_point_gp_put_prices,
@@ -48,6 +50,24 @@ from oracles import (
 )
 
 MATERN_AT_ONE = (1.0 + math.sqrt(5.0) + 5.0 / 3.0) * math.exp(-math.sqrt(5.0))
+
+
+def hat_rows(grid, u, v, values):
+    """Phi @ values for the points (u, v), through the GP's two hat axes."""
+    return _basis_rows(_HatAxis(u, grid.t_nodes), _HatAxis(v, grid.k_nodes), values)
+
+
+def prior_covariance(grid, params):
+    """Gamma = sigma^2 C_t (x) C_k, the Matern correlations of the grid's nodes."""
+    c_t = matern52(grid.t_nodes[:, None] - grid.t_nodes[None, :], params.theta_t)
+    c_k = matern52(grid.k_nodes[:, None] - grid.k_nodes[None, :], params.theta_k)
+    return params.sigma**2 * np.kron(c_t, c_k)
+
+
+def map_residuals(model, frame):
+    """Bid and ask residuals of every quote on the MAP surface, bid then ask."""
+    fitted = model.price(frame.maturity, frame.reduced_strike)
+    return np.stack([frame.reduced_bid - fitted, frame.reduced_ask - fitted], axis=1).ravel()
 
 
 def make_frame(t, k, bid, ask, spot=100.0):
@@ -143,16 +163,41 @@ class TestHatBasis:
         rng = np.random.default_rng(3)
         pts_t = rng.uniform(0, 1, 50)
         pts_k = rng.uniform(0, 1, 50)
-        phi = basis_matrix(grid, pts_t, pts_k)
-        assert np.asarray(phi.sum(axis=1)).ravel() == pytest.approx(np.ones(50))
+        row_sums = hat_rows(grid, pts_t, pts_k, np.ones(grid.size))
+        assert row_sums == pytest.approx(np.ones(50))
 
     def test_matches_scalar_hat(self):
         grid = BasisGrid(n_t=4, n_k=5)
-        phi = basis_matrix(grid, [0.37], [0.62]).toarray().ravel()
+        phi = hat_rows(grid, [0.37], [0.62], np.eye(grid.size))[0]
         for i in range(4):
             for j in range(5):
                 expect = hat_basis((0.37, 0.62), (i, j), grid.h_t, grid.h_k)
                 assert phi[i * 5 + j] == pytest.approx(expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6), st.integers(3, 9),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_gather_is_the_csr_product(self, n_t, n_k, drawn, seed):
+        grid = BasisGrid(n_t=n_t, n_k=n_k)
+        # every node pair (cell edges: frac 0, or 1 where a node rounds down),
+        # the cell midpoints, the far corner (1, 1), and the tolerance band
+        # just outside [0, 1] that the unit-square check clips
+        t_mid = 0.5 * (grid.t_nodes[1:] + grid.t_nodes[:-1])
+        k_mid = 0.5 * (grid.k_nodes[1:] + grid.k_nodes[:-1])
+        u = np.concatenate([np.repeat(grid.t_nodes, n_k), np.repeat(t_mid, n_k - 1),
+                            [1.0, -1e-10, 1.0 + 1e-10], [t for t, _ in drawn]])
+        v = np.concatenate([np.tile(grid.k_nodes, n_t), np.tile(k_mid, n_t - 1),
+                            [1.0, 1.0 + 1e-10, -1e-10], [k for _, k in drawn]])
+        phi = hat_basis_csr(u, v, n_t, n_k)
+        rng = np.random.default_rng(seed)
+        nodes = rng.standard_normal(grid.size)
+        root = rng.standard_normal((grid.size, grid.size))
+        got = hat_rows(grid, u, v, nodes)
+        assert got.shape == (u.size,) and got.tobytes() == (phi @ nodes).tobytes()
+        got = hat_rows(grid, u, v, root)
+        want = np.asarray(phi @ root)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestConstraints:
@@ -390,9 +435,7 @@ class TestFitHyperparameters:
         monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 150)
         grid = BasisGrid(n_t=10, n_k=10)
         true = KernelParams(sigma=1.0, theta_t=0.3, theta_k=0.3, noise_sd=0.05)
-        c_t = matern52(grid.t_nodes[:, None] - grid.t_nodes[None, :], true.theta_t)
-        c_k = matern52(grid.k_nodes[:, None] - grid.k_nodes[None, :], true.theta_k)
-        gamma = true.sigma**2 * np.kron(c_t, c_k)
+        gamma = prior_covariance(grid, true)
         root = np.linalg.cholesky(gamma + 1e-10 * np.eye(grid.size))
         hits = 0
         n_seeds = 5
@@ -403,8 +446,7 @@ class TestFitHyperparameters:
             k_pts = rng.uniform(50.0, 150.0, 120)
             u = (t_pts - 0.1) / 2.0
             v = (k_pts - 50.0) / 100.0
-            phi = basis_matrix(grid, u, v)
-            latent = phi @ rho
+            latent = evaluate_surface(rho, grid, u, v)
             y1 = latent + true.noise_sd * rng.standard_normal(120)
             y2 = latent + true.noise_sd * rng.standard_normal(120)
             bid = np.minimum(y1, y2)
@@ -482,7 +524,7 @@ class TestFitMap:
         monkeypatch.setattr(constrained_sampling, "QP_TOL", 1e-12)
         model = fit_map(frame, grid, p)
         assert np.max(np.abs(model.map_nodes)) < 1e-5
-        assert np.max(np.abs(model.map_noise)) < 1e-5
+        assert np.max(np.abs(map_residuals(model, frame))) < 1e-5
 
     def test_single_node_observation_interpolated(self):
         # noise-free observation pinned at a grid node with a huge prior sd:
@@ -502,7 +544,8 @@ class TestFitMap:
         p = KernelParams(sigma=10.0, theta_t=0.4, theta_k=0.4, noise_sd=0.05)
         model = fit_map(frame, grid, p)
         assert model.constraint_slacks().min() >= -1e-8
-        assert np.max(np.abs(model.map_noise)) > 0.5  # the violation went to noise
+        # the violation went to noise
+        assert np.max(np.abs(map_residuals(model, frame))) > 0.5
 
     def test_map_objective_beats_trivial_feasible_point(self):
         frame = flat_vol_frame(n_t=6, n_k=8)
@@ -512,17 +555,12 @@ class TestFitMap:
         assert model.constraint_slacks().min() >= -1e-8
         # objective of (rho, e) vs the always-feasible (0, y)
         y = np.stack([frame.reduced_bid, frame.reduced_ask], axis=1).ravel()
-        from volsurf.gp_price_surface import _axis_correlations
-        import scipy.linalg as sla
-
-        c_t, c_k = _axis_correlations(grid, p)
-        gamma = p.sigma**2 * np.kron(c_t, c_k)
-        gamma_inv = np.linalg.inv(gamma + 1e-12 * np.eye(grid.size))
+        gamma_inv = np.linalg.inv(prior_covariance(grid, p) + 1e-12 * np.eye(grid.size))
 
         def objective(rho, e):
             return float(rho @ gamma_inv @ rho + (e @ e) / p.noise_sd**2)
 
-        assert objective(model.map_nodes, model.map_noise) <= objective(
+        assert objective(model.map_nodes, map_residuals(model, frame)) <= objective(
             np.zeros(grid.size), y
         )
 
@@ -580,10 +618,7 @@ class TestPosterior:
         model = fit_map(frame, grid, p)
         eta, root = posterior_factors(model)
         cov = root @ root.T
-        from volsurf.gp_price_surface import _axis_correlations
-
-        c_t, c_k = _axis_correlations(grid, p)
-        gamma = p.sigma**2 * np.kron(c_t, c_k)
+        gamma = prior_covariance(grid, p)
         assert np.max(np.abs(eta)) < 1e-8
         assert np.max(np.abs(cov - gamma)) < 1e-8
 

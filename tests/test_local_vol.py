@@ -314,17 +314,6 @@ class TestAxisCells:
             assert np.ndim(cell) == 0 and int(cell) == expected
             assert lo == axis[expected] and hi == axis[expected + 1]
 
-    def test_uniform_axis_needs_no_search(self, monkeypatch):
-        axis = np.linspace(70.0, 130.0, 50)
-        x = np.clip(np.random.default_rng(3).normal(100.0, 20.0, 10_000), 70.0, 130.0)
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("searchsorted called")
-
-        monkeypatch.setattr(np, "searchsorted", no_search)
-        cell, _, _ = axis_cells(axis, x)
-        assert cell.min() == 0 and cell.max() == 48
-
 
 class TestLookup:
     def make_grid(self, k_axis, seed=5):

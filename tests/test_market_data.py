@@ -256,6 +256,19 @@ class TestBuildFrameRejections:
         assert len(frame) == len(rows) - 1
         assert [r.message for r in caplog.records] == ["row 2 rejected: non-numeric field"]
 
+    def test_blank_lines_not_counted(self, tmp_path, caplog):
+        # csv.DictReader skips a blank line, so the crossed row on the file's
+        # line 4 is data row 1, not 2
+        rows = self.good_rows()
+        crossed = [*rows[1][:2], "5", "4", ""]
+        path = write_quotes(tmp_path / "q.csv", [rows[0], [], crossed, *rows[1:]])
+        with caplog.at_level("WARNING"):
+            frame = build_frame(load_quotes(path), make_curves())
+        assert path.read_text().splitlines()[3] == ",".join(crossed)
+        assert frame.rejected == ((1, "crossed quote"),)
+        assert len(frame) == len(rows)
+        assert [r.message for r in caplog.records] == ["row 1 rejected: crossed quote"]
+
     def test_quote_invariants_rejected(self):
         good = quote_rows(synthetic_quotes(make_curves(), [1.0], [1.0]))[0]
         quotes = quote_table([
