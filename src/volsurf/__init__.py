@@ -22,16 +22,21 @@ __version__ = "0.1.0"
 import os as _os
 
 
-def _apply_thread_cap() -> None:
+def _apply_thread_cap() -> int | None:
     """Let VOLSURF_THREADS cap BLAS/OpenMP threads unless a cap is already set.
 
     Importing any submodule runs this module first, so the cap is set before
     numpy loads; the BLAS libraries read these variables once, when they load.
+    Returns the cap as an integer, or None when VOLSURF_THREADS is unset or
+    not a whole number.
     """
     cap = _os.environ.get("VOLSURF_THREADS")
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             _os.environ.setdefault(var, cap)
+    return int(cap) if cap and cap.strip().isdigit() else None
 
 
-_apply_thread_cap()
+# the VOLSURF_THREADS cap applied at import (a BLAS variable set before then
+# keeps its own value), None when uncapped; calibrate reports it
+BLAS_THREADS = _apply_thread_cap()

@@ -32,6 +32,8 @@ import sys
 import time
 from collections import Counter
 
+from . import BLAS_THREADS
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -49,15 +51,20 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def _outdir(path):
-    """The output directory, made if missing; the command's log records go to its run.log."""
+    """The output directory, made if missing; the command's log records go to its run.log.
+
+    The run.log handler goes on the root logger, which is set to INFO; main
+    takes both back off when the command returns.
+    """
     from pathlib import Path
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    logging.basicConfig(
-        filename=str(out / "run.log"), level=logging.INFO, force=True,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    handler = logging.FileHandler(out / "run.log")
+    handler.setFormatter(logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s"))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
     return out
 
 
@@ -182,6 +189,8 @@ def cmd_calibrate(args) -> int:
     report.update(_fit_report(model, frame_train, frame_test))
     report["runtime_seconds"] = time.perf_counter() - started
     report["seed"] = args.seed
+    # GP bytes can move with the BLAS thread count (see volsurf/__init__)
+    report["blas_threads"] = BLAS_THREADS
     report["n_quotes"] = len(frame)
     report["rejected_quotes"] = _rejected_quotes(frame)
     dump_json(report, out / "report.json")
@@ -480,6 +489,8 @@ def main(argv=None) -> int:
     if getattr(args, "t_range", None) and not 0.0 < args.t_range[0] < args.t_range[1]:
         return _fail(EXIT_INPUT, "input",
                      f"--t-range must start above 0 and increase, got {args.t_range}")
+    root = logging.getLogger()
+    handlers, level = list(root.handlers), root.level
     try:
         return args.handler(args)
     except CliInputError as exc:
@@ -490,6 +501,13 @@ def main(argv=None) -> int:
         return _fail(EXIT_INPUT, "input", str(exc))
     except (ArithmeticError, RuntimeError) as exc:  # numerical / solver failures
         return _fail(EXIT_NUMERICAL, "numerical", str(exc))
+    finally:
+        # the root logger as the command found it: its run.log handler closed and gone
+        for handler in root.handlers[:]:
+            if handler not in handlers:
+                root.removeHandler(handler)
+                handler.close()
+        root.setLevel(level)
 
 
 if __name__ == "__main__":

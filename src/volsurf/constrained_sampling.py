@@ -4,9 +4,16 @@ Two independent tools live here:
 
 * ``solve_qp`` — a primal-dual interior-point solver (Mehrotra
   predictor-corrector) for convex quadratic programs with linear
-  inequality constraints given as dense rows,
+  inequality constraints,
 
-      min 1/2 x'Qx + c'x   s.t.  A x >= b.
+      min 1/2 x'Qx + c'x   s.t.  R x >= b.
+
+  It reads the rows R only through three operations, R x, R' z and the
+  weighted normal matrix R' W R.  ``QuadProgram`` holds R as dense rows;
+  ``KroneckerQuadProgram`` holds R = A L as sparse rows A on node values and
+  a Kronecker covariance root L = s (L_t (x) L_k), never formed, so its
+  normal matrix is L' (A' W A) L: A' W A is sparse in node space and each
+  side of the sandwich is two per-axis matmuls.
 
 * ``sample_truncated`` — exact Hamiltonian Monte Carlo for multivariate
   Gaussians restricted to a polyhedron {x : A x >= b}, each given by its
@@ -65,6 +72,29 @@ class QpConvergenceError(QpError):
     """Iteration limit reached before the KKT tolerances were met."""
 
 
+def _checked_objective(q, c) -> tuple[np.ndarray, np.ndarray]:
+    """Q and c as float arrays, Q square of c's size and symmetric."""
+    q = np.asarray(q, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
+    d = c.size
+    if q.shape != (d, d):
+        raise ValueError(f"Q must be {d}x{d}, got {q.shape}")
+    sym_gap = np.max(np.abs(q - q.T)) if d else 0.0
+    if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(q)))):
+        raise ValueError(f"Q must be symmetric, asymmetry {sym_gap:.2e}")
+    return q, c
+
+
+def _checked_bounds(b_ineq, rows_shape: tuple[int, int], d: int) -> np.ndarray:
+    """b as a float vector, one entry per row of a (m, d) row system, m >= 1."""
+    if np.size(b_ineq) == 0:
+        raise ValueError("QP needs at least one inequality row")
+    b_ineq = np.asarray(b_ineq, dtype=float).ravel()
+    if rows_shape != (b_ineq.size, d):
+        raise ValueError("inequality system dimensions inconsistent")
+    return b_ineq
+
+
 @dataclass
 class QuadProgram:
     """Convex QP data: dense inequality rows `a_ineq @ x >= b_ineq`, at least one of them."""
@@ -75,24 +105,93 @@ class QuadProgram:
     b_ineq: np.ndarray
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        d = self.c.size
-        if self.q.shape != (d, d):
-            raise ValueError(f"Q must be {d}x{d}, got {self.q.shape}")
-        sym_gap = np.max(np.abs(self.q - self.q.T)) if d else 0.0
-        if sym_gap > 1e-12 * max(1.0, float(np.max(np.abs(self.q)))):
-            raise ValueError(f"Q must be symmetric, asymmetry {sym_gap:.2e}")
-        if np.size(self.b_ineq) == 0:
-            raise ValueError("QP needs at least one inequality row")
+        self.q, self.c = _checked_objective(self.q, self.c)
         self.a_ineq = np.atleast_2d(np.asarray(self.a_ineq, dtype=float))
-        self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
-        if self.a_ineq.shape != (self.b_ineq.size, d):
-            raise ValueError("inequality system dimensions inconsistent")
+        self.b_ineq = _checked_bounds(self.b_ineq, self.a_ineq.shape, self.dim)
 
     @property
     def dim(self) -> int:
         return self.c.size
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """R x."""
+        return self.a_ineq @ x
+
+    def rows_t(self, z: np.ndarray) -> np.ndarray:
+        """R' z."""
+        return self.a_ineq.T @ z
+
+    def normal(self, w: np.ndarray) -> np.ndarray:
+        """R' diag(w) R, a new array."""
+        return self.a_ineq.T @ (w[:, None] * self.a_ineq)
+
+
+@dataclass
+class KroneckerQuadProgram:
+    """Convex QP data: rows (A L) x >= b_ineq, with L = scale (root_t (x) root_k) never formed.
+
+    A (held as CSR, at least one row) acts on node values flattened
+    i * n_k + j for the n_t x n_k roots, so (root_t (x) root_k) y is
+    root_t Y root_k' on y reshaped to Y (n_t, n_k).  R x = A (L x) and
+    R' z = L' (A' z) cost two per-axis matmuls and one sparse product each.
+    The normal matrix L' (A' W A) L densifies the sparse node-space A' W A
+    and multiplies it by L on the right and L' on the left, two per-axis
+    matmuls a side: no m x d array is ever made.
+    """
+
+    q: np.ndarray
+    c: np.ndarray
+    a: sp.csr_matrix
+    root_t: np.ndarray
+    root_k: np.ndarray
+    scale: float
+    b_ineq: np.ndarray
+
+    def __post_init__(self):
+        self.q, self.c = _checked_objective(self.q, self.c)
+        self.root_t = np.asarray(self.root_t, dtype=float)
+        self.root_k = np.asarray(self.root_k, dtype=float)
+        n_t, n_k = self.root_t.shape[0], self.root_k.shape[0]
+        if self.root_t.shape != (n_t, n_t) or self.root_k.shape != (n_k, n_k):
+            raise ValueError("Kronecker roots must be square")
+        if n_t * n_k != self.dim:
+            raise ValueError(f"Kronecker roots span {n_t * n_k} nodes, the QP has {self.dim}")
+        self.a = sp.csr_matrix(self.a, dtype=float)
+        self.b_ineq = _checked_bounds(self.b_ineq, self.a.shape, self.dim)
+
+    @property
+    def dim(self) -> int:
+        return self.c.size
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """R x = A (L x)."""
+        nodes = self.root_t @ x.reshape(self.root_t.shape[0], -1) @ self.root_k.T
+        return self.a @ (self.scale * nodes.ravel())
+
+    def rows_t(self, z: np.ndarray) -> np.ndarray:
+        """R' z = L' (A' z)."""
+        nodes = (self.a.T @ z).reshape(self.root_t.shape[0], -1)
+        return self.scale * (self.root_t.T @ nodes @ self.root_k).ravel()
+
+    def normal(self, w: np.ndarray) -> np.ndarray:
+        """R' diag(w) R = L' (A' diag(w) A) L, a new array; scale^2 rides on w.
+
+        The node-space matrix is sparse until densified here; L acts on its
+        rows and then L' on its columns, each as two per-axis matmuls.
+        """
+        n_t, n_k = self.root_t.shape[0], self.root_k.shape[0]
+        d = n_t * n_k
+        row_weights = np.repeat(self.scale**2 * w, np.diff(self.a.indptr))
+        weighted = sp.csr_matrix((self.a.data * row_weights, self.a.indices, self.a.indptr),
+                                 shape=self.a.shape)
+        node_normal = (self.a.T @ weighted).toarray()
+        # rows: (M L)_r = vec(root_t' M_r root_k) for row r as an (n_t, n_k) array
+        half = (node_normal.reshape(-1, n_k) @ self.root_k).reshape(d, n_t, n_k)
+        del node_normal
+        half = (self.root_t.T @ half).reshape(n_t, n_k * d)
+        # columns: L' (M L), the same two matmuls down every column
+        half = (self.root_t.T @ half).reshape(n_t, n_k, d)
+        return (self.root_k.T @ half).reshape(d, d)
 
 
 @dataclass
@@ -107,8 +206,8 @@ class QpResult:
         return {"iterations": self.iterations, **self.kkt}
 
 
-def _kkt_residuals(p: QuadProgram, grad, slack, z) -> dict:
-    """Scaled KKT residuals from the Lagrangian gradient Qx + c - A'z and the slack Ax - b."""
+def _kkt_residuals(p, grad, slack, z) -> dict:
+    """Scaled KKT residuals from the Lagrangian gradient Qx + c - R'z and the slack Rx - b."""
     scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
     primal = float(max(0.0, -np.min(slack)))
     comp = float(np.max(np.abs(slack * z)))
@@ -120,25 +219,27 @@ def _kkt_residuals(p: QuadProgram, grad, slack, z) -> dict:
     }
 
 
-def solve_qp(p: QuadProgram) -> QpResult:
+def solve_qp(p: QuadProgram | KroneckerQuadProgram) -> QpResult:
     """Solve a convex QP to the KKT tolerance QP_TOL.
 
     Implements an infeasible-start Mehrotra predictor-corrector method on the
-    normal-equation form: each iteration factors Q + A' (Z/S) A.  Raises
-    QpInfeasibleError when the iterates certify an empty feasible region,
-    QpConvergenceError after QP_MAX_ITER iterations; both carry residual
-    diagnostics.
+    normal-equation form: each iteration factors Q + R' (Z/S) R.  The rows R
+    are read only through the program's rows(x), rows_t(z) and normal(w),
+    so dense rows and Kronecker-whitened sparse rows run the same loop.
+    Raises QpInfeasibleError when the iterates certify an empty feasible
+    region, QpConvergenceError after QP_MAX_ITER iterations; both carry
+    residual diagnostics.
     """
     d, m = p.dim, p.b_ineq.size
-    a = p.a_ineq
 
     x = np.zeros(d)
     s = np.maximum(-p.b_ineq, 1.0)   # the slack of x = 0, floored at 1
     z = np.ones(m)
 
     def factor(w):
-        """Factor Q + A' W A once; predictor and corrector share the returned solve."""
-        h = p.q + a.T @ (w[:, None] * a)
+        """Factor Q + R' W R once; predictor and corrector share the returned solve."""
+        h = p.normal(w)
+        h += p.q
         try:
             cf = sla.cho_factor(h, check_finite=False)
         except sla.LinAlgError:
@@ -156,11 +257,11 @@ def solve_qp(p: QuadProgram) -> QpResult:
     def newton_step(solve, rd, rp, rc):
         """Solve the reduced Newton system for dx; back out (ds, dz).
 
-        rp is the true primal residual A x - s - b; rc the complementarity
+        rp is the true primal residual R x - s - b; rc the complementarity
         target in Z ds + S dz = rc.
         """
-        dx = solve(-rd + a.T @ ((rc - z * rp) / s))
-        ds = a @ dx + rp
+        dx = solve(-rd + p.rows_t((rc - z * rp) / s))
+        ds = p.rows(dx) + rp
         dz = (rc - z * ds) / s
         return dx, ds, dz
 
@@ -174,8 +275,8 @@ def solve_qp(p: QuadProgram) -> QpResult:
     for iteration in range(1, QP_MAX_ITER + 1):
         # + 0.0 turns -0.0 entries into +0.0: zero signs here can reach the
         # iterates' bytes
-        ax = a @ x
-        rd = p.q @ x + p.c - a.T @ z + 0.0
+        ax = p.rows(x)
+        rd = p.q @ x + p.c - p.rows_t(z) + 0.0
         rp = ax - s - p.b_ineq
         mu = float(s @ z) / m
 

@@ -42,7 +42,7 @@ import scipy.optimize as sopt
 import scipy.sparse as sp
 
 from .constrained_sampling import (
-    QuadProgram,
+    KroneckerQuadProgram,
     TruncatedGaussian,
     chol_with_jitter,
     sample_truncated,
@@ -454,12 +454,15 @@ def fit_map(frame: MarketFrame, grid: BasisGrid, params: KernelParams) -> GpMode
     quote (Phi_m), up to a constant (see quote_observations).
 
     The problem is posed to the interior-point solver in whitened variables
-    rho = L z with L the (Kronecker) Cholesky factor of Gamma, which turns
-    the prior term into |z|^2: inv(Gamma) is never formed and the smooth
-    kernel's near-singularity never reaches the KKT systems.  rho = 0 (noise
-    absorbs everything) is always feasible.  prior_jitter holds the ridge
-    each axis correlation needed to factor (a fit at the top of the
-    length-scale box can need one).
+    rho = L z with L = sigma (L_t (x) L_k) the Kronecker Cholesky factor of
+    Gamma, which turns the prior term into |z|^2: inv(Gamma) is never formed
+    and the smooth kernel's near-singularity never reaches the KKT systems.
+    The whitened shape rows A L are never formed either: the solver gets the
+    sparse rows A of build_constraints with the per-axis roots and sigma
+    (KroneckerQuadProgram), and builds its normal matrix as L' (A' W A) L.
+    rho = 0 (noise absorbs everything) is always feasible.  prior_jitter
+    holds the ridge each axis correlation needed to factor (a fit at the top
+    of the length-scale box can need one).
     """
     u, v, mean, _ = quote_observations(frame)
     axis_t, axis_k = _HatAxis(u, grid.t_nodes), _HatAxis(v, grid.k_nodes)
@@ -475,8 +478,9 @@ def fit_map(frame: MarketFrame, grid: BasisGrid, params: KernelParams) -> GpMode
     q = 0.5 * (q + q.T)
     c = -2.0 * basis_white.T @ (SQRT2 * mean) / noise_var
 
-    a_white = build_constraints(grid) @ root
-    problem = QuadProgram(q=q, c=c, a_ineq=a_white, b_ineq=np.zeros(a_white.shape[0]))
+    a = build_constraints(grid)
+    problem = KroneckerQuadProgram(q=q, c=c, a=a, root_t=root_t, root_k=root_k,
+                                   scale=params.sigma, b_ineq=np.zeros(a.shape[0]))
     result = solve_qp(problem)
 
     return GpModel(

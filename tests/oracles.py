@@ -1,10 +1,11 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Nothing in here calls the solvers under test; the point is to compute the
-same answers by a method slow enough to be obviously correct.  The two
-exceptions drive the NN training code itself: ``nn_loss`` scores a model as
-training does, and ``DualPrecisionWorkspace`` checks its float32 screen
-against float64 passes.
+same answers by a method slow enough to be obviously correct.  The
+exceptions drive code under test on purpose: ``nn_loss`` scores a model as
+NN training does, ``DualPrecisionWorkspace`` checks its float32 screen
+against float64 passes, and ``dense_row_map_nodes`` hands the GP's QP to
+``solve_qp`` as dense rows, every matrix formed.
 """
 
 import math
@@ -100,6 +101,31 @@ def dense_gp_posterior(params, frame, grid):
     eta = cross @ np.linalg.solve(gram, y)
     cov = gamma - cross @ np.linalg.solve(gram, cross.T)
     return eta, cov
+
+
+def dense_row_map_nodes(params, frame, grid):
+    """The GP MAP node values from a solve_qp on the dense whitened rows A L.
+
+    Gamma is filled entry by entry from `kernel` and factored as Gamma = L L',
+    the quote means' basis Phi_m is hat_basis_csr, and with B = sqrt(2) Phi_m L
+    the whitened QP is Q = 2 (I + B'B / noise^2), c = -2 B' (sqrt(2) m) / noise^2
+    over the rows shape_rows(n_t, n_k) @ L >= 0, handed to solve_qp as a dense
+    QuadProgram.  Returns L x.
+    """
+    from volsurf.constrained_sampling import QuadProgram, solve_qp
+
+    points = [(i * grid.h_t, j * grid.h_k) for i in range(grid.n_t) for j in range(grid.n_k)]
+    gamma = np.array([[kernel(x, x_prime, params) for x_prime in points] for x in points])
+    root = np.linalg.cholesky(gamma)
+    u, v = frame.scaling.to_unit(frame.maturity, frame.reduced_strike)
+    mean = 0.5 * (frame.reduced_bid + frame.reduced_ask)
+    basis = math.sqrt(2.0) * (hat_basis_csr(u, v, grid.n_t, grid.n_k) @ root)
+    noise_var = params.noise_sd**2
+    q = 2.0 * (np.eye(grid.size) + basis.T @ basis / noise_var)
+    rows = shape_rows(grid.n_t, grid.n_k) @ root
+    problem = QuadProgram(q=0.5 * (q + q.T), c=-2.0 * basis.T @ (math.sqrt(2.0) * mean) / noise_var,
+                          a_ineq=rows, b_ineq=np.zeros(rows.shape[0]))
+    return root @ solve_qp(problem).x
 
 
 def shape_rows(n_t, n_k):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -121,6 +122,7 @@ class TestCalibrate:
         assert report["train_n"] + report["test_n"] == 48
         assert report["min_constraint_slack"] >= -1e-8
         assert report["prior_jitter"] == {"maturity": 0.0, "strike": 0.0}
+        assert report["blas_threads"] == volsurf.BLAS_THREADS
 
         lv_out = tmp_path / "gp_lv"
         code = run(
@@ -779,6 +781,34 @@ class TestFailureContract:
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         assert fresh_interpreter(probe, env=env).strip() == repr([expected])
+
+    @pytest.mark.parametrize("cap, expected", [(None, None), ("2", 2), ("many", None)])
+    def test_thread_cap_recorded(self, cap, expected):
+        env = {k: v for k, v in os.environ.items() if k != "VOLSURF_THREADS"}
+        if cap is not None:
+            env["VOLSURF_THREADS"] = cap
+        probe = "import volsurf; print(repr(volsurf.BLAS_THREADS))"
+        assert fresh_interpreter(probe, env=env).strip() == repr(expected)
+
+
+class TestRunLog:
+    def test_main_leaves_the_root_logger_as_it_found_it(self, tmp_path):
+        # the run.log handler goes when the command returns: a later record
+        # of the same process stays out of that run's log
+        root = logging.getLogger()
+        before = (list(root.handlers), root.level)
+        assert run(["gen-synthetic", "--out", tmp_path / "d",
+                    "--n-maturities", 2, "--n-strikes", 3]) == 0
+        assert (list(root.handlers), root.level) == before
+        logging.getLogger("volsurf").warning("logged after gen-synthetic returned")
+        assert "after gen-synthetic" not in (tmp_path / "d" / "run.log").read_text()
+
+    def test_failed_command_removes_its_handler_too(self, synthetic_dir, tmp_path, capsys):
+        root = logging.getLogger()
+        before = list(root.handlers)
+        assert run(["calibrate", "gp", *market_args(synthetic_dir), "--starts", 0,
+                    "--out", tmp_path / "gp"]) == 2
+        assert list(root.handlers) == before
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from volsurf import constrained_sampling
 from volsurf.constrained_sampling import (
     InfeasibleStartError,
+    KroneckerQuadProgram,
     QpConvergenceError,
     QpInfeasibleError,
     QuadProgram,
@@ -184,6 +185,59 @@ class TestSolveQp:
         with pytest.raises((QpInfeasibleError, QpConvergenceError)) as err:
             solve_qp(p)
         assert "iterations" in err.value.diagnostics
+
+
+@st.composite
+def kronecker_rows(draw):
+    """Shape rows A on an n_t x n_k node grid, two correlation roots, a scale and row weights.
+
+    The roots are Cholesky factors of exponential correlations with drawn
+    length scales, so the maturity and strike roots differ even on a square
+    grid.
+    """
+    n_t, n_k = draw(st.integers(2, 8)), draw(st.integers(3, 12))
+    theta_t, theta_k = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+    scale = draw(st.floats(0.1, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def root(n, theta):
+        nodes = np.linspace(0.0, 1.0, n)
+        return np.linalg.cholesky(np.exp(-np.abs(nodes[:, None] - nodes[None, :]) / theta))
+
+    a = shape_rows(n_t, n_k)
+    return a, root(n_t, theta_t), root(n_k, theta_k), scale, rng
+
+
+def max_relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestKroneckerQuadProgram:
+    @settings(max_examples=100, deadline=None)
+    @given(kronecker_rows())
+    def test_operations_match_the_dense_rows(self, drawn):
+        # R = A L with L = scale (L_t (x) L_k), formed densely as A @ root
+        a, root_t, root_k, scale, rng = drawn
+        m, d = a.shape
+        dense_rows = a @ (scale * np.kron(root_t, root_k))
+        dense = QuadProgram(q=np.eye(d), c=np.zeros(d), a_ineq=dense_rows, b_ineq=np.zeros(m))
+        kron = KroneckerQuadProgram(q=np.eye(d), c=np.zeros(d), a=a, root_t=root_t,
+                                    root_k=root_k, scale=scale, b_ineq=np.zeros(m))
+        x, z = rng.standard_normal(d), rng.standard_normal(m)
+        w = np.exp(rng.uniform(-5.0, 5.0, m))
+        assert max_relative_gap(kron.rows(x), dense_rows @ x) <= 1e-13
+        assert max_relative_gap(kron.rows_t(z), dense_rows.T @ z) <= 1e-13
+        assert max_relative_gap(kron.normal(w), dense.normal(w)) <= 1e-13
+
+    @pytest.mark.parametrize("roots, message", [
+        ((np.eye(2), np.eye(4)), "span 8 nodes"),
+        ((np.eye(2), np.ones((3, 2))), "square"),
+    ], ids=["too-many-nodes", "not-square"])
+    def test_rejects_roots_that_do_not_fit(self, roots, message):
+        a = shape_rows(2, 3)
+        with pytest.raises(ValueError, match=message):
+            KroneckerQuadProgram(q=np.eye(6), c=np.zeros(6), a=a, root_t=roots[0],
+                                 root_k=roots[1], scale=1.0, b_ineq=np.zeros(a.shape[0]))
 
 
 class TestCholWithJitter:

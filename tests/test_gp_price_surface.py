@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from volsurf.market_data import (
 from oracles import (
     collapsed_negative_log_likelihood,
     dense_gp_posterior,
+    dense_row_map_nodes,
     hat_basis,
     hat_basis_csr,
     kernel,
@@ -563,6 +565,34 @@ class TestFitMap:
         assert objective(model.map_nodes, map_residuals(model, frame)) <= objective(
             np.zeros(grid.size), y
         )
+
+    def test_matches_a_solve_on_the_dense_rows(self):
+        # the Kronecker operator against every matrix formed: the same QP up
+        # to round-off, so the same MAP far inside the QP tolerance
+        frame = flat_vol_frame(n_t=6, n_k=8)
+        grid = BasisGrid(n_t=4, n_k=6)
+        p = KernelParams(sigma=20.0, theta_t=0.4, theta_k=0.3, noise_sd=0.2)
+        want = dense_row_map_nodes(p, frame, grid)
+        got = fit_map(frame, grid, p).map_nodes
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_allocates_no_whitened_row_matrix(self):
+        # 1,720 shape rows on 600 nodes: one dense m x d array is 2.9 d^2
+        # doubles, and forming A L with a weighted copy of it in every
+        # normal matrix peaked at 8.9 d^2; the Kronecker operator keeps the
+        # peak at the few d x d arrays the QP needs
+        frame = flat_vol_frame(n_t=6, n_k=10)
+        grid = BasisGrid(n_t=10, n_k=60)
+        p = KernelParams(sigma=20.0, theta_t=0.4, theta_k=0.4, noise_sd=0.2)
+        assert build_constraints(grid).shape == (1720, 600)
+        tracemalloc.start()
+        try:
+            model = fit_map(frame, grid, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.qp_diagnostics["iterations"] > 0
+        assert peak < 6 * grid.size**2 * 8
 
     @pytest.mark.parametrize("theta, ridges", [(10.0, (0.0, 1e-12)), (1.0, (0.0, 0.0))])
     def test_prior_jitter_kept(self, theta, ridges):
