@@ -148,7 +148,7 @@ def cmd_calibrate(args) -> int:
             "prior_jitter": dict(zip(("maturity", "strike"), model.prior_jitter)),
         }
         if args.paths > 0:
-            paths = sample_posterior(model, n_paths=args.paths, seed=args.seed)
+            paths, report["hmc"] = sample_posterior(model, n_paths=args.paths, seed=args.seed)
             dump_json(
                 {"version": "gppaths/1", "n_paths": args.paths,
                  "paths": [list(map(float, row)) for row in paths]},

@@ -17,20 +17,22 @@ Two independent tools live here:
 
 * ``sample_truncated`` — exact Hamiltonian Monte Carlo for multivariate
   Gaussians restricted to a polyhedron {x : A x >= b}, each given by its
-  mean and a square root of its covariance.  The Hamiltonian flow
-  of a whitened Gaussian is harmonic, so trajectories are followed
+  mean and a square root S of its covariance.  With momenta drawn from the
+  covariance itself, the Hamiltonian flow of the deviation u = x - mean is
+  harmonic, u(t) = u_a sin t + u_b cos t, so trajectories are followed
   analytically and wall hits are reflected exactly; no step size exists to
   tune and no sample ever leaves the support.  The walls A are held as
   CSR; the support needs at least one.
 
-  With m walls, d dimensions and covariance root L, the whitened walls
-  F = A L are never formed.  A trajectory starts from exact products
-  F v = A (L v), one O(d^2) matvec with L and one O(nnz(A)) sparse
-  product, and ends with one more for its exact feasibility check.  A
-  bounce in between costs O(m + d + nnz(A)): the hit search evaluates the
-  trig on reachable walls only, and the products of the new position and
-  velocity follow in closed form from the old ones plus A (L L' a_j') for
-  the wall's sparse row a_j.
+  With m walls and d dimensions, the covariance S S' is formed once per
+  call and S is never solved against.  A trajectory costs one O(d^2)
+  matvec, its momentum S xi, and two O(nnz(A)) sparse products: A of the
+  momentum at its start and the exact A u of its end, for the feasibility
+  check.  A bounce in between costs O(m + d + nnz(A)): the hit search
+  evaluates the trig on reachable walls only, the reflection reads the
+  covariance rows picked by the wall's sparse row a_j, and the products of
+  the new position and velocity follow in closed form from the old ones
+  plus A (S S' a_j').
 """
 
 from __future__ import annotations
@@ -339,7 +341,8 @@ class TruncatedGaussian:
     """Gaussian N(mean, root @ root.T) restricted to {x : a @ x >= b}.
 
     `root` is any nonsingular square root of the covariance, not necessarily
-    triangular; the sampler whitens with it as given and never factors.
+    triangular; the sampler forms root @ root.T once and draws each momentum
+    as root @ xi, and never factors or solves against it.
     `a` may be dense or sparse and is held as CSR.
     """
 
@@ -394,6 +397,9 @@ _MIN_HIT_TIME = 1e-9
 # wall bounces one trajectory may take before it is restarted
 MAX_BOUNCES = 50_000
 
+# accepted moves discarded before the first returned sample
+BURN_IN = 100
+
 # consecutive trajectories restarted (knife edge, bounce limit, roundoff
 # rejection) before the sampler gives up instead of looping forever
 MAX_CONSECUTIVE_RESTARTS = 100
@@ -426,61 +432,37 @@ def _wall_hit(f_a, f_b, g):
     return float(times.flat[flat]), int(rows[flat // 2])
 
 
-class _Walls:
-    """The whitened walls f = A L of a support f z >= -g, never formed.
+def _reflect(a: sp.csr_matrix, cov: np.ndarray, u_a, u_b, f_a, f_b, t_hit: float, wall: int):
+    """State just after bouncing off `wall` at t_hit on u(t) = u_a sin t + u_b cos t.
 
-    A product f v costs one dense matvec with L and one sparse matvec with
-    A.  Wall j's row f_j = L' a_j' combines the rows of L picked by the (at
-    most three, for the GP shape rules) nonzeros of a_j, and
-    f f_j' = A (L L') a_j' combines as many rows of the cached L L'.
-    """
+    u is the deviation x - mean and cov = S S' the covariance.  The flow
+    keeps v' cov^-1 v, so the bounce is the cov-orthogonal reflection across
+    the wall's sparse row a_j,
 
-    def __init__(self, a: sp.csr_matrix, root: np.ndarray):
-        self.a = a
-        self.root = root
-        self.root_outer = root @ root.T
+        v_ref = v_hit - c cov a_j',   c = 2 (a_j v_hit) / (a_j cov a_j'),
 
-    def products(self, v: np.ndarray) -> np.ndarray:
-        """f v = A (L v)."""
-        return self.a @ (self.root @ v)
+    whose dots read only a_j's nonzeros.  Returns (velocity, position,
+    A velocity, A position), the wall products in closed form from
+    f_a = A u_a and f_b = A u_b:
 
-    def _nonzeros(self, j: int):
-        lo, hi = self.a.indptr[j], self.a.indptr[j + 1]
-        return self.a.data[lo:hi], self.a.indices[lo:hi]
-
-    def row(self, j: int) -> np.ndarray:
-        """f_j = L' a_j'."""
-        vals, cols = self._nonzeros(j)
-        return vals @ self.root[cols]
-
-    def row_products(self, j: int) -> np.ndarray:
-        """f f_j' = A (L L' a_j')."""
-        vals, cols = self._nonzeros(j)
-        return self.a @ (vals @ self.root_outer[cols])
-
-
-def _reflect(walls: _Walls, a_vec, b_vec, f_a, f_b, t_hit: float, wall: int):
-    """State just after bouncing off `wall` at t_hit on x(t) = a sin t + b cos t.
-
-    Returns (velocity, position, f velocity, f position), the wall products
-    in closed form from f_a = f a and f_b = f b:
-
-        f b_new = sin t f_a + cos t f_b,
-        f v_ref = cos t f_a - sin t f_b - c f f_j',   v_ref = v_hit - c f_j.
+        A u_new = sin t f_a + cos t f_b,
+        A v_ref = cos t f_a - sin t f_b - c A (cov a_j').
 
     Returns None when the reflected velocity points into the wall, a
     numerical knife edge.
     """
     sin_t, cos_t = np.sin(t_hit), np.cos(t_hit)
-    b_new = a_vec * sin_t + b_vec * cos_t
-    v_hit = a_vec * cos_t - b_vec * sin_t
-    row = walls.row(wall)
-    coef = 2.0 * (row @ v_hit) / (row @ row)
-    v_ref = v_hit - coef * row
-    if v_ref @ row < 0.0:
+    u_new = u_a * sin_t + u_b * cos_t
+    v_hit = u_a * cos_t - u_b * sin_t
+    lo, hi = a.indptr[wall], a.indptr[wall + 1]
+    vals, cols = a.data[lo:hi], a.indices[lo:hi]
+    cov_row = vals @ cov[cols]
+    coef = 2.0 * (vals @ v_hit[cols]) / (vals @ cov_row[cols])
+    v_ref = v_hit - coef * cov_row
+    if vals @ v_ref[cols] < 0.0:
         return None
-    f_v = cos_t * f_a - sin_t * f_b - coef * walls.row_products(wall)
-    return v_ref, b_new, f_v, sin_t * f_a + cos_t * f_b
+    f_v = cos_t * f_a - sin_t * f_b - coef * (a @ cov_row)
+    return v_ref, u_new, f_v, sin_t * f_a + cos_t * f_b
 
 
 def sample_truncated(
@@ -488,8 +470,7 @@ def sample_truncated(
     init: np.ndarray,
     n_samples: int,
     seed: int = 0,
-    burn_in: int = 100,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     """Draw samples from a linearly constrained Gaussian by exact HMC.
 
     Every returned sample satisfies a @ x >= b; trajectories are reflected
@@ -497,75 +478,81 @@ def sample_truncated(
     in the rare event roundoff lands it outside the support, or after
     MAX_BOUNCES bounces.  After
     MAX_CONSECUTIVE_RESTARTS restarts in a row it raises SamplerStallError.
-    Fixed seed gives a bitwise-identical sample stream.
+    The first BURN_IN accepted moves are discarded; zero samples take no
+    move.  Fixed seed gives a bitwise-identical sample stream.
+
+    Returns (samples, diagnostics): the (n_samples, d) block and the run's
+    "bounces" (every wall bounce, burn-in included), "restarts" (every
+    trajectory restarted) and "min_slack" (the least a @ x - b over the
+    block, inf when it is empty).
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     d = tg.dim
     init = np.asarray(init, dtype=float).ravel()
     if init.size != d:
         raise ValueError("init dimension mismatch")
 
-    root = tg.root
     slack = tg.a @ init - tg.b
     if np.min(slack) < 1e-12:
         raise InfeasibleStartError(
             f"initial point must be strictly feasible; min slack {np.min(slack):.3e}"
         )
-    # whiten: x = mean + root z, so the support becomes f z >= -g
+    # in deviations u = x - mean the support is A u >= -g
     g = tg.a @ tg.mean - tg.b
-    walls = _Walls(tg.a, root)
-
-    z = np.linalg.solve(root, init - tg.mean)  # the root need not be triangular
-    f_z = walls.products(z)
+    cov = tg.root @ tg.root.T
+    u = init - tg.mean
+    f_u = tg.a @ u
     rng = np.random.default_rng(seed)
     out = np.empty((n_samples, d))
     travel = 0.5 * np.pi
 
-    kept = 0
-    restarts = 0
-    total = burn_in + n_samples
+    kept = bounces = restarts = consecutive = 0
+    total = BURN_IN + n_samples if n_samples else 0
     while kept < total:
-        a_vec = rng.standard_normal(d)   # the momentum
-        b_vec = z
+        u_a = tg.root @ rng.standard_normal(d)   # the momentum, N(0, cov)
+        u_b = u
         remaining = travel
         ok = True
         # exact products at the start; closed-form updates per bounce
-        f_a = walls.products(a_vec)
-        f_b = f_z
+        f_a = tg.a @ u_a
+        f_b = f_u
         for _ in range(MAX_BOUNCES):
             t_hit, wall = _wall_hit(f_a, f_b, g)
             if t_hit >= remaining:
                 break
-            bounced = _reflect(walls, a_vec, b_vec, f_a, f_b, t_hit, wall)
+            bounced = _reflect(tg.a, cov, u_a, u_b, f_a, f_b, t_hit, wall)
             if bounced is None:
                 # reflected velocity points into the wall: restart the
                 # trajectory with fresh momentum
                 ok = False
                 break
-            a_vec, b_vec, f_a, f_b = bounced
+            u_a, u_b, f_a, f_b = bounced
             remaining -= t_hit
+            bounces += 1
         else:
             ok = False
         if ok:
-            z_new = a_vec * np.sin(remaining) + b_vec * np.cos(remaining)
-            deviation = root @ z_new
-            f_z_new = walls.a @ deviation
-            ok = not np.min(f_z_new + g) < 0.0  # roundoff violation: redraw
+            u_new = u_a * np.sin(remaining) + u_b * np.cos(remaining)
+            f_new = tg.a @ u_new
+            ok = not np.min(f_new + g) < 0.0  # roundoff violation: redraw
         if not ok:
             restarts += 1
-            if restarts >= MAX_CONSECUTIVE_RESTARTS:
+            consecutive += 1
+            if consecutive >= MAX_CONSECUTIVE_RESTARTS:
                 raise SamplerStallError(
-                    f"{restarts} consecutive HMC trajectories restarted after "
+                    f"{consecutive} consecutive HMC trajectories restarted after "
                     f"{kept} accepted draws"
                 )
             continue
-        restarts = 0
-        z, f_z = z_new, f_z_new
-        if kept >= burn_in:
-            out[kept - burn_in] = tg.mean + deviation
+        consecutive = 0
+        u, f_u = u_new, f_new
+        if kept >= BURN_IN:
+            out[kept - BURN_IN] = tg.mean + u
         kept += 1
 
     # hard support assertion on the returned block
-    worst = float(np.min(tg.a @ out.T - tg.b[:, None]))
+    worst = float(np.min(tg.a @ out.T - tg.b[:, None], initial=np.inf))
     if worst < 0.0:
         raise RuntimeError(f"sampler produced an infeasible sample, slack {worst:.3e}")
-    return out
+    return out, {"bounces": bounces, "restarts": restarts, "min_slack": worst}

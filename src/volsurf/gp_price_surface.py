@@ -534,21 +534,18 @@ def _interior_nudge(model: GpModel, a: sp.csr_matrix) -> np.ndarray:
     raise RuntimeError("could not move the MAP strictly inside the constraint set")
 
 
-def sample_posterior(
-    model: GpModel,
-    n_paths: int = 100,
-    seed: int = 0,
-    burn_in: int = 100,
-) -> np.ndarray:
+def sample_posterior(model: GpModel, n_paths: int = 100, seed: int = 0) -> tuple[np.ndarray, dict]:
     """Constrained posterior node-value paths via exact HMC.
 
-    Returns an (n_paths, M) array; every row satisfies the shape rows.
+    Returns (paths, diagnostics): an (n_paths, M) array whose every row
+    satisfies the shape rows, and sample_truncated's bounce, restart and
+    minimum-slack counts.
     """
     eta, root = posterior_factors(model)
     a = build_constraints(model.grid)
     init = _interior_nudge(model, a)
     tg = TruncatedGaussian(mean=eta, root=root, a=a, b=np.zeros(a.shape[0]))
-    return sample_truncated(tg, init=init, n_samples=n_paths, seed=seed, burn_in=burn_in)
+    return sample_truncated(tg, init=init, n_samples=n_paths, seed=seed)
 
 
 # ---------------------------------------------------------------------------

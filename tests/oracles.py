@@ -363,6 +363,75 @@ def all_walls_hit(f_a, f_b, g, min_time=1e-9):
     return float(times.flat[flat]), flat // 2
 
 
+def whitened_sample_truncated(tg, init, n_samples, seed=0, burn_in=100):
+    """Exact HMC on a TruncatedGaussian, carried in whitened coordinates z.
+
+    The reference for ``sample_truncated``: x = mean + root z, so the support
+    is F z >= -g with F = A root, and the momentum is a standard normal.  z
+    enters by a solve against the root and each sample leaves by a matvec
+    with it; a bounce reflects across the whitened row f_j = root' a_j'
+    Euclidean-wise, and the wall products follow in closed form through
+    F f_j' = A (root root') a_j'.  Wall hits come from ``all_walls_hit``.
+    The same seed draws the same momenta, and every restart rule is the
+    same, so both samplers follow the same trajectories up to roundoff.
+    """
+    a, root = tg.a, tg.root
+    cov = root @ root.T
+    d = tg.dim
+    g = a @ tg.mean - tg.b
+
+    def products(v):
+        return a @ (root @ v)
+
+    def nonzeros(j):
+        lo, hi = a.indptr[j], a.indptr[j + 1]
+        return a.data[lo:hi], a.indices[lo:hi]
+
+    z = np.linalg.solve(root, np.asarray(init, dtype=float) - tg.mean)
+    f_z = products(z)
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_samples, d))
+    kept = restarts = 0
+    while kept < burn_in + n_samples:
+        a_vec, b_vec, remaining = rng.standard_normal(d), z, 0.5 * np.pi
+        f_a, f_b = products(a_vec), f_z
+        ok = False
+        for _ in range(50_000):   # MAX_BOUNCES
+            t_hit, wall = all_walls_hit(f_a, f_b, g)
+            if t_hit >= remaining:
+                ok = True
+                break
+            sin_t, cos_t = np.sin(t_hit), np.cos(t_hit)
+            b_new = a_vec * sin_t + b_vec * cos_t
+            v_hit = a_vec * cos_t - b_vec * sin_t
+            vals, cols = nonzeros(wall)
+            row = vals @ root[cols]
+            coef = 2.0 * (row @ v_hit) / (row @ row)
+            v_ref = v_hit - coef * row
+            if v_ref @ row < 0.0:
+                break
+            f_a, f_b = (cos_t * f_a - sin_t * f_b - coef * (a @ (vals @ cov[cols])),
+                        sin_t * f_a + cos_t * f_b)
+            a_vec, b_vec = v_ref, b_new
+            remaining -= t_hit
+        if ok:
+            z_new = a_vec * np.sin(remaining) + b_vec * np.cos(remaining)
+            deviation = root @ z_new
+            f_z_new = a @ deviation
+            ok = not np.min(f_z_new + g) < 0.0
+        if not ok:
+            restarts += 1
+            if restarts >= 100:
+                raise RuntimeError("100 consecutive trajectories restarted")
+            continue
+        restarts = 0
+        z, f_z = z_new, f_z_new
+        if kept >= burn_in:
+            out[kept - burn_in] = tg.mean + deviation
+        kept += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # per-quote scalar references for the vectorised quote path
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_05_ssvi_round_trip(curves):
 def test_06_sampler_correctness(calibration_frame, monkeypatch):
     # half-line truncated standard normal
     tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
-    samples = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
+    samples, _ = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
     target = truncated_standard_normal_mean()
     stderr = samples.std(ddof=1) / np.sqrt(samples.size)
     mean_ok = abs(samples.mean() - target) <= 3.0 * stderr
@@ -205,7 +205,7 @@ def test_06_sampler_correctness(calibration_frame, monkeypatch):
     monkeypatch.setattr(gp_price_surface, "FIT_MAX_ITER", 120)
     params = fit_hyperparameters(calibration_frame, grid, n_starts=2, seed=1)
     model = fit_map(calibration_frame, grid, params)
-    paths = sample_posterior(model, n_paths=100, seed=3)
+    paths, _ = sample_posterior(model, n_paths=100, seed=3)
     min_slack = float(np.min(build_constraints(grid) @ paths.T))
     paths_ok = min_slack >= 0.0
     ok = mean_ok and paths_ok

@@ -244,6 +244,60 @@ class TestCalibrate:
         assert outs[0] == outs[1]
 
 
+class TestHmc:
+    BOOKS = {
+        # perfbench's gp_flat workload at seed 1, and CI's same-seed GP book
+        "gp_flat": (["--kind", "flat", "--sigma", 0.2, "--n-maturities", 10, "--n-strikes", 15],
+                    ["--grid-t", 12, "--grid-k", 30, "--paths", 20, "--seed", 1]),
+        "ci": (["--kind", "flat", "--n-maturities", 4, "--n-strikes", 10],
+               ["--grid-t", 4, "--grid-k", 8, "--starts", 1, "--paths", 3]),
+    }
+
+    @pytest.mark.parametrize("book", sorted(BOOKS))
+    def test_paths_match_the_whitened_reference(self, book, tmp_path, monkeypatch):
+        from oracles import whitened_sample_truncated
+
+        gen, calibrate = self.BOOKS[book]
+        assert run(["gen-synthetic", *gen, "--out", tmp_path / "market"]) == 0
+        calls = []
+        sampler = gp_price_surface.sample_truncated
+
+        def recording(tg, init, **kwargs):
+            calls.append((tg, init, kwargs))
+            return sampler(tg, init, **kwargs)
+
+        monkeypatch.setattr(gp_price_surface, "sample_truncated", recording)
+        out = tmp_path / "gp"
+        assert run(["calibrate", "gp", *market_args(tmp_path / "market"), *calibrate,
+                    "--out", out]) == 0
+        (tg, init, kwargs), = calls
+        paths = np.array(json.loads((out / "paths.json").read_text())["paths"])
+        want = whitened_sample_truncated(tg, init, kwargs["n_samples"], seed=kwargs["seed"])
+        assert paths.shape == want.shape
+        assert np.max(np.abs(paths - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_report_counts_bounces_restarts_and_slack(self, synthetic_dir, tmp_path):
+        out = tmp_path / "gp"
+        assert run(["calibrate", "gp", *market_args(synthetic_dir), "--out", out,
+                    "--grid-t", 4, "--grid-k", 8, "--starts", 1, "--paths", 5]) == 0
+        hmc = json.loads((out / "report.json").read_text())["hmc"]
+        assert sorted(hmc) == ["bounces", "min_slack", "restarts"]
+        assert type(hmc["bounces"]) is int and type(hmc["restarts"]) is int
+        assert hmc["bounces"] >= 0 and hmc["restarts"] >= 0
+        paths = np.array(json.loads((out / "paths.json").read_text())["paths"])
+        slack = gp_price_surface.build_constraints(gp_price_surface.BasisGrid(4, 8)) @ paths.T
+        assert hmc["min_slack"] == float(np.min(slack)) >= 0.0
+        for name in ("model.json", "paths.json"):
+            assert "hmc" not in json.loads((out / name).read_text())
+
+    def test_no_paths_no_report(self, synthetic_dir, tmp_path):
+        out = tmp_path / "gp"
+        assert run(["calibrate", "gp", *market_args(synthetic_dir), "--out", out,
+                    "--grid-t", 3, "--grid-k", 5, "--starts", 1, "--paths", 0]) == 0
+        assert "hmc" not in json.loads((out / "report.json").read_text())
+        assert not (out / "paths.json").exists()
+
+
 class TestSplit:
     def test_order_is_sorted_maturity_then_strike_ties_included(self):
         from volsurf.market_data import AffineScaling, Curve, CurveSet, MarketFrame

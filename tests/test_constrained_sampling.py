@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,6 @@ from volsurf.constrained_sampling import (
     TruncatedGaussian,
     _reflect,
     _wall_hit,
-    _Walls,
     chol_with_jitter,
     sample_truncated,
     solve_qp,
@@ -260,7 +258,7 @@ class TestCholWithJitter:
 class TestSampleTruncated:
     def test_half_line_mean(self):
         tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
-        samples = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
+        samples, _ = sample_truncated(tg, init=np.array([0.5]), n_samples=10_000, seed=42)
         assert np.min(samples) >= 0.0
         target = truncated_standard_normal_mean()
         stderr = samples.std(ddof=1) / np.sqrt(samples.size)
@@ -271,7 +269,7 @@ class TestSampleTruncated:
         # one wall 15 / sqrt(2) > 10 standard deviations below the mean: no draw reaches it
         tg = TruncatedGaussian(mean=[1.0, -2.0], root=np.linalg.cholesky(cov),
                                a=[[1.0, 0.0]], b=[-14.0])
-        samples = sample_truncated(tg, init=np.array([1.0, -2.0]), n_samples=20_000, seed=3)
+        samples, _ = sample_truncated(tg, init=np.array([1.0, -2.0]), n_samples=20_000, seed=3)
         est = np.cov(samples.T)
         assert est == pytest.approx(cov, abs=0.08)
         assert samples.mean(axis=0) == pytest.approx([1.0, -2.0], abs=0.05)
@@ -283,13 +281,13 @@ class TestSampleTruncated:
             a=[[1.0, 0.0]],
             b=[5.0],
         )
-        samples = sample_truncated(tg, init=np.array([5.5, 0.0]), n_samples=2_000, seed=9)
+        samples, _ = sample_truncated(tg, init=np.array([5.5, 0.0]), n_samples=2_000, seed=9)
         assert np.min(samples[:, 0]) >= 5.0
 
     def test_deterministic_given_seed(self):
         tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
-        s1 = sample_truncated(tg, init=np.array([1.0]), n_samples=500, seed=11)
-        s2 = sample_truncated(tg, init=np.array([1.0]), n_samples=500, seed=11)
+        s1, _ = sample_truncated(tg, init=np.array([1.0]), n_samples=500, seed=11)
+        s2, _ = sample_truncated(tg, init=np.array([1.0]), n_samples=500, seed=11)
         assert np.array_equal(s1, s2)
 
     def test_infeasible_init_rejected(self):
@@ -304,63 +302,118 @@ class TestSampleTruncated:
         a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = np.array([0.0, -1.0, 0.0, -1.0])
         tg = TruncatedGaussian(mean=[1.5, 0.5], root=0.5 * np.eye(2), a=a, b=b)
-        samples = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=4_000, seed=1)
+        samples, _ = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=4_000, seed=1)
         assert np.min(a @ samples.T - b[:, None]) >= 0.0
         # mass should pile against the x=1 wall
         assert samples[:, 0].mean() > 0.6
+
+    def test_zero_samples_return_an_empty_block(self):
+        tg = TruncatedGaussian(mean=[0.0, 0.0], root=np.eye(2), a=[[1.0, 0.0]], b=[0.0])
+        samples, diagnostics = sample_truncated(tg, init=np.array([0.5, 0.0]), n_samples=0)
+        assert samples.shape == (0, 2)
+        assert diagnostics == {"bounces": 0, "restarts": 0, "min_slack": np.inf}
+
+    def test_negative_count_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        tg = TruncatedGaussian(mean=[0.0], root=[[1.0]], a=[[1.0]], b=[0.0])
+        with pytest.raises(ValueError, match="n_samples.*-3"):
+            sample_truncated(tg, init=np.array([0.5]), n_samples=-3)
+
+    def test_diagnostics_count_bounces_restarts_and_slack(self, monkeypatch):
+        a = np.array([[1.0, 0.0], [0.0, 1.0]])
+        tg = TruncatedGaussian(mean=[0.0, 0.0], root=np.eye(2), a=a, b=[0.0, 0.0])
+        reflections = []
+
+        def counting(*args):
+            reflections.append(1)
+            # one knife edge: its trajectory restarts and its bounce is not counted
+            return None if len(reflections) == 5 else _reflect(*args)
+
+        monkeypatch.setattr(constrained_sampling, "_reflect", counting)
+        samples, diagnostics = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=50,
+                                                seed=4)
+        assert diagnostics["bounces"] == len(reflections) - 1 > 0
+        assert diagnostics["restarts"] == 1
+        assert diagnostics["min_slack"] == np.min(a @ samples.T)
+        assert diagnostics["min_slack"] >= 0.0
+
+    def test_never_solves_against_the_root(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        root = np.array([[1.0, 0.0], [0.8, 0.5]])
+        tg = TruncatedGaussian(mean=[0.2, -0.1], root=root, a=[[1.0, 0.0], [-1.0, 1.0]],
+                               b=[0.0, 0.0])
+        samples, diagnostics = sample_truncated(tg, init=np.array([0.5, 1.0]), n_samples=200,
+                                                seed=6)
+        assert diagnostics["bounces"] > 0 and diagnostics["min_slack"] >= 0.0
 
     def test_near_singular_covariance_sampled(self):
         # rank-deficient direction handled by the jitter policy
         cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
         tg = TruncatedGaussian(mean=[0.0, 0.0], root=chol_with_jitter(cov)[0], a=[[1.0, 0.0]],
                                b=[0.0])
-        samples = sample_truncated(tg, init=np.array([1.0, 1.0]), n_samples=200, seed=5)
+        samples, _ = sample_truncated(tg, init=np.array([1.0, 1.0]), n_samples=200, seed=5)
         assert np.min(samples[:, 0]) >= 0.0
 
 
 class TestClosedFormBounces:
+    @staticmethod
+    def node_state(rng, a, root):
+        """A deviation u = root z with every wall 0.05..0.5 away, and a momentum root xi."""
+        u = root @ rng.standard_normal(a.shape[1])
+        g = -(a @ u) + rng.uniform(0.05, 0.5, a.shape[0])
+        return u, g, root @ rng.standard_normal(a.shape[1])
+
     def test_products_track_exact_after_many_bounces(self):
         rng = np.random.default_rng(17)
-        a_dense = shape_rows(4, 6).toarray()
-        d = a_dense.shape[1]
+        a = shape_rows(4, 6)
+        d = a.shape[1]
         half = rng.standard_normal((d, d))
         root = np.linalg.cholesky(half @ half.T / d + 0.1 * np.eye(d))
-        z = rng.standard_normal(d)
-        g = -(a_dense @ (root @ z)) + rng.uniform(0.05, 0.5, a_dense.shape[0])
-        walls = _Walls(sp.csr_matrix(a_dense), root)
+        u_b, g, u_a = self.node_state(rng, a, root)
 
-        a_vec, b_vec = rng.standard_normal(d), z
-        f_a, f_b = walls.products(a_vec), walls.products(b_vec)
-        bounces = 0
-        while bounces < 40:
+        f_a, f_b = a @ u_a, a @ u_b
+        for _ in range(40):
             t_hit, wall = _wall_hit(f_a, f_b, g)
             assert np.isfinite(t_hit)
-            bounced = _reflect(walls, a_vec, b_vec, f_a, f_b, t_hit, wall)
+            bounced = _reflect(a, root @ root.T, u_a, u_b, f_a, f_b, t_hit, wall)
             assert bounced is not None
-            a_vec, b_vec, f_a, f_b = bounced
-            bounces += 1
-        for closed, vec in ((f_a, a_vec), (f_b, b_vec)):
-            exact = a_dense @ (root @ vec)
+            u_a, u_b, f_a, f_b = bounced
+        for closed, vec in ((f_a, u_a), (f_b, u_b)):
+            exact = a.toarray() @ vec
             assert np.max(np.abs(closed - exact)) <= 1e-9 * np.max(np.abs(exact))
 
     def test_reflection_preserves_energy_and_flips_wall_velocity(self):
         rng = np.random.default_rng(2)
-        a_dense = shape_rows(3, 4).toarray()
-        d = a_dense.shape[1]
-        root = np.linalg.cholesky(np.eye(d) + 0.3 * np.ones((d, d)))
-        z = rng.standard_normal(d)
-        g = -(a_dense @ (root @ z)) + 0.2
-        walls = _Walls(sp.csr_matrix(a_dense), root)
-        a_vec = rng.standard_normal(d)
-        t_hit, wall = _wall_hit(walls.products(a_vec), walls.products(z), g)
-        v_ref, b_new, f_v, f_b = _reflect(
-            walls, a_vec, z, walls.products(a_vec), walls.products(z), t_hit, wall
-        )
-        v_hit = a_vec * np.cos(t_hit) - z * np.sin(t_hit)
-        assert v_ref @ v_ref == pytest.approx(v_hit @ v_hit, rel=1e-12)
-        row = root.T @ a_dense[wall]
-        assert v_ref @ row == pytest.approx(-(v_hit @ row), rel=1e-9)
-        assert f_b[wall] + g[wall] == pytest.approx(0.0, abs=1e-9)
+        a = shape_rows(3, 4)
+        d = a.shape[1]
+        # a drawn covariance, so the wall row is no eigenvector of it and the
+        # Euclidean and cov-orthogonal reflections differ
+        half = rng.standard_normal((d, d))
+        cov = half @ half.T / d + 0.1 * np.eye(d)
+        u, g, u_a = self.node_state(rng, a, np.linalg.cholesky(cov))
+        t_hit, wall = _wall_hit(a @ u_a, a @ u, g)
+        v_ref, u_new, f_v, f_u = _reflect(a, cov, u_a, u, a @ u_a, a @ u, t_hit, wall)
+        v_hit = u_a * np.cos(t_hit) - u * np.sin(t_hit)
+        row = a.toarray()[wall]
+
+        def energy(v):
+            return v @ np.linalg.solve(cov, v)
+
+        assert energy(v_ref) == pytest.approx(energy(v_hit), rel=1e-12)
+        assert row @ v_ref == pytest.approx(-(row @ v_hit), rel=1e-9)
+        assert row @ u_new + g[wall] == pytest.approx(0.0, abs=1e-9)
+        assert f_u[wall] + g[wall] == pytest.approx(0.0, abs=1e-9)
+        assert f_v == pytest.approx(a @ v_ref, rel=1e-12, abs=1e-12)
+        # the Euclidean reflection also flips a_j v, but not at this energy
+        euclid = v_hit - 2.0 * (row @ v_hit) / (row @ row) * row
+        assert row @ euclid == pytest.approx(-(row @ v_hit), rel=1e-9)
+        assert energy(euclid) != pytest.approx(energy(v_hit), rel=1e-3)
 
 
 class TestWallHit:
@@ -420,6 +473,6 @@ class TestSamplerStall:
         monkeypatch.setattr(constrained_sampling, "_reflect", flaky)
         tg = TruncatedGaussian(mean=[0.0, 0.0], root=np.eye(2),
                                a=[[1.0, 0.0], [0.0, 1.0]], b=[0.0, 0.0])
-        samples = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=100, seed=4)
+        samples, _ = sample_truncated(tg, init=np.array([0.5, 0.5]), n_samples=100, seed=4)
         assert len(calls) > 22
         assert samples.min() >= 0.0

@@ -679,17 +679,24 @@ class TestPosterior:
         train = frame.subset(np.lexsort((frame.strike, frame.maturity))[0::2])
         grid = BasisGrid(n_t=4, n_k=8)
         model = fit_map(train, grid, KernelParams(1148068.34, 27.29, 241.09, 0.2998))
-        paths = sample_posterior(model, n_paths=20)
+        paths, _ = sample_posterior(model, n_paths=20)
         assert paths.shape == (20, grid.size)
         assert np.min(build_constraints(grid) @ paths.T) >= 0.0
 
-    def test_paths_satisfy_constraints_and_are_deterministic(self):
+    def test_paths_satisfy_constraints_and_are_deterministic(self, monkeypatch):
         model, frame = self.make_model()
-        paths = sample_posterior(model, n_paths=50, seed=7, burn_in=50)
+        monkeypatch.setattr(constrained_sampling, "BURN_IN", 50)
+        paths, _ = sample_posterior(model, n_paths=50, seed=7)
         assert paths.shape == (50, model.grid.size)
         assert np.min(build_constraints(model.grid) @ paths.T) >= 0.0
-        paths2 = sample_posterior(model, n_paths=50, seed=7, burn_in=50)
+        paths2, _ = sample_posterior(model, n_paths=50, seed=7)
         assert np.array_equal(paths, paths2)
+
+    def test_zero_paths_return_an_empty_block(self):
+        model, frame = self.make_model()
+        paths, diagnostics = sample_posterior(model, n_paths=0)
+        assert paths.shape == (0, model.grid.size)
+        assert diagnostics["bounces"] == diagnostics["restarts"] == 0
 
 
 class TestConvergenceProxy:
