@@ -171,17 +171,16 @@ def cmd_calibrate(args) -> int:
         dump_json({"history": history}, out / "training_history.json")
 
     elif args.method == "ssvi":
-        from .ssvi import SsviModel, calibrate, check_no_arbitrage, model_to_json
+        from .ssvi import calibrate, check_no_arbitrage, model_to_json
 
-        params, surface = calibrate(frame_train)
-        model = SsviModel(params=params, surface=surface, spot=frame.curves.spot)
+        model = calibrate(frame_train)
         dump_json(model_to_json(model), out / "model.json")
         report = {
             "method": "ssvi",
-            "rho": params.rho,
-            "eta": params.eta,
-            "no_arbitrage": check_no_arbitrage(params),
-            "ssvi_slices_at_max_iter": surface.diagnostics["slices_at_max_iter"],
+            "rho": model.params.rho,
+            "eta": model.params.eta,
+            "no_arbitrage": check_no_arbitrage(model.params),
+            "ssvi_slices_at_max_iter": model.diagnostics["slices_at_max_iter"],
         }
     else:
         raise CliInputError(f"unknown calibration method {args.method!r}")
@@ -297,6 +296,9 @@ def cmd_gen_synthetic(args) -> int:
     from .market_data import Curve, CurveSet
     from .serialize import dump_json
 
+    # build_frame refuses a discount factor above 1, so it could not read the book
+    if args.rate < 0.0:
+        raise CliInputError(f"--rate must be nonnegative, got {args.rate}")
     out = _outdir(args.out)
     curves = CurveSet(
         spot=args.spot,

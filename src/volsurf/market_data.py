@@ -63,6 +63,8 @@ class Curve:
         values = np.asarray(values, dtype=float)
         if tenors.ndim != 1 or tenors.size == 0 or tenors.shape != values.shape:
             raise ValueError("curve needs matching 1-d tenor/value arrays")
+        if not (np.isfinite(tenors).all() and np.isfinite(values).all()):
+            raise ValueError("curve tenors and values must be finite")
         if np.any(np.diff(tenors) <= 0.0):
             raise ValueError("curve tenors must be strictly increasing")
         self.tenors = tenors
@@ -238,18 +240,18 @@ def _float_or_nan(text) -> float:
 
 
 def load_curve(path) -> Curve:
-    """Read a `tenor,value` CSV into a Curve."""
-    tenors, values = [], []
+    """Read a `tenor,value` CSV into a Curve; a bad curve is a ValueError naming the file."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"tenor", "value"} <= set(reader.fieldnames):
             raise SchemaError(f"{path}: expected header tenor,value")
-        for row in reader:
-            tenors.append(float(row["tenor"]))
-            values.append(float(row["value"]))
-    if not tenors:
+        rows = [(row["tenor"], row["value"]) for row in reader]
+    if not rows:
         raise EmptyInputError(f"{path}: no curve rows")
-    return Curve(tenors, values)
+    try:  # a short row reads its missing field as None
+        return Curve([float(t) for t, _ in rows], [float(v) for _, v in rows])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_frame(quotes: dict[str, np.ndarray], curves: CurveSet) -> MarketFrame:
@@ -267,7 +269,8 @@ def build_frame(quotes: dict[str, np.ndarray], curves: CurveSet) -> MarketFrame:
     reduced prices, reduced strikes and log-moneyness for the survivors and
     fits the unit-square scaling to their bounding box.  Raises ValueError
     if the curves end before the longest maturity that passes the first
-    four checks, and EmptyInputError if no row survives.
+    four checks or the rate curve discounts by more than 1 at a maturity
+    that passes the first five, and EmptyInputError if no row survives.
     """
     maturity, strike, bid, ask, listed_iv = (
         np.asarray(quotes[name], dtype=float) for name in QUOTE_COLUMNS
@@ -292,11 +295,14 @@ def build_frame(quotes: dict[str, np.ndarray], curves: CurveSet) -> MarketFrame:
 
     idx = np.flatnonzero(keep)
     t = maturity[idx]
+    discount = curves.discount(t)
+    if np.any(discount > 1.0):
+        raise ValueError("the rate curve gives a discount factor above 1 (a negative rate) "
+                         "at a quote maturity; negative rates are not supported")
     with np.errstate(invalid="ignore"):  # inf - inf in a row rejected above
         mid = 0.5 * (bid + ask)
     mid_iv = np.full(maturity.size, math.nan)
-    mid_iv[idx] = implied_vol_array(mid[idx], curves.forward(t), strike[idx], t,
-                                    curves.discount(t))
+    mid_iv[idx] = implied_vol_array(mid[idx], curves.forward(t), strike[idx], t, discount)
     reject(np.isnan(mid_iv), "mid price outside arbitrage band")
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(listed_iv - mid_iv) / listed_iv

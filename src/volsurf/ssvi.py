@@ -100,29 +100,6 @@ class SsviParams:
         )
 
 
-@dataclass(frozen=True)
-class SviSurface:
-    """Per-maturity natural slices plus the ATM curve driving interpolation.
-
-    ``diagnostics`` holds what the calibration observed; it is not serialized.
-    """
-
-    maturities: tuple
-    slices: tuple          # NaturalSviParams per maturity
-    atm_curve: tuple       # Theta_T at the slice maturities
-    diagnostics: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if len(self.maturities) != len(self.slices) or len(self.maturities) != len(
-            self.atm_curve
-        ):
-            raise ValueError("maturities, slices and atm curve must align")
-        if len(self.maturities) < 2:
-            raise ValueError("a surface needs at least two slices to interpolate between")
-        if np.any(np.diff(np.asarray(self.maturities)) <= 0.0):
-            raise ValueError("slice maturities must be strictly increasing")
-
-
 def _svi(delta, mu, rho, omega, zeta, kappa, root=None):
     """Natural-SVI total variance Theta(kappa), field by field.
 
@@ -232,7 +209,7 @@ def _slice_objective(x, t, kappa_all, n_fit, ivs, prev_total):
     return fit + CROSSING_PENALTY * float(np.add.reduce(gaps * gaps))
 
 
-def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
+def calibrate(frame: MarketFrame) -> SsviModel:
     """Two-step surface calibration on mid implied volatilities.
 
     Step 1 estimates the ATM total-variance curve (running maximum keeps it
@@ -242,9 +219,9 @@ def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
     SSVI values, with a squared penalty (CROSSING_PENALTY) on crossing the
     previous slice from below on a KAPPA_GRID_SIZE-point grid.  Slices are
     only refined when that improves their objective.  Both steps run
-    Nelder-Mead for at most MAX_ITER iterations; the surface's diagnostics
-    count the slice fits stopped there.  Returns the step-1 parameters and
-    the refined surface.
+    Nelder-Mead for at most MAX_ITER iterations; the model's diagnostics
+    count the slice fits stopped there.  Returns the model of the step-1
+    parameters, the refined slices and the frame's spot.
     """
     import scipy.optimize as sopt
 
@@ -255,14 +232,14 @@ def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
         )
     theta_curve = np.maximum.accumulate(raw_theta)
 
-    slice_rows = {t: frame.maturity == t for t in maturities}
-    slice_kappas = {t: frame.log_moneyness[rows] for t, rows in slice_rows.items()}
-    slice_ivs = {t: frame.mid_iv[rows] for t, rows in slice_rows.items()}
-    all_t = np.concatenate([np.full(slice_kappas[t].size, t) for t in maturities])
-    all_kappa = np.concatenate([slice_kappas[t] for t in maturities])
-    all_iv = np.concatenate([slice_ivs[t] for t in maturities])
-    theta_of_t = dict(zip(maturities, theta_curve))
-    all_theta = np.array([theta_of_t[t] for t in all_t])
+    # one stable sort by maturity: each slice's quotes are a range of it, in frame order
+    order = np.argsort(frame.maturity, kind="stable")
+    order = order[np.isin(frame.maturity[order], maturities)]
+    all_t, all_kappa = frame.maturity[order], frame.log_moneyness[order]
+    all_iv = frame.mid_iv[order]
+    starts = np.searchsorted(all_t, maturities)
+    ends = np.searchsorted(all_t, maturities, side="right")
+    all_theta = np.repeat(theta_curve, ends - starts)
 
     def project(rho_eta):
         rho, eta = rho_eta
@@ -309,11 +286,11 @@ def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
         (0.0, 4.0 * theta_max + 1e-6),
         (1e-6, 50.0),
     ]
-    for t in maturities:
+    for t, lo, hi in zip(maturities, starts, ends):
         refined = start = ssvi.slice_at(t)
         x0 = np.array([start.delta, start.mu, start.rho, start.omega, start.zeta])
-        kappas = slice_kappas[t]
-        args = (t, np.concatenate([kappas, kappa_grid]), kappas.size, slice_ivs[t], prev_total)
+        kappas = all_kappa[lo:hi]
+        args = (t, np.concatenate([kappas, kappa_grid]), kappas.size, all_iv[lo:hi], prev_total)
         res = sopt.minimize(
             _slice_objective, x0, args=args, method="Nelder-Mead", bounds=bounds,
             options={"maxiter": MAX_ITER, "xatol": 1e-8, "fatol": 1e-12},
@@ -331,17 +308,11 @@ def calibrate(frame: MarketFrame) -> tuple[SsviParams, SviSurface]:
     if at_max_iter:
         log.warning("%d of %d SSVI slice fits stopped at max_iter=%d before converging",
                     at_max_iter, maturities.size, MAX_ITER)
-
-    surface = SviSurface(
-        maturities=tuple(float(t) for t in maturities),
-        slices=tuple(slices),
-        atm_curve=tuple(float(v) for v in theta_curve),
-        diagnostics={"slices_at_max_iter": at_max_iter},
-    )
-    return ssvi, surface
+    return SsviModel(params=ssvi, slices=tuple(slices), spot=frame.curves.spot,
+                     diagnostics={"slices_at_max_iter": at_max_iter})
 
 
-def interpolate_slice(surface: SviSurface, t) -> NaturalSviParams:
+def interpolate_slice(model: SsviModel, t) -> NaturalSviParams:
     """Parameter-wise average of the two slices bracketing each maturity in t.
 
     The weight on the later slice is the ATM total-variance fraction
@@ -351,7 +322,7 @@ def interpolate_slice(surface: SviSurface, t) -> NaturalSviParams:
     The fields have t's shape.
     """
     t = np.asarray(t, dtype=float)
-    maturities, atm = np.asarray(surface.maturities), np.asarray(surface.atm_curve)
+    maturities, atm = np.array([model.params.theta_maturities, model.params.theta_values])
     outside = (t < maturities[0] - 1e-12) | (t > maturities[-1] + 1e-12)
     if np.any(outside):
         raise ExtrapolationError(f"maturity {t[outside][0]} outside calibrated range "
@@ -363,7 +334,7 @@ def interpolate_slice(surface: SviSurface, t) -> NaturalSviParams:
     theta_frac = (np.interp(t, maturities, atm) - atm[lo]) / np.where(by_theta, gap, 1.0)
     time_frac = (t - maturities[lo]) / (maturities[hi] - maturities[lo])
     alpha = np.where(by_theta, theta_frac, time_frac)[..., None]
-    table = np.array([[getattr(p, name) for name in SLICE_FIELDS] for p in surface.slices])
+    table = np.array([[getattr(p, name) for name in SLICE_FIELDS] for p in model.slices])
     mixed = (1 - alpha) * table[lo] + alpha * table[hi]
     at_lo = np.abs(maturities[lo] - t) <= 1e-12
     at_slice = at_lo | (np.abs(maturities[hi] - t) <= 1e-12)
@@ -377,16 +348,31 @@ MATURITY_STEP = 1e-4
 
 @dataclass(frozen=True)
 class SsviModel:
-    """A calibrated surface: SSVI parameters, refined slices and the spot."""
+    """A calibrated surface: step-1 SSVI parameters, refined slices and the spot.
+
+    ``params`` holds the one ATM curve, and ``slices`` one natural slice per
+    curve maturity.  ``diagnostics`` holds what the calibration observed; it
+    is not serialized.
+    """
 
     params: SsviParams
-    surface: SviSurface
+    slices: tuple          # NaturalSviParams per ATM-curve maturity
     spot: float
+    diagnostics: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        maturities = self.params.theta_maturities
+        if len(self.slices) != len(maturities):
+            raise ValueError("need one slice per ATM-curve maturity")
+        if len(maturities) < 2:
+            raise ValueError("a surface needs at least two slices to interpolate between")
+        if np.any(np.diff(np.asarray(maturities)) <= 0.0):
+            raise ValueError("slice maturities must be strictly increasing")
 
     @property
     def t_range(self) -> tuple[float, float]:
         """The calibrated maturity range, first to last slice."""
-        return self.surface.maturities[0], self.surface.maturities[-1]
+        return self.params.theta_maturities[0], self.params.theta_maturities[-1]
 
     def forward_theta(self, t, kappa):
         """(Theta, dT Theta, dk Theta, dkk Theta) of the slice-interpolated surface.
@@ -399,7 +385,7 @@ class SsviModel:
         t_minus = np.maximum(t - MATURITY_STEP, t_lo)
         # T, T+ and T- stacked on a leading axis; dT Theta differences svi_total_variance,
         # whose root can round unlike the one svi_derivatives shares with its Theta
-        slices = interpolate_slice(self.surface, np.stack([t, t_plus, t_minus]))
+        slices = interpolate_slice(self, np.stack([t, t_plus, t_minus]))
         theta, d_k, d_kk = svi_derivatives(slices, kappa)
         total = svi_total_variance(slices, kappa)
         d_t = (total[1] - total[2]) / (t_plus - t_minus)
@@ -407,7 +393,7 @@ class SsviModel:
 
     def put_prices(self, frame: MarketFrame):
         """Currency put prices of the frame's quotes."""
-        total = svi_total_variance(interpolate_slice(self.surface, frame.maturity),
+        total = svi_total_variance(interpolate_slice(self, frame.maturity),
                                    frame.log_moneyness)
         return frame.put_prices_at(np.sqrt(np.maximum(total, 1e-14) / frame.maturity))
 
@@ -418,7 +404,7 @@ class SsviModel:
 
 
 def model_to_json(model: SsviModel) -> dict:
-    params, surface = model.params, model.surface
+    params = model.params
     return {
         "version": "ssvi/1",
         "rho": params.rho,
@@ -431,28 +417,26 @@ def model_to_json(model: SsviModel) -> dict:
         },
         "slices": [
             {"maturity": m, **{name: getattr(s, name) for name in SLICE_FIELDS}}
-            for m, s in zip(surface.maturities, surface.slices)
+            for m, s in zip(params.theta_maturities, model.slices)
         ],
     }
 
 
 def model_from_json(doc: dict) -> SsviModel:
-    """An ``ssvi/1`` document as a model; every number in it must be finite."""
+    """An ``ssvi/1`` document as a model: finite numbers, slices at the ATM curve's maturities."""
     if doc.get("version") != "ssvi/1":
         raise ValueError(f"unsupported SSVI model version {doc.get('version')!r}")
-    theta_values = tuple(number(v) for v in doc["atm_curve"]["values"])
     params = SsviParams(
         rho=number(doc["rho"]), eta=number(doc["eta"]), gamma=number(doc["gamma"]),
         theta_maturities=tuple(number(t) for t in doc["atm_curve"]["maturities"]),
-        theta_values=theta_values,
+        theta_values=tuple(number(v) for v in doc["atm_curve"]["values"]),
     )
+    slice_maturities = tuple(number(s["maturity"]) for s in doc["slices"])
+    if slice_maturities != params.theta_maturities:
+        raise ValueError(f"slice maturities {list(slice_maturities)} differ from the "
+                         f"ATM curve maturities {list(params.theta_maturities)}")
     slices = tuple(
         NaturalSviParams(**{name: number(s[name]) for name in SLICE_FIELDS})
         for s in doc["slices"]
     )
-    surface = SviSurface(
-        maturities=tuple(number(s["maturity"]) for s in doc["slices"]),
-        slices=slices,
-        atm_curve=theta_values,
-    )
-    return SsviModel(params=params, surface=surface, spot=number(doc["spot"]))
+    return SsviModel(params=params, slices=slices, spot=number(doc["spot"]))

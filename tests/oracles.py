@@ -289,25 +289,26 @@ def per_point_theta(slice_at, t_lo, t_hi, t_vals, kappa, step=1e-4):
     return tuple(row.reshape(np.shape(kappa)) for row in out)
 
 
-def scalar_interpolate_slice(surface, t):
+def scalar_interpolate_slice(model, t):
     """``ssvi.interpolate_slice`` at one maturity, by scalar arithmetic on slice objects."""
     from volsurf.ssvi import SLICE_FIELDS, ExtrapolationError, NaturalSviParams
 
-    maturities = np.asarray(surface.maturities)
+    maturities = np.asarray(model.params.theta_maturities)
+    atm_curve = model.params.theta_values
     if t < maturities[0] - 1e-12 or t > maturities[-1] + 1e-12:
         raise ExtrapolationError(f"maturity {t} outside calibrated range")
     exact = np.nonzero(np.abs(maturities - t) <= 1e-12)[0]
     if exact.size:
-        return surface.slices[int(exact[0])]
+        return model.slices[int(exact[0])]
     hi = int(np.searchsorted(maturities, t))
     lo = hi - 1
-    theta_t = float(np.interp(t, maturities, np.asarray(surface.atm_curve)))
-    theta_lo, theta_hi = surface.atm_curve[lo], surface.atm_curve[hi]
+    theta_t = float(np.interp(t, maturities, np.asarray(atm_curve)))
+    theta_lo, theta_hi = atm_curve[lo], atm_curve[hi]
     if theta_hi - theta_lo > 1e-14:
         alpha = (theta_t - theta_lo) / (theta_hi - theta_lo)
     else:
         alpha = (t - maturities[lo]) / (maturities[hi] - maturities[lo])
-    p_lo, p_hi = surface.slices[lo], surface.slices[hi]
+    p_lo, p_hi = model.slices[lo], model.slices[hi]
     return NaturalSviParams(**{
         name: (1 - alpha) * getattr(p_lo, name) + alpha * getattr(p_hi, name)
         for name in SLICE_FIELDS

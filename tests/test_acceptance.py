@@ -180,7 +180,7 @@ def test_05_ssvi_round_trip(curves):
         moneyness=tuple(np.linspace(0.8, 1.25, 15).tolist()),
     )
     frame = build_frame(generate_synthetic(spec, curves), curves)
-    fitted, _surface = calibrate(frame)
+    fitted = calibrate(frame).params
     rep = check_no_arbitrage(fitted)
     rho_err = abs(fitted.rho - (-0.3))
     eta_err = abs(fitted.eta - 1.2)

@@ -614,6 +614,15 @@ class TestModelFiles:
         message = self.expect_input_error(name, doc, tmp_path, synthetic_dir, capsys)
         assert "two slices" in message
 
+    @pytest.mark.parametrize("name", ["localvol", "check-arbitrage"])
+    def test_ssvi_slices_off_the_atm_curve(self, name, model_files, tmp_path, synthetic_dir,
+                                           capsys):
+        # the ATM curve's maturities tripled, the slices' left as they are
+        doc = json.loads(model_files["ssvi"].read_text())
+        doc["atm_curve"]["maturities"] = [3.0 * t for t in doc["atm_curve"]["maturities"]]
+        message = self.expect_input_error(name, doc, tmp_path, synthetic_dir, capsys)
+        assert "slice maturities" in message and "ATM curve maturities" in message
+
     def test_every_mistyped_local_vol_field(self, tmp_path, synthetic_dir, capsys):
         from volsurf.local_vol import LocalVolGrid, grid_to_json
 
@@ -623,6 +632,60 @@ class TestModelFiles:
             for value in ("x", None):
                 self.expect_input_error("backtest", with_field(doc, path, value), tmp_path,
                                         synthetic_dir, capsys)
+
+
+class TestRateCurves:
+    """A rate curve the program cannot use exits 2 with one JSON line that says why."""
+
+    @staticmethod
+    def calibrate_stderr(synthetic_dir, rates, tmp_path):
+        """The input-error message of calibrate ssvi with this rates.csv, checked as exit 2.
+
+        It runs in a new interpreter, because pytest's own warning capture would
+        hide a stray stderr line next to the one JSON line.
+        """
+        book = tmp_path / "book"
+        book.mkdir()
+        for name in ("quotes.csv", "divs.csv"):
+            (book / name).write_text((synthetic_dir / name).read_text())
+        (book / "rates.csv").write_text(rates)
+        argv = ["calibrate", "ssvi", *market_args(book), "--out", tmp_path / "out"]
+        probe = """
+            import contextlib, io, json, sys
+            from volsurf import cli
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(json.loads(sys.argv[1]))
+            print(json.dumps([code, err.getvalue().splitlines()]))
+            """
+        stdout = fresh_interpreter(probe, json.dumps([str(a) for a in argv]))
+        code, err = json.loads(stdout.splitlines()[-1])
+        assert code == 2 and len(err) == 1, err
+        error = json.loads(err[0])
+        assert error["error"] == "input"
+        return error["message"]
+
+    @pytest.mark.parametrize("rates", [
+        pytest.param("tenor,value\n0,nan\n50,0.02\n", id="nan-value"),
+        pytest.param("tenor,value\n0,0.02\nnan,0.02\n", id="nan-tenor"),
+        pytest.param("tenor,value\n0,0.02\n50,inf\n", id="inf-value"),
+    ])
+    def test_non_finite_entry(self, rates, synthetic_dir, tmp_path):
+        message = self.calibrate_stderr(synthetic_dir, rates, tmp_path)
+        assert "rates.csv" in message and "finite" in message
+
+    def test_negative_rate(self, synthetic_dir, tmp_path):
+        message = self.calibrate_stderr(synthetic_dir, "tenor,value\n0,-0.01\n50,-0.01\n",
+                                        tmp_path)
+        assert "rate curve" in message and "discount factor above 1" in message
+
+    def test_gen_synthetic_refuses_a_negative_rate(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["gen-synthetic", "--rate", -0.01, "--out", tmp_path / "neg"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0]) == {
+            "error": "input", "message": "--rate must be nonnegative, got -0.01"}
+        assert not (tmp_path / "neg").exists()
 
 
 class TestFailureContract:

@@ -63,6 +63,24 @@ class TestCurve:
         with pytest.raises(ValueError):
             Curve([1.0, 1.0], [0.1, 0.1])
 
+    @pytest.mark.parametrize("tenors, values", [
+        ([0.0, math.nan], [0.01, 0.02]),
+        ([0.0, 1.0], [math.nan, 0.02]),
+        ([0.0, 1.0], [0.01, math.inf]),
+        ([-math.inf, 1.0], [0.01, 0.02]),
+    ])
+    def test_rejects_non_finite_knots(self, tenors, values):
+        with pytest.raises(ValueError, match="finite"):
+            Curve(tenors, values)
+
+    @pytest.mark.parametrize("body", ["0,0.02\n50,inf\n", "0,0.02\n50,x\n", "0,0.02\n50\n"],
+                             ids=["inf", "text", "short-row"])
+    def test_load_curve_names_the_file(self, body, tmp_path):
+        path = tmp_path / "rates.csv"
+        path.write_text("tenor,value\n" + body)
+        with pytest.raises(ValueError, match="rates.csv: "):
+            load_curve(path)
+
 
 class TestLoadQuotes:
     def test_direct_parse(self, tmp_path):
@@ -213,6 +231,12 @@ class TestBuildFrame:
         quotes = synthetic_quotes(make_curves(r=0.02, q=0.0), [2.0], [1.0])
         with pytest.raises(ValueError, match="cover"):
             build_frame(quotes, curves)
+
+    def test_negative_rate_is_refused(self):
+        # discount factors above 1, which the implied-vol inversion does not take
+        quotes = synthetic_quotes(make_curves(), [0.5, 1.0], [0.9, 1.0, 1.1])
+        with pytest.raises(ValueError, match="rate curve gives a discount factor above 1"):
+            build_frame(quotes, make_curves(r=-0.01))
 
     def test_empty_frame_error(self):
         curves = make_curves()

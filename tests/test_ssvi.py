@@ -16,7 +16,6 @@ from volsurf.ssvi import (
     _slice_objective,
     SLICE_FIELDS,
     SsviParams,
-    SviSurface,
     calibrate,
     check_no_arbitrage,
     interpolate_slice,
@@ -192,7 +191,7 @@ class TestCheckNoArbitrage:
 class TestCalibrate:
     def test_round_trip_recovery(self):
         frame, true = ssvi_quotes(rho=-0.3, eta=1.2, slope=0.04)
-        fitted, surface = calibrate(frame)
+        fitted = calibrate(frame).params
         assert abs(fitted.rho - true.rho) <= 0.05
         assert abs(fitted.eta - true.eta) <= 0.1
         # ATM curve within 2% relative
@@ -211,28 +210,29 @@ class TestCalibrate:
                 mid = put_price(SPOT, strike, t, 0.2)
                 quotes.append((t, strike, mid, mid, 0.2))
         frame = build_frame(quote_table(quotes), curves)
-        fitted, surface = calibrate(frame)
+        model = calibrate(frame)
+        fitted = model.params
         want = 0.04 * np.asarray(fitted.theta_maturities)
         got = np.asarray(fitted.theta_values)
         assert np.max(np.abs(got - want) / want) < 0.01
         # flat data has no skew to speak of
         fit_ivs = []
-        for t, p in zip(surface.maturities, surface.slices):
+        for t, p in zip(fitted.theta_maturities, model.slices):
             kappas = np.linspace(-0.15, 0.18, 9)
             fit_ivs.append(np.sqrt(svi_total_variance(p, kappas) / t))
         assert np.max(np.abs(np.concatenate(fit_ivs) - 0.2)) < 0.002
 
     def test_refinement_does_not_worsen_objective(self):
         frame, _ = ssvi_quotes(rho=-0.45, eta=0.9, slope=0.05)
-        ssvi_only, surface = calibrate(frame)   # step 1's parameters, step 2's slices
+        model = calibrate(frame)   # step 1's parameters, step 2's slices
         mids = {}
         for t, kappa, iv in zip(frame.maturity.tolist(), frame.log_moneyness.tolist(),
                                 frame.mid_iv.tolist()):
             mids.setdefault(t, []).append((kappa, iv))
-        for t, refined in zip(surface.maturities, surface.slices):
+        for t, refined in zip(model.params.theta_maturities, model.slices):
             kappas = np.array([k for k, _ in mids[t]])
             ivs = np.array([v for _, v in mids[t]])
-            start = ssvi_only.slice_at(t)
+            start = model.params.slice_at(t)
             rmse_start = np.sqrt(np.mean((np.sqrt(svi_total_variance(start, kappas) / t) - ivs) ** 2))
             rmse_ref = np.sqrt(np.mean((np.sqrt(svi_total_variance(refined, kappas) / t) - ivs) ** 2))
             assert rmse_ref <= rmse_start + 1e-12
@@ -256,14 +256,14 @@ class TestCalibrate:
         frame, _ = ssvi_quotes(rho=-0.45, eta=0.9, slope=0.05)
         monkeypatch.setattr(ssvi, "MAX_ITER", 5)
         with caplog.at_level(logging.WARNING, logger="volsurf.ssvi"):
-            params, capped = calibrate(frame)
-            n = len(capped.maturities)
+            capped = calibrate(frame)
+            n = len(capped.slices)
             assert capped.diagnostics == {"slices_at_max_iter": n}
             assert [r.getMessage() for r in caplog.records] == [
                 f"{n} of {n} SSVI slice fits stopped at max_iter=5 before converging"
             ]
         # diagnostics stay out of the model document and of equality
-        assert model_from_json(model_to_json(SsviModel(params, capped, SPOT))).surface == capped
+        assert model_from_json(model_to_json(capped)) == capped
 
     def test_too_few_maturities(self):
         frame, _ = ssvi_quotes(maturities=np.array([1.0]))
@@ -277,55 +277,59 @@ class TestCalibrate:
             calibrate(frame)
 
 
+def slice_model(maturities, atm_curve, slices):
+    """An SsviModel of these slices on this ATM curve; its rho and eta play no part."""
+    params = SsviParams(rho=0.0, eta=1.0, theta_maturities=maturities, theta_values=atm_curve)
+    return SsviModel(params=params, slices=slices, spot=SPOT)
+
+
 class TestInterpolateSlice:
-    def make_surface(self):
+    def make_model(self):
         s1 = NaturalSviParams(delta=0.0, mu=0.0, rho=-0.3, omega=0.02, zeta=1.5)
         s2 = NaturalSviParams(delta=0.01, mu=0.1, rho=-0.1, omega=0.06, zeta=1.1)
-        return SviSurface(maturities=(0.5, 1.5), slices=(s1, s2), atm_curve=(0.02, 0.06))
+        return slice_model((0.5, 1.5), (0.02, 0.06), (s1, s2))
 
     def test_exact_at_slice(self):
-        surface = self.make_surface()
-        assert interpolate_slice(surface, 0.5) == surface.slices[0]
-        assert interpolate_slice(surface, 1.5) == surface.slices[1]
+        model = self.make_model()
+        assert interpolate_slice(model, 0.5) == model.slices[0]
+        assert interpolate_slice(model, 1.5) == model.slices[1]
 
     def test_identical_slices_interpolate_to_same(self):
         s = NaturalSviParams(delta=0.0, mu=0.0, rho=-0.3, omega=0.04, zeta=1.5)
-        surface = SviSurface(maturities=(0.5, 1.5), slices=(s, s), atm_curve=(0.04, 0.04))
-        mid = interpolate_slice(surface, 0.9)
+        mid = interpolate_slice(slice_model((0.5, 1.5), (0.04, 0.04), (s, s)), 0.9)
         assert mid == s
 
     def test_theta_midpoint_gives_mean_params(self):
-        surface = self.make_surface()
+        model = self.make_model()
         # theta(t) linear from 0.02 to 0.06: midpoint theta = 0.04 at t = 1.0
-        mid = interpolate_slice(surface, 1.0)
-        s1, s2 = surface.slices
+        mid = interpolate_slice(model, 1.0)
+        s1, s2 = model.slices
         assert mid.omega == pytest.approx(0.5 * (s1.omega + s2.omega))
         assert mid.rho == pytest.approx(0.5 * (s1.rho + s2.rho))
         assert mid.zeta == pytest.approx(0.5 * (s1.zeta + s2.zeta))
 
     def test_extrapolation_rejected(self):
-        surface = self.make_surface()
+        model = self.make_model()
         with pytest.raises(ExtrapolationError):
-            interpolate_slice(surface, 0.25)
+            interpolate_slice(model, 0.25)
         with pytest.raises(ExtrapolationError):
-            interpolate_slice(surface, 2.0)
+            interpolate_slice(model, 2.0)
         with pytest.raises(ExtrapolationError, match="2.0 outside"):
-            interpolate_slice(surface, np.array([[0.5, 1.0], [1.5, 2.0]]))
+            interpolate_slice(model, np.array([[0.5, 1.0], [1.5, 2.0]]))
 
     def test_array_bitwise_against_scalar_oracle(self):
         # slice maturities, points within 1e-12 of them, an equal-variance bracket
         # (1.5 to 2.0) and random interior points, in one 2-D array
-        s1, s2 = self.make_surface().slices
+        s1, s2 = self.make_model().slices
         s3 = NaturalSviParams(delta=0.02, mu=-0.05, rho=-0.2, omega=0.04, zeta=0.9)
-        surface = SviSurface(maturities=(0.5, 1.5, 2.0), slices=(s1, s2, s3),
-                             atm_curve=(0.02, 0.06, 0.06))
+        model = slice_model((0.5, 1.5, 2.0), (0.02, 0.06, 0.06), (s1, s2, s3))
         edges = [0.5, 0.5 - 5e-13, 0.5 + 5e-13, 1.5 - 5e-13, 1.5, 1.5 + 1e-12, 2.0,
                  2.0 + 5e-13, float(np.nextafter(1.5, 0.0)), float(np.nextafter(2.0, 0.0))]
         t = np.concatenate([edges, np.random.default_rng(3).uniform(0.5, 2.0, 30)])
         t = t.reshape(8, 5)
-        got = interpolate_slice(surface, t)
+        got = interpolate_slice(model, t)
         for name in SLICE_FIELDS:
-            want = [getattr(scalar_interpolate_slice(surface, x), name) for x in t.ravel()]
+            want = [getattr(scalar_interpolate_slice(model, x), name) for x in t.ravel()]
             assert getattr(got, name).shape == t.shape
             assert getattr(got, name).tobytes() == np.array(want).reshape(t.shape).tobytes()
 
@@ -333,12 +337,11 @@ class TestInterpolateSlice:
 class TestThetaSurfaces:
     def test_surface_fn_matches_slice_values(self):
         frame, _ = ssvi_quotes()
-        params, surface = calibrate(frame)
-        fn = SsviModel(params, surface, SPOT).forward_theta
-        t = np.full(5, surface.maturities[2])
+        model = calibrate(frame)
+        t = np.full(5, model.params.theta_maturities[2])
         kappa = np.linspace(-0.2, 0.2, 5)
-        theta, d_t, d_k, d_kk = fn(t, kappa)
-        direct = svi_total_variance(surface.slices[2], kappa)
+        theta, d_t, d_k, d_kk = model.forward_theta(t, kappa)
+        direct = svi_total_variance(model.slices[2], kappa)
         assert theta == pytest.approx(direct)
         assert np.all(d_t > 0)
 
@@ -367,16 +370,16 @@ class TestThetaSurfaces:
         # end-clamped T (first and last knot, and within one step of them) and
         # every T repeated across the kappa axis
         frame, _ = ssvi_quotes()
-        params, surface = calibrate(frame)
+        model = calibrate(frame)
+        params = model.params
+        t_lo, t_hi = params.theta_maturities[0], params.theta_maturities[-1]
         if source == "surface":
-            fn = SsviModel(params, surface, SPOT).forward_theta
-            t_lo, t_hi = surface.maturities[0], surface.maturities[-1]
+            fn = model.forward_theta
 
             def slice_at(t):
-                return interpolate_slice(surface, t)
+                return interpolate_slice(model, t)
         else:
             fn = ssvi_theta_fn(params)
-            t_lo, t_hi = params.theta_maturities[0], params.theta_maturities[-1]
             slice_at = params.slice_at
         t_axis = np.array([t_lo, t_lo + 5e-5, 0.5 * (t_lo + t_hi), t_hi - 5e-5, t_hi])
         tt, kk = np.meshgrid(t_axis, np.linspace(-0.4, 0.3, 7), indexing="ij")
@@ -389,11 +392,10 @@ class TestThetaSurfaces:
 class TestPutPrices:
     def test_bitwise_against_per_point_oracle(self):
         frame = term_structure_cev_frame()
-        params, surface = calibrate(frame)
-        model = SsviModel(params=params, surface=surface, spot=frame.curves.spot)
+        model = calibrate(frame)
 
         def iv_of(t, kappa):
-            total = float(svi_total_variance(interpolate_slice(surface, t), kappa))
+            total = float(svi_total_variance(interpolate_slice(model, t), kappa))
             return math.sqrt(max(total, 1e-14) / t)
 
         for part in (frame, frame.subset(np.arange(0, len(frame), 2))):
@@ -403,17 +405,46 @@ class TestPutPrices:
 class TestSerialization:
     def test_round_trip(self):
         frame, _ = ssvi_quotes()
-        params, surface = calibrate(frame)
-        doc = model_to_json(SsviModel(params=params, surface=surface, spot=SPOT))
+        model = calibrate(frame)
+        doc = model_to_json(model)
         assert doc["version"] == "ssvi/1"
         back = model_from_json(doc)
         assert back.spot == SPOT
-        assert back.params.rho == params.rho
-        assert back.params.eta == params.eta
-        assert back.surface.slices == surface.slices
-        assert back.t_range == (surface.maturities[0], surface.maturities[-1])
+        assert back.params == model.params
+        assert back.slices == model.slices
+        assert back.t_range == (model.params.theta_maturities[0],
+                                model.params.theta_maturities[-1])
         assert model_to_json(back) == doc
 
     def test_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             model_from_json({"version": "nope/1"})
+
+    def test_slice_maturities_must_be_the_atm_curve_maturities(self):
+        frame, _ = ssvi_quotes()
+        doc = model_to_json(calibrate(frame))
+        doc["atm_curve"]["maturities"] = [3.0 * t for t in doc["atm_curve"]["maturities"]]
+        with pytest.raises(ValueError, match="slice maturities .* differ from the ATM curve"):
+            model_from_json(doc)
+
+
+class TestSsviModel:
+    def test_calibrate_returns_the_model(self):
+        frame, _ = ssvi_quotes()
+        model = calibrate(frame)
+        assert isinstance(model, SsviModel)
+        assert model.spot == frame.curves.spot
+        assert len(model.slices) == len(model.params.theta_maturities)
+        assert list(model.diagnostics) == ["slices_at_max_iter"]
+        assert 0 <= model.diagnostics["slices_at_max_iter"] <= len(model.slices)
+
+    @pytest.mark.parametrize("maturities, atm_curve, n_slices, match", [
+        ((0.5, 1.5), (0.02, 0.06), 3, "one slice per ATM-curve maturity"),
+        ((0.5,), (0.02,), 1, "two slices"),
+        ((0.5, 0.5), (0.02, 0.06), 2, "strictly increasing"),
+        ((1.5, 0.5), (0.02, 0.06), 2, "strictly increasing"),
+    ], ids=["three-slices-two-knots", "one-slice", "repeated-maturity", "falling-maturities"])
+    def test_rejects_a_bad_slice_set(self, maturities, atm_curve, n_slices, match):
+        s = NaturalSviParams(delta=0.0, mu=0.0, rho=-0.3, omega=0.04, zeta=1.5)
+        with pytest.raises(ValueError, match=match):
+            slice_model(maturities, atm_curve, (s,) * n_slices)
